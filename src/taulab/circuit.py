@@ -7,6 +7,11 @@ off the inverse.  The inverse is checked against its defining system and a
 SingularSystem is raised if the residual is suspicious, rather than letting
 garbage propagate into the invariants.
 
+The per-edge data behind the invariants comes from one such inverse per
+edge, of the graph with that edge deleted.  Of each one only the
+resistances from the edge's two endpoints to every vertex are kept (2n
+floats), cached per graph; the (n-1)^2 inverse itself is dropped once read.
+
 Resistance across a cut where no current can flow is represented by the
 INFINITE marker object, never by a float sentinel, so that the limit
 conventions of the invariant layer are explicit branches instead of
@@ -25,9 +30,9 @@ from .errors import SingularSystem
 from .graphs import MetrizedGraph, component_labels
 
 RESIDUAL_BOUND = 1e-8
-# Above this many matrix entries the per-edge inverses fall back to a loop
-# instead of one batched LAPACK call, to keep memory bounded.
-_BATCH_ENTRY_CAP = 40_000_000
+# Entries of one stack of deleted-edge matrices inverted in a single LAPACK
+# call; bounds the transient memory of the per-edge inverses at any size.
+_BATCH_ENTRIES = 4_000_000
 
 
 class Infinite:
@@ -59,13 +64,13 @@ class EdgeCircuitData:
 
     ``resistance`` is the effective resistance between the edge's endpoints
     after the edge itself is deleted (INFINITE exactly when the edge is a
-    bridge).  ``arm_first``/``arm_second``/``arm_base`` are the three arms of
-    the star equivalent of the deleted-edge network seen from the two
-    endpoints and the base vertex: arm_first touches the first endpoint,
-    arm_second the second, arm_base the base.  For a bridge the arm on the
+    bridge).  Seen from the two endpoints and the base vertex, the
+    deleted-edge network reduces to a star with three arms; ``arm_first``
+    and ``arm_second`` are the arms at the first and second endpoint, the
+    two that the invariants read (through R = arm_first + arm_second and the
+    arm gap).  The arm at the base is not kept.  For a bridge the arm on the
     far side of the cut from the base is INFINITE and the near one is 0.
-    For a self-loop everything collapses: resistance and both endpoint arms
-    are 0.
+    For a self-loop everything collapses: resistance and both arms are 0.
     """
 
     edge: int
@@ -74,7 +79,6 @@ class EdgeCircuitData:
     resistance: ResistanceValue
     arm_first: ResistanceValue
     arm_second: ResistanceValue
-    arm_base: float
 
     # Set at construction time; a self-loop is a structural fact, not
     # something to be inferred from a zero resistance.
@@ -161,107 +165,67 @@ def voltage_j(g: MetrizedGraph, z: int, x: int, y: int) -> float:
     return K[x, y]
 
 
-def _subgraph_resistance(vertex_count: int, edges, skip_edge: int, x: int, y: int) -> float:
-    """r(x, y) inside the component of the graph-minus-one-edge containing both."""
-    if x == y:
-        return 0.0
-    labels = component_labels(vertex_count, edges, skip_edge)
-    if labels[x] != labels[y]:
-        raise SingularSystem("probe vertices ended up in different components")
-    keep = [v for v in range(vertex_count) if labels[v] == labels[x]]
-    index = {v: k for k, v in enumerate(keep)}
-    sub_edges = [
-        (index[a], index[b], length)
-        for i, (a, b, length) in enumerate(edges)
-        if i != skip_edge and a != b and labels[a] == labels[x]
-    ]
-    K = _grounded_inverse(_laplacian(len(keep), sub_edges))
-    return _pair_resistance(K, index[x], index[y])
-
-
-def edge_circuit_data(g: MetrizedGraph, i: int, base: int) -> EdgeCircuitData:
-    """Circuit data for one edge; see all_edge_circuit_data for the batch form."""
-    i = g.check_edge(i)
-    base = g.check_vertex(base)
-    return all_edge_circuit_data(g, base)[i]
 
 
 @lru_cache(maxsize=16384)
 def _deleted_edge_inverses(g: MetrizedGraph):
-    """Grounded inverses of the graph with one edge removed, for every edge.
+    """Deleted-edge resistances from both endpoints of every edge.
 
-    Returns (inverses, K_full) where inverses[i] is the zero-padded grounded
-    inverse for the graph minus edge i (None for bridges and self-loops), and
-    K_full is the grounded inverse of the whole graph (None unless a
-    self-loop needs it).  All of this is independent of any base vertex, so
-    it is cached per graph and shared across bases.
+    Returns (to_first, to_second): for edge i = (a, b), to_first[i][x] is
+    r(x, a) and to_second[i][x] is r(x, b) in the graph minus edge i, for
+    every vertex x (None for bridges and self-loops).  That is all the
+    invariants read of each deleted-edge inverse, so these 2n floats per
+    edge are what the cache keeps; they are independent of any base vertex
+    and shared across bases.
 
-    The batch builds the grounded Laplacian once and obtains each
-    deleted-edge matrix by a rank-one correction, inverting all of them in a
-    single vectorized call when the total size stays reasonable.
+    The grounded Laplacian is built once and each deleted-edge matrix is a
+    rank-one correction of it.  The matrices are inverted in batches of at
+    most _BATCH_ENTRIES entries, so the transient stack has a fixed bound.
+    Each resistance is read as K[x,x] + K[v,v] - 2 K[x,v] from the column of
+    the endpoint v: the float inverse is not exactly symmetric, and rows
+    would give different last bits.
     """
     n = g.vertex_count
     edges = g.edges
     bridge_set = g.bridges()
-    lap = _laplacian(n, edges)
-
-    loop_ids = [i for i, (a, b, _) in enumerate(edges) if a == b]
+    reduced = _laplacian(n, edges)[1:, 1:]
     solve_ids = [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridge_set]
+    batch = max(1, _BATCH_ENTRIES // (n * n))
 
-    K_full = None
-    if loop_ids:
-        K_full = _grounded_inverse(lap)
-
-    inverses: list[np.ndarray | None] = [None] * len(edges)
-    if solve_ids and n >= 2:
-        reduced = np.delete(np.delete(lap, 0, axis=0), 0, axis=1)
-        m = len(solve_ids)
-        if m * (n - 1) * (n - 1) <= _BATCH_ENTRY_CAP:
-            stack = np.repeat(reduced[None, :, :], m, axis=0)
-            for k, i in enumerate(solve_ids):
-                a, b, length = edges[i]
-                c = 1.0 / length
-                if a != 0:
-                    stack[k, a - 1, a - 1] -= c
-                if b != 0:
-                    stack[k, b - 1, b - 1] -= c
-                if a != 0 and b != 0:
-                    stack[k, a - 1, b - 1] += c
-                    stack[k, b - 1, a - 1] += c
-            try:
-                inv = np.linalg.inv(stack)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(f"deleted-edge Laplacian is singular: {exc}") from exc
-            residual = np.abs(np.matmul(stack, inv) - np.eye(n - 1)[None, :, :]).max()
-            if residual > RESIDUAL_BOUND:
-                raise SingularSystem(
-                    f"deleted-edge solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}"
-                )
-            for k, i in enumerate(solve_ids):
-                inverses[i] = inv[k]
-        else:
-            for i in solve_ids:
-                a, b, length = edges[i]
-                c = 1.0 / length
-                one = reduced.copy()
-                if a != 0:
-                    one[a - 1, a - 1] -= c
-                if b != 0:
-                    one[b - 1, b - 1] -= c
-                if a != 0 and b != 0:
-                    one[a - 1, b - 1] += c
-                    one[b - 1, a - 1] += c
-                try:
-                    inv_one = np.linalg.inv(one)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularSystem(f"deleted-edge Laplacian is singular: {exc}") from exc
-                residual = np.abs(one @ inv_one - np.eye(n - 1)).max()
-                if residual > RESIDUAL_BOUND:
-                    raise SingularSystem(
-                        f"deleted-edge solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}"
-                    )
-                inverses[i] = inv_one
-    return tuple(inverses), K_full
+    to_first: list[np.ndarray | None] = [None] * len(edges)
+    to_second: list[np.ndarray | None] = [None] * len(edges)
+    for start in range(0, len(solve_ids), batch):
+        chunk = solve_ids[start:start + batch]
+        stack = np.repeat(reduced[None, :, :], len(chunk), axis=0)
+        for k, i in enumerate(chunk):
+            a, b, length = edges[i]
+            c = 1.0 / length
+            if a != 0:
+                stack[k, a - 1, a - 1] -= c
+            if b != 0:
+                stack[k, b - 1, b - 1] -= c
+            if a != 0 and b != 0:
+                stack[k, a - 1, b - 1] += c
+                stack[k, b - 1, a - 1] += c
+        try:
+            inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"deleted-edge Laplacian is singular: {exc}") from exc
+        residual = np.abs(np.matmul(stack, inv) - np.eye(n - 1)[None, :, :]).max()
+        if residual > RESIDUAL_BOUND:
+            raise SingularSystem(f"deleted-edge solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}")
+        K = np.zeros((len(chunk), n, n))
+        K[:, 1:, 1:] = inv  # zero row and column at the ground
+        d = np.diagonal(K, axis1=1, axis2=2)
+        rows = np.arange(len(chunk))
+        first = np.array([edges[i][0] for i in chunk])
+        second = np.array([edges[i][1] for i in chunk])
+        r_first = d + d[rows, first][:, None] - 2.0 * K[rows, :, first]
+        r_second = d + d[rows, second][:, None] - 2.0 * K[rows, :, second]
+        for k, i in enumerate(chunk):
+            to_first[i] = r_first[k]
+            to_second[i] = r_second[k]
+    return tuple(to_first), tuple(to_second)
 
 
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData, ...]:
@@ -269,69 +233,37 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
 
     For each edge e = (a, b) the edge is removed and the rest of the network
     is reduced, as seen from a, b and the base, to a star with three arms.
-    The deleted-edge inverses are shared across bases through a cache, so
+    The deleted-edge resistances are shared across bases through a cache, so
     asking for several bases costs one factorization pass plus cheap reads.
     """
     base = g.check_vertex(base)
     n = g.vertex_count
     edges = g.edges
     bridge_set = g.bridges()
-    inverses, K_full = _deleted_edge_inverses(g)
-
-    def entry(inv: np.ndarray, x: int, y: int) -> float:
-        if x == 0 or y == 0:
-            return 0.0
-        return inv[x - 1, y - 1]
-
-    def pair(inv: np.ndarray, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        return entry(inv, x, x) + entry(inv, y, y) - 2.0 * entry(inv, x, y)
+    to_first, to_second = _deleted_edge_inverses(g)
 
     out: list[EdgeCircuitData] = []
     for i, (a, b, length) in enumerate(edges):
         if a == b:
-            arm_base = _pair_resistance(K_full, base, a) if base != a else 0.0
-            out.append(
-                EdgeCircuitData(
-                    edge=i, base=base, length=length,
-                    resistance=0.0, arm_first=0.0, arm_second=0.0,
-                    arm_base=arm_base, _loop_flag=True,
-                )
-            )
+            out.append(EdgeCircuitData(
+                edge=i, base=base, length=length,
+                resistance=0.0, arm_first=0.0, arm_second=0.0, _loop_flag=True,
+            ))
         elif i in bridge_set:
             labels = component_labels(n, edges, skip_edge=i)
             if labels[base] == labels[a]:
-                arm_base = _subgraph_resistance(n, edges, i, base, a)
-                out.append(
-                    EdgeCircuitData(
-                        edge=i, base=base, length=length,
-                        resistance=INFINITE, arm_first=0.0, arm_second=INFINITE,
-                        arm_base=arm_base,
-                    )
-                )
+                arm_first, arm_second = 0.0, INFINITE
             else:
-                arm_base = _subgraph_resistance(n, edges, i, base, b)
-                out.append(
-                    EdgeCircuitData(
-                        edge=i, base=base, length=length,
-                        resistance=INFINITE, arm_first=INFINITE, arm_second=0.0,
-                        arm_base=arm_base,
-                    )
-                )
+                arm_first, arm_second = INFINITE, 0.0
+            out.append(EdgeCircuitData(
+                edge=i, base=base, length=length,
+                resistance=INFINITE, arm_first=arm_first, arm_second=arm_second,
+            ))
         else:
-            inv = inverses[i]
-            r_ab = pair(inv, a, b)
-            r_pa = pair(inv, base, a)
-            r_pb = pair(inv, base, b)
-            arm_first = 0.5 * (r_pa + r_ab - r_pb)
-            arm_second = r_ab - arm_first
-            arm_base = r_pa - arm_first
-            out.append(
-                EdgeCircuitData(
-                    edge=i, base=base, length=length,
-                    resistance=r_ab, arm_first=arm_first, arm_second=arm_second,
-                    arm_base=arm_base,
-                )
-            )
+            r_ab = to_second[i][a]
+            arm_first = 0.5 * (to_first[i][base] + r_ab - to_second[i][base])
+            out.append(EdgeCircuitData(
+                edge=i, base=base, length=length,
+                resistance=r_ab, arm_first=arm_first, arm_second=r_ab - arm_first,
+            ))
     return tuple(out)

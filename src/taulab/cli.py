@@ -27,7 +27,6 @@ from dataclasses import asdict
 from . import connectivity, fuzzing, identities, invariants, transforms
 from .circuit import is_infinite
 from .errors import (
-    NotApplicable,
     ParseError,
     TauLabError,
     TooLarge,
@@ -190,19 +189,7 @@ def cmd_verify(args) -> int:
     if wanted == ["all"]:
         reports = identities.verify_all(g, args.tol)
     else:
-        known = set(identities.identity_ids())
-        reports = []
-        for ident in wanted:
-            if ident not in known:
-                raise UnknownIdentityId(f"unknown identity id: {ident!r}")
-            try:
-                reports.append(identities.verify(g, ident, args.tol))
-            except NotApplicable as exc:
-                reports.append(identities.IdentityReport(
-                    identity=ident, applicable=False, passed=True,
-                    lhs=None, rhs=None, residual=None, slack=None,
-                    checks=0, note=str(exc.reason),
-                ))
+        reports = identities.verify_many(g, wanted, args.tol)
     failed = [r.identity for r in reports if r.applicable and not r.passed]
     _emit("verify", {
         "tolerance": args.tol,

@@ -14,7 +14,8 @@ Conventions shared by all entries:
     when the slack is >= -tol; equalities contribute -residual as their
     slack so that a single number summarizes a mixed report;
   * an identity that does not apply to the given graph raises NotApplicable
-    from verify(), and verify_all() turns that into a skipped report.
+    from verify(), and verify_many() and verify_all() turn that into a skipped
+    report.
 
 Self-loops and bridges never need special-casing at this level: the limit
 conventions live in the invariant layer (a loop has resistance 0 and weight
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from . import cuts, invariants, transforms
 from .circuit import all_edge_circuit_data
@@ -796,10 +798,13 @@ def verify(g: MetrizedGraph, identity_id: str, tol: float = DEFAULT_TOL) -> Iden
     return _build_report(identity_id, rows, note, tol)
 
 
-def verify_all(g: MetrizedGraph, tol: float = DEFAULT_TOL) -> list[IdentityReport]:
-    """Run the whole catalog; identities that do not apply become skip reports."""
+def verify_many(g: MetrizedGraph, ids: Iterable[str], tol: float = DEFAULT_TOL) -> list[IdentityReport]:
+    """Check the given identities in order; those that do not apply become skip reports.
+
+    Raises UnknownIdentityId, from verify(), at the first id not in the catalog.
+    """
     reports = []
-    for ident in _REGISTRY:
+    for ident in ids:
         try:
             reports.append(verify(g, ident, tol))
         except NotApplicable as exc:
@@ -815,3 +820,8 @@ def verify_all(g: MetrizedGraph, tol: float = DEFAULT_TOL) -> list[IdentityRepor
                 note=str(exc.reason),
             ))
     return reports
+
+
+def verify_all(g: MetrizedGraph, tol: float = DEFAULT_TOL) -> list[IdentityReport]:
+    """Run the whole catalog; identities that do not apply become skip reports."""
+    return verify_many(g, _REGISTRY, tol)

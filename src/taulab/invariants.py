@@ -123,11 +123,6 @@ def z_of(g: MetrizedGraph) -> float:
     return graph_profile(g).z
 
 
-def r_of(g: MetrizedGraph) -> float:
-    """sum of LR/(L+R); base-free, equals x + y."""
-    return graph_profile(g).r
-
-
 def xy_of(g: MetrizedGraph, base: int = 0) -> tuple[float, float]:
     """The pair (x, y) computed at the given base vertex."""
     prof = graph_profile(g, base)

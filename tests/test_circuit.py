@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from taulab import circuit
 from taulab.circuit import (
     INFINITE,
     all_edge_circuit_data,
@@ -13,6 +14,7 @@ from taulab.circuit import (
 )
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
+from taulab.transforms import delete_edge
 
 
 def pinv_resistance(g, x, y):
@@ -92,7 +94,6 @@ def test_triangle_edge_data(triangle):
     assert d.resistance == pytest.approx(2.0, rel=1e-12)
     assert d.arm_first == pytest.approx(0.0, abs=1e-12)  # base sits at the first endpoint
     assert d.arm_second == pytest.approx(2.0, rel=1e-12)
-    assert d.arm_base == pytest.approx(0.0, abs=1e-12)
     assert not d.is_loop
 
 
@@ -113,7 +114,6 @@ def test_loop_edge_data():
     assert d.is_loop
     assert d.resistance == 0.0
     assert d.arm_first == 0.0 and d.arm_second == 0.0
-    assert d.arm_base == pytest.approx(1.0, rel=1e-12)  # plain distance from base to the loop point
 
 
 def test_bridge_edge_data(path2):
@@ -122,7 +122,38 @@ def test_bridge_edge_data(path2):
     # the arm on the base's side is finite, the far side is infinite
     assert d.arm_first == 0.0
     assert is_infinite(d.arm_second)
-    assert d.arm_base == pytest.approx(0.0, abs=1e-12)
+
+
+def test_deleted_resistance_matches_pseudoinverse_oracle():
+    rng = random.Random(4711)
+    for _ in range(30):
+        g = random_connected_multigraph(rng, 6, 12)
+        bridges = g.bridges()
+        for d in all_edge_circuit_data(g, 0):
+            if d.edge in bridges:
+                continue
+            a, b, _ = g.edges[d.edge]
+            oracle = pinv_resistance(delete_edge(g, d.edge), a, b)
+            assert d.resistance == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def test_batched_inverses_match_one_batch(monkeypatch):
+    # Edges 6 and 8 are loops, 7 is a bridge, 0-1 and 2-3 are parallel pairs.
+    g = build_graph(5, [
+        (0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (1, 2, 3.0), (2, 0, 1.3),
+        (2, 3, 0.4), (3, 3, 2.0), (3, 4, 1.1), (2, 2, 0.9), (0, 3, 5.0),
+    ])
+    circuit._deleted_edge_inverses.cache_clear()
+    whole = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
+    solved = sum(r is not None for r in circuit._deleted_edge_inverses(g)[0])
+    # Three matrices per batch: the solved edges span several batches,
+    # the last one partly filled.
+    monkeypatch.setattr(circuit, "_BATCH_ENTRIES", 3 * g.vertex_count ** 2)
+    assert solved > 6 and solved % 3 != 0
+    circuit._deleted_edge_inverses.cache_clear()
+    split = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
+    circuit._deleted_edge_inverses.cache_clear()
+    assert split == whole
 
 
 def test_deleted_resistance_is_base_independent():
