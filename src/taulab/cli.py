@@ -324,14 +324,22 @@ def cmd_oracle(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _checked_tol(tol: float, source: str) -> float:
+    """A tolerance must be finite and >= 0: NaN would pass every check, -1 fail every one."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParseError(f"{source}={tol!r} must be a finite number >= 0")
+    return tol
+
+
 def _default_tol() -> float:
     raw = os.environ.get("TAULAB_TOL")
     if raw is None:
         return identities.DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise ParseError(f"TAULAB_TOL={raw!r} is not a number") from None
+    return _checked_tol(tol, "TAULAB_TOL")
 
 
 def build_parser(tol: float) -> argparse.ArgumentParser:
@@ -382,6 +390,8 @@ def main(argv=None) -> int:
         tol = _default_tol()
         parser = build_parser(tol)
         args = parser.parse_args(argv)
+        if "tol" in vars(args):
+            _checked_tol(args.tol, "--tol")
         return args.func(args)
     except ParseError as exc:
         print(f"taulab: {exc}", file=sys.stderr)

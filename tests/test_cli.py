@@ -152,6 +152,14 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_huge_vertex_count_without_edges_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "graph 100000000\n")
+    code, out, err = run(capsys, ["invariants", path])
+    assert code == 2
+    assert out == ""
+    assert "not connected" in err
+
+
 def test_fuzz_deterministic(capsys):
     code1, out1, _ = run(capsys, ["fuzz", "--count", "10", "--seed", "5"])
     code2, out2, _ = run(capsys, ["fuzz", "--count", "10", "--seed", "5"])
@@ -246,10 +254,23 @@ def test_tol_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", path])
     assert code == 0
     assert json.loads(out)["tolerance"] == 0.5
-    monkeypatch.setenv("TAULAB_TOL", "not-a-number")
-    code, _, err = run(capsys, ["verify", path])
-    assert code == 2
-    assert "TAULAB_TOL" in err
+    for raw in ("not-a-number", "nan", "inf", "-inf", "-1"):
+        monkeypatch.setenv("TAULAB_TOL", raw)
+        code, _, err = run(capsys, ["verify", path])
+        assert code == 2, raw
+        assert "TAULAB_TOL" in err
+
+
+def test_tol_flag_must_be_finite_and_nonnegative(tmp_path, capsys):
+    path = write(tmp_path, TRIANGLE_TEXT)
+    for command in (["invariants", path], ["verify", path], ["fuzz", "--count", "1"]):
+        for raw in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, command + ["--tol", raw])
+            assert code == 2, (command, raw)
+            assert out == ""
+            assert "--tol" in err
+        code, _, _ = run(capsys, command + ["--tol", "1e-6"])
+        assert code == 0, command
 
 
 def test_conjecture_violation_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,16 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from taulab import connectivity
+from taulab import connectivity, cuts
 from taulab.circuit import INFINITE, is_infinite
 from taulab.connectivity import N_of, conjecture_margin, lower_bounds
 from taulab.cuts import edge_connectivity, vertex_connectivity
-from taulab.errors import BridgePresent, TooLarge, TooSmall
+from taulab.errors import BridgePresent, DisconnectedGraph, TooLarge, TooSmall
 from taulab.fuzzing import random_bridgeless_multigraph, random_connected_multigraph
-from taulab.graphs import build_graph
+from taulab.graphs import build_graph, component_labels
 
 
 def banana(n, length=1.0):
@@ -43,6 +44,108 @@ def test_vertex_connectivity_known_values(triangle, k4, path2):
     assert vertex_connectivity(prism) == 3
     with pytest.raises(TooSmall):
         vertex_connectivity(build_graph(1, []))
+
+
+def unit_graph(n, pairs):
+    return build_graph(n, [(a, b, 1.0) for a, b in pairs])
+
+
+def brute_vertex_connectivity(g):
+    """Smallest vertex set whose removal leaves a disconnected rest; v - 1 if none."""
+    n = g.vertex_count
+    for size in range(n - 1):
+        for removed in itertools.combinations(range(n), size):
+            keep = [u for u in range(n) if u not in removed]
+            index = {u: i for i, u in enumerate(keep)}
+            rest = [(index[a], index[b], 1.0) for a, b, _ in g.edges if a in index and b in index]
+            if max(component_labels(len(keep), rest)) > 0:
+                return size
+    return n - 1
+
+
+def test_vertex_connectivity_matches_brute_force():
+    rng = random.Random(2718)
+    graphs = [random_connected_multigraph(rng, 9, 18) for _ in range(150)]
+    while len(graphs) < 300:
+        n = rng.randint(2, 9)
+        density = rng.uniform(0.2, 1.0)
+        pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < density]
+        try:
+            graphs.append(unit_graph(n, pairs))
+        except DisconnectedGraph:
+            continue
+    for g in graphs:
+        if g.vertex_count >= 2:
+            assert vertex_connectivity(g) == brute_vertex_connectivity(g), g
+
+
+def test_vertex_connectivity_of_named_graphs():
+    cycle8 = unit_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    petersen = unit_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    k34 = unit_graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
+    wheel6 = unit_graph(7, [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)])
+    # Vertex 0 has the fewest distinct neighbours (lowest index among the
+    # 4-neighbour vertices) and is the only cut vertex, so only a flow
+    # between two of its neighbours can find it.
+    two_k5 = unit_graph(11, [(0, 1), (0, 2), (0, 6), (0, 7)]
+                        + list(itertools.combinations(range(1, 6), 2))
+                        + list(itertools.combinations(range(6, 11), 2)))
+    for g, expected in ((cycle8, 2), (petersen, 3), (k34, 3), (wheel6, 3), (two_k5, 1)):
+        assert vertex_connectivity(g) == expected
+        assert brute_vertex_connectivity(g) == expected
+
+
+def random_six_regular(rng, n):
+    """Random multigraph with every degree 6: stubs paired at random until loopless and connected."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(6)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if any(a == b for a, b in pairs):
+            continue
+        try:
+            return unit_graph(n, pairs)
+        except DisconnectedGraph:
+            continue
+
+
+def all_pairs_vertex_connectivity(g):
+    """Reference: one split-network max-flow per non-adjacent pair."""
+    n = g.vertex_count
+    adjacent = {(a, b) for a, b, _ in g.edges} | {(b, a) for a, b, _ in g.edges}
+    best = n - 1
+    for s, t in itertools.combinations(range(n), 2):
+        if (s, t) in adjacent:
+            continue
+        capacity = [dict() for _ in range(2 * n)]
+        for u in range(n):
+            capacity[2 * u][2 * u + 1] = 1 if u not in (s, t) else n
+        for a, b in adjacent:
+            capacity[2 * a + 1][2 * b] = n
+        best = min(best, cuts._max_flow(capacity, 2 * s + 1, 2 * t))
+    return best
+
+
+def test_vertex_connectivity_flow_count_on_mid_size_graphs(monkeypatch):
+    rng = random.Random(6006)
+    real = cuts._max_flow
+    calls = []
+
+    def counted(capacity, source, sink):
+        calls.append((source, sink))
+        return real(capacity, source, sink)
+
+    for n in (20, 30, 45, 60):
+        g = random_six_regular(rng, n)
+        expected = all_pairs_vertex_connectivity(g)
+        d = min(len({b if a == u else a for a, b, _ in g.edges if u in (a, b)}) for u in range(n))
+        calls.clear()
+        monkeypatch.setattr(cuts, "_max_flow", counted)
+        assert vertex_connectivity(g) == expected
+        monkeypatch.setattr(cuts, "_max_flow", real)
+        assert 0 < len(calls) <= (n - 1 - d) + d * (d - 1) // 2, (n, d, len(calls))
 
 
 def test_connectivity_sandwich():

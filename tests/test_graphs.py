@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from taulab.errors import (
@@ -27,6 +29,15 @@ def test_build_rejects_disconnected():
         build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraph):
         build_graph(2, [])  # isolated vertex
+    with pytest.raises(DisconnectedGraph):
+        build_graph(3, [(0, 1, 1.0), (1, 1, 1.0)])  # a loop spans nothing
+
+
+def test_too_few_edges_rejected_before_per_vertex_work():
+    start = time.perf_counter()
+    with pytest.raises(DisconnectedGraph, match="graph on 100000000 vertices with 0 edges is not connected"):
+        build_graph(10**8, [])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_point_graph_is_allowed():
