@@ -203,6 +203,12 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     import random
 
+    # The report echoes these, so a value the generator would silently
+    # clamp (or a negative count that runs nothing) is refused instead.
+    for flag, value, least in (("--count", args.count, 0), ("--max-v", args.max_v, 2),
+                               ("--max-e", args.max_e, 0)):
+        if value < least:
+            raise ParseError(f"{flag}={value} must be >= {least}")
     rng = random.Random(args.seed)
     worst_residual = 0.0
     worst_slack = math.inf

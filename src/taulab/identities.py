@@ -172,18 +172,10 @@ def _tau_contract(g):
     _need_vertices(g, "TAU_CONTRACT", 3)
     prof = _prof(g)
     scale = g.vertex_count - 2
-    contracted = math.fsum(
-        w * _prof(_contract(g, i)).tau
-        for i, w in enumerate(prof.weight_resistance)
-        if w != 0.0
-    )
+    contracted = _contraction_sum(g, lambda p: p.tau)
     # Same recursion with the edge kept as a loop instead of removed; the
     # correction term is then the whole length rather than z.
-    looped = math.fsum(
-        w * _prof(_loopify(g, i)).tau
-        for i, w in enumerate(prof.weight_resistance)
-        if w != 0.0
-    )
+    looped = _contraction_sum(g, lambda p: p.tau, keep_loop=True)
     rows = [
         ("edge removed on contraction", "eq", prof.tau,
          contracted / scale - prof.z / (12.0 * scale)),
@@ -197,11 +189,7 @@ def _tau_genus(g):
     _need_bridgeless(g, "TAU_GENUS")
     prof = _prof(g)
     scale = g.genus + 1
-    deleted = math.fsum(
-        w * _prof(_delete(g, i)).tau
-        for i, w in enumerate(prof.weight_length)
-        if w != 0.0
-    )
+    deleted = _deletion_sum(g, lambda p: p.tau)
     rhs = deleted / scale + prof.ell / (6.0 * scale) - prof.r / (4.0 * scale)
     return [("deletion average", "eq", prof.tau, rhs)], "bridgeless"
 
@@ -400,45 +388,16 @@ def _euler_xy(g):
     return rows, "bridgeless"
 
 
-def _contraction_sum(g, pick):
+def _contraction_sum(g, pick, keep_loop=False):
+    """sum of R/(L+R) times pick of each contracted graph (or, with
+    keep_loop, of the graph with the edge's endpoints glued instead)."""
+    surgery = _loopify if keep_loop else _contract
     prof = _prof(g)
     return math.fsum(
-        w * pick(_prof(_contract(g, i)))
+        w * pick(_prof(surgery(g, i)))
         for i, w in enumerate(prof.weight_resistance)
         if w != 0.0
     )
-
-
-def _contr_x(g):
-    _need_bridgeless(g, "CONTR_X")
-    _need_vertices(g, "CONTR_X", 3)
-    prof = _prof(g)
-    lhs = (g.vertex_count - 2) * prof.x
-    return [("weighted contractions", "eq", lhs, _contraction_sum(g, lambda p: p.x))], "bridgeless, v >= 3"
-
-
-def _contr_y(g):
-    _need_bridgeless(g, "CONTR_Y")
-    _need_vertices(g, "CONTR_Y", 3)
-    prof = _prof(g)
-    lhs = (g.vertex_count - 2) * prof.y
-    return [("weighted contractions", "eq", lhs, _contraction_sum(g, lambda p: p.y))], "bridgeless, v >= 3"
-
-
-def _contr_z(g):
-    _need_bridgeless(g, "CONTR_Z")
-    _need_vertices(g, "CONTR_Z", 2)
-    prof = _prof(g)
-    lhs = (g.vertex_count - 1) * prof.z
-    return [("weighted contractions", "eq", lhs, _contraction_sum(g, lambda p: p.z))], "bridgeless, v >= 2"
-
-
-def _contr_r(g):
-    _need_bridgeless(g, "CONTR_R")
-    _need_vertices(g, "CONTR_R", 3)
-    prof = _prof(g)
-    lhs = (g.vertex_count - 2) * prof.r
-    return [("weighted contractions", "eq", lhs, _contraction_sum(g, lambda p: p.r))], "bridgeless, v >= 3"
 
 
 def _deletion_sum(g, pick):
@@ -450,33 +409,57 @@ def _deletion_sum(g, pick):
     )
 
 
-def _del_x(g):
-    _need_bridgeless(g, "DEL_X")
+def _contr_rows(g, ident, pick, drop):
+    """(v - drop) times a quantity against its weighted contractions, for v > drop."""
+    _need_bridgeless(g, ident)
+    _need_vertices(g, ident, drop + 1)
+    lhs = (g.vertex_count - drop) * pick(_prof(g))
+    rows = [("weighted contractions", "eq", lhs, _contraction_sum(g, pick))]
+    return rows, f"bridgeless, v >= {drop + 1}"
+
+
+def _contr_x(g):
+    return _contr_rows(g, "CONTR_X", lambda p: p.x, 2)
+
+
+def _contr_y(g):
+    return _contr_rows(g, "CONTR_Y", lambda p: p.y, 2)
+
+
+def _contr_z(g):
+    return _contr_rows(g, "CONTR_Z", lambda p: p.z, 1)
+
+
+def _contr_r(g):
+    return _contr_rows(g, "CONTR_R", lambda p: p.r, 2)
+
+
+def _del_rows(g, ident, pick, shift, extra=None):
+    """(genus + shift) times a quantity against its weighted deletions,
+    plus extra's term of g on the right when given."""
+    _need_bridgeless(g, ident)
     prof = _prof(g)
-    lhs = g.genus * prof.x
-    rhs = prof.y + _deletion_sum(g, lambda p: p.x)
+    lhs = (g.genus + shift) * pick(prof)
+    rhs = _deletion_sum(g, pick)
+    if extra is not None:
+        rhs = extra(prof) + rhs
     return [("weighted deletions", "eq", lhs, rhs)], "bridgeless"
 
 
+def _del_x(g):
+    return _del_rows(g, "DEL_X", lambda p: p.x, 0, extra=lambda p: p.y)
+
+
 def _del_y(g):
-    _need_bridgeless(g, "DEL_Y")
-    prof = _prof(g)
-    lhs = (g.genus + 1) * prof.y
-    return [("weighted deletions", "eq", lhs, _deletion_sum(g, lambda p: p.y))], "bridgeless"
+    return _del_rows(g, "DEL_Y", lambda p: p.y, 1)
 
 
 def _del_z(g):
-    _need_bridgeless(g, "DEL_Z")
-    prof = _prof(g)
-    lhs = (g.genus - 1) * prof.z
-    return [("weighted deletions", "eq", lhs, _deletion_sum(g, lambda p: p.z))], "bridgeless"
+    return _del_rows(g, "DEL_Z", lambda p: p.z, -1)
 
 
 def _del_r(g):
-    _need_bridgeless(g, "DEL_R")
-    prof = _prof(g)
-    lhs = g.genus * prof.r
-    return [("weighted deletions", "eq", lhs, _deletion_sum(g, lambda p: p.r))], "bridgeless"
+    return _del_rows(g, "DEL_R", lambda p: p.r, 0)
 
 
 def _tau_contr2(g):
@@ -510,12 +493,13 @@ def _succ_xy(g):
     _cap_nested(g, "SUCC_XY")
     prof = _prof(g)
     v = g.vertex_count
+    depths = range(1, v - 1)
+    sums = invariants.nested_weighted_sum(
+        g, depths, lambda node: _prof(node.graph).x - _prof(node.graph).y
+    )
     rows = []
-    for k in range(1, v - 1):
+    for k, nested in zip(depths, sums):
         lhs = math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y)
-        nested = invariants.nested_weighted_sum(
-            g, k, lambda node: _prof(node.graph).x - _prof(node.graph).y
-        )
         rows.append((f"depth {k}", "eq", lhs, nested))
     return rows, "bridgeless, depths 1 .. v-2"
 
@@ -526,11 +510,10 @@ def _succ_tau(g):
     _cap_nested(g, "SUCC_TAU")
     prof = _prof(g)
     v = g.vertex_count
+    depths = range(1, v - 1)
+    sums = invariants.nested_weighted_sum(g, depths, lambda node: _prof(node.graph).tau)
     rows = []
-    for k in range(1, v - 1):
-        nested = invariants.nested_weighted_sum(
-            g, k, lambda node: _prof(node.graph).tau
-        )
+    for k, nested in zip(depths, sums):
         rhs = (
             math.factorial(v - k - 2) / math.factorial(v - 2) * nested
             - k * prof.z / (12.0 * (v - k - 1))
@@ -545,14 +528,15 @@ def _succ_r(g):
     _cap_nested(g, "SUCC_R")
     prof = _prof(g)
     v = g.vertex_count
+    depths = range(1, v - 1)
+    # The contracted lengths along a sequence are exactly what the leaf
+    # graph lost, so the leaf value needs no bookkeeping of the path.
+    sums = invariants.nested_weighted_sum(
+        g, depths, lambda node: prof.ell - node.graph.total_length
+    )
     rows = []
-    for k in range(1, v - 1):
+    for k, nested in zip(depths, sums):
         lhs = k * math.factorial(v - 2) / math.factorial(v - k - 1) * prof.r
-        # The contracted lengths along a sequence are exactly what the leaf
-        # graph lost, so the leaf value needs no bookkeeping of the path.
-        nested = invariants.nested_weighted_sum(
-            g, k, lambda node: prof.ell - node.graph.total_length
-        )
         rows.append((f"depth {k}", "eq", lhs, nested))
     return rows, "bridgeless, depths 1 .. v-2"
 
@@ -578,12 +562,11 @@ def _succ_z(g):
     _cap_nested(g, "SUCC_Z")
     prof = _prof(g)
     v = g.vertex_count
+    depths = range(1, v - 1)
+    sums = invariants.nested_weighted_sum(g, depths, lambda node: _prof(node.graph).z)
     rows = []
-    for k in range(1, v - 1):
+    for k, nested in zip(depths, sums):
         lhs = math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z
-        nested = invariants.nested_weighted_sum(
-            g, k, lambda node: _prof(node.graph).z
-        )
         rows.append((f"depth {k}", "eq", lhs, nested))
     return rows, "bridgeless, depths 1 .. v-2"
 
@@ -617,7 +600,7 @@ def _tau_main5(g):
         count, harmonic = invariants.banana_stats(node.graph)
         return (count - 2) * harmonic
 
-    nested = invariants.nested_weighted_sum(g, depth, leaf)
+    nested = invariants.nested_weighted_sum(g, [depth], leaf)[0]
     rhs = prof.ell / 12.0 - nested / (6.0 * math.factorial(depth))
     return [("full-depth contraction", "eq", prof.tau, rhs)], "bridgeless, v >= 3"
 

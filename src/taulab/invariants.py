@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -129,11 +129,6 @@ def xy_of(g: MetrizedGraph, base: int = 0) -> tuple[float, float]:
     return prof.x, prof.y
 
 
-def _tau(g: MetrizedGraph) -> float:
-    """tau without the cross-base self-check; internal hot path."""
-    return graph_profile(g).tau
-
-
 def tau(g: MetrizedGraph) -> float:
     """The tau constant of the graph.
 
@@ -168,9 +163,7 @@ class InvariantSet:
 
 def invariant_set(g: MetrizedGraph, base: int = 0) -> InvariantSet:
     prof = graph_profile(g, base)
-    w = None
-    if g.is_bridgeless():
-        w = (g.vertex_count - 1) * prof.z - prof.x
+    w = w_of(g) if g.is_bridgeless() else None
     return InvariantSet(
         ell=prof.ell, genus=g.genus, tau=tau(g), x=prof.x, y=prof.y,
         z=prof.z, r=prof.r, w=w, base=base,
@@ -300,35 +293,52 @@ def contraction_lattice(g: MetrizedGraph) -> dict[frozenset, LatticeNode]:
     return nodes
 
 
-def nested_weighted_sum(g: MetrizedGraph, depth: int, leaf_value: Callable[[LatticeNode], float]) -> float:
-    """Sum over all length-``depth`` contraction sequences of R/(L+R) weight
-    products times a value of the final graph.
+def nested_weighted_sum(
+    g: MetrizedGraph, depths: Iterable[int], leaf_value: Callable[[LatticeNode], float]
+) -> list[float]:
+    """For each requested depth k, the sum over all length-k contraction
+    sequences of R/(L+R) weight products times a value of the final graph.
 
     Weights are taken in the graph current at each step, so this is the
     ordered-sequence sum, evaluated without enumerating orders: the future of
     a partial contraction depends only on the set of edges contracted so far.
+    One memoized walk of the lattice serves every depth; ``leaf_value`` is
+    called once per node whose size is a requested depth, and each depth's
+    sum at a node is one ``math.fsum`` over that node's children in edge
+    order.  Returns the sums in the order of ``depths``.
     """
-    if depth > max(0, g.vertex_count - 2):
-        raise TooLarge(f"cannot contract {depth} times on {g.vertex_count} vertices")
+    depths = list(depths)
+    top = max(0, g.vertex_count - 2)
+    for depth in depths:
+        if depth > top:
+            raise TooLarge(f"cannot contract {depth} times on {g.vertex_count} vertices")
+    wanted = sorted(set(depths))
     lattice = contraction_lattice(g)
-    memo: dict[frozenset, float] = {}
+    memo: dict[frozenset, dict[int, float]] = {}
 
-    def value(key: frozenset) -> float:
-        if len(key) == depth:
-            return leaf_value(lattice[key])
+    def value(key: frozenset) -> dict[int, float]:
         if key in memo:
             return memo[key]
         node = lattice[key]
-        prof = graph_profile(node.graph)
-        total = math.fsum(
-            prof.weight_resistance[j] * value(key | {orig})
-            for j, orig in enumerate(node.original_ids)
-            if prof.weight_resistance[j] != 0.0
-        )
-        memo[key] = total
-        return total
+        size = len(key)
+        sums = {}
+        if size in wanted:
+            sums[size] = leaf_value(node)
+        if size < wanted[-1]:
+            prof = graph_profile(node.graph)
+            children = [
+                (w, value(key | {orig}))
+                for w, orig in zip(prof.weight_resistance, node.original_ids)
+                if w != 0.0
+            ]
+            for depth in wanted:
+                if depth > size:
+                    sums[depth] = math.fsum(w * child[depth] for w, child in children)
+        memo[key] = sums
+        return sums
 
-    return value(frozenset())
+    root = value(frozenset())
+    return [root[depth] for depth in depths]
 
 
 def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset, LatticeNode]]:
@@ -373,10 +383,31 @@ def w_nested(g: MetrizedGraph) -> float:
         return math.fsum(terms)
 
     depth = g.vertex_count - 2
-    return nested_weighted_sum(g, depth, leaf) / math.factorial(depth)
+    return nested_weighted_sum(g, [depth], leaf)[0] / math.factorial(depth)
 
 
 # -- oracles -------------------------------------------------------------------
+
+# Most vertices a subdivided graph may have in the integral oracles, which
+# invert its dense grounded Laplacian: N vertices cost a few N x N float
+# matrices and about N^3 flops.  The tests go up to about 1,530 (12 edges at
+# 128 segments); at the cap, the unit triangle took 2.3 s on one BLAS thread
+# of a 2-core x86-64 box and peaked at 230 MB.
+INTEGRAL_VERTEX_CAP = 2500
+
+
+def _quadrature_graph(g: MetrizedGraph, segments_per_edge: int) -> MetrizedGraph:
+    """g with every edge cut into equal segments, refused above the size cap."""
+    segments_per_edge = int(segments_per_edge)
+    if segments_per_edge < 2:
+        raise TooSmall("integral oracle needs at least 2 segments per edge")
+    size = g.vertex_count + g.edge_count * (segments_per_edge - 1)
+    if size > INTEGRAL_VERTEX_CAP:
+        raise TooLarge(
+            f"integral oracle at {segments_per_edge} segments per edge needs {size} vertices, "
+            f"capped at {INTEGRAL_VERTEX_CAP}"
+        )
+    return transforms.subdivide(g, segments_per_edge)
 
 
 def tau_oracle_integral(g: MetrizedGraph, segments_per_edge: int = 64) -> float:
@@ -385,12 +416,10 @@ def tau_oracle_integral(g: MetrizedGraph, segments_per_edge: int = 64) -> float:
     Each edge is cut into equal segments and the derivative is replaced by
     the chord slope.  The resistance function is quadratic along edges, so
     the chord slope is exact at segment midpoints and the error falls off
-    as the square of the segment length.
+    as the square of the segment length.  Raises TooLarge when the
+    subdivided graph would have more than INTEGRAL_VERTEX_CAP vertices.
     """
-    segments_per_edge = int(segments_per_edge)
-    if segments_per_edge < 2:
-        raise TooSmall("integral oracle needs at least 2 segments per edge")
-    fine = transforms.subdivide(g, segments_per_edge)
+    fine = _quadrature_graph(g, segments_per_edge)
     K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
     r_to_origin = np.diag(K)
     total = math.fsum(
@@ -438,16 +467,14 @@ def a_pq_oracle_integral(g: MetrizedGraph, p: int, q: int, segments_per_edge: in
     """The crossing integral behind A, by direct quadrature (validation path).
 
     Integrates j_x(p,q) times the squared slope of x -> j_p(x,q) over the
-    graph.  Meant for small graphs; accuracy is discretization-limited.
+    graph.  Meant for small graphs (capped like tau_oracle_integral);
+    accuracy is discretization-limited.
     """
     p = g.check_vertex(p)
     q = g.check_vertex(q)
     if p == q:
         raise SameVertex("A needs two distinct points")
-    segments_per_edge = int(segments_per_edge)
-    if segments_per_edge < 2:
-        raise TooSmall("integral oracle needs at least 2 segments per edge")
-    fine = transforms.subdivide(g, segments_per_edge)
+    fine = _quadrature_graph(g, segments_per_edge)
     K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
     diag = np.diag(K)
     r_p = diag[p] + diag - 2.0 * K[p]

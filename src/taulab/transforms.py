@@ -1,19 +1,20 @@
 """Surgeries on metrized graphs.
 
-All operations return new graphs; inputs are never mutated.  Vertex
-renumbering after a merge follows one convention everywhere: the two merged
-vertices collapse onto the smaller index, and every vertex above the larger
-index shifts down by one.  Vertex 0 therefore always survives as vertex 0,
-which is what lets invariant code compare base-pointed quantities across a
-surgery without extra bookkeeping.  Edge order is preserved (minus removals),
-and edge lengths never change unless the operation says so.
+All operations return new graphs; inputs are never mutated, and no operation
+reports how old labels map to new ones: the mapping follows from one
+convention.  When two vertices merge, they collapse onto the smaller index
+and every vertex above the larger index shifts down by one.  Vertex 0
+therefore always survives as vertex 0, which is what lets invariant code
+compare base-pointed quantities across a surgery without extra bookkeeping.
+Edge order is preserved (minus removals), and edge lengths never change
+unless the operation says so.  Sequences of contractions are walked as a
+lattice of contracted edge sets in ``invariants.contraction_lattice``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .errors import (
     HasCutVertex,
@@ -28,111 +29,47 @@ from .errors import (
 from .graphs import MetrizedGraph, component_labels
 
 
-@dataclass(frozen=True)
-class Surgery:
-    """A transformed graph together with how old labels map to new ones.
-
-    ``vertex_map[v]`` is the new index of old vertex v.  ``edge_map[i]`` is
-    the new index of old edge i, or None if the operation removed it.
-    """
-
-    graph: MetrizedGraph
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int | None, ...]
-
-
-def _identity_vertex_map(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def _merge_map(n: int, u: int, w: int) -> tuple[int, ...]:
-    """Vertex map that merges w and u onto min(u, w) and closes the gap."""
+def _merged(g: MetrizedGraph, u: int, w: int, edges) -> MetrizedGraph:
+    """The given edges on g's vertices with u and w merged onto min(u, w)."""
     lo, hi = (u, w) if u < w else (w, u)
-    out = []
-    for v in range(n):
-        if v == hi:
-            out.append(lo)
-        elif v > hi:
-            out.append(v - 1)
-        else:
-            out.append(v)
-    return tuple(out)
-
-
-def delete_edge_surgery(g: MetrizedGraph, i: int) -> Surgery:
-    i = g.check_edge(i)
-    if i in g.bridges():
-        raise WouldDisconnect(f"edge {i} is a bridge; deleting it would disconnect the graph")
-    edges = g.edges[:i] + g.edges[i + 1:]
-    edge_map: list[int | None] = [j if j < i else (None if j == i else j - 1) for j in range(len(g.edges))]
-    return Surgery(MetrizedGraph(g.vertex_count, edges), _identity_vertex_map(g.vertex_count), tuple(edge_map))
+    vmap = tuple(lo if v == hi else v - 1 if v > hi else v for v in range(g.vertex_count))
+    return MetrizedGraph(g.vertex_count - 1, tuple((vmap[x], vmap[y], length) for x, y, length in edges))
 
 
 def delete_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
     """The graph with edge i removed; refuses to disconnect."""
-    return delete_edge_surgery(g, i).graph
-
-
-def contract_edge_surgery(g: MetrizedGraph, i: int) -> Surgery:
     i = g.check_edge(i)
-    a, b, _ = g.edges[i]
-    rest = g.edges[:i] + g.edges[i + 1:]
-    edge_map: list[int | None] = [j if j < i else (None if j == i else j - 1) for j in range(len(g.edges))]
-    if a == b:
-        # Contracting a self-loop shrinks the loop to a point: the edge just
-        # disappears and the genus drops by one.
-        return Surgery(MetrizedGraph(g.vertex_count, rest), _identity_vertex_map(g.vertex_count), tuple(edge_map))
-    vmap = _merge_map(g.vertex_count, a, b)
-    edges = tuple((vmap[x], vmap[y], length) for x, y, length in rest)
-    return Surgery(MetrizedGraph(g.vertex_count - 1, edges), vmap, tuple(edge_map))
+    if i in g.bridges():
+        raise WouldDisconnect(f"edge {i} is a bridge; deleting it would disconnect the graph")
+    return MetrizedGraph(g.vertex_count, g.edges[:i] + g.edges[i + 1:])
 
 
 def contract_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
     """Shrink edge i to a point, merging its endpoints (loops just vanish)."""
-    return contract_edge_surgery(g, i).graph
-
-
-def identify_endpoints_surgery(g: MetrizedGraph, i: int) -> Surgery:
     i = g.check_edge(i)
     a, b, _ = g.edges[i]
+    rest = g.edges[:i] + g.edges[i + 1:]
     if a == b:
-        return Surgery(g, _identity_vertex_map(g.vertex_count), tuple(range(len(g.edges))))
-    vmap = _merge_map(g.vertex_count, a, b)
-    edges = tuple((vmap[x], vmap[y], length) for x, y, length in g.edges)
-    return Surgery(MetrizedGraph(g.vertex_count - 1, edges), vmap, tuple(range(len(g.edges))))
+        # Contracting a self-loop shrinks the loop to a point: the edge just
+        # disappears and the genus drops by one.
+        return MetrizedGraph(g.vertex_count, rest)
+    return _merged(g, a, b, rest)
 
 
 def identify_endpoints(g: MetrizedGraph, i: int) -> MetrizedGraph:
     """Glue the two endpoints of edge i together, keeping the edge as a loop."""
-    return identify_endpoints_surgery(g, i).graph
-
-
-def identify_points_surgery(g: MetrizedGraph, p: int, q: int) -> Surgery:
-    p = g.check_vertex(p)
-    q = g.check_vertex(q)
-    if p == q:
-        raise SameVertex(f"identify_points needs two distinct vertices, got {p} twice")
-    vmap = _merge_map(g.vertex_count, p, q)
-    edges = tuple((vmap[x], vmap[y], length) for x, y, length in g.edges)
-    return Surgery(MetrizedGraph(g.vertex_count - 1, edges), vmap, tuple(range(len(g.edges))))
+    i = g.check_edge(i)
+    a, b, _ = g.edges[i]
+    return g if a == b else identify_points(g, a, b)
 
 
 def identify_points(g: MetrizedGraph, p: int, q: int) -> MetrizedGraph:
     """Glue two distinct vertices into one."""
-    return identify_points_surgery(g, p, q).graph
-
-
-def attach_edge(g: MetrizedGraph, p: int, q: int, length: float) -> MetrizedGraph:
-    """Add one new edge between existing vertices (p == q gives a loop).
-
-    The new edge is appended at the end, so existing edge indices survive.
-    """
     p = g.check_vertex(p)
     q = g.check_vertex(q)
-    length = float(length)
-    if not math.isfinite(length) or length <= 0.0:
-        raise NonPositiveLength(f"attached edge must have positive finite length, got {length!r}")
-    return MetrizedGraph(g.vertex_count, g.edges + ((p, q, length),))
+    if p == q:
+        raise SameVertex(f"identify_points needs two distinct vertices, got {p} twice")
+    return _merged(g, p, q, g.edges)
 
 
 def double_adjusted(g: MetrizedGraph) -> MetrizedGraph:
@@ -170,53 +107,6 @@ def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:
         for u, w in zip(chain[:-1], chain[1:]):
             edges.append((u, w, step))
     return MetrizedGraph(next_vertex, tuple(edges))
-
-
-# -- admissible contraction sequences -----------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractionSequence:
-    """Original edge indices to contract, in order, down to a two-vertex graph."""
-
-    ids: tuple[int, ...]
-
-
-def admissible_contractions(g: MetrizedGraph) -> Iterator[ContractionSequence]:
-    """Every way to contract vertex_count - 2 edges, one non-loop at a time.
-
-    Sequences are reported in lexicographic order of original edge indices.
-    An edge qualifies at its turn only if its endpoints are still distinct;
-    the result of a full sequence therefore always has exactly two vertices.
-    """
-    if g.vertex_count < 2:
-        raise TooSmall("admissible contractions need at least 2 vertices")
-
-    def rec(graph: MetrizedGraph, original_ids: tuple[int, ...], prefix: tuple[int, ...]):
-        if graph.vertex_count == 2:
-            yield ContractionSequence(prefix)
-            return
-        for j, (a, b, _) in enumerate(graph.edges):
-            if a == b:
-                continue
-            yield from rec(
-                contract_edge(graph, j),
-                original_ids[:j] + original_ids[j + 1:],
-                prefix + (original_ids[j],),
-            )
-
-    yield from rec(g, tuple(range(len(g.edges))), ())
-
-
-def contract_sequence(g: MetrizedGraph, ids: Sequence[int]) -> MetrizedGraph:
-    """Contract edges named by their indices in the original graph, in order."""
-    current = g
-    alive = list(range(len(g.edges)))
-    for original in ids:
-        pos = alive.index(original)
-        current = contract_edge(current, pos)
-        alive.pop(pos)
-    return current
 
 
 # -- cut vertices --------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,20 @@ def test_fuzz_empty(capsys):
     assert report["worst_slack"] is None
 
 
+def test_fuzz_arguments_must_be_in_range(capsys):
+    for flag, raw in (("--count", "-3"), ("--max-v", "1"), ("--max-v", "0"), ("--max-e", "-4")):
+        # the later --count wins, so each case sets just one bad value
+        code, out, err = run(capsys, ["fuzz", "--count", "1", flag, raw])
+        assert code == 2, (flag, raw)
+        assert out == ""
+        assert flag in err
+    code, out, _ = run(capsys, ["fuzz", "--count", "1", "--max-v", "2", "--max-e", "0"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["max_v"], report["max_e"]) == (2, 0)
+    assert report["cases"][0]["vertices"] == 2
+
+
 def test_transform_contract(tmp_path, capsys):
     path = write(tmp_path, TRIANGLE_TEXT)
     code, out, _ = run(capsys, ["transform", path, "--op", "contract", "--edge", "0"])
@@ -246,6 +261,17 @@ def test_oracle_skips_contraction_on_large_graphs(tmp_path, capsys):
     assert report["deviation_contraction"] is None
     assert "note" in report
     assert report["tau"] == pytest.approx(10.0 / 12.0, rel=1e-12)
+
+
+def test_oracle_refuses_oversized_quadrature_at_once(tmp_path, capsys):
+    # 10^7 segments per edge would need a dense matrix of 3 * 10^7 rows
+    path = write(tmp_path, TRIANGLE_TEXT)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", path, "--segments", "10000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "capped" in err
 
 
 def test_tol_env_override(tmp_path, capsys, monkeypatch):

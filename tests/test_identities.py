@@ -147,6 +147,18 @@ def test_parallel_double_on_two_edge_circle():
     assert r.passed
 
 
+@pytest.mark.xfail(strict=True, reason="float limit, ROADMAP item 3")
+def test_doubled_graph_on_wide_spread_tree():
+    # A 5-vertex tree with lengths from 1.7e-4 to 8.0e3: DA_TAU's residual
+    # comes out at 7.1e-9 against the 1e-9 tolerance.
+    g = build_graph(5, [
+        (0, 4, 8029.5159330014385), (1, 3, 1145.532831655931),
+        (2, 4, 0.00017114072622146333), (3, 4, 768.9116034598302),
+    ])
+    r = verify(g, "DA_TAU")
+    assert r.passed, (r.residual, r.lhs, r.rhs)
+
+
 def test_deletion_defect_identities(triangle):
     for ident in ("K_NONNEG", "K_CONTRACT", "DEL_ID_A", "DEL_ID_DA"):
         r = verify(triangle, ident)

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from taulab import invariants, transforms
+from taulab import transforms
 from taulab.errors import BridgePresent, SameVertex, TooLarge, TooSmall
-from taulab.fuzzing import random_bridgeless_multigraph, random_connected_multigraph
+from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
 from taulab.graphs import build_graph
 from taulab.invariants import (
     A_pq,
@@ -172,6 +172,8 @@ def test_crossing_value_matches_quadrature(triangle, k4):
         approx = a_pq_oracle_integral(g, p, q, 96)
         assert exact == pytest.approx(approx, abs=5e-4)
         assert exact >= -1e-12
+    with pytest.raises(TooLarge):
+        a_pq_oracle_integral(triangle, 0, 1, 10_000_000)
 
 
 # -- banana closed forms and the contraction lattice ---------------------------
@@ -191,40 +193,18 @@ def test_banana_stats(banana3):
         banana_stats(build_graph(1, [(0, 0, 1.0)]))
 
 
-def test_leaf_nodes_match_sequence_enumeration(triangle, k4):
+def test_leaf_nodes_match_sequence_enumeration(triangle, k4, replay):
     # the lattice keys are exactly the sets underlying admissible sequences
     for g in (triangle, k4):
-        from_sequences = {frozenset(s.ids) for s in transforms.admissible_contractions(g)}
+        from_sequences = {frozenset(ids) for ids, _, _ in replay(g, g.vertex_count - 2)}
         from_lattice = {key for key, _ in admissible_leaf_nodes(g)}
         assert from_lattice == from_sequences
 
 
-def test_nested_sum_equals_explicit_sequence_sum(k4):
-    # Replay every admissible sequence by hand, multiplying the R/(L+R)
-    # weight of each step in the graph current at that step, and compare
-    # with the set-memoized evaluation.
-    def by_sequences(g, depth, leaf_value):
-        total = 0.0
-        stack = [(g, tuple(range(g.edge_count)), 1.0, 0)]
-        while stack:
-            graph, alive, weight, done = stack.pop()
-            if done == depth:
-                node = invariants.LatticeNode(graph, alive)
-                total += weight * leaf_value(node)
-                continue
-            prof = graph_profile(graph)
-            for j in range(graph.edge_count):
-                wr = prof.weight_resistance[j]
-                if prof.edge_data[j].is_loop or wr == 0.0:
-                    continue
-                stack.append((
-                    transforms.contract_edge(graph, j),
-                    alive[:j] + alive[j + 1:],
-                    weight * wr,
-                    done + 1,
-                ))
-        return total
-
+def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
+    # One walk for every depth against a replay of every admissible
+    # sequence, multiplying the R/(L+R) weight of each step in the graph
+    # current at that step.
     def leaf_tau(node):
         return tau(node.graph)
 
@@ -232,16 +212,21 @@ def test_nested_sum_equals_explicit_sequence_sum(k4):
         x, y = xy_of(node.graph)
         return x - y
 
-    for depth in (1, 2):
+    for g in (k4, named_corpus()["prism"]):
+        depths = range(1, g.vertex_count - 1)
         for leaf in (leaf_tau, leaf_xy_gap):
-            fast = nested_weighted_sum(k4, depth, leaf)
-            slow = by_sequences(k4, depth, leaf)
+            fast = nested_weighted_sum(g, depths, leaf)
+            slow = [
+                math.fsum(weight * leaf(node) for _, weight, node in replay(g, depth))
+                for depth in depths
+            ]
             assert fast == pytest.approx(slow, rel=1e-9)
 
 
 def test_nested_sum_depth_cap(triangle):
-    with pytest.raises(TooLarge):
-        nested_weighted_sum(triangle, 2, lambda node: 0.0)
+    for depths in ([2], [1, 2]):
+        with pytest.raises(TooLarge):
+            nested_weighted_sum(triangle, depths, lambda node: 0.0)
 
 
 def test_contraction_weight(triangle, banana3):

@@ -53,11 +53,9 @@ def test_contract_parallel_edge_makes_loop():
 
 
 def test_surgery_maps(triangle):
-    s = transforms.contract_edge_surgery(triangle, 1)
-    # vertex 2 merges into vertex 1, indices above close up
-    assert s.vertex_map[0] == 0
-    assert s.vertex_map[1] == s.vertex_map[2]
-    assert s.edge_map == (0, None, 1)
+    # edge 1 goes; vertex 2 merges into vertex 1, indices above close up,
+    # and the other edges keep their order
+    assert transforms.contract_edge(triangle, 1).edges == ((0, 1, 1.0), (1, 0, 1.0))
 
 
 def test_identify_endpoints_keeps_edge_as_loop(triangle):
@@ -79,14 +77,6 @@ def test_identify_points(path2):
     assert circle.is_bridgeless()
     with pytest.raises(SameVertex):
         transforms.identify_points(path2, 1, 1)
-
-
-def test_attach_edge(triangle):
-    g = transforms.attach_edge(triangle, 0, 0, 0.5)
-    assert g.edge_count == 4
-    assert g.edges[3] == (0, 0, 0.5)
-    with pytest.raises(NonPositiveLength):
-        transforms.attach_edge(triangle, 0, 1, 0.0)
 
 
 def test_double_adjusted(triangle):
@@ -112,30 +102,24 @@ def test_subdivide(triangle):
 
 
 def test_admissible_contractions_on_triangle(triangle):
-    seqs = list(transforms.admissible_contractions(triangle))
-    assert [s.ids for s in seqs] == [(0,), (1,), (2,)]
+    leaves = invariants.admissible_leaf_nodes(triangle)
+    assert [sorted(key) for key, _ in leaves] == [[0], [1], [2]]
 
 
 def test_admissible_contractions_skip_loops():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 1.0)])
-    for seq in transforms.admissible_contractions(g):
-        assert 2 not in seq.ids
+    for key in invariants.contraction_lattice(g):
+        assert 2 not in key
 
 
-def test_k4_has_thirty_admissible_pairs(k4):
+def test_k4_has_thirty_admissible_pairs(k4, replay):
     # 6 first choices; after any contraction one pair doubles up, leaving
-    # 5 distinct non-loop edges, so 6 * 5 = 30 ordered sequences.
-    seqs = list(transforms.admissible_contractions(k4))
-    assert len(seqs) == 30
-    for seq in seqs:
-        out = transforms.contract_sequence(k4, seq.ids)
-        assert out.vertex_count == 2
-
-
-def test_contract_sequence_replays_by_original_ids(k4):
-    out = transforms.contract_sequence(k4, (5, 0))
-    direct = transforms.contract_edge(transforms.contract_edge(k4, 5), 0)
-    assert out == direct
+    # 5 distinct non-loop edges, so 6 * 5 = 30 ordered sequences over the
+    # 15 pairs of edges.
+    assert len(list(replay(k4, 2))) == 30
+    leaves = invariants.admissible_leaf_nodes(k4)
+    assert len(leaves) == 15
+    assert all(node.graph.vertex_count == 2 for _, node in leaves)
 
 
 def test_cut_vertices_on_bowtie():
