@@ -204,9 +204,10 @@ def cmd_fuzz(args) -> int:
     import random
 
     # The report echoes these, so a value the generator would silently
-    # clamp (or a negative count that runs nothing) is refused instead.
+    # clamp or exceed (or a negative count that runs nothing) is refused
+    # instead.  Every case plants a spanning tree of up to max_v - 1 edges.
     for flag, value, least in (("--count", args.count, 0), ("--max-v", args.max_v, 2),
-                               ("--max-e", args.max_e, 0)):
+                               ("--max-e", args.max_e, args.max_v - 1)):
         if value < least:
             raise ParseError(f"{flag}={value} must be >= {least}")
     rng = random.Random(args.seed)

@@ -103,7 +103,12 @@ class MetrizedGraph:
         return count
 
     def min_valence(self) -> int:
-        return min(self.valence(p) for p in range(self.vertex_count))
+        """Smallest valence over all vertices, in one pass over the edges."""
+        counts = [0] * self.vertex_count
+        for a, b, _ in self.edges:
+            counts[a] += 1
+            counts[b] += 1
+        return min(counts)
 
     # -- scaling -----------------------------------------------------------
 

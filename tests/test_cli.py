@@ -182,16 +182,19 @@ def test_fuzz_empty(capsys):
 
 
 def test_fuzz_arguments_must_be_in_range(capsys):
-    for flag, raw in (("--count", "-3"), ("--max-v", "1"), ("--max-v", "0"), ("--max-e", "-4")):
+    # --max-e below --max-v - 1 (5 by default) would be exceeded by the
+    # planted spanning tree
+    for flag, raw in (("--count", "-3"), ("--max-v", "1"), ("--max-v", "0"), ("--max-e", "-4"),
+                      ("--max-e", "0"), ("--max-e", "4")):
         # the later --count wins, so each case sets just one bad value
         code, out, err = run(capsys, ["fuzz", "--count", "1", flag, raw])
         assert code == 2, (flag, raw)
         assert out == ""
         assert flag in err
-    code, out, _ = run(capsys, ["fuzz", "--count", "1", "--max-v", "2", "--max-e", "0"])
+    code, out, _ = run(capsys, ["fuzz", "--count", "1", "--max-v", "2", "--max-e", "1"])
     assert code == 0
     report = json.loads(out)
-    assert (report["max_v"], report["max_e"]) == (2, 0)
+    assert (report["max_v"], report["max_e"]) == (2, 1)
     assert report["cases"][0]["vertices"] == 2
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -111,6 +112,39 @@ def random_six_regular(rng, n):
             continue
 
 
+def max_flow(capacity, source, sink):
+    """Reference integer max flow: BFS augmentation on an adjacency-dict residual graph."""
+    flow = 0
+    n = len(capacity)
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            u = queue.popleft()
+            for w, cap in capacity[u].items():
+                if cap > 0 and parent[w] == -1:
+                    parent[w] = u
+                    queue.append(w)
+        if parent[sink] == -1:
+            return flow
+        # Find the bottleneck on the path, then push it.
+        bottleneck = None
+        w = sink
+        while w != source:
+            u = parent[w]
+            cap = capacity[u][w]
+            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+            w = u
+        w = sink
+        while w != source:
+            u = parent[w]
+            capacity[u][w] -= bottleneck
+            capacity[w][u] = capacity[w].get(u, 0) + bottleneck
+            w = u
+        flow += bottleneck
+
+
 def all_pairs_vertex_connectivity(g):
     """Reference: one split-network max-flow per non-adjacent pair."""
     n = g.vertex_count
@@ -124,28 +158,134 @@ def all_pairs_vertex_connectivity(g):
             capacity[2 * u][2 * u + 1] = 1 if u not in (s, t) else n
         for a, b in adjacent:
             capacity[2 * a + 1][2 * b] = n
-        best = min(best, cuts._max_flow(capacity, 2 * s + 1, 2 * t))
+        best = min(best, max_flow(capacity, 2 * s + 1, 2 * t))
+    return best
+
+
+def pairwise_edge_connectivity(g):
+    """Reference: one max-flow from vertex 0 to every other vertex."""
+    n = g.vertex_count
+    best = None
+    for t in range(1, n):
+        capacity = [dict() for _ in range(n)]
+        for a, b, _ in g.edges:
+            if a != b:
+                capacity[a][b] = capacity[a].get(b, 0) + 1
+                capacity[b][a] = capacity[b].get(a, 0) + 1
+        cut = max_flow(capacity, 0, t)
+        best = cut if best is None else min(best, cut)
     return best
 
 
 def test_vertex_connectivity_flow_count_on_mid_size_graphs(monkeypatch):
     rng = random.Random(6006)
-    real = cuts._max_flow
+    real = cuts._flow_into
     calls = []
 
-    def counted(capacity, source, sink):
-        calls.append((source, sink))
-        return real(capacity, source, sink)
+    def counted(net, is_source, sink, limit):
+        calls.append(sink)
+        return real(net, is_source, sink, limit)
 
     for n in (20, 30, 45, 60):
         g = random_six_regular(rng, n)
         expected = all_pairs_vertex_connectivity(g)
         d = min(len({b if a == u else a for a, b, _ in g.edges if u in (a, b)}) for u in range(n))
         calls.clear()
-        monkeypatch.setattr(cuts, "_max_flow", counted)
+        monkeypatch.setattr(cuts, "_flow_into", counted)
         assert vertex_connectivity(g) == expected
-        monkeypatch.setattr(cuts, "_max_flow", real)
+        monkeypatch.setattr(cuts, "_flow_into", real)
         assert 0 < len(calls) <= (n - 1 - d) + d * (d - 1) // 2, (n, d, len(calls))
+
+
+def brute_edge_connectivity(g):
+    """Fewest non-loop edges crossing between a vertex set holding 0 and its complement."""
+    n = g.vertex_count
+    best = None
+    for mask in range(1, 2 ** (n - 1)):
+        side = {0} | {u for u in range(1, n) if mask >> (u - 1) & 1 == 0}
+        crossing = sum(1 for a, b, _ in g.edges if (a in side) != (b in side))
+        best = crossing if best is None else min(best, crossing)
+    return best
+
+
+def test_edge_connectivity_matches_brute_force():
+    rng = random.Random(1414)
+    seen = {"loop": 0, "parallel": 0, "bridge": 0}
+    for _ in range(300):
+        g = random_connected_multigraph(rng, 9, rng.randint(8, 24))
+        pairs = [(min(a, b), max(a, b)) for a, b, _ in g.edges if a != b]
+        seen["loop"] += any(a == b for a, b, _ in g.edges)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["bridge"] += not g.is_bridgeless()
+        assert edge_connectivity(g) == brute_edge_connectivity(g), g
+    assert min(seen.values()) >= 30, seen
+
+
+def planted_cut(rng, sizes, crossing):
+    """Multigraph clusters of 3 or more vertices, every pair doubled or tripled, in a chain.
+
+    Consecutive clusters are joined by `crossing` edges.  A cut inside a
+    cluster crosses at least 4 edges, so the edge connectivity is `crossing`
+    whenever that is below 4.
+    """
+    pairs, start = [], 0
+    for k, size in enumerate(sizes):
+        members = range(start, start + size)
+        for a, b in itertools.combinations(members, 2):
+            pairs += [(a, b)] * rng.randint(2, 3)
+        pairs.append((start, start))
+        if k:
+            pairs += [(rng.randrange(start - sizes[k - 1], start), rng.randrange(start, start + size))
+                      for _ in range(crossing)]
+        start += size
+    order = list(range(start))
+    rng.shuffle(order)
+    return unit_graph(start, [(order[a], order[b]) for a, b in pairs])
+
+
+def test_edge_connectivity_below_minimum_degree():
+    rng = random.Random(3030)
+    for _ in range(40):
+        crossing = rng.randint(1, 3)
+        g = planted_cut(rng, [rng.randint(3, 6) for _ in range(rng.randint(2, 4))], crossing)
+        degree = min(sum(a != b and u in (a, b) for a, b, _ in g.edges) for u in range(g.vertex_count))
+        lam = edge_connectivity(g)
+        assert lam == crossing < degree, g
+        assert lam == pairwise_edge_connectivity(g)
+        if g.vertex_count <= 9:
+            assert lam == brute_edge_connectivity(g)
+
+
+def planted_separator(rng, n, separator, v_inside):
+    """Two dense halves joined only through the vertices 0..separator-1.
+
+    With v_inside, vertex 0 has the fewest distinct neighbours, two in each
+    half, so only a separator holding it is smallest.  Otherwise every
+    separator vertex is dense and the sparsest vertex lies in a half.
+    """
+    pairs = []
+    halves = list(range(separator, n))
+    rng.shuffle(halves)
+    for half in (halves[:len(halves) // 2], halves[len(halves) // 2:]):
+        pairs += [(a, b) for a, b in itertools.combinations(half, 2) if rng.random() < 0.8]
+        for x in range(separator):
+            if v_inside and x == 0:
+                pairs += [(0, u) for u in rng.sample(half, 2)]
+            else:
+                pairs += [(x, u) for u in half if rng.random() < 0.7]
+    return unit_graph(n, pairs)
+
+
+@pytest.mark.parametrize("v_inside", [False, True])
+def test_vertex_connectivity_of_planted_separators(v_inside):
+    # The separator is smaller than every vertex's neighbourhood, so only a
+    # flow can find it: v against a non-neighbour when v misses it, two of
+    # v's neighbours when v is in it.
+    rng = random.Random(4242 + v_inside)
+    for n in (20, 30, 45, 60):
+        separator = rng.randint(2, 3)
+        g = planted_separator(rng, n, separator, v_inside)
+        assert vertex_connectivity(g) == all_pairs_vertex_connectivity(g) == separator, n
 
 
 def test_connectivity_sandwich():

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from taulab.errors import (
     DisconnectedGraph,
     NonPositiveLength,
 )
+from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import MetrizedGraph, build_graph, component_labels
 
 
@@ -62,6 +64,16 @@ def test_valence_counts_loops_twice():
     assert g.valence(0) == 3
     assert g.valence(1) == 1
     assert g.min_valence() == 1
+
+
+def test_min_valence_matches_per_vertex_valence():
+    rng = random.Random(8128)
+    loops = 0
+    for _ in range(200):
+        g = random_connected_multigraph(rng, 8, 16)
+        loops += any(a == b for a, b, _ in g.edges)
+        assert g.min_valence() == min(g.valence(p) for p in range(g.vertex_count)), g
+    assert loops >= 50
 
 
 def test_bridges_and_bridgeless(triangle, path2):
