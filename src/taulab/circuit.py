@@ -1,22 +1,23 @@
 """The resistive-circuit layer: effective resistance data.
 
-Every quantity here comes from one kind of computation: ground vertex 0 of
-the weighted graph Laplacian (conductance 1/length per edge, parallel edges
-added, self-loops skipped), invert the grounded block, and read resistances
-off the inverse K as r(x, y) = K[x,x] + K[y,y] - 2 K[x,y].  Each inverse is
-checked against its defining system by its normwise relative residual
-||A X - I|| / (||A|| ||X||) (infinity norms), which does not change when all
-lengths are scaled, and a SingularSystem is raised if it is suspicious,
-rather than letting garbage propagate into the invariants.
+The circuit has conductance 1/length per edge (parallel edges added,
+self-loops skipped).  Two routes compute its resistances.
 
-The per-edge data behind the invariants are resistances in the graph with
-one edge deleted.  They come from the one grounded inverse K of the whole
-graph: deleting an edge is a rank-one change of the Laplacian, so by
-Sherman-Morrison each edge costs two gathered columns of K and O(n)
-arithmetic.  Edges where that update cancels badly (near-bridges), and
-graphs too small for it to pay, take an explicit inverse of the
-deleted-edge matrix instead.  Of each edge only the resistances from its
-two endpoints to every vertex are kept (2n floats), cached per graph.
+GTH elimination (Grassmann, Taksar and Heyman 1985) removes vertices from
+per-vertex conductance maps by star-mesh steps whose pivot is the sum of
+the removed vertex's conductances, so no step subtracts and each result
+keeps a small relative error whatever the spread of lengths (O'Cinneide
+1993).  effective_resistance reduces the network onto its two terminals;
+an edge's data at a base reduces G - e, built by skipping e, onto
+{a, b, base}.  GTH serves every non-bridge edge of a graph under
+RANK_ONE_MIN_VERTICES and each edge that the rank-one route rejects.
+
+The rank-one route inverts the grounded Laplacian (vertex 0 removed) once
+per graph and updates the inverse per deleted edge by Sherman-Morrison:
+two gathered columns and O(n) arithmetic per edge.  Inverses are checked by
+the normwise relative residual ||A X - I|| / (||A|| ||X||) (infinity
+norms), which does not change when all lengths are scaled; a suspicious
+grounded inverse raises SingularSystem.
 
 Resistance across a cut where no current can flow is represented by the
 INFINITE marker object, never by a float sentinel, so that the limit
@@ -40,27 +41,25 @@ from .graphs import MetrizedGraph, component_labels
 RESIDUAL_BOUND = 1e-8
 # An edge takes the rank-one update only while the rounding error it
 # predicts for s = L - r, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s, stays at
-# or below this; above it the explicit deleted-edge inverse is used.  The
+# or below this; above it the edge is left to GTH elimination.  The
 # rounding error of r = K[a,a] + K[b,b] - 2 K[a,b] is about eps times the
 # sum of the magnitudes, and the update divides by s.  Measured against
 # exact rationals on planted near-bridges (a short edge in parallel with a
 # long path), the error of the update stayed below this prediction from
 # 1e-12 to 1e-1.  On random 6-regular graphs with lengths in [0.1, 10]
 # (n 40 to 280, 30k edges) the largest prediction was 9.5e-14: no edge
-# fell back.  On 600 random graphs of 10 to 12 vertices with length
-# spreads up to 1e8, verify_all failed a 1e-9 identity on 22 graphs with
-# the explicit route alone, 23 at this bound and 24 at 1e-12.
+# fell back.  On 300 random graphs of 10 to 12 vertices with length spreads
+# up to 1e8, verify_all failed a 1e-9 identity on 10 graphs at this bound,
+# 10 at 1e-12 and 9 at 1e-14, and on 8 with GTH for every edge.
 RANK_ONE_ERROR_BOUND = 1e-13
-# Graphs with fewer vertices take the explicit route for every edge: there
-# the m small inverses cost less than the grounded inverse plus the column
-# check.  Per graph on 6-regular multigraphs, one BLAS thread, 2-core
-# x86-64: explicit 0.27 ms against rank-one 0.40 ms at n = 6, 0.44 against
-# 0.48 at n = 9, 0.52 against 0.51 at n = 10, 0.62 against 0.51 at n = 11
-# and 0.98 against 0.59 at n = 14.
+# Graphs with fewer vertices take GTH for every edge, at each base asked
+# for.  GTH is slower than the rank-one route at every size, so this is not
+# a crossover: it keeps GTH to sizes where it costs a few ms.  Per graph
+# on 6-regular multigraphs, one BLAS thread, 2-core x86-64, GTH against
+# rank-one at one base: 0.69 against 0.46 ms at n = 6, 2.2 against 0.61 at
+# n = 10 and 5.6 against 0.80 at n = 14; at every base: 4.0 against 0.88 ms
+# at n = 6, 20 against 1.9 at n = 10 and 77 against 3.2 at n = 14.
 RANK_ONE_MIN_VERTICES = 10
-# Entries of one stack of deleted-edge matrices inverted in a single LAPACK
-# call; bounds the transient memory of the explicit route at any size.
-_BATCH_ENTRIES = 4_000_000
 _EPS = np.finfo(float).eps
 
 
@@ -172,69 +171,82 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     return full
 
 
+def _conductances(vertex_count: int, edges, skip: int = -1) -> list[dict[int, float]]:
+    """Per-vertex maps neighbour -> conductance, parallel edges added, loops and edge skip left out."""
+    cond: list[dict[int, float]] = [{} for _ in range(vertex_count)]
+    for i, (a, b, length) in enumerate(edges):
+        if a != b and i != skip:
+            c = 1.0 / length
+            cond[a][b] = cond[a].get(b, 0.0) + c
+            cond[b][a] = cond[b].get(a, 0.0) + c
+    return cond
+
+
+def _eliminate(cond: list[dict[int, float]], keep) -> list[dict[int, float]]:
+    """Star-mesh eliminate, in place, every vertex outside keep (GTH).
+
+    Removing v joins each pair u, w of its neighbours by c_vu c_vw / P,
+    where the pivot P is the sum of v's conductances: the Schur complement
+    step with its diagonal taken as a sum, never as a difference.  The
+    fewest-neighbours vertex goes first, lowest index on ties, to limit
+    fill-in.
+    """
+    pending = [v for v in range(len(cond)) if v not in keep]
+    while pending:
+        v = min(pending, key=lambda u: len(cond[u]))
+        pending.remove(v)
+        arms = list(cond[v].items())
+        pivot = sum(c for _, c in arms)
+        for u, _ in arms:
+            del cond[u][v]
+        for j, (u, cu) in enumerate(arms):
+            for w, cw in arms[j + 1:]:
+                c = cu * cw / pivot
+                cond[u][w] = cond[u].get(w, 0.0) + c
+                cond[w][u] = cond[w].get(u, 0.0) + c
+    return cond
+
+
+def _gth_star(g: MetrizedGraph, edge: int, base: int) -> tuple[float, float]:
+    """Star arms at the endpoints a, b of a non-bridge edge, in G minus that edge, toward base.
+
+    G - e is reduced onto {a, b, base}, leaving a triangle with conductances
+    g_ab (possibly 0), g_ap and g_bp; its star has arm_a = g_bp / D and
+    arm_b = g_ap / D with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at
+    an endpoint leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
+    """
+    a, b, _ = g.edges[edge]
+    cond = _eliminate(_conductances(g.vertex_count, g.edges, skip=edge), {a, b, base})
+    if base in (a, b):
+        r = 1.0 / cond[a][b]
+        return (0.0, r) if base == a else (r, 0.0)
+    g_ab = cond[a].get(b, 0.0)
+    g_ap = cond[a].get(base, 0.0)
+    g_bp = cond[b].get(base, 0.0)
+    d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
+    return g_bp / d, g_ap / d
+
+
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> ResistanceValue:
-    """Effective resistance between two vertices of the (connected) graph."""
+    """Effective resistance between two vertices of the (connected) graph.
+
+    The network is reduced onto {x, y} by GTH elimination; what is left is
+    one conductance between them.
+    """
     x = g.check_vertex(x)
     y = g.check_vertex(y)
     if x == y:
         return 0.0
-    K = _grounded_inverse(_laplacian(g.vertex_count, g.edges))
-    return K[x, x] + K[y, y] - 2.0 * K[x, y]
+    return 1.0 / _eliminate(_conductances(g.vertex_count, g.edges), {x, y})[x][y]
 
 
-def _explicit_deleted(reduced: np.ndarray, edges, ids, to_first, to_second) -> None:
-    """Fill to_first/to_second for the edges in ids by inverting each deleted-edge matrix.
-
-    Each matrix is the grounded Laplacian ``reduced`` minus the edge's
-    conductance, inverted in stacks of at most _BATCH_ENTRIES entries.  Each
-    resistance is read as K[x,x] + K[v,v] - 2 K[x,v] from the column of the
-    endpoint v: the float inverse is not exactly symmetric, and rows would
-    give different last bits.
-    """
-    n = reduced.shape[0] + 1
-    batch = max(1, _BATCH_ENTRIES // (n * n))
-    for start in range(0, len(ids), batch):
-        chunk = ids[start:start + batch]
-        stack = np.repeat(reduced[None, :, :], len(chunk), axis=0)
-        for k, i in enumerate(chunk):
-            a, b, length = edges[i]
-            c = 1.0 / length
-            if a != 0:
-                stack[k, a - 1, a - 1] -= c
-            if b != 0:
-                stack[k, b - 1, b - 1] -= c
-            if a != 0 and b != 0:
-                stack[k, a - 1, b - 1] += c
-                stack[k, b - 1, a - 1] += c
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"deleted-edge Laplacian is singular: {exc}") from exc
-        residual = _relative_residual(
-            np.matmul(stack, inv) - np.eye(n - 1)[None, :, :], _inf_norm(stack), inv,
-        ).max()
-        if not residual <= RESIDUAL_BOUND:
-            raise SingularSystem(f"deleted-edge solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}")
-        K = np.zeros((len(chunk), n, n))
-        K[:, 1:, 1:] = inv  # zero row and column at the ground
-        d = np.diagonal(K, axis1=1, axis2=2)
-        rows = np.arange(len(chunk))
-        first = np.array([edges[i][0] for i in chunk])
-        second = np.array([edges[i][1] for i in chunk])
-        r_first = d + d[rows, first][:, None] - 2.0 * K[rows, :, first]
-        r_second = d + d[rows, second][:, None] - 2.0 * K[rows, :, second]
-        for k, i in enumerate(chunk):
-            to_first[i] = r_first[k]
-            to_second[i] = r_second[k]
-
-
-def _rank_one_deleted(lap: np.ndarray, edges, ids, to_first, to_second) -> list[int]:
+def _rank_one_deleted(lap: np.ndarray, edges, ids, to_first, to_second) -> None:
     """Fill to_first/to_second for the edges in ids from one grounded inverse.
 
     For edge (a, b, L) with v = K(e_a - e_b), r = v_a - v_b and s = L - r,
     Sherman-Morrison gives the deleted-edge inverse K + v v^T / s, hence
-    r'(x, y) = r(x, y) + (v_x - v_y)^2 / s.  An edge is left out, and
-    returned for the explicit route, when s <= 0, when its predicted
+    r'(x, y) = r(x, y) + (v_x - v_y)^2 / s.  An edge is left out (its
+    entries stay None, for GTH elimination) when s <= 0, when its predicted
     relative error eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s exceeds
     RANK_ONE_ERROR_BOUND, or when the two updated columns it reads fail the
     residual check against the deleted-edge matrix.
@@ -275,49 +287,35 @@ def _rank_one_deleted(lap: np.ndarray, edges, ids, to_first, to_second) -> list[
 
     first = np.ascontiguousarray((d[:, None] + d[a] - 2.0 * Ka + (v - va) ** 2 / s).T)
     second = np.ascontiguousarray((d[:, None] + d[b] - 2.0 * Kb + (v - vb) ** 2 / s).T)
-    fallback = []
     for k, i in enumerate(ids):
         if ok[k]:
             to_first[i] = first[k]
             to_second[i] = second[k]
-        else:
-            fallback.append(i)
-    return fallback
 
 
 @lru_cache(maxsize=16384)
 def _deleted_edge_inverses(g: MetrizedGraph):
-    """Deleted-edge resistances from both endpoints of every edge.
+    """Rank-one deleted-edge resistances from both endpoints of every edge.
 
     Returns (to_first, to_second): for edge i = (a, b), to_first[i][x] is
     r(x, a) and to_second[i][x] is r(x, b) in the graph minus edge i, for
-    every vertex x (None for bridges and self-loops).  That is all the
-    invariants read of each deleted-edge network, so these 2n floats per
-    edge are what the cache keeps; they are independent of any base vertex
-    and shared across bases.
-
-    From RANK_ONE_MIN_VERTICES vertices on, one grounded inverse K of the
-    whole graph gives every edge's data by a Sherman-Morrison update
-    (_rank_one_deleted): one gather of two columns of K per edge and O(n)
-    arithmetic, so O(n^3 + n m) for the graph instead of m inversions.
-    The update divides by s = L - r(a, b), which cancels on near-bridges;
-    an edge is guarded by the sign of s, by its predicted relative error
-    against RANK_ONE_ERROR_BOUND, and by the residual of the two columns it
-    reads.  An edge that fails the guard, and every edge of a graph below
-    the crossover RANK_ONE_MIN_VERTICES, takes the explicit inverse of its
-    deleted-edge matrix (_explicit_deleted); the comments at the two
-    constants give the measurements behind them.
+    every vertex x.  These 2n floats per edge are all the invariants read
+    of a deleted-edge network, independent of the base and cached per graph.
+    They come from one grounded inverse by Sherman-Morrison
+    (_rank_one_deleted), O(n^3 + n m) for the graph.  The entries are None
+    for bridges, self-loops, edges that fail the rank-one guard and every
+    edge of a graph under RANK_ONE_MIN_VERTICES; the non-bridge ones among
+    them are left to GTH elimination per base (_gth_star).
     """
     n = g.vertex_count
     edges = g.edges
-    bridge_set = g.bridges()
-    lap = _laplacian(n, edges)
-    ids = [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridge_set]
     to_first: list[np.ndarray | None] = [None] * len(edges)
     to_second: list[np.ndarray | None] = [None] * len(edges)
-    if n >= RANK_ONE_MIN_VERTICES and ids:
-        ids = _rank_one_deleted(lap, edges, ids, to_first, to_second)
-    _explicit_deleted(lap[1:, 1:], edges, ids, to_first, to_second)
+    if n >= RANK_ONE_MIN_VERTICES:
+        bridge_set = g.bridges()
+        ids = [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridge_set]
+        if ids:
+            _rank_one_deleted(_laplacian(n, edges), edges, ids, to_first, to_second)
     return tuple(to_first), tuple(to_second)
 
 
@@ -326,8 +324,11 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
 
     For each edge e = (a, b) the edge is removed and the rest of the network
     is reduced, as seen from a, b and the base, to a star with three arms.
-    The deleted-edge resistances are shared across bases through a cache, so
-    asking for several bases costs one factorization pass plus cheap reads.
+    Edges with rank-one data (_deleted_edge_inverses, cached per graph and
+    shared across bases) read the arms off it as
+    arm_first = (r(base, a) + R - r(base, b)) / 2.  Every other non-bridge
+    edge is reduced onto {a, b, base} by GTH elimination at each base asked
+    for (_gth_star), and R is the sum of its two arms.
     """
     base = g.check_vertex(base)
     n = g.vertex_count
@@ -342,21 +343,23 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
                 edge=i, base=base, length=length,
                 resistance=0.0, arm_first=0.0, arm_second=0.0, _loop_flag=True,
             ))
-        elif i in bridge_set:
+            continue
+        if i in bridge_set:
             labels = component_labels(n, edges, skip_edge=i)
             if labels[base] == labels[a]:
                 arm_first, arm_second = 0.0, INFINITE
             else:
                 arm_first, arm_second = INFINITE, 0.0
-            out.append(EdgeCircuitData(
-                edge=i, base=base, length=length,
-                resistance=INFINITE, arm_first=arm_first, arm_second=arm_second,
-            ))
+            r_ab = INFINITE
+        elif to_first[i] is None:
+            arm_first, arm_second = _gth_star(g, i, base)
+            r_ab = arm_first + arm_second
         else:
             r_ab = to_second[i][a]
             arm_first = 0.5 * (to_first[i][base] + r_ab - to_second[i][base])
-            out.append(EdgeCircuitData(
-                edge=i, base=base, length=length,
-                resistance=r_ab, arm_first=arm_first, arm_second=r_ab - arm_first,
-            ))
+            arm_second = r_ab - arm_first
+        out.append(EdgeCircuitData(
+            edge=i, base=base, length=length,
+            resistance=r_ab, arm_first=arm_first, arm_second=arm_second,
+        ))
     return tuple(out)

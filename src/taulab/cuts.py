@@ -5,10 +5,10 @@ connectivities come from one integer max-flow routine, `_flow_into`, capped
 at the best value found so far, and one sink sweep, `_sweep`, which grows
 the source set in the manner of Hao and Orlin (1994): once a sink's flow
 has run (or has been shown unable to improve the best value), that sink
-becomes a source for every later flow.  The sweep takes the sinks in order
-of largest attachment to the current source set, lowest index first on
-ties; a sink whose attachment already reaches the best value needs no flow.
-Any order would be exact: the lemmas below hold for every order.
+becomes a source for every later flow.  The sweep takes the sinks in index
+order; a sink whose attachment to the current source set already reaches
+the best value needs no flow.  Any order would be exact: the lemmas below
+hold for every order.
 
 Merging a finished sink into the source set stays exact because of a
 merging lemma for each connectivity, stated with its proof in the
@@ -21,7 +21,6 @@ never contribute to either quantity.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable
 
 from .circuit import INFINITE, ResistanceValue
@@ -94,25 +93,18 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
     """Run every sink in attach through the capped flow and return the smallest value.
 
     attach maps each pending sink to a lower bound on its flow from the
-    current sources.  Sinks go in order of largest attachment, lowest index
-    on ties.  A sink whose attachment is below best gets a flow capped at
-    best; one at or above best cannot improve it and gets none.  Either way
-    merge(sink) then marks it as a source and yields (sink, gain) pairs that
-    raise the attachments of the pending sinks it touches.
+    current sources.  Sinks go in index order.  A sink whose attachment is
+    below best gets a flow capped at best; one at or above best cannot
+    improve it and gets none.  Either way merge(sink) then marks it as a
+    source and yields (node, gain) pairs that raise the attachments of the
+    pending sinks it touches.
     """
-    heap = [(-a, t) for t, a in attach.items()]
-    heapify(heap)
-    while heap:
-        a, t = heappop(heap)
-        if attach.get(t) != -a:
-            continue  # finished, or superseded by a larger attachment
-        del attach[t]
-        if -a < best:
+    for t in sorted(attach):
+        if attach.pop(t) < best:
             best = min(best, _flow_into(net, is_source, t, best))
         for u, gain in merge(t):
             if u in attach:
                 attach[u] += gain
-                heappush(heap, (-attach[u], u))
     return best
 
 

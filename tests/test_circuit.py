@@ -12,7 +12,7 @@ from taulab.circuit import (
     effective_resistance,
     is_infinite,
 )
-from taulab.errors import DisconnectedGraph, SingularSystem
+from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
 from taulab.invariants import tau
@@ -120,25 +120,6 @@ def test_deleted_resistance_matches_pseudoinverse_oracle():
             assert d.resistance == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
-def test_batched_inverses_match_one_batch(monkeypatch):
-    # Edges 6 and 8 are loops, 7 is a bridge, 0-1 and 2-3 are parallel pairs.
-    g = build_graph(5, [
-        (0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (1, 2, 3.0), (2, 0, 1.3),
-        (2, 3, 0.4), (3, 3, 2.0), (3, 4, 1.1), (2, 2, 0.9), (0, 3, 5.0),
-    ])
-    circuit._deleted_edge_inverses.cache_clear()
-    whole = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
-    solved = sum(r is not None for r in circuit._deleted_edge_inverses(g)[0])
-    # Three matrices per batch: the solved edges span several batches,
-    # the last one partly filled.
-    monkeypatch.setattr(circuit, "_BATCH_ENTRIES", 3 * g.vertex_count ** 2)
-    assert solved > 6 and solved % 3 != 0
-    circuit._deleted_edge_inverses.cache_clear()
-    split = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
-    circuit._deleted_edge_inverses.cache_clear()
-    assert split == whole
-
-
 def test_deleted_resistance_is_base_independent():
     rng = random.Random(5150)
     for _ in range(10):
@@ -220,6 +201,26 @@ def exact_tau(g):
     return total
 
 
+def assert_edge_data_is_exact(g):
+    """R and both arms of every edge at every base, against the exact route.
+
+    Each value must be within 1e-9 of the largest exact resistance from
+    either endpoint of its edge.  The graph must be bridgeless.
+    """
+    circuit._deleted_edge_inverses.cache_clear()
+    per_base = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
+    for i, (a, b, _) in enumerate(g.edges):
+        K = exact_deleted_inverse(g.vertex_count, g.edges, i)
+        to_a, to_b = exact_resistances_to(K, a), exact_resistances_to(K, b)
+        R = to_b[a]
+        scale = max(to_a + to_b)
+        for p, data in enumerate(per_base):
+            arm = (to_a[p] + R - to_b[p]) / 2
+            d = data[i]
+            for got, want in ((d.resistance, R), (d.arm_first, arm), (d.arm_second, R - arm)):
+                assert abs(Fraction(got) - want) <= Fraction(1e-9) * scale, (g, i, p)
+
+
 def random_regular_graph(rng, n, lengths):
     """A connected random multigraph on n vertices, every degree 6, no loops."""
     while True:
@@ -235,13 +236,24 @@ def random_regular_graph(rng, n, lengths):
 
 
 def explicit_route(g):
-    """Every non-bridge edge's data from its explicit deleted-edge inverse."""
+    """Every non-bridge edge's data from a dense inverse of its deleted-edge matrix.
+
+    Each matrix is the grounded Laplacian of the graph without the edge.
+    Each resistance is read as K[x,x] + K[v,v] - 2 K[x,v] from the column
+    of the endpoint v.
+    """
     bridges = g.bridges()
-    ids = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges]
+    n = g.vertex_count
     to_first = [None] * g.edge_count
     to_second = [None] * g.edge_count
-    lap = circuit._laplacian(g.vertex_count, g.edges)
-    circuit._explicit_deleted(lap[1:, 1:], g.edges, ids, to_first, to_second)
+    for i, (a, b, _) in enumerate(g.edges):
+        if a == b or i in bridges:
+            continue
+        K = np.zeros((n, n))
+        K[1:, 1:] = np.linalg.inv(circuit._laplacian(n, g.edges[:i] + g.edges[i + 1:])[1:, 1:])
+        d = np.diag(K)
+        to_first[i] = d + d[a] - 2.0 * K[:, a]
+        to_second[i] = d + d[b] - 2.0 * K[:, b]
     return to_first, to_second
 
 
@@ -257,17 +269,31 @@ def near_bridge_graph(rng, short, long):
     return build_graph(11, edges), len(edges) - 1
 
 
-def test_relative_residual_accepts_wide_length_spreads():
-    # K4 with lengths (1, s, 1/s, 1, 1, s) in every order: an absolute
-    # residual check rejected some of these orders as singular.
+def wide_spread_k4s(s):
+    """K4 with lengths (1, s, 1/s, 1, 1, s) in each of its 60 distinct orders."""
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for s in (1e6, 1e8):
-        orders = set(itertools.permutations((1.0, s, 1.0 / s, 1.0, 1.0, s)))
-        assert len(orders) == 60
-        for lengths in orders:
-            g = build_graph(4, [(a, b, L) for (a, b), L in zip(pairs, lengths)])
+    orders = sorted(set(itertools.permutations((1.0, s, 1.0 / s, 1.0, 1.0, s))))
+    assert len(orders) == 60
+    return [build_graph(4, [(a, b, L) for (a, b), L in zip(pairs, lengths)]) for lengths in orders]
+
+
+def test_relative_residual_accepts_wide_length_spreads():
+    # An absolute residual check rejected some of these orders as singular,
+    # and a deleted-edge Laplacian assembled by sums did so from s = 1e10.
+    for s in (1e6, 1e8, 1e10, 1e14):
+        for g in wide_spread_k4s(s):
             exact = exact_tau(g)
-            assert abs(Fraction(tau(g)) - exact) <= Fraction(1e-12) * exact, (s, lengths)
+            assert abs(Fraction(tau(g)) - exact) <= Fraction(1e-12) * exact, (s, g.edges)
+
+
+def test_effective_resistance_matches_exact_rationals_at_wide_spreads():
+    for s in (1e6, 1e8, 1e10, 1e14):
+        for g in wide_spread_k4s(s):
+            K = exact_deleted_inverse(4, g.edges, skip=-1)
+            for x, y in itertools.combinations(range(4), 2):
+                want = K[x][x] + K[y][y] - 2 * K[x][y]
+                got = effective_resistance(g, x, y)
+                assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (s, g.edges, x, y)
 
 
 def test_rank_one_matches_explicit_route():
@@ -292,45 +318,46 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
     graphs.append(near_bridge_graph(rng, 1e-3, 1e4)[0])
     for g in graphs:
         assert g.vertex_count >= circuit.RANK_ONE_MIN_VERTICES
-        circuit._deleted_edge_inverses.cache_clear()
-        to_first, to_second = circuit._deleted_edge_inverses(g)
-        for i, (a, b, _) in enumerate(g.edges):
-            K = exact_deleted_inverse(g.vertex_count, g.edges, i)
-            for got, v in ((to_first[i], a), (to_second[i], b)):
-                want = exact_resistances_to(K, v)
-                scale = max(want)
-                for x in range(g.vertex_count):
-                    assert abs(Fraction(got[x]) - want[x]) <= Fraction(1e-9) * scale, (g, i, x)
+        assert_edge_data_is_exact(g)
 
 
-def test_near_bridge_takes_the_explicit_route(monkeypatch):
-    routed = []
-    explicit = circuit._explicit_deleted
+def test_near_bridge_takes_the_gth_route(monkeypatch):
+    routed = set()
+    gth_star = circuit._gth_star
 
-    def counting(reduced, edges, ids, to_first, to_second):
-        routed.extend(ids)
-        return explicit(reduced, edges, ids, to_first, to_second)
+    def counting(g, edge, base):
+        routed.add(edge)
+        return gth_star(g, edge, base)
 
-    monkeypatch.setattr(circuit, "_explicit_deleted", counting)
+    monkeypatch.setattr(circuit, "_gth_star", counting)
     rng = random.Random(31)
     g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
     circuit._deleted_edge_inverses.cache_clear()
-    circuit._deleted_edge_inverses(g)
-    assert routed == [near_bridge]
+    for p in range(g.vertex_count):
+        all_edge_circuit_data(g, p)
+    assert routed == {near_bridge}
 
     routed.clear()
     g = random_regular_graph(rng, 40, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-    circuit._deleted_edge_inverses(g)
-    assert routed == []
+    all_edge_circuit_data(g, 0)
+    assert routed == set()
+
+    # Below RANK_ONE_MIN_VERTICES every edge but the bridges and loops.
+    g = build_graph(5, [
+        (0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (1, 2, 3.0), (2, 0, 1.3),
+        (2, 3, 0.4), (3, 3, 2.0), (3, 4, 1.1), (2, 2, 0.9), (0, 3, 5.0),
+    ])
+    all_edge_circuit_data(g, 4)
+    assert routed == {0, 1, 2, 3, 4, 5, 9}
 
 
-def test_singular_deleted_edge_system_raises():
-    # Vertex 1 hangs off vertex 0 by a unit edge and a 1e20 edge: without
-    # the unit edge its row of the grounded matrix is (1 + 1e-20) - 1 = 0.
+def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
+    # Vertex 1 hangs off vertex 0 by a unit edge and a 1e20 edge.  Without
+    # the unit edge, a grounded Laplacian assembled by sums has the row
+    # (1 + 1e-20) - 1 = 0 for vertex 1 and is singular in floating point,
+    # though the network is well posed.
     rng = random.Random(99)
     core = random_regular_graph(rng, circuit.RANK_ONE_MIN_VERTICES, lambda: 1.0)
     edges = [(a + 1 if a else 0, b + 1 if b else 0, L) for a, b, L in core.edges]
     g = build_graph(core.vertex_count + 1, edges + [(0, 1, 1.0), (0, 1, 1e20)])
-    circuit._deleted_edge_inverses.cache_clear()
-    with pytest.raises(SingularSystem):
-        all_edge_circuit_data(g, 0)
+    assert_edge_data_is_exact(g)
