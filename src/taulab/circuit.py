@@ -10,14 +10,18 @@ keeps a small relative error whatever the spread of lengths (O'Cinneide
 1993).  effective_resistance reduces the network onto its two terminals;
 an edge's data at a base reduces G - e, built by skipping e, onto
 {a, b, base}.  GTH serves every non-bridge edge of a graph under
-RANK_ONE_MIN_VERTICES and each edge that the rank-one route rejects.
+RANK_ONE_MIN_VERTICES and each edge that the closed-form route rejects.
 
-The rank-one route inverts the grounded Laplacian (vertex 0 removed) once
-per graph and updates the inverse per deleted edge by Sherman-Morrison:
-two gathered columns and O(n) arithmetic per edge.  Inverses are checked by
-the normwise relative residual ||A X - I|| / (||A|| ||X||) (infinity
-norms), which does not change when all lengths are scaled; a suspicious
-grounded inverse raises SingularSystem.
+The closed-form route inverts the grounded Laplacian (vertex 0 removed)
+once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
+needs nothing beyond G's own resistances: R = L r / s and the arm gap
+L Delta_p / s, with r = r(a, b), s = L - r and Delta_p = r(p, a) - r(p, b)
+at base p.  This is what the rank-one (Sherman-Morrison) update of the
+inverse reduces to: O(1) per edge and one gather of row K[p] per base.
+The inverse is checked by the normwise relative residual
+||A X - I|| / (||A|| ||X||) (infinity norms), which does not change when
+all lengths are scaled; a suspicious grounded inverse raises
+SingularSystem.
 
 Resistance across a cut where no current can flow is represented by the
 INFINITE marker object, never by a float sentinel, so that the limit
@@ -39,26 +43,30 @@ from .graphs import MetrizedGraph, component_labels
 # Largest normwise relative residual ||A X - I|| / (||A|| ||X||) accepted
 # from any inverse.
 RESIDUAL_BOUND = 1e-8
-# An edge takes the rank-one update only while the rounding error it
-# predicts for s = L - r, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s, stays at
-# or below this; above it the edge is left to GTH elimination.  The
-# rounding error of r = K[a,a] + K[b,b] - 2 K[a,b] is about eps times the
-# sum of the magnitudes, and the update divides by s.  Measured against
-# exact rationals on planted near-bridges (a short edge in parallel with a
-# long path), the error of the update stayed below this prediction from
-# 1e-12 to 1e-1.  On random 6-regular graphs with lengths in [0.1, 10]
-# (n 40 to 280, 30k edges) the largest prediction was 9.5e-14: no edge
-# fell back.  On 300 random graphs of 10 to 12 vertices with length spreads
-# up to 1e8, verify_all failed a 1e-9 identity on 10 graphs at this bound,
-# 10 at 1e-12 and 9 at 1e-14, and on 8 with GTH for every edge.
+# An edge takes the closed form only while the rounding error it predicts
+# for s = L - r, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s, stays at or below
+# this; above it the edge is left to GTH elimination.  The rounding error
+# of r = K[a,a] + K[b,b] - 2 K[a,b] is about eps times the sum of the
+# magnitudes, and R and the arm gap divide by s.  Measured against exact
+# rationals on planted near-bridges (a short edge of 1e-8 to 1e-1 in
+# parallel with a path of 1e2 to 1e8), the error of R and both arms,
+# relative to the edge's largest resistance, stayed below this prediction
+# wherever s > 0, for predictions from 3.4e-12 to 25.  On the random
+# 6-regular graphs of the benchmark ladders (lengths in [0.1, 10], n 40 to
+# 280, 75k edges) the largest prediction was 9.5e-14: no edge fell back.
+# On 300 random graphs of 10 to 12 vertices with length spreads up to 1e8
+# (a random tree plus v/2 to 2v edges), verify_all failed a 1e-9 identity
+# on 63 graphs at this bound, at 1e-12 and at 1e-14, and on 44 with GTH for
+# every edge; K_CONTRACT missed on 59 and 44 of them.
 RANK_ONE_ERROR_BOUND = 1e-13
 # Graphs with fewer vertices take GTH for every edge, at each base asked
-# for.  GTH is slower than the rank-one route at every size, so this is not
+# for.  GTH is slower than the closed form at every size, so this is not
 # a crossover: it keeps GTH to sizes where it costs a few ms.  Per graph
 # on 6-regular multigraphs, one BLAS thread, 2-core x86-64, GTH against
-# rank-one at one base: 0.69 against 0.46 ms at n = 6, 2.2 against 0.61 at
-# n = 10 and 5.6 against 0.80 at n = 14; at every base: 4.0 against 0.88 ms
-# at n = 6, 20 against 1.9 at n = 10 and 77 against 3.2 at n = 14.
+# the closed form at one base: 0.68 against 0.22 ms at n = 6, 2.7 against
+# 0.30 at n = 10 and 6.6 against 0.39 at n = 14; at every base: 4.0
+# against 0.61 ms at n = 6, 25 against 1.4 at n = 10 and 83 against 2.0 at
+# n = 14.
 RANK_ONE_MIN_VERTICES = 10
 _EPS = np.finfo(float).eps
 
@@ -134,26 +142,15 @@ def _laplacian(vertex_count: int, edges) -> np.ndarray:
     return lap
 
 
-def _inf_norm(m: np.ndarray):
-    """Largest absolute row sum of a matrix, or of each matrix in a stack."""
-    return np.abs(m).sum(axis=-1).max(axis=-1)
-
-
-def _relative_residual(residual: np.ndarray, a_norm, x: np.ndarray):
-    """Normwise relative residual ||A X - I|| / (||A|| ||X||) of a system or a stack.
-
-    ``residual`` is A X - I (or the columns of it that X holds) and
-    ``a_norm`` is ||A||, both in the infinity norm.  It bounds the backward
-    error of X and is unchanged when A is scaled, unlike max|A X - I|.
-    """
-    return _inf_norm(residual) / (a_norm * _inf_norm(x))
-
-
 def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     """Invert the Laplacian with vertex 0's row/column removed, padded back with zeros.
 
     The returned matrix K satisfies r(x, y) = K[x,x] + K[y,y] - 2 K[x,y]
-    whenever the graph is connected, and r(x, 0) = K[x,x].
+    whenever the graph is connected, and r(x, 0) = K[x,x].  The inverse X
+    of the reduced matrix A must pass the normwise relative residual check
+    ||A X - I|| / (||A|| ||X||) <= RESIDUAL_BOUND (infinity norms), which
+    bounds its backward error and, unlike max|A X - I|, is unchanged when
+    all lengths are scaled.
     """
     n = lap.shape[0]
     full = np.zeros((n, n))
@@ -164,7 +161,11 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(reduced)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"grounded Laplacian is singular: {exc}") from exc
-    residual = _relative_residual(reduced @ inv - np.eye(n - 1), _inf_norm(reduced), inv)
+
+    def norm(m):
+        return np.abs(m).sum(axis=1).max()
+
+    residual = norm(reduced @ inv - np.eye(n - 1)) / (norm(reduced) * norm(inv))
     if not residual <= RESIDUAL_BOUND:
         raise SingularSystem(f"grounded Laplacian solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}")
     full[1:, 1:] = inv
@@ -240,83 +241,45 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> ResistanceValue:
     return 1.0 / _eliminate(_conductances(g.vertex_count, g.edges), {x, y})[x][y]
 
 
-def _rank_one_deleted(lap: np.ndarray, edges, ids, to_first, to_second) -> None:
-    """Fill to_first/to_second for the edges in ids from one grounded inverse.
-
-    For edge (a, b, L) with v = K(e_a - e_b), r = v_a - v_b and s = L - r,
-    Sherman-Morrison gives the deleted-edge inverse K + v v^T / s, hence
-    r'(x, y) = r(x, y) + (v_x - v_y)^2 / s.  An edge is left out (its
-    entries stay None, for GTH elimination) when s <= 0, when its predicted
-    relative error eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s exceeds
-    RANK_ONE_ERROR_BOUND, or when the two updated columns it reads fail the
-    residual check against the deleted-edge matrix.
-    """
-    K = _grounded_inverse(lap)
-    d = np.diag(K)
-    n, cols = len(d), np.arange(len(ids))
-    a = np.array([edges[i][0] for i in ids])
-    b = np.array([edges[i][1] for i in ids])
-    length = np.array([edges[i][2] for i in ids])
-    c = 1.0 / length
-    Ka, Kb = K[:, a], K[:, b]
-    v = Ka - Kb
-    va, vb = v[a, cols], v[b, cols]
-    s = length - (va - vb)
-    ok = (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(K[a, b])) <= RANK_ONE_ERROR_BOUND * s)
-    s = np.where(ok, s, 1.0)
-
-    # The updated columns K'[:, a] and K'[:, b] against the deleted-edge
-    # matrix A' = A - c u u^T (u = e_a - e_b), without forming A'.  Row 0,
-    # the ground, is not part of the system and is dropped.
-    X = np.stack([Ka + v * (va / s), Kb + v * (vb / s)], axis=-1)
-    AX = (lap @ X.reshape(n, -1)).reshape(X.shape)
-    ux = c[:, None] * (X[a, cols] - X[b, cols])
-    AX[a, cols] -= ux
-    AX[b, cols] += ux
-    AX[a, cols, 0] -= 1.0
-    AX[b, cols, 1] -= 1.0
-    # ||A'|| differs from ||A|| only in rows a and b, each losing c from the
-    # diagonal and c from the (a, b) entry unless the other end is the ground.
-    row = np.abs(lap).sum(axis=1)
-    row[0] = 0.0
-    top = np.argsort(row)[::-1][:3]
-    others = np.where((top == a[:, None]) | (top == b[:, None]), 0.0, row[top]).max(axis=1)
-    a_norm = np.maximum(others, np.maximum(row[a] - c * (1 + (b != 0)), row[b] - c * (1 + (a != 0))))
-    residual = _relative_residual(AX[1:].transpose(1, 0, 2), a_norm, X[1:].transpose(1, 0, 2))
-    ok &= residual <= RESIDUAL_BOUND
-
-    first = np.ascontiguousarray((d[:, None] + d[a] - 2.0 * Ka + (v - va) ** 2 / s).T)
-    second = np.ascontiguousarray((d[:, None] + d[b] - 2.0 * Kb + (v - vb) ** 2 / s).T)
-    for k, i in enumerate(ids):
-        if ok[k]:
-            to_first[i] = first[k]
-            to_second[i] = second[k]
-
-
 @lru_cache(maxsize=16384)
 def _deleted_edge_inverses(g: MetrizedGraph):
-    """Rank-one deleted-edge resistances from both endpoints of every edge.
+    """Closed-form deleted-edge data of every edge, from one grounded inverse K.
 
-    Returns (to_first, to_second): for edge i = (a, b), to_first[i][x] is
-    r(x, a) and to_second[i][x] is r(x, b) in the graph minus edge i, for
-    every vertex x.  These 2n floats per edge are all the invariants read
-    of a deleted-edge network, independent of the base and cached per graph.
-    They come from one grounded inverse by Sherman-Morrison
-    (_rank_one_deleted), O(n^3 + n m) for the graph.  The entries are None
-    for bridges, self-loops, edges that fail the rank-one guard and every
-    edge of a graph under RANK_ONE_MIN_VERTICES; the non-bridge ones among
-    them are left to GTH elimination per base (_gth_star).
+    An edge e = (a, b, L) is in parallel with G - e, so G - e is read off
+    G's own resistances: with r = r(a, b), s = L - r and
+    Delta_p = r(p, a) - r(p, b) = (K[a,a] - K[b,b]) - 2 (K[p,a] - K[p,b]),
+    G - e has R = L r / s between a and b and the arm gap L Delta_p / s
+    toward base p.  An edge takes this route only when s > 0 and the
+    rounding error predicted for s, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s,
+    is at most RANK_ONE_ERROR_BOUND.
+
+    Returns (resistance, closed).  resistance[i] is R for edge i, or None
+    for bridges, self-loops, edges the guard rejects and every edge of a
+    graph under RANK_ONE_MIN_VERTICES; the non-bridge ones among them are
+    left to GTH elimination per base (_gth_star).  closed is None when no
+    edge takes the route, else (K, a, b, scale, spread) with the per-edge
+    arrays of endpoints, L / s and K[a,a] - K[b,b]: K plus O(m) scalars,
+    O(n^3 + m) for the graph and shared across bases.
     """
     n = g.vertex_count
     edges = g.edges
-    to_first: list[np.ndarray | None] = [None] * len(edges)
-    to_second: list[np.ndarray | None] = [None] * len(edges)
-    if n >= RANK_ONE_MIN_VERTICES:
-        bridge_set = g.bridges()
-        ids = [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridge_set]
-        if ids:
-            _rank_one_deleted(_laplacian(n, edges), edges, ids, to_first, to_second)
-    return tuple(to_first), tuple(to_second)
+    resistance = (None,) * len(edges)
+    if n < RANK_ONE_MIN_VERTICES:
+        return resistance, None
+    a, b, length = map(np.array, zip(*edges))
+    routed = a != b
+    routed[list(g.bridges())] = False
+    if not routed.any():
+        return resistance, None
+    K = _grounded_inverse(_laplacian(n, edges))
+    d = np.diag(K)
+    k_ab = K[a, b]
+    r = d[a] + d[b] - 2.0 * k_ab
+    s = length - r
+    ok = routed & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
+    scale = length / np.where(ok, s, 1.0)
+    resistance = tuple(R if take else None for R, take in zip((scale * r).tolist(), ok.tolist()))
+    return resistance, (K, a, b, scale, d[a] - d[b])
 
 
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData, ...]:
@@ -324,9 +287,9 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
 
     For each edge e = (a, b) the edge is removed and the rest of the network
     is reduced, as seen from a, b and the base, to a star with three arms.
-    Edges with rank-one data (_deleted_edge_inverses, cached per graph and
-    shared across bases) read the arms off it as
-    arm_first = (r(base, a) + R - r(base, b)) / 2.  Every other non-bridge
+    Edges with closed-form data (_deleted_edge_inverses, cached per graph
+    and shared across bases) take R from it and their arm gap from one
+    gather of row K[base]: arm_first = (R + gap) / 2.  Every other non-bridge
     edge is reduced onto {a, b, base} by GTH elimination at each base asked
     for (_gth_star), and R is the sum of its two arms.
     """
@@ -334,7 +297,11 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
     n = g.vertex_count
     edges = g.edges
     bridge_set = g.bridges()
-    to_first, to_second = _deleted_edge_inverses(g)
+    resistance, closed = _deleted_edge_inverses(g)
+    if closed is not None:
+        K, a_of, b_of, scale, spread = closed
+        row = K[base]
+        gaps = (scale * (spread - 2.0 * (row[a_of] - row[b_of]))).tolist()
 
     out: list[EdgeCircuitData] = []
     for i, (a, b, length) in enumerate(edges):
@@ -344,6 +311,7 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
                 resistance=0.0, arm_first=0.0, arm_second=0.0, _loop_flag=True,
             ))
             continue
+        r_ab = resistance[i]
         if i in bridge_set:
             labels = component_labels(n, edges, skip_edge=i)
             if labels[base] == labels[a]:
@@ -351,12 +319,11 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData,
             else:
                 arm_first, arm_second = INFINITE, 0.0
             r_ab = INFINITE
-        elif to_first[i] is None:
+        elif r_ab is None:
             arm_first, arm_second = _gth_star(g, i, base)
             r_ab = arm_first + arm_second
         else:
-            r_ab = to_second[i][a]
-            arm_first = 0.5 * (to_first[i][base] + r_ab - to_second[i][base])
+            arm_first = 0.5 * (r_ab + gaps[i])
             arm_second = r_ab - arm_first
         out.append(EdgeCircuitData(
             edge=i, base=base, length=length,

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from . import connectivity, fuzzing, identities, invariants, transforms
 from .circuit import is_infinite
@@ -179,10 +178,6 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _identity_body(report: identities.IdentityReport) -> dict:
-    return asdict(report)
-
-
 def cmd_verify(args) -> int:
     g = _load(args.path)
     wanted = [part.strip() for part in args.ids.split(",") if part.strip()]
@@ -193,7 +188,7 @@ def cmd_verify(args) -> int:
     failed = [r.identity for r in reports if r.applicable and not r.passed]
     _emit("verify", {
         "tolerance": args.tol,
-        "identities": [_identity_body(r) for r in reports],
+        "identities": [dict(vars(r)) for r in reports],
         "failed": failed,
         "skipped": sum(1 for r in reports if not r.applicable),
     })

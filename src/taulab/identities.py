@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import cuts, invariants, transforms
-from .circuit import all_edge_circuit_data
 from .errors import NotApplicable, UnknownIdentityId
 from .graphs import MetrizedGraph
 
@@ -139,7 +138,7 @@ def _second_moment_terms(g: MetrizedGraph) -> list[float]:
 def _gap_terms(g: MetrizedGraph, base: int) -> list[float]:
     """L (Ra - Rb)^2/(L+R)^2 per edge at one base; bridge limit L, loops 0."""
     terms = []
-    for d in all_edge_circuit_data(g, base):
+    for d in invariants.graph_profile(g, base).edge_data:
         if d.is_loop:
             terms.append(0.0)
         elif d.is_bridge:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,13 @@ def test_arm_sum_recovers_deleted_resistance():
             if d.is_loop or is_infinite(d.resistance):
                 continue
             assert d.arm_first + d.arm_second == pytest.approx(d.resistance, rel=1e-9, abs=1e-12)
+    # These sizes take the closed form, whose arms are a difference.
+    for n in (circuit.RANK_ONE_MIN_VERTICES, 20, 40):
+        g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+        for base in range(g.vertex_count):
+            for d in all_edge_circuit_data(g, base):
+                assert d.arm_first + d.arm_second == pytest.approx(d.resistance, rel=1e-9, abs=1e-12)
+                assert min(d.arm_first, d.arm_second) >= -1e-12 * d.resistance, (n, base, d)
 
 
 def test_loop_edge_data():
@@ -301,11 +309,36 @@ def test_rank_one_matches_explicit_route():
     for n in (circuit.RANK_ONE_MIN_VERTICES, 15, 20, 40, 80, 120):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         circuit._deleted_edge_inverses.cache_clear()
-        ours = circuit._deleted_edge_inverses(g)
-        reference = explicit_route(g)
-        for got_side, want_side in zip(ours, reference):
-            for got, want in zip(got_side, want_side):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+        per_base = [all_edge_circuit_data(g, p) for p in range(n)]
+        for i, (to_a, to_b) in enumerate(zip(*explicit_route(g))):
+            a = g.edges[i][0]
+            R = to_b[a]
+            scale = max(to_a.max(), to_b.max())
+            for p, data in enumerate(per_base):
+                arm = (to_a[p] + R - to_b[p]) / 2
+                d = data[i]
+                for got, want in ((d.resistance, R), (d.arm_first, arm), (d.arm_second, R - arm)):
+                    assert abs(got - want) <= 1e-12 * scale, (n, i, p)
+
+
+def test_deleted_edge_inverses_memory_is_quadratic_in_vertices():
+    # 60 vertices, two parallel edges per pair: m = 3,540, K is 29 KB.
+    # Per-edge n-float columns would hold 2 n m floats (3.4 MB).
+    rng = random.Random(60)
+    pairs = itertools.combinations(range(60), 2)
+    g = build_graph(60, [(a, b, rng.uniform(0.1, 10.0)) for a, b in pairs for _ in range(2)])
+    assert g.edge_count == 3540
+    g.bridges()
+    circuit._deleted_edge_inverses.cache_clear()
+    tracemalloc.start()
+    try:
+        resistance, closed = circuit._deleted_edge_inverses(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        circuit._deleted_edge_inverses.cache_clear()
+    assert peak < 2 * 2 ** 20, peak
+    assert closed is not None and None not in resistance
 
 
 def test_rank_one_matches_exact_rationals_at_wide_spreads():
