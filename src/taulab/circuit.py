@@ -23,17 +23,25 @@ The inverse is checked by the normwise relative residual
 all lengths are scaled; a suspicious grounded inverse raises
 SingularSystem.
 
+Both routes land in one layout, edge_columns: per base, the deleted-edge
+resistance and the two star arms of every edge as read-only float64
+arrays indexed by edge, next to the lengths and the self-loop and bridge
+masks.  The invariant layer sums its per-edge terms straight from these
+columns.  One EdgeCircuitData per edge (edge_records, all_edge_circuit_data)
+is only built for code that reads edges one at a time.
+
 Resistance across a cut where no current can flow is represented by the
 INFINITE marker object, never by a float sentinel, so that the limit
 conventions of the invariant layer are explicit branches instead of
-accidents of IEEE arithmetic.
+accidents of IEEE arithmetic.  In the columns, self-loops and bridges are
+masked (NaN) and the masks carry their limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -130,15 +138,23 @@ class EdgeCircuitData:
 
 
 def _laplacian(vertex_count: int, edges) -> np.ndarray:
+    """The weighted Laplacian, conductance 1/length per edge, self-loops left out.
+
+    Each entry takes its conductances in edge order, the order of the
+    per-edge loop this replaces, so the matrix keeps its bits: np.add.at
+    and np.subtract.at apply repeated indices one at a time, in order.
+    """
     lap = np.zeros((vertex_count, vertex_count))
-    for a, b, length in edges:
-        if a == b:
-            continue
-        c = 1.0 / length
-        lap[a, a] += c
-        lap[b, b] += c
-        lap[a, b] -= c
-        lap[b, a] -= c
+    if not edges:
+        return lap
+    a, b, length = map(np.array, zip(*edges))
+    keep = a != b
+    a, b = a[keep], b[keep]
+    c = np.repeat(1.0 / length[keep], 2)
+    ends = np.column_stack((a, b)).ravel()
+    others = np.column_stack((b, a)).ravel()
+    np.add.at(lap, (ends, ends), c)
+    np.subtract.at(lap, (ends, others), c)
     return lap
 
 
@@ -282,51 +298,106 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     return resistance, (K, a, b, scale, d[a] - d[b])
 
 
-def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData, ...]:
-    """Per-edge resistance and star-arm data with respect to one base vertex.
+class EdgeColumns(NamedTuple):
+    """Every edge's circuit data at one base, as read-only arrays indexed by edge.
 
-    For each edge e = (a, b) the edge is removed and the rest of the network
-    is reduced, as seen from a, b and the base, to a star with three arms.
+    ``length`` is float64, ``loop`` and ``bridge`` are boolean masks, and
+    ``resistance``, ``arm_first`` and ``arm_second`` are float64 columns
+    holding the EdgeCircuitData fields of the same names for every other
+    edge.  Self-loops and bridges are masked: their entries in the three
+    float columns are NaN, and their exact limits are applied by whoever
+    reads the masks.
+    """
+
+    length: np.ndarray
+    loop: np.ndarray
+    bridge: np.ndarray
+    resistance: np.ndarray
+    arm_first: np.ndarray
+    arm_second: np.ndarray
+
+
+def edge_columns(g: MetrizedGraph, base: int) -> EdgeColumns:
+    """Deleted-edge resistance and star arms of every edge toward one base, as columns.
+
     Edges with closed-form data (_deleted_edge_inverses, cached per graph
     and shared across bases) take R from it and their arm gap from one
-    gather of row K[base]: arm_first = (R + gap) / 2.  Every other non-bridge
-    edge is reduced onto {a, b, base} by GTH elimination at each base asked
-    for (_gth_star), and R is the sum of its two arms.
+    gather of row K[base]: arm_first = (R + gap) / 2 and
+    arm_second = R - arm_first.  Every other edge that is neither a bridge
+    nor a self-loop is reduced onto {a, b, base} by GTH elimination, one
+    edge at a time (_gth_star), and R is the sum of its two arms.
     """
     base = g.check_vertex(base)
-    n = g.vertex_count
     edges = g.edges
-    bridge_set = g.bridges()
+    bridges = g.bridges()
+    loops = [a == b for a, b, _ in edges]
+    length = np.array([L for _, _, L in edges], dtype=float)
+    loop = np.array(loops, dtype=bool)
+    bridge = np.zeros(len(edges), dtype=bool)
+    bridge[list(bridges)] = True
     resistance, closed = _deleted_edge_inverses(g)
-    if closed is not None:
+    R = np.array(resistance, dtype=float)  # NaN where resistance[i] is None
+    if closed is None:
+        arm_first, arm_second = R.copy(), R.copy()
+    else:
         K, a_of, b_of, scale, spread = closed
         row = K[base]
-        gaps = (scale * (spread - 2.0 * (row[a_of] - row[b_of]))).tolist()
+        gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
+        arm_first = 0.5 * (R + gap)
+        arm_second = R - arm_first
+    for i, (r_ab, is_loop) in enumerate(zip(resistance, loops)):
+        if r_ab is None and not is_loop and i not in bridges:
+            first, second = _gth_star(g, i, base)
+            arm_first[i], arm_second[i] = first, second
+            R[i] = first + second
+    columns = EdgeColumns(length, loop, bridge, R, arm_first, arm_second)
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
+
+def edge_records(g: MetrizedGraph, base: int, columns: EdgeColumns) -> tuple[EdgeCircuitData, ...]:
+    """One EdgeCircuitData per edge, read from a base's columns without solving anything.
+
+    Masked edges get their limits: a self-loop has resistance and both arms
+    0; a bridge has resistance INFINITE, arm 0 on the base's side of the
+    cut and INFINITE on the far side.
+    """
+    n = g.vertex_count
+    edges = g.edges
     out: list[EdgeCircuitData] = []
-    for i, (a, b, length) in enumerate(edges):
-        if a == b:
+    rows = zip(edges, columns.loop.tolist(), columns.bridge.tolist(), columns.resistance.tolist(),
+               columns.arm_first.tolist(), columns.arm_second.tolist())
+    for i, ((a, _, length), loop, bridge, r_ab, arm_first, arm_second) in enumerate(rows):
+        if loop:
             out.append(EdgeCircuitData(
                 edge=i, base=base, length=length,
                 resistance=0.0, arm_first=0.0, arm_second=0.0, _loop_flag=True,
             ))
             continue
-        r_ab = resistance[i]
-        if i in bridge_set:
+        if bridge:
             labels = component_labels(n, edges, skip_edge=i)
             if labels[base] == labels[a]:
                 arm_first, arm_second = 0.0, INFINITE
             else:
                 arm_first, arm_second = INFINITE, 0.0
             r_ab = INFINITE
-        elif r_ab is None:
-            arm_first, arm_second = _gth_star(g, i, base)
-            r_ab = arm_first + arm_second
-        else:
-            arm_first = 0.5 * (r_ab + gaps[i])
-            arm_second = r_ab - arm_first
         out.append(EdgeCircuitData(
             edge=i, base=base, length=length,
             resistance=r_ab, arm_first=arm_first, arm_second=arm_second,
         ))
     return tuple(out)
+
+
+def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData, ...]:
+    """Per-edge resistance and star-arm data with respect to one base vertex.
+
+    For each edge e = (a, b) the edge is removed and the rest of the network
+    is reduced, as seen from a, b and the base, to a star with three arms.
+    This is edge_columns (where the solving happens) turned into one
+    EdgeCircuitData per edge by edge_records.  The invariants never call
+    it: they read the columns, and a GraphProfile builds the same records
+    from its stored columns only when its edge_data is read.
+    """
+    base = g.check_vertex(base)
+    return edge_records(g, base, edge_columns(g, base))

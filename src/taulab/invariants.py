@@ -24,8 +24,8 @@ contracts edges down to two-vertex graphs with a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -33,14 +33,14 @@ import numpy as np
 from . import transforms
 from .circuit import (
     EdgeCircuitData,
-    INFINITE,
+    EdgeColumns,
     _grounded_inverse,
     _laplacian,
-    all_edge_circuit_data,
+    edge_columns,
+    edge_records,
     effective_resistance,
-    is_infinite,
 )
-from .errors import BridgePresent, SameVertex, TooLarge, TooSmall
+from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall
 from .graphs import MetrizedGraph
 
 BASE_AGREEMENT_TOL = 1e-9
@@ -53,10 +53,17 @@ def relative_gap(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class GraphProfile:
-    """Everything the invariant formulas need about one graph at one base."""
+    """Everything the invariant formulas need about one graph at one base.
+
+    The scalars and both weight tuples are computed from the base's
+    EdgeColumns (circuit.edge_columns), which the profile keeps read-only
+    and leaves out of eq, hash and repr.  ``edge_data``, one EdgeCircuitData
+    per edge, is built from those columns the first time it is read and
+    kept; building it solves nothing, and tau, invariant_set and w_of never
+    read it.
+    """
 
     base: int
-    edge_data: tuple[EdgeCircuitData, ...]
     ell: float
     z: float
     r: float
@@ -67,51 +74,52 @@ class GraphProfile:
     # a self-loop weighs (0, 1), a bridge weighs (1, 0).
     weight_resistance: tuple[float, ...]
     weight_length: tuple[float, ...]
+    _graph: MetrizedGraph = field(repr=False, compare=False)
+    _columns: EdgeColumns = field(repr=False, compare=False)
+
+    @cached_property
+    def edge_data(self) -> tuple[EdgeCircuitData, ...]:
+        return edge_records(self._graph, self.base, self._columns)
 
 
 @lru_cache(maxsize=16384)
 def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
+    """The profile at one base: each sum is one math.fsum over its per-edge terms.
+
+    The terms are computed column-wise in the operation order of the
+    scalar formulas, and numpy's elementwise arithmetic rounds each
+    operation exactly as Python floats do; fsum is correctly rounded and
+    so independent of term order.  Self-loops add their length to z,
+    bridges theirs to r and y.
+    """
     base = g.check_vertex(base)
-    data = all_edge_circuit_data(g, base)
-
-    z_terms = []
-    r_terms = []
-    x_terms = []
-    y_terms = []
-    w_res = []
-    w_len = []
-    for d in data:
-        L = d.length
-        if d.is_loop:
-            z_terms.append(L)
-            w_res.append(0.0)
-            w_len.append(1.0)
-        elif d.is_bridge:
-            r_terms.append(L)
-            y_terms.append(L)
-            w_res.append(1.0)
-            w_len.append(0.0)
-        else:
-            R = d.resistance
-            denom = L + R
-            gap = d.arm_first - d.arm_second
-            z_terms.append(L * L / denom)
-            r_terms.append(L * R / denom)
-            sq = denom * denom
-            y_terms.append((0.25 * L * R * R + 0.75 * L * gap * gap) / sq)
-            x_terms.append((L * L * R + 0.75 * L * R * R - 0.75 * L * gap * gap) / sq)
-            w_res.append(R / denom)
-            w_len.append(L / denom)
-
+    columns = edge_columns(g, base)
+    loop, bridge = columns.loop, columns.bridge
+    plain = ~(loop | bridge)
+    L = columns.length[plain]
+    R = columns.resistance[plain]
+    gap = columns.arm_first[plain] - columns.arm_second[plain]
+    denom = L + R
+    sq = denom * denom
+    # Shared subexpressions, each evaluated as the scalar formulas group it.
+    LL = L * L
+    L75 = 0.75 * L
+    gap_term = L75 * gap * gap
+    bridge_lengths = columns.length[bridge].tolist()
+    z = math.fsum((LL / denom).tolist() + columns.length[loop].tolist())
+    r = math.fsum((L * R / denom).tolist() + bridge_lengths)
+    y = math.fsum(((0.25 * L * R * R + gap_term) / sq).tolist() + bridge_lengths)
+    x = math.fsum(((LL * R + L75 * R * R - gap_term) / sq).tolist())
+    w_res = bridge.astype(float)
+    w_res[plain] = R / denom
+    w_len = loop.astype(float)
+    w_len[plain] = L / denom
     ell = g.total_length
-    z = math.fsum(z_terms)
-    r = math.fsum(r_terms)
-    x = math.fsum(x_terms)
-    y = math.fsum(y_terms)
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
-        base=base, edge_data=data, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
-        weight_resistance=tuple(w_res), weight_length=tuple(w_len),
+        base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
+        weight_resistance=tuple(w_res.tolist()), weight_length=tuple(w_len.tolist()),
+        _graph=g, _columns=columns,
     )
 
 
@@ -132,17 +140,18 @@ def xy_of(g: MetrizedGraph, base: int = 0) -> tuple[float, float]:
 def tau(g: MetrizedGraph) -> float:
     """The tau constant of the graph.
 
-    Independent of the base vertex used internally; under ``__debug__`` the
-    value is recomputed at a second, graph-dependent base and the two must
-    agree to 1e-9.
+    Independent of the base vertex used internally: the value is recomputed
+    at a second, graph-dependent base, and SingularSystem is raised unless
+    the two agree to BASE_AGREEMENT_TOL (1e-9 relative).
     """
     value = graph_profile(g).tau
-    if __debug__ and g.vertex_count >= 2:
+    if g.vertex_count >= 2:
         other_base = 1 + (hash(g) % (g.vertex_count - 1)) if g.vertex_count > 2 else 1
         check = graph_profile(g, other_base).tau
-        assert relative_gap(value, check) <= BASE_AGREEMENT_TOL, (
-            f"tau disagrees across base vertices: {value!r} at 0 vs {check!r} at {other_base}"
-        )
+        if not relative_gap(value, check) <= BASE_AGREEMENT_TOL:
+            raise SingularSystem(
+                f"tau disagrees across base vertices: {value!r} at 0 vs {check!r} at {other_base}"
+            )
     return value
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taulab import circuit
+from taulab import circuit, invariants
 from taulab.circuit import (
     INFINITE,
+    EdgeCircuitData,
     all_edge_circuit_data,
     effective_resistance,
     is_infinite,
@@ -20,10 +22,10 @@ from taulab.invariants import tau
 from taulab.transforms import delete_edge
 
 
-def pinv_resistance(g, x, y):
-    """Independent oracle: resistance distance from the Laplacian pseudoinverse."""
-    lap = np.zeros((g.vertex_count, g.vertex_count))
-    for a, b, length in g.edges:
+def loop_laplacian(n, edges):
+    """The weighted Laplacian built one edge at a time, in edge order."""
+    lap = np.zeros((n, n))
+    for a, b, length in edges:
         if a == b:
             continue
         c = 1.0 / length
@@ -31,7 +33,12 @@ def pinv_resistance(g, x, y):
         lap[b, b] += c
         lap[a, b] -= c
         lap[b, a] -= c
-    plus = np.linalg.pinv(lap)
+    return lap
+
+
+def pinv_resistance(g, x, y):
+    """Independent oracle: resistance distance from the Laplacian pseudoinverse."""
+    plus = np.linalg.pinv(loop_laplacian(g.vertex_count, g.edges))
     return plus[x, x] + plus[y, y] - 2.0 * plus[x, y]
 
 
@@ -265,16 +272,17 @@ def explicit_route(g):
     return to_first, to_second
 
 
-def near_bridge_graph(rng, short, long):
-    """A 6-regular core on vertices 0-7 plus the cycle 7-8-9-10-7.
+def near_bridge_graph(rng, short, long, core=8):
+    """A 6-regular core on vertices 0..c-1 plus the cycle c-1, c, c+1, c+2, c-1 (c = core).
 
-    The cycle's last edge (7, 10), the near-bridge, has length ``short``;
-    the path 7-8-9-10 around it has three edges of length ``long``.
-    Returns the graph and the near-bridge's edge index.
+    The cycle's last edge (c-1, c+2), the near-bridge, has length ``short``;
+    the path around it has three edges of length ``long``.  Returns the
+    graph and the near-bridge's edge index.
     """
-    core = random_regular_graph(rng, 8, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-    edges = list(core.edges) + [(7, 8, long), (8, 9, long), (9, 10, long), (7, 10, short)]
-    return build_graph(11, edges), len(edges) - 1
+    c = core
+    hub = random_regular_graph(rng, c, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+    edges = list(hub.edges) + [(c - 1, c, long), (c, c + 1, long), (c + 1, c + 2, long), (c - 1, c + 2, short)]
+    return build_graph(c + 3, edges), len(edges) - 1
 
 
 def wide_spread_k4s(s):
@@ -394,3 +402,156 @@ def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
     edges = [(a + 1 if a else 0, b + 1 if b else 0, L) for a, b, L in core.edges]
     g = build_graph(core.vertex_count + 1, edges + [(0, 1, 1.0), (0, 1, 1e20)])
     assert_edge_data_is_exact(g)
+
+
+# -- per-edge columns ---------------------------------------------------------
+
+
+def reference_profile(g, base):
+    """The per-edge scalar loop graph_profile ran before its terms became columns."""
+    z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
+    for d in all_edge_circuit_data(g, base):
+        L = d.length
+        if d.is_loop:
+            z_terms.append(L)
+            w_res.append(0.0)
+            w_len.append(1.0)
+        elif d.is_bridge:
+            r_terms.append(L)
+            y_terms.append(L)
+            w_res.append(1.0)
+            w_len.append(0.0)
+        else:
+            R = d.resistance
+            denom = L + R
+            gap = d.arm_first - d.arm_second
+            z_terms.append(L * L / denom)
+            r_terms.append(L * R / denom)
+            sq = denom * denom
+            y_terms.append((0.25 * L * R * R + 0.75 * L * gap * gap) / sq)
+            x_terms.append((L * L * R + 0.75 * L * R * R - 0.75 * L * gap * gap) / sq)
+            w_res.append(R / denom)
+            w_len.append(L / denom)
+    x, y = math.fsum(x_terms), math.fsum(y_terms)
+    ell = g.total_length
+    return {
+        "tau": ell / 12.0 - x / 6.0 + y / 6.0, "x": x, "y": y,
+        "z": math.fsum(z_terms), "r": math.fsum(r_terms),
+        "weight_resistance": tuple(w_res), "weight_length": tuple(w_len),
+    }
+
+
+def assert_profile_is_bit_identical(g, bases):
+    for base in bases:
+        prof = invariants.graph_profile(g, base)
+        for name, want in reference_profile(g, base).items():
+            assert getattr(prof, name) == want, (name, base, g.vertex_count)
+
+
+def wide_spread_multigraphs(rng, count):
+    """Fuzz multigraphs (loops, bridges, parallel edges), lengths log-uniform over spreads 1e2-1e8."""
+    graphs = []
+    for _ in range(count):
+        g = random_connected_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(2.0, 8.0)
+        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+    return graphs
+
+
+def test_profile_columns_match_the_scalar_loop_on_fuzz_multigraphs():
+    graphs = wide_spread_multigraphs(random.Random(1010), 80)
+    assert any(g.bridges() for g in graphs)
+    assert any(a == b for g in graphs for a, b, _ in g.edges)
+    assert any(len({(a, b) for a, b, _ in g.edges}) < g.edge_count for g in graphs)
+    for g in graphs:
+        assert_profile_is_bit_identical(g, range(g.vertex_count))
+
+
+def test_profile_columns_match_the_scalar_loop_on_regular_graphs():
+    rng = random.Random(2020)
+    for n in (10, 11, 20, 40, 80, 120):
+        g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+        # Every edge takes the closed form here.
+        assert None not in circuit._deleted_edge_inverses(g)[0]
+        assert_profile_is_bit_identical(g, range(n))
+
+
+def test_profile_columns_match_the_scalar_loop_beside_a_near_bridge():
+    # 203 vertices: the 1e-3 edge takes GTH and every other edge the closed
+    # form.  GTH costs tens of ms per base here, so a spread of bases is
+    # checked: every tenth vertex and each vertex of the cycle.
+    g, near_bridge = near_bridge_graph(random.Random(203), 1e-3, 1e4, core=200)
+    resistance, _ = circuit._deleted_edge_inverses(g)
+    assert [i for i, R in enumerate(resistance) if R is None] == [near_bridge]
+    assert_profile_is_bit_identical(g, sorted(set(range(0, 203, 10)) | {199, 200, 201, 202}))
+
+
+def test_profile_columns_match_the_scalar_loop_on_a_loop_only_vertex():
+    g = build_graph(1, [(0, 0, 1.5), (0, 0, 1e-4), (0, 0, 7.0)])
+    assert_profile_is_bit_identical(g, [0])
+    assert invariants.graph_profile(g).z == g.total_length
+
+
+def test_lazy_edge_data_is_built_from_the_columns(monkeypatch):
+    graphs = wide_spread_multigraphs(random.Random(3030), 30)
+    assert sum(len(g.bridges()) for g in graphs) > 0
+    for g in graphs:
+        for base in range(g.vertex_count):
+            prof = invariants.graph_profile(g, base)
+            want = all_edge_circuit_data(g, base)
+            monkeypatch.setattr(circuit, "_gth_star", None)  # reading edge_data solves nothing
+            got = prof.edge_data
+            monkeypatch.undo()
+            assert got is prof.edge_data
+            assert len(got) == len(want)
+            for d, e in zip(got, want):
+                for name in ("edge", "base", "length", "resistance", "arm_first", "arm_second",
+                             "is_loop", "is_bridge"):
+                    assert getattr(d, name) == getattr(e, name), (name, base, g.edges)
+                if d.is_bridge:
+                    assert d.resistance is INFINITE
+                    assert {d.arm_first, d.arm_second} == {0.0, INFINITE}
+
+
+def test_profile_columns_are_read_only_and_outside_eq_and_repr():
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
+    prof = invariants.graph_profile(g, 1)
+    for column in circuit.edge_columns(g, 1):
+        assert not column.flags.writeable
+    with pytest.raises(ValueError):
+        circuit.edge_columns(g, 1).resistance[0] = 0.0
+    assert "_columns" not in repr(prof) and "_graph" not in repr(prof)
+    assert prof == invariants.graph_profile.__wrapped__(g, 1)
+
+
+def test_tau_builds_no_edge_records(monkeypatch):
+    built = []
+    init = EdgeCircuitData.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("edge"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeCircuitData, "__init__", counting)
+    rng = random.Random(120)
+    g = random_regular_graph(rng, 120, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+    tau(g)
+    invariants.invariant_set(g)
+    invariants.w_of(g)
+    assert built == []
+    assert len(invariants.graph_profile(g).edge_data) == g.edge_count
+    assert len(built) == g.edge_count
+
+
+def test_laplacian_matches_the_edge_loop_with_parallel_edges_both_ways():
+    rng = random.Random(404)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        edges = []
+        for _ in range(rng.randint(1, 40)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            length = 10.0 ** rng.uniform(-8.0, 8.0)
+            edges += [(a, b, length), (b, a, 10.0 ** rng.uniform(-8.0, 8.0))]
+        rng.shuffle(edges)
+        assert np.array_equal(circuit._laplacian(n, edges), loop_laplacian(n, edges))
+    assert np.array_equal(circuit._laplacian(1, ()), np.zeros((1, 1)))

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from taulab import cli, connectivity
+from taulab import cli, connectivity, invariants
 from taulab.connectivity import BoundsReport
-from taulab.errors import ParseError
+from taulab.errors import ParseError, SingularSystem
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
 
@@ -324,3 +329,102 @@ def test_conjecture_violation_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["invariants", path])
     assert code == 3
     assert "CONJECTURE VIOLATION" in err
+
+
+def test_parser_is_built_once_and_reads_the_tolerance_per_call(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, TRIANGLE_TEXT)
+    parser = cli._PARSER
+    for raw in ("0.25", "1e-3"):
+        monkeypatch.setenv("TAULAB_TOL", raw)
+        code, out, _ = run(capsys, ["verify", path])
+        assert code == 0
+        assert json.loads(out)["tolerance"] == float(raw)
+    monkeypatch.delenv("TAULAB_TOL")
+    code, out, _ = run(capsys, ["verify", path])
+    assert json.loads(out)["tolerance"] == cli.identities.DEFAULT_TOL
+    code, out, _ = run(capsys, ["verify", path, "--tol", "0.5"])
+    assert json.loads(out)["tolerance"] == 0.5
+    # A bad TAULAB_TOL is refused before the arguments are looked at.
+    monkeypatch.setenv("TAULAB_TOL", "nan")
+    code, out, err = run(capsys, ["no-such-command"])
+    assert code == 2 and out == "" and "TAULAB_TOL" in err
+    assert cli._PARSER is parser
+
+
+def test_usage_and_help_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert capsys.readouterr().out == (
+        "usage: taulab verify [-h] [--ids IDS] [--tol TOL] path\n\n"
+        "positional arguments:\n  path\n\n"
+        "options:\n  -h, --help  show this help message and exit\n"
+        "  --ids IDS   comma-separated ids, or 'all'\n  --tol TOL\n"
+    )
+    with pytest.raises(SystemExit):
+        cli.main([])
+    assert capsys.readouterr().err.startswith(
+        "usage: taulab [-h] {invariants,verify,fuzz,transform,oracle} ...\n"
+    )
+
+
+def skew_other_bases(monkeypatch):
+    """Make graph_profile report a different tau at every base but 0."""
+    real = invariants.graph_profile
+
+    def skewed(g, base=0):
+        prof = real(g, base)
+        return prof if base == 0 else dataclasses.replace(prof, tau=2.0 * prof.tau + 1.0)
+
+    monkeypatch.setattr(invariants, "graph_profile", skewed)
+
+
+def test_cross_base_disagreement_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # Lengths no other test uses, so no identity memo already holds a value.
+    text = "graph 4\nedge 0 1 1.25\nedge 1 2 2.5\nedge 2 3 0.75\nedge 3 0 3.0\nedge 0 2 1.5\n"
+    path = write(tmp_path, text)
+    skew_other_bases(monkeypatch)
+    with pytest.raises(SingularSystem, match="disagrees across base vertices"):
+        invariants.tau(cli.parse_graph(text))
+    for command in (["verify", path], ["invariants", path]):
+        code, out, err = run(capsys, command)
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("taulab: tau disagrees across base vertices") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+
+OPTIMIZED_SCRIPT = """
+import contextlib, dataclasses, io, sys
+from taulab import cli, invariants
+from taulab.errors import SingularSystem
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["invariants", sys.argv[1]])
+print(code, out.getvalue())
+real = invariants.graph_profile
+invariants.graph_profile = lambda g, base=0: (
+    real(g, base) if base == 0 else dataclasses.replace(real(g, base), tau=0.0))
+try:
+    invariants.tau(cli.parse_graph(open(sys.argv[1]).read()))
+    print("no error")
+except SingularSystem as exc:
+    print("SingularSystem:", exc)
+print("debug", __debug__, file=sys.stderr)
+"""
+
+
+def test_optimized_mode_keeps_report_bytes_and_the_cross_base_check(tmp_path):
+    path = write(tmp_path, TRIANGLE_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = {}
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_SCRIPT, path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs[tuple(flags)] = done
+    assert runs[("-O",)].stderr == "debug False\n"
+    assert runs[()].stderr == "debug True\n"
+    assert runs[("-O",)].stdout == runs[()].stdout
+    assert runs[()].stdout.startswith("0 {")
+    assert "SingularSystem: tau disagrees across base vertices" in runs[()].stdout
