@@ -7,7 +7,6 @@ deletion identities to numerical tolerance, and evaluates lower bounds for
 tau in terms of edge connectivity.
 """
 
-from .circuit import INFINITE, is_infinite
 from .connectivity import (
     BoundEntry,
     BoundsReport,
@@ -15,7 +14,7 @@ from .connectivity import (
     conjecture_margin,
     lower_bounds,
 )
-from .cuts import edge_connectivity, vertex_connectivity
+from .cuts import INFINITE, edge_connectivity, is_infinite, vertex_connectivity
 from .errors import NotApplicable, ParseError, TauLabError
 from .graphs import MetrizedGraph, build_graph
 from .identities import IdentityReport, identity_ids, verify, verify_all

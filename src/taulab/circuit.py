@@ -23,30 +23,24 @@ The inverse is checked by the normwise relative residual
 all lengths are scaled; a suspicious grounded inverse raises
 SingularSystem.
 
-Both routes land in one layout, edge_columns: per base, the deleted-edge
-resistance and the two star arms of every edge as read-only float64
-arrays indexed by edge, next to the lengths and the self-loop and bridge
-masks.  The invariant layer sums its per-edge terms straight from these
-columns.  One EdgeCircuitData per edge (edge_records, all_edge_circuit_data)
-is only built for code that reads edges one at a time.
-
-Resistance across a cut where no current can flow is represented by the
-INFINITE marker object, never by a float sentinel, so that the limit
-conventions of the invariant layer are explicit branches instead of
-accidents of IEEE arithmetic.  In the columns, self-loops and bridges are
-masked (NaN) and the masks carry their limits.
+Both routes land in one layout, all_edge_circuit_data: per base, the
+deleted-edge resistance and the two star arms of every edge as read-only
+float64 arrays indexed by edge, next to the lengths and the self-loop and
+bridge masks.  The invariants and the identity catalog read every per-edge
+quantity from these columns.  A self-loop holds its exact limit there (R
+and both arms 0.0); a bridge has no finite deleted-edge resistance, so its
+entries are NaN and its limits are applied by whoever reads the mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularSystem
-from .graphs import MetrizedGraph, component_labels
+from .graphs import MetrizedGraph
 
 # Largest normwise relative residual ||A X - I|| / (||A|| ||X||) accepted
 # from any inverse.
@@ -77,64 +71,6 @@ RANK_ONE_ERROR_BOUND = 1e-13
 # n = 14.
 RANK_ONE_MIN_VERTICES = 10
 _EPS = np.finfo(float).eps
-
-
-class Infinite:
-    """Marker for an unbounded resistance (probe points in separate components)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = Infinite()
-
-ResistanceValue = Union[float, Infinite]
-
-
-def is_infinite(value: ResistanceValue) -> bool:
-    return value is INFINITE
-
-
-@dataclass(frozen=True)
-class EdgeCircuitData:
-    """Resistance data of one edge, measured in the graph with that edge removed.
-
-    ``resistance`` is the effective resistance between the edge's endpoints
-    after the edge itself is deleted (INFINITE exactly when the edge is a
-    bridge).  Seen from the two endpoints and the base vertex, the
-    deleted-edge network reduces to a star with three arms; ``arm_first``
-    and ``arm_second`` are the arms at the first and second endpoint, the
-    two that the invariants read (through R = arm_first + arm_second and the
-    arm gap).  The arm at the base is not kept.  For a bridge the arm on the
-    far side of the cut from the base is INFINITE and the near one is 0.
-    For a self-loop everything collapses: resistance and both arms are 0.
-    """
-
-    edge: int
-    base: int
-    length: float
-    resistance: ResistanceValue
-    arm_first: ResistanceValue
-    arm_second: ResistanceValue
-
-    # Set at construction time; a self-loop is a structural fact, not
-    # something to be inferred from a zero resistance.
-    _loop_flag: bool = False
-
-    @property
-    def is_bridge(self) -> bool:
-        return is_infinite(self.resistance)
-
-    @property
-    def is_loop(self) -> bool:
-        return self._loop_flag
 
 
 def _laplacian(vertex_count: int, edges) -> np.ndarray:
@@ -244,7 +180,7 @@ def _gth_star(g: MetrizedGraph, edge: int, base: int) -> tuple[float, float]:
     return g_bp / d, g_ap / d
 
 
-def effective_resistance(g: MetrizedGraph, x: int, y: int) -> ResistanceValue:
+def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     """Effective resistance between two vertices of the (connected) graph.
 
     The network is reduced onto {x, y} by GTH elimination; what is left is
@@ -301,12 +237,16 @@ def _deleted_edge_inverses(g: MetrizedGraph):
 class EdgeColumns(NamedTuple):
     """Every edge's circuit data at one base, as read-only arrays indexed by edge.
 
-    ``length`` is float64, ``loop`` and ``bridge`` are boolean masks, and
-    ``resistance``, ``arm_first`` and ``arm_second`` are float64 columns
-    holding the EdgeCircuitData fields of the same names for every other
-    edge.  Self-loops and bridges are masked: their entries in the three
-    float columns are NaN, and their exact limits are applied by whoever
-    reads the masks.
+    ``length`` is float64 and ``loop`` and ``bridge`` are boolean masks.
+    ``resistance`` is the effective resistance between the edge's endpoints
+    once the edge itself is deleted.  Seen from the two endpoints and the
+    base, the deleted-edge network reduces to a star with three arms;
+    ``arm_first`` and ``arm_second`` are the arms at the first and second
+    endpoint, the two the invariants read (through R = arm_first +
+    arm_second and the arm gap arm_first - arm_second).  A self-loop holds
+    its exact limit, 0.0 in all three float columns.  A bridge is masked:
+    its three entries are NaN, and whoever reads the mask applies its
+    limits (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).
     """
 
     length: np.ndarray
@@ -317,15 +257,16 @@ class EdgeColumns(NamedTuple):
     arm_second: np.ndarray
 
 
-def edge_columns(g: MetrizedGraph, base: int) -> EdgeColumns:
+def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
     Edges with closed-form data (_deleted_edge_inverses, cached per graph
     and shared across bases) take R from it and their arm gap from one
     gather of row K[base]: arm_first = (R + gap) / 2 and
-    arm_second = R - arm_first.  Every other edge that is neither a bridge
-    nor a self-loop is reduced onto {a, b, base} by GTH elimination, one
-    edge at a time (_gth_star), and R is the sum of its two arms.
+    arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
+    same arithmetic gives its arms 0.  Every other edge that is neither a
+    bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,
+    one edge at a time (_gth_star), and R is the sum of its two arms.
     """
     base = g.check_vertex(base)
     edges = g.edges
@@ -337,6 +278,7 @@ def edge_columns(g: MetrizedGraph, base: int) -> EdgeColumns:
     bridge[list(bridges)] = True
     resistance, closed = _deleted_edge_inverses(g)
     R = np.array(resistance, dtype=float)  # NaN where resistance[i] is None
+    R[loop] = 0.0
     if closed is None:
         arm_first, arm_second = R.copy(), R.copy()
     else:
@@ -354,50 +296,3 @@ def edge_columns(g: MetrizedGraph, base: int) -> EdgeColumns:
     for column in columns:
         column.setflags(write=False)
     return columns
-
-
-def edge_records(g: MetrizedGraph, base: int, columns: EdgeColumns) -> tuple[EdgeCircuitData, ...]:
-    """One EdgeCircuitData per edge, read from a base's columns without solving anything.
-
-    Masked edges get their limits: a self-loop has resistance and both arms
-    0; a bridge has resistance INFINITE, arm 0 on the base's side of the
-    cut and INFINITE on the far side.
-    """
-    n = g.vertex_count
-    edges = g.edges
-    out: list[EdgeCircuitData] = []
-    rows = zip(edges, columns.loop.tolist(), columns.bridge.tolist(), columns.resistance.tolist(),
-               columns.arm_first.tolist(), columns.arm_second.tolist())
-    for i, ((a, _, length), loop, bridge, r_ab, arm_first, arm_second) in enumerate(rows):
-        if loop:
-            out.append(EdgeCircuitData(
-                edge=i, base=base, length=length,
-                resistance=0.0, arm_first=0.0, arm_second=0.0, _loop_flag=True,
-            ))
-            continue
-        if bridge:
-            labels = component_labels(n, edges, skip_edge=i)
-            if labels[base] == labels[a]:
-                arm_first, arm_second = 0.0, INFINITE
-            else:
-                arm_first, arm_second = INFINITE, 0.0
-            r_ab = INFINITE
-        out.append(EdgeCircuitData(
-            edge=i, base=base, length=length,
-            resistance=r_ab, arm_first=arm_first, arm_second=arm_second,
-        ))
-    return tuple(out)
-
-
-def all_edge_circuit_data(g: MetrizedGraph, base: int) -> tuple[EdgeCircuitData, ...]:
-    """Per-edge resistance and star-arm data with respect to one base vertex.
-
-    For each edge e = (a, b) the edge is removed and the rest of the network
-    is reduced, as seen from a, b and the base, to a star with three arms.
-    This is edge_columns (where the solving happens) turned into one
-    EdgeCircuitData per edge by edge_records.  The invariants never call
-    it: they read the columns, and a GraphProfile builds the same records
-    from its stored columns only when its edge_data is read.
-    """
-    base = g.check_vertex(base)
-    return edge_records(g, base, edge_columns(g, base))

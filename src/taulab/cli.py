@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import connectivity, fuzzing, identities, invariants, transforms
-from .circuit import is_infinite
+from .cuts import is_infinite
 from .errors import (
     ParseError,
     TauLabError,

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import invariants
-from .circuit import is_infinite
-from .cuts import edge_connectivity, vertex_connectivity
+from .cuts import edge_connectivity, is_infinite, vertex_connectivity
 from .errors import BridgePresent, TooLarge, TooSmall
 from .graphs import MetrizedGraph
 

@@ -23,9 +23,30 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .circuit import INFINITE, ResistanceValue
 from .errors import TooSmall
 from .graphs import MetrizedGraph
+
+
+class Infinite:
+    """Marker for an unbounded connectivity (a single vertex cannot be disconnected)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "INFINITE"
+
+
+INFINITE = Infinite()
+
+
+def is_infinite(value) -> bool:
+    return value is INFINITE
+
 
 # A flow network as flat arc arrays: arc i runs into head[i] with capacity
 # cap[i], its reverse is arc i ^ 1, and out[u] lists the arcs leaving u.
@@ -108,7 +129,7 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
     return best
 
 
-def edge_connectivity(g: MetrizedGraph) -> ResistanceValue:
+def edge_connectivity(g: MetrizedGraph) -> int | Infinite:
     """Smallest number of edges whose removal disconnects the graph.
 
     A single vertex cannot be disconnected, whatever its loops: INFINITE.

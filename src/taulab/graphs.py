@@ -140,19 +140,18 @@ def build_graph(vertex_count: int, edges: Iterable[Sequence]) -> MetrizedGraph:
     return MetrizedGraph(int(vertex_count), tuple(tuple(edge) for edge in edges))
 
 
-# -- connectivity helpers (shared with the circuit layer) ---------------------
+# -- connectivity helpers (shared with the transforms) ------------------------
 
 
-def _connected(vertex_count: int, edges: Sequence[Edge], skip_edge: int | None = None) -> bool:
-    labels = component_labels(vertex_count, edges, skip_edge)
-    return max(labels) == 0
+def _connected(vertex_count: int, edges: Sequence[Edge]) -> bool:
+    return max(component_labels(vertex_count, edges)) == 0
 
 
-def component_labels(vertex_count: int, edges: Sequence[Edge], skip_edge: int | None = None) -> list[int]:
+def component_labels(vertex_count: int, edges: Sequence[Edge]) -> list[int]:
     """Label each vertex with its connected-component index (0-based, by BFS)."""
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for i, (a, b, _) in enumerate(edges):
-        if i == skip_edge or a == b:
+    for a, b, _ in edges:
+        if a == b:
             continue
         adj[a].append(b)
         adj[b].append(a)

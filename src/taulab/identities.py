@@ -22,7 +22,9 @@ conventions live in the invariant layer (a loop has resistance 0 and weight
 pair (0, 1), a bridge has infinite resistance and weight pair (1, 0)), and
 every identity below stays true under those limits.  The few places where a
 formula would divide by a loop's zero resistance skip loops explicitly and
-say so.
+say so.  Per-edge resistances and arms are read from the profile's columns
+(GraphProfile.columns), where a bridge's entries are NaN; the two per-edge
+sums that run over bridges apply the bridge limit from the mask.
 """
 
 from __future__ import annotations
@@ -123,30 +125,33 @@ def _deletable_edges(g: MetrizedGraph, ident: str) -> list[int]:
 
 def _second_moment_terms(g: MetrizedGraph) -> list[float]:
     """L R^2/(L+R)^2 per edge; the bridge limit is L, loops give 0."""
+    c = _prof(g).columns
     terms = []
-    for d in _prof(g).edge_data:
-        if d.is_loop:
+    for (a, b, length), res, bridge in zip(g.edges, c.resistance.tolist(), c.bridge.tolist()):
+        if a == b:
             terms.append(0.0)
-        elif d.is_bridge:
-            terms.append(d.length)
+        elif bridge:
+            terms.append(length)
         else:
-            den = d.length + d.resistance
-            terms.append(d.length * d.resistance * d.resistance / (den * den))
+            den = length + res
+            terms.append(length * res * res / (den * den))
     return terms
 
 
 def _gap_terms(g: MetrizedGraph, base: int) -> list[float]:
     """L (Ra - Rb)^2/(L+R)^2 per edge at one base; bridge limit L, loops 0."""
+    c = invariants.graph_profile(g, base).columns
+    rows = zip(g.edges, c.resistance.tolist(), c.arm_first.tolist(), c.arm_second.tolist(), c.bridge.tolist())
     terms = []
-    for d in invariants.graph_profile(g, base).edge_data:
-        if d.is_loop:
+    for (a, b, length), res, first, second, bridge in rows:
+        if a == b:
             terms.append(0.0)
-        elif d.is_bridge:
-            terms.append(d.length)
+        elif bridge:
+            terms.append(length)
         else:
-            gap = d.arm_first - d.arm_second
-            den = d.length + d.resistance
-            terms.append(d.length * gap * gap / (den * den))
+            gap = first - second
+            den = length + res
+            terms.append(length * gap * gap / (den * den))
     return terms
 
 
@@ -202,10 +207,10 @@ def _tau_genus_lb(g):
 
 def _cont_del_tau(g):
     prof = _prof(g)
+    resistances = prof.columns.resistance.tolist()
     rows = []
     for i in _deletable_edges(g, "CONT_DEL_TAU"):
-        d = prof.edge_data[i]
-        length, res = d.length, d.resistance
+        length, res = g.edges[i][2], resistances[i]
         rhs = (
             prof.weight_length[i] * _prof(_delete(g, i)).tau
             + prof.weight_resistance[i] * _prof(_contract(g, i)).tau
@@ -228,13 +233,11 @@ def _del_id_da(g):
     prof = _prof(g)
     lhs = _prof(_da(g)).tau
     rows = []
-    for i, d in enumerate(prof.edge_data):
-        a, b, _ = g.edges[i]
-        length, res = d.length, d.resistance
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
         da_deleted = _da(_delete(g, i))
         # For a self-loop the two endpoints coincide and the crossing term
         # collapses to zero; the remaining terms reduce to the loop's L/12.
-        across = 0.0 if d.is_loop else _a_value(da_deleted, a, b)
+        across = 0.0 if a == b else _a_value(da_deleted, a, b)
         rhs = (
             _prof(da_deleted).tau
             + (2.0 * length * length - res * res) / (24.0 * (length + res))
@@ -249,10 +252,8 @@ def _del_id_a(g):
     _need_edges(g, "DEL_ID_A")
     prof = _prof(g)
     rows = []
-    for i, d in enumerate(prof.edge_data):
-        a, b, _ = g.edges[i]
-        length, res = d.length, d.resistance
-        if d.is_loop:
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+        if a == b:
             lhs, rhs = 0.0, 0.0
         else:
             lhs = _a_value(_delete(g, i), a, b) / (length + res)
@@ -288,11 +289,11 @@ def _cd_rows(g, ident, pick, own_term):
     edge's direct contribution from its length and deleted-edge resistance.
     """
     prof = _prof(g)
+    resistances = prof.columns.resistance.tolist()
     rows = []
     for i in _deletable_edges(g, ident):
-        d = prof.edge_data[i]
         rhs = (
-            own_term(d.length, d.resistance)
+            own_term(g.edges[i][2], resistances[i])
             + prof.weight_length[i] * pick(_prof(_delete(g, i)))
             + prof.weight_resistance[i] * pick(_prof(_contract(g, i)))
         )
@@ -319,17 +320,16 @@ def _cd_r(g):
 def _apq_contract(g):
     prof = _prof(g)
     diff = prof.x - prof.y
+    resistances = prof.columns.resistance.tolist()
     rows = []
     for i in _deletable_edges(g, "APQ_CONTRACT"):
-        d = prof.edge_data[i]
-        if d.is_loop:
+        a, b, length = g.edges[i]
+        if a == b:
             continue  # the crossing term divides by the loop's zero resistance
-        a, b, _ = g.edges[i]
+        res = resistances[i]
         cprof = _prof(_contract(g, i))
         across = _a_value(_delete(g, i), a, b)
-        rhs = (cprof.x - cprof.y) + 6.0 * d.length * across / (
-            d.resistance * (d.length + d.resistance)
-        )
+        rhs = (cprof.x - cprof.y) + 6.0 * length * across / (res * (length + res))
         rows.append((f"edge {i}", "eq", diff, rhs))
     if not rows:
         raise NotApplicable(
@@ -344,11 +344,10 @@ def _euler_z(g):
     through_k = []
     through_surgery = []
     direct = []
-    for i, d in enumerate(prof.edge_data):
-        length, res = d.length, d.resistance
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
         den = length + res
         through_k.append(length * invariants.K_definition(g, i) / den)
-        if d.is_loop:
+        if a == b:
             through_surgery.append(0.0)
         else:
             through_surgery.append(
@@ -369,10 +368,9 @@ def _euler_xy(g):
     prof = _prof(g)
     x_terms = []
     y_terms = []
-    for i, d in enumerate(prof.edge_data):
-        if d.is_loop:
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+        if a == b:
             continue  # weight L R/(L+R)^2 vanishes with R = 0
-        length, res = d.length, d.resistance
         den = length + res
         weight = length * res / (den * den)
         dprof = _prof(_delete(g, i))
@@ -630,10 +628,11 @@ def _ahm(g):
     rows = []
     for key, node in invariants.admissible_leaf_nodes(g):
         count, harmonic = invariants.banana_stats(node.graph)
+        resistances = _prof(node.graph).columns.resistance.tolist()
         parallel_z = math.fsum(
-            d.length * d.length / (d.length + d.resistance)
-            for d in _prof(node.graph).edge_data
-            if not d.is_loop
+            length * length / (length + res)
+            for (a, b, length), res in zip(node.graph.edges, resistances)
+            if a != b
         )
         rows.append(
             (f"leaf {_leaf_tag(key)}", "le", count * (count - 1) * harmonic, parallel_z)

@@ -25,22 +25,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import transforms
 from .circuit import (
-    EdgeCircuitData,
     EdgeColumns,
     _grounded_inverse,
     _laplacian,
-    edge_columns,
-    edge_records,
+    all_edge_circuit_data,
     effective_resistance,
 )
-from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall
+from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from .graphs import MetrizedGraph
 
 BASE_AGREEMENT_TOL = 1e-9
@@ -56,11 +54,9 @@ class GraphProfile:
     """Everything the invariant formulas need about one graph at one base.
 
     The scalars and both weight tuples are computed from the base's
-    EdgeColumns (circuit.edge_columns), which the profile keeps read-only
-    and leaves out of eq, hash and repr.  ``edge_data``, one EdgeCircuitData
-    per edge, is built from those columns the first time it is read and
-    kept; building it solves nothing, and tau, invariant_set and w_of never
-    read it.
+    EdgeColumns (circuit.all_edge_circuit_data).  The profile keeps them,
+    read-only and outside eq, hash and repr, as ``columns``: the per-edge
+    layout that the identity catalog and the per-edge invariants read.
     """
 
     base: int
@@ -74,12 +70,7 @@ class GraphProfile:
     # a self-loop weighs (0, 1), a bridge weighs (1, 0).
     weight_resistance: tuple[float, ...]
     weight_length: tuple[float, ...]
-    _graph: MetrizedGraph = field(repr=False, compare=False)
-    _columns: EdgeColumns = field(repr=False, compare=False)
-
-    @cached_property
-    def edge_data(self) -> tuple[EdgeCircuitData, ...]:
-        return edge_records(self._graph, self.base, self._columns)
+    columns: EdgeColumns = field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=16384)
@@ -93,7 +84,7 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     bridges theirs to r and y.
     """
     base = g.check_vertex(base)
-    columns = edge_columns(g, base)
+    columns = all_edge_circuit_data(g, base)
     loop, bridge = columns.loop, columns.bridge
     plain = ~(loop | bridge)
     L = columns.length[plain]
@@ -119,7 +110,7 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     return GraphProfile(
         base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
         weight_resistance=tuple(w_res.tolist()), weight_length=tuple(w_len.tolist()),
-        _graph=g, _columns=columns,
+        columns=columns,
     )
 
 
@@ -182,29 +173,38 @@ def invariant_set(g: MetrizedGraph, base: int = 0) -> InvariantSet:
 # -- deletion defect K ---------------------------------------------------------
 
 
+def _deletable(g: MetrizedGraph, i: int) -> int:
+    """Edge index i, checked; WouldDisconnect if deleting it disconnects g."""
+    i = g.check_edge(i)
+    if i in g.bridges():
+        raise WouldDisconnect(f"edge {i} is a bridge; K needs a connected deletion")
+    return i
+
+
 def K_definition(g: MetrizedGraph, i: int) -> float:
     """z(g) minus edge i's own z-term minus z(g - edge i).
 
     Measures how much the z-sum of the other edges grows when edge i is
-    deleted.  Defined whenever the deletion leaves the graph connected; for
-    a self-loop it is exactly 0.
+    deleted.  Defined whenever the deletion leaves the graph connected
+    (WouldDisconnect on a bridge); for a self-loop it is exactly 0.
     """
-    i = g.check_edge(i)
-    prof = graph_profile(g)
-    d = prof.edge_data[i]
-    if d.is_loop:
+    i = _deletable(g, i)
+    a, b, L = g.edges[i]
+    if a == b:
         return 0.0
-    own = d.length * d.length / (d.length + d.resistance)
+    prof = graph_profile(g)
+    R = float(prof.columns.resistance[i])
+    own = L * L / (L + R)
     return float(prof.z - own - z_of(transforms.delete_edge(g, i)))
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
     """The same defect via contraction: (R/(L+R)) (z(contracted) - z(deleted))."""
-    i = g.check_edge(i)
-    prof = graph_profile(g)
-    if prof.edge_data[i].is_loop:
+    i = _deletable(g, i)
+    a, b, _ = g.edges[i]
+    if a == b:
         return 0.0
-    weight = prof.weight_resistance[i]
+    weight = graph_profile(g).weight_resistance[i]
     return float(weight * (z_of(transforms.contract_edge(g, i)) - z_of(transforms.delete_edge(g, i))))
 
 
@@ -381,15 +381,11 @@ def w_nested(g: MetrizedGraph) -> float:
         raise TooSmall("nested form of w needs at least 2 vertices")
 
     def leaf(node: LatticeNode) -> float:
-        prof = graph_profile(node.graph)
-        terms = []
-        for d in prof.edge_data:
-            if d.is_loop:
-                terms.append(d.length)
-            else:
-                denom = d.length + d.resistance
-                terms.append(d.length ** 3 / (denom * denom))
-        return math.fsum(terms)
+        graph = node.graph
+        return math.fsum(
+            L if a == b else L ** 3 / ((L + R) * (L + R))
+            for (a, b, L), R in zip(graph.edges, graph_profile(graph).columns.resistance.tolist())
+        )
 
     depth = g.vertex_count - 2
     return nested_weighted_sum(g, [depth], leaf)[0] / math.factorial(depth)

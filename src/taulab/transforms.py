@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cuts import INFINITE, edge_connectivity
 from .errors import (
     HasCutVertex,
     NonPositiveLength,
@@ -244,9 +245,6 @@ def reduce_edge_connectivity_two(g: MetrizedGraph) -> MetrizedGraph:
     and tau are preserved; the edge count only ever drops.  A graph that
     collapses all the way ends as a bouquet of loops on a single vertex.
     """
-    from .cuts import edge_connectivity
-    from .circuit import INFINITE
-
     start = edge_connectivity(g)
     if start is INFINITE or start != 2:
         raise NotApplicable("reduce_edge_connectivity_two", f"edge connectivity is {start}, need exactly 2")

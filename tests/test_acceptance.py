@@ -13,8 +13,7 @@ import time
 import pytest
 
 from taulab import connectivity, identities, invariants, transforms
-from taulab.circuit import is_infinite
-from taulab.cuts import edge_connectivity, vertex_connectivity
+from taulab.cuts import edge_connectivity, is_infinite, vertex_connectivity
 from taulab.fuzzing import (
     _random_tree_edges,
     named_corpus,

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from taulab import circuit, invariants
-from taulab.circuit import (
-    INFINITE,
-    EdgeCircuitData,
-    all_edge_circuit_data,
-    effective_resistance,
-    is_infinite,
-)
+from taulab.circuit import all_edge_circuit_data, effective_resistance
 from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
@@ -80,12 +74,12 @@ def test_resistance_matches_pseudoinverse_oracle():
 
 
 def test_triangle_edge_data(triangle):
-    data = all_edge_circuit_data(triangle, 0)
-    d = data[0]  # edge (0, 1): the rest is a two-edge path of length 2
-    assert d.resistance == pytest.approx(2.0, rel=1e-12)
-    assert d.arm_first == pytest.approx(0.0, abs=1e-12)  # base sits at the first endpoint
-    assert d.arm_second == pytest.approx(2.0, rel=1e-12)
-    assert not d.is_loop
+    c = all_edge_circuit_data(triangle, 0)
+    # edge 0 = (0, 1): the rest is a two-edge path of length 2
+    assert c.resistance[0] == pytest.approx(2.0, rel=1e-12)
+    assert c.arm_first[0] == pytest.approx(0.0, abs=1e-12)  # base sits at the first endpoint
+    assert c.arm_second[0] == pytest.approx(2.0, rel=1e-12)
+    assert not c.loop[0] and not c.bridge[0]
 
 
 def test_arm_sum_recovers_deleted_resistance():
@@ -93,65 +87,50 @@ def test_arm_sum_recovers_deleted_resistance():
     for _ in range(20):
         g = random_connected_multigraph(rng, 6, 10)
         base = rng.randrange(g.vertex_count)
-        for d in all_edge_circuit_data(g, base):
-            if d.is_loop or is_infinite(d.resistance):
-                continue
-            assert d.arm_first + d.arm_second == pytest.approx(d.resistance, rel=1e-9, abs=1e-12)
+        c = all_edge_circuit_data(g, base)
+        for i in np.flatnonzero(~c.bridge):
+            assert c.arm_first[i] + c.arm_second[i] == pytest.approx(c.resistance[i], rel=1e-9, abs=1e-12)
     # These sizes take the closed form, whose arms are a difference.
     for n in (circuit.RANK_ONE_MIN_VERTICES, 20, 40):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         for base in range(g.vertex_count):
-            for d in all_edge_circuit_data(g, base):
-                assert d.arm_first + d.arm_second == pytest.approx(d.resistance, rel=1e-9, abs=1e-12)
-                assert min(d.arm_first, d.arm_second) >= -1e-12 * d.resistance, (n, base, d)
+            c = all_edge_circuit_data(g, base)
+            np.testing.assert_allclose(c.arm_first + c.arm_second, c.resistance, rtol=1e-9, atol=1e-12)
+            assert (np.minimum(c.arm_first, c.arm_second) >= -1e-12 * c.resistance).all(), (n, base)
 
 
 def test_loop_edge_data():
     g = build_graph(2, [(0, 1, 1.0), (1, 1, 3.0)])
-    d = all_edge_circuit_data(g, 0)[1]
-    assert d.is_loop
-    assert d.resistance == 0.0
-    assert d.arm_first == 0.0 and d.arm_second == 0.0
+    c = all_edge_circuit_data(g, 0)
+    assert c.loop[1] and not c.bridge[1]
+    assert c.resistance[1] == 0.0
+    assert c.arm_first[1] == 0.0 and c.arm_second[1] == 0.0
 
 
 def test_bridge_edge_data(path2):
-    d = all_edge_circuit_data(path2, 0)[0]
-    assert is_infinite(d.resistance)
-    # the arm on the base's side is finite, the far side is infinite
-    assert d.arm_first == 0.0
-    assert is_infinite(d.arm_second)
+    c = all_edge_circuit_data(path2, 0)
+    assert c.bridge[0] and not c.loop[0]
+    assert np.isnan([c.resistance[0], c.arm_first[0], c.arm_second[0]]).all()
 
 
 def test_deleted_resistance_matches_pseudoinverse_oracle():
     rng = random.Random(4711)
     for _ in range(30):
         g = random_connected_multigraph(rng, 6, 12)
-        bridges = g.bridges()
-        for d in all_edge_circuit_data(g, 0):
-            if d.edge in bridges:
-                continue
-            a, b, _ = g.edges[d.edge]
-            oracle = pinv_resistance(delete_edge(g, d.edge), a, b)
-            assert d.resistance == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        c = all_edge_circuit_data(g, 0)
+        for i in np.flatnonzero(~c.bridge):
+            a, b, _ = g.edges[i]
+            oracle = pinv_resistance(delete_edge(g, i), a, b)
+            assert c.resistance[i] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 def test_deleted_resistance_is_base_independent():
     rng = random.Random(5150)
     for _ in range(10):
         g = random_connected_multigraph(rng, 5, 9)
-        per_base = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
-        for i in range(g.edge_count):
-            values = [per_base[p][i].resistance for p in range(g.vertex_count)]
-            finite = [v for v in values if not is_infinite(v)]
-            assert len(finite) in (0, len(values))
-            for v in finite[1:]:
-                assert v == pytest.approx(finite[0], rel=1e-9, abs=1e-12)
-
-
-def test_infinite_marker_semantics():
-    assert is_infinite(INFINITE)
-    assert not is_infinite(1e300)
-    assert str(INFINITE) == "INFINITE"
+        per_base = [all_edge_circuit_data(g, p).resistance for p in range(g.vertex_count)]
+        for values in per_base[1:]:
+            np.testing.assert_allclose(values, per_base[0], rtol=1e-9, atol=1e-12)
 
 
 # -- exact rational references (stdlib only) ----------------------------------
@@ -229,10 +208,9 @@ def assert_edge_data_is_exact(g):
         to_a, to_b = exact_resistances_to(K, a), exact_resistances_to(K, b)
         R = to_b[a]
         scale = max(to_a + to_b)
-        for p, data in enumerate(per_base):
+        for p, c in enumerate(per_base):
             arm = (to_a[p] + R - to_b[p]) / 2
-            d = data[i]
-            for got, want in ((d.resistance, R), (d.arm_first, arm), (d.arm_second, R - arm)):
+            for got, want in ((c.resistance[i], R), (c.arm_first[i], arm), (c.arm_second[i], R - arm)):
                 assert abs(Fraction(got) - want) <= Fraction(1e-9) * scale, (g, i, p)
 
 
@@ -322,10 +300,9 @@ def test_rank_one_matches_explicit_route():
             a = g.edges[i][0]
             R = to_b[a]
             scale = max(to_a.max(), to_b.max())
-            for p, data in enumerate(per_base):
+            for p, c in enumerate(per_base):
                 arm = (to_a[p] + R - to_b[p]) / 2
-                d = data[i]
-                for got, want in ((d.resistance, R), (d.arm_first, arm), (d.arm_second, R - arm)):
+                for got, want in ((c.resistance[i], R), (c.arm_first[i], arm), (c.arm_second[i], R - arm)):
                     assert abs(got - want) <= 1e-12 * scale, (n, i, p)
 
 
@@ -410,21 +387,20 @@ def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
 def reference_profile(g, base):
     """The per-edge scalar loop graph_profile ran before its terms became columns."""
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    for d in all_edge_circuit_data(g, base):
-        L = d.length
-        if d.is_loop:
+    columns = all_edge_circuit_data(g, base)
+    for L, loop, bridge, R, arm_first, arm_second in zip(*(column.tolist() for column in columns)):
+        if loop:
             z_terms.append(L)
             w_res.append(0.0)
             w_len.append(1.0)
-        elif d.is_bridge:
+        elif bridge:
             r_terms.append(L)
             y_terms.append(L)
             w_res.append(1.0)
             w_len.append(0.0)
         else:
-            R = d.resistance
             denom = L + R
-            gap = d.arm_first - d.arm_second
+            gap = arm_first - arm_second
             z_terms.append(L * L / denom)
             r_terms.append(L * R / denom)
             sq = denom * denom
@@ -492,55 +468,32 @@ def test_profile_columns_match_the_scalar_loop_on_a_loop_only_vertex():
     assert invariants.graph_profile(g).z == g.total_length
 
 
-def test_lazy_edge_data_is_built_from_the_columns(monkeypatch):
+def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
     graphs = wide_spread_multigraphs(random.Random(3030), 30)
     assert sum(len(g.bridges()) for g in graphs) > 0
+    assert any(a == b for g in graphs for a, b, _ in g.edges)
     for g in graphs:
+        loop = np.array([a == b for a, b, _ in g.edges])
+        bridge = np.isin(np.arange(g.edge_count), list(g.bridges()))
         for base in range(g.vertex_count):
-            prof = invariants.graph_profile(g, base)
-            want = all_edge_circuit_data(g, base)
-            monkeypatch.setattr(circuit, "_gth_star", None)  # reading edge_data solves nothing
-            got = prof.edge_data
-            monkeypatch.undo()
-            assert got is prof.edge_data
-            assert len(got) == len(want)
-            for d, e in zip(got, want):
-                for name in ("edge", "base", "length", "resistance", "arm_first", "arm_second",
-                             "is_loop", "is_bridge"):
-                    assert getattr(d, name) == getattr(e, name), (name, base, g.edges)
-                if d.is_bridge:
-                    assert d.resistance is INFINITE
-                    assert {d.arm_first, d.arm_second} == {0.0, INFINITE}
+            c = all_edge_circuit_data(g, base)
+            assert np.array_equal(c.loop, loop) and np.array_equal(c.bridge, bridge)
+            assert np.array_equal(c.length, [L for _, _, L in g.edges])
+            for column in (c.resistance, c.arm_first, c.arm_second):
+                assert (column[loop] == 0.0).all(), (g.edges, base)
+                assert np.isnan(column[bridge]).all(), (g.edges, base)
+                assert np.isfinite(column[~bridge]).all(), (g.edges, base)
 
 
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
     prof = invariants.graph_profile(g, 1)
-    for column in circuit.edge_columns(g, 1):
+    for column in prof.columns:
         assert not column.flags.writeable
     with pytest.raises(ValueError):
-        circuit.edge_columns(g, 1).resistance[0] = 0.0
-    assert "_columns" not in repr(prof) and "_graph" not in repr(prof)
+        all_edge_circuit_data(g, 1).resistance[0] = 0.0
+    assert "columns" not in repr(prof)
     assert prof == invariants.graph_profile.__wrapped__(g, 1)
-
-
-def test_tau_builds_no_edge_records(monkeypatch):
-    built = []
-    init = EdgeCircuitData.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("edge"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(EdgeCircuitData, "__init__", counting)
-    rng = random.Random(120)
-    g = random_regular_graph(rng, 120, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-    tau(g)
-    invariants.invariant_set(g)
-    invariants.w_of(g)
-    assert built == []
-    assert len(invariants.graph_profile(g).edge_data) == g.edge_count
-    assert len(built) == g.edge_count
 
 
 def test_laplacian_matches_the_edge_loop_with_parallel_edges_both_ways():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -147,6 +148,31 @@ def test_verify_exit_matches_library_verdict(tmp_path, capsys):
     assert code == (1 if expects_failure else 0)
     report = json.loads(out)
     assert bool(report["failed"]) == expects_failure
+
+
+# sha256 of the stdout of verify --ids all then invariants, on each graph of
+# test_identity_and_invariant_report_bytes_are_pinned in turn.
+PINNED_REPORTS_SHA256 = "874214bc617f074fe6e1c89de73b7bb3fe14e78165623ba2bf38b679a653e100"
+
+
+def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # Fuzz multigraphs of at most 6 vertices (loops, bridges, parallel
+    # edges), lengths log-uniform over spreads 1e2-1e8.  Below 10 vertices
+    # every resistance comes from GTH elimination in pure Python, so the
+    # bytes do not depend on the BLAS build.
+    monkeypatch.delenv("TAULAB_TOL", raising=False)
+    rng = random.Random(4040)
+    digest = hashlib.sha256()
+    graphs = []
+    for _ in range(40):
+        g = random_connected_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(2.0, 8.0)
+        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+        path = write(tmp_path, cli.serialize_graph(graphs[-1]))
+        for argv in (["verify", path, "--ids", "all"], ["invariants", path]):
+            digest.update(run(capsys, argv)[1].encode())
+    assert any(g.bridges() for g in graphs) and any(a == b for g in graphs for a, b, _ in g.edges)
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 
 def test_parse_failures_exit_2(tmp_path, capsys):

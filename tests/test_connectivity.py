@@ -6,9 +6,8 @@ from collections import deque
 import pytest
 
 from taulab import connectivity, cuts
-from taulab.circuit import INFINITE, is_infinite
 from taulab.connectivity import N_of, conjecture_margin, lower_bounds
-from taulab.cuts import edge_connectivity, vertex_connectivity
+from taulab.cuts import INFINITE, edge_connectivity, is_infinite, vertex_connectivity
 from taulab.errors import BridgePresent, DisconnectedGraph, TooLarge, TooSmall
 from taulab.fuzzing import random_bridgeless_multigraph, random_connected_multigraph
 from taulab.graphs import build_graph, component_labels
@@ -25,6 +24,12 @@ def test_edge_connectivity_known_values(triangle, k4, path2):
     assert edge_connectivity(banana(5)) == 5
     assert is_infinite(edge_connectivity(build_graph(1, [])))
     assert is_infinite(edge_connectivity(build_graph(1, [(0, 0, 1.0)])))
+
+
+def test_infinite_marker_semantics():
+    assert is_infinite(INFINITE)
+    assert not is_infinite(1e300)
+    assert str(INFINITE) == "INFINITE"
 
 
 def test_edge_connectivity_ignores_loops():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from taulab import transforms
-from taulab.errors import BridgePresent, SameVertex, TooLarge, TooSmall
+from taulab import invariants, transforms
+from taulab.errors import BridgePresent, SameVertex, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
 from taulab.graphs import build_graph
 from taulab.invariants import (
@@ -152,6 +152,20 @@ def test_deletion_defect_rejects_bridges(path2):
     # the raw definition still works when the deleted edge is not a bridge
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 0, 1.0)])
     assert K_definition(g, 3) == pytest.approx(K_contraction_form(g, 3), rel=1e-9)
+
+
+def test_both_deletion_defect_forms_refuse_a_bridge_before_any_arithmetic(monkeypatch):
+    # a triangle with a pendant edge 3
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.5)])
+
+    def must_not_run(*args):
+        raise AssertionError("computed with a bridge")
+
+    monkeypatch.setattr(invariants, "graph_profile", must_not_run)
+    monkeypatch.setattr(transforms, "contract_edge", must_not_run)
+    for form in (K_definition, K_contraction_form):
+        with pytest.raises(WouldDisconnect, match="edge 3"):
+            form(g, 3)
 
 
 def test_loop_deletion_defect_is_zero():

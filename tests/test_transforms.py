@@ -3,8 +3,7 @@ import random
 import pytest
 
 from taulab import invariants, transforms
-from taulab.cuts import edge_connectivity
-from taulab.circuit import INFINITE
+from taulab.cuts import INFINITE, edge_connectivity
 from taulab.errors import (
     HasCutVertex,
     NonPositiveLength,
