@@ -104,10 +104,10 @@ def _load(path: str) -> MetrizedGraph:
 
 
 def _finite(value):
-    """Make a value JSON-friendly; the infinite marker becomes a string."""
+    """Make a value JSON-friendly; the infinite marker and math.inf become a string."""
     if value is None:
         return None
-    if is_infinite(value):
+    if is_infinite(value) or value == math.inf:
         return "infinite"
     return value
 
@@ -133,7 +133,7 @@ def _bounds_body(report: connectivity.BoundsReport) -> dict:
             }
             for entry in report.all_entries()
         ],
-        "conjecture_margin": report.conjecture_margin,
+        "conjecture_margin": _finite(report.conjecture_margin),
     }
 
 

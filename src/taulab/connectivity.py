@@ -36,8 +36,6 @@ __all__ = [
 # total_length / 108 on every metrized graph.
 CONJECTURE_DENOMINATOR = 108.0
 
-N_VERTEX_CAP = 7
-
 
 def N_of(g: MetrizedGraph) -> int:
     """Minimum parallel-edge count over all full contractions to 2 vertices.
@@ -47,8 +45,9 @@ def N_of(g: MetrizedGraph) -> int:
     """
     if g.vertex_count < 2:
         raise TooSmall("parallel-class minimum needs at least 2 vertices")
-    if g.vertex_count > N_VERTEX_CAP:
-        raise TooLarge(f"parallel-class enumeration is capped at {N_VERTEX_CAP} vertices")
+    cap = invariants.ORACLE_VERTEX_CAP
+    if g.vertex_count > cap:
+        raise TooLarge(f"parallel-class enumeration is capped at {cap} vertices")
     if not g.is_bridgeless():
         raise BridgePresent("parallel-class minimum expects a bridgeless graph")
     best = None

@@ -6,8 +6,8 @@ allowed, vertices are integers 0..vertex_count-1, and edges keep the order
 in which they were given so that edge indices are stable handles.
 
 Graphs are immutable.  Every construction path goes through the same
-validation (index range, positive finite lengths, connectivity), so any
-MetrizedGraph in existence is safe to hand to the circuit layer.
+validation (index range, lengths in [MIN_LENGTH, MAX_LENGTH], connectivity),
+so any MetrizedGraph in existence is safe to hand to the circuit layer.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ from .errors import (
 )
 
 Edge = tuple[int, int, float]
+
+# Lengths must lie in [MIN_LENGTH, MAX_LENGTH], so that cubes of lengths and
+# products of two conductances stay normal floats; beyond them conductance
+# products underflow to 0 and the circuit solves break down.
+MIN_LENGTH = 1e-100
+MAX_LENGTH = 1e100
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,10 @@ class MetrizedGraph:
             length = float(length)
             if not (0 <= a < n) or not (0 <= b < n):
                 raise BadVertexIndex(f"edge {pos} touches vertex outside 0..{n - 1}: ({a}, {b})")
-            if not math.isfinite(length) or length <= 0.0:
-                raise NonPositiveLength(f"edge {pos} has non-positive length {length!r}")
+            if not MIN_LENGTH <= length <= MAX_LENGTH:
+                raise NonPositiveLength(
+                    f"edge {pos} has length {length!r}, outside [{MIN_LENGTH!r}, {MAX_LENGTH!r}]"
+                )
             normalized.append((a, b, length))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(normalized))

@@ -13,9 +13,12 @@ Conventions shared by all entries:
   * inequalities carry a slack (rhs - lhs) / max(1, |lhs|, |rhs|) and pass
     when the slack is >= -tol; equalities contribute -residual as their
     slack so that a single number summarizes a mixed report;
-  * an identity that does not apply to the given graph raises NotApplicable
-    from verify(), and verify_many() and verify_all() turn that into a skipped
-    report.
+  * each registry entry pairs an evaluator with its identity's hypotheses
+    (bridgeless, enough vertices, total length 1, ...) as a tuple of
+    preconditions.  verify() checks them in their listed order before the
+    evaluator runs and raises NotApplicable with the reason of the first that
+    fails, so a skipped identity computes nothing; verify_many() and
+    verify_all() turn that into a skipped report.  Evaluators only build rows.
 
 Self-loops and bridges never need special-casing at this level: the limit
 conventions live in the invariant layer (a loop has resistance 0 and weight
@@ -23,26 +26,23 @@ pair (0, 1), a bridge has infinite resistance and weight pair (1, 0)), and
 every identity below stays true under those limits.  The few places where a
 formula would divide by a loop's zero resistance skip loops explicitly and
 say so.  Per-edge resistances and arms are read from the profile's columns
-(GraphProfile.columns), where a bridge's entries are NaN; the two per-edge
-sums that run over bridges apply the bridge limit from the mask.
+(GraphProfile.columns), where a bridge's entries are NaN; the per-edge
+squared terms, which run over bridges, apply the bridge limit from the mask.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from . import cuts, invariants, transforms
 from .errors import NotApplicable, UnknownIdentityId
 from .graphs import MetrizedGraph
+from .invariants import NESTED_VERTEX_CAP
 
 DEFAULT_TOL = 1e-9
-
-# Cost cap for the nested contraction sums; past this the lattice of
-# contraction sets gets too large to walk in reasonable time.
-NESTED_VERTEX_CAP = 6
 
 __all__ = [
     "DEFAULT_TOL",
@@ -87,72 +87,89 @@ def _prof(g: MetrizedGraph) -> invariants.GraphProfile:
     return invariants.graph_profile(g)
 
 
-def _need_bridgeless(g: MetrizedGraph, ident: str) -> None:
-    if not g.is_bridgeless():
-        raise NotApplicable(ident, "requires a bridgeless graph")
-
-
-def _need_vertices(g: MetrizedGraph, ident: str, count: int) -> None:
-    if g.vertex_count < count:
-        raise NotApplicable(ident, f"requires at least {count} vertices")
-
-
-def _need_edges(g: MetrizedGraph, ident: str) -> None:
-    if g.edge_count == 0:
-        raise NotApplicable(ident, "needs at least one edge")
-
-
-def _need_normalized(g: MetrizedGraph, ident: str) -> None:
-    if abs(g.total_length - 1.0) > 1e-9:
-        raise NotApplicable(ident, "requires total length 1 (normalize first)")
-
-
-def _cap_nested(g: MetrizedGraph, ident: str) -> None:
-    if g.vertex_count > NESTED_VERTEX_CAP:
-        raise NotApplicable(
-            ident, f"nested contraction sums are capped at {NESTED_VERTEX_CAP} vertices"
-        )
-
-
-def _deletable_edges(g: MetrizedGraph, ident: str) -> list[int]:
+def _deletable_edges(g: MetrizedGraph) -> list[int]:
     """Edges whose deletion keeps the graph connected (loops included)."""
     bridges = g.bridges()
-    ids = [i for i in range(g.edge_count) if i not in bridges]
-    if not ids:
-        raise NotApplicable(ident, "no edge keeps the graph connected when deleted")
-    return ids
+    return [i for i in range(g.edge_count) if i not in bridges]
 
 
-def _second_moment_terms(g: MetrizedGraph) -> list[float]:
-    """L R^2/(L+R)^2 per edge; the bridge limit is L, loops give 0."""
-    c = _prof(g).columns
+# -- preconditions -----------------------------------------------------------
+#
+# Each returns None when the graph meets it, else the reason it does not.
+
+
+def _bridgeless(g):
+    return None if g.is_bridgeless() else "requires a bridgeless graph"
+
+
+def _vertices(count):
+    def check(g):
+        return None if g.vertex_count >= count else f"requires at least {count} vertices"
+    return check
+
+
+def _some_edge(g):
+    return None if g.edge_count else "needs at least one edge"
+
+
+def _normalized(g):
+    return None if abs(g.total_length - 1.0) <= 1e-9 else "requires total length 1 (normalize first)"
+
+
+def _nested_cap(g):
+    if g.vertex_count <= NESTED_VERTEX_CAP:
+        return None
+    return f"nested contraction sums are capped at {NESTED_VERTEX_CAP} vertices"
+
+
+def _positive_genus(g):
+    return None if g.genus >= 1 else "requires genus at least 1"
+
+
+def _deletable_edge(g):
+    return None if _deletable_edges(g) else "no edge keeps the graph connected when deleted"
+
+
+def _deletable_non_loop(g):
+    if any(g.edges[i][0] != g.edges[i][1] for i in _deletable_edges(g)):
+        return None
+    return "needs an edge that is neither a bridge nor a self-loop"
+
+
+# -- shared sums ---------------------------------------------------------------
+
+
+def _squared_terms(g: MetrizedGraph, columns, spreads: list[float]) -> list[float]:
+    """L s^2/(L+R)^2 per edge for its entry s of spreads; bridge limit L, loops 0."""
+    rows = zip(g.edges, spreads, columns.resistance.tolist(), columns.bridge.tolist())
     terms = []
-    for (a, b, length), res, bridge in zip(g.edges, c.resistance.tolist(), c.bridge.tolist()):
+    for (a, b, length), spread, res, bridge in rows:
         if a == b:
             terms.append(0.0)
         elif bridge:
             terms.append(length)
         else:
             den = length + res
-            terms.append(length * res * res / (den * den))
+            terms.append(length * spread * spread / (den * den))
     return terms
+
+
+def _second_moment(g: MetrizedGraph) -> float:
+    """sum of L R^2/(L+R)^2."""
+    c = _prof(g).columns
+    return math.fsum(_squared_terms(g, c, c.resistance.tolist()))
 
 
 def _gap_terms(g: MetrizedGraph, base: int) -> list[float]:
-    """L (Ra - Rb)^2/(L+R)^2 per edge at one base; bridge limit L, loops 0."""
+    """L (Ra - Rb)^2/(L+R)^2 per edge at one base."""
     c = invariants.graph_profile(g, base).columns
-    rows = zip(g.edges, c.resistance.tolist(), c.arm_first.tolist(), c.arm_second.tolist(), c.bridge.tolist())
-    terms = []
-    for (a, b, length), res, first, second, bridge in rows:
-        if a == b:
-            terms.append(0.0)
-        elif bridge:
-            terms.append(length)
-        else:
-            gap = first - second
-            den = length + res
-            terms.append(length * gap * gap / (den * den))
-    return terms
+    return _squared_terms(g, c, [f - s for f, s in zip(c.arm_first.tolist(), c.arm_second.tolist())])
+
+
+def _weighted_sum(g: MetrizedGraph, weights, surgery, pick) -> float:
+    """sum of each edge's weight times pick of the graph that surgery on the
+    edge leaves; edges of weight 0 are skipped, surgery and all."""
+    return math.fsum(w * pick(_prof(surgery(g, i))) for i, w in enumerate(weights) if w != 0.0)
 
 
 # -- the registry entries --------------------------------------------------
@@ -173,13 +190,12 @@ def _genus(g):
 
 
 def _tau_contract(g):
-    _need_vertices(g, "TAU_CONTRACT", 3)
     prof = _prof(g)
     scale = g.vertex_count - 2
-    contracted = _contraction_sum(g, lambda p: p.tau)
+    contracted = _weighted_sum(g, prof.weight_resistance, _contract, lambda p: p.tau)
     # Same recursion with the edge kept as a loop instead of removed; the
     # correction term is then the whole length rather than z.
-    looped = _contraction_sum(g, lambda p: p.tau, keep_loop=True)
+    looped = _weighted_sum(g, prof.weight_resistance, _loopify, lambda p: p.tau)
     rows = [
         ("edge removed on contraction", "eq", prof.tau,
          contracted / scale - prof.z / (12.0 * scale)),
@@ -190,16 +206,14 @@ def _tau_contract(g):
 
 
 def _tau_genus(g):
-    _need_bridgeless(g, "TAU_GENUS")
     prof = _prof(g)
     scale = g.genus + 1
-    deleted = _deletion_sum(g, lambda p: p.tau)
+    deleted = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.tau)
     rhs = deleted / scale + prof.ell / (6.0 * scale) - prof.r / (4.0 * scale)
     return [("deletion average", "eq", prof.tau, rhs)], "bridgeless"
 
 
 def _tau_genus_lb(g):
-    _need_bridgeless(g, "TAU_GENUS_LB")
     prof = _prof(g)
     bound = prof.ell / (6.0 * (g.genus + 1))
     return [("genus lower bound", "le", bound, prof.tau)], "bridgeless"
@@ -209,7 +223,7 @@ def _cont_del_tau(g):
     prof = _prof(g)
     resistances = prof.columns.resistance.tolist()
     rows = []
-    for i in _deletable_edges(g, "CONT_DEL_TAU"):
+    for i in _deletable_edges(g):
         length, res = g.edges[i][2], resistances[i]
         rhs = (
             prof.weight_length[i] * _prof(_delete(g, i)).tau
@@ -228,8 +242,6 @@ def _da_tau(g):
 
 
 def _del_id_da(g):
-    _need_bridgeless(g, "DEL_ID_DA")
-    _need_edges(g, "DEL_ID_DA")
     prof = _prof(g)
     lhs = _prof(_da(g)).tau
     rows = []
@@ -248,8 +260,6 @@ def _del_id_da(g):
 
 
 def _del_id_a(g):
-    _need_bridgeless(g, "DEL_ID_A")
-    _need_edges(g, "DEL_ID_A")
     prof = _prof(g)
     rows = []
     for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
@@ -264,8 +274,6 @@ def _del_id_a(g):
 
 
 def _k_nonneg(g):
-    _need_bridgeless(g, "K_NONNEG")
-    _need_edges(g, "K_NONNEG")
     rows = [
         (f"edge {i}", "le", 0.0, invariants.K_definition(g, i))
         for i in range(g.edge_count)
@@ -277,23 +285,23 @@ def _k_contract(g):
     rows = [
         (f"edge {i}", "eq",
          invariants.K_definition(g, i), invariants.K_contraction_form(g, i))
-        for i in _deletable_edges(g, "K_CONTRACT")
+        for i in _deletable_edges(g)
     ]
     return rows, "per edge with connected deletion"
 
 
-def _cd_rows(g, ident, pick, own_term):
+def _cd_rows(g, pick, own):
     """Shared shape of the per-edge contraction-deletion identities.
 
-    pick reads the compared quantity off a profile, own_term gives the
+    pick reads the compared quantity off a profile, own gives the
     edge's direct contribution from its length and deleted-edge resistance.
     """
     prof = _prof(g)
     resistances = prof.columns.resistance.tolist()
     rows = []
-    for i in _deletable_edges(g, ident):
+    for i in _deletable_edges(g):
         rhs = (
-            own_term(g.edges[i][2], resistances[i])
+            own(g.edges[i][2], resistances[i])
             + prof.weight_length[i] * pick(_prof(_delete(g, i)))
             + prof.weight_resistance[i] * pick(_prof(_contract(g, i)))
         )
@@ -301,28 +309,12 @@ def _cd_rows(g, ident, pick, own_term):
     return rows, "per edge with connected deletion"
 
 
-def _cd_x(g):
-    return _cd_rows(g, "CD_X", lambda p: p.x, lambda L, R: L * R / (L + R))
-
-
-def _cd_y(g):
-    return _cd_rows(g, "CD_Y", lambda p: p.y, lambda L, R: 0.0)
-
-
-def _cd_z(g):
-    return _cd_rows(g, "CD_Z", lambda p: p.z, lambda L, R: L * L / (L + R))
-
-
-def _cd_r(g):
-    return _cd_rows(g, "CD_R", lambda p: p.r, lambda L, R: L * R / (L + R))
-
-
 def _apq_contract(g):
     prof = _prof(g)
     diff = prof.x - prof.y
     resistances = prof.columns.resistance.tolist()
     rows = []
-    for i in _deletable_edges(g, "APQ_CONTRACT"):
+    for i in _deletable_edges(g):
         a, b, length = g.edges[i]
         if a == b:
             continue  # the crossing term divides by the loop's zero resistance
@@ -331,15 +323,10 @@ def _apq_contract(g):
         across = _a_value(_delete(g, i), a, b)
         rhs = (cprof.x - cprof.y) + 6.0 * length * across / (res * (length + res))
         rows.append((f"edge {i}", "eq", diff, rhs))
-    if not rows:
-        raise NotApplicable(
-            "APQ_CONTRACT", "needs an edge that is neither a bridge nor a self-loop"
-        )
     return rows, "per non-loop edge with connected deletion"
 
 
 def _euler_z(g):
-    _need_bridgeless(g, "EULER_Z")
     prof = _prof(g)
     through_k = []
     through_surgery = []
@@ -364,7 +351,6 @@ def _euler_z(g):
 
 
 def _euler_xy(g):
-    _need_bridgeless(g, "EULER_XY")
     prof = _prof(g)
     x_terms = []
     y_terms = []
@@ -377,7 +363,7 @@ def _euler_xy(g):
         cprof = _prof(_contract(g, i))
         x_terms.append(weight * (dprof.x - cprof.x))
         y_terms.append(weight * (dprof.y - cprof.y))
-    second = math.fsum(_second_moment_terms(g))
+    second = _second_moment(g)
     rows = [
         ("x row", "eq", prof.x, second + math.fsum(x_terms)),
         ("y row", "eq", prof.y, math.fsum(y_terms)),
@@ -385,97 +371,37 @@ def _euler_xy(g):
     return rows, "bridgeless"
 
 
-def _contraction_sum(g, pick, keep_loop=False):
-    """sum of R/(L+R) times pick of each contracted graph (or, with
-    keep_loop, of the graph with the edge's endpoints glued instead)."""
-    surgery = _loopify if keep_loop else _contract
-    prof = _prof(g)
-    return math.fsum(
-        w * pick(_prof(surgery(g, i)))
-        for i, w in enumerate(prof.weight_resistance)
-        if w != 0.0
-    )
-
-
-def _deletion_sum(g, pick):
-    prof = _prof(g)
-    return math.fsum(
-        w * pick(_prof(_delete(g, i)))
-        for i, w in enumerate(prof.weight_length)
-        if w != 0.0
-    )
-
-
-def _contr_rows(g, ident, pick, drop):
+def _contr_rows(g, pick, drop):
     """(v - drop) times a quantity against its weighted contractions, for v > drop."""
-    _need_bridgeless(g, ident)
-    _need_vertices(g, ident, drop + 1)
-    lhs = (g.vertex_count - drop) * pick(_prof(g))
-    rows = [("weighted contractions", "eq", lhs, _contraction_sum(g, pick))]
-    return rows, f"bridgeless, v >= {drop + 1}"
+    prof = _prof(g)
+    lhs = (g.vertex_count - drop) * pick(prof)
+    rhs = _weighted_sum(g, prof.weight_resistance, _contract, pick)
+    return [("weighted contractions", "eq", lhs, rhs)], f"bridgeless, v >= {drop + 1}"
 
 
-def _contr_x(g):
-    return _contr_rows(g, "CONTR_X", lambda p: p.x, 2)
-
-
-def _contr_y(g):
-    return _contr_rows(g, "CONTR_Y", lambda p: p.y, 2)
-
-
-def _contr_z(g):
-    return _contr_rows(g, "CONTR_Z", lambda p: p.z, 1)
-
-
-def _contr_r(g):
-    return _contr_rows(g, "CONTR_R", lambda p: p.r, 2)
-
-
-def _del_rows(g, ident, pick, shift, extra=None):
+def _del_rows(g, pick, shift, extra=None):
     """(genus + shift) times a quantity against its weighted deletions,
     plus extra's term of g on the right when given."""
-    _need_bridgeless(g, ident)
     prof = _prof(g)
     lhs = (g.genus + shift) * pick(prof)
-    rhs = _deletion_sum(g, pick)
+    rhs = _weighted_sum(g, prof.weight_length, _delete, pick)
     if extra is not None:
         rhs = extra(prof) + rhs
     return [("weighted deletions", "eq", lhs, rhs)], "bridgeless"
 
 
-def _del_x(g):
-    return _del_rows(g, "DEL_X", lambda p: p.x, 0, extra=lambda p: p.y)
-
-
-def _del_y(g):
-    return _del_rows(g, "DEL_Y", lambda p: p.y, 1)
-
-
-def _del_z(g):
-    return _del_rows(g, "DEL_Z", lambda p: p.z, -1)
-
-
-def _del_r(g):
-    return _del_rows(g, "DEL_R", lambda p: p.r, 0)
-
-
 def _tau_contr2(g):
-    _need_bridgeless(g, "TAU_CONTR2")
-    _need_vertices(g, "TAU_CONTR2", 3)
     prof = _prof(g)
-    spread = _contraction_sum(g, lambda p: p.x - p.y)
+    spread = _weighted_sum(g, prof.weight_resistance, _contract, lambda p: p.x - p.y)
     rhs = prof.ell / 12.0 - spread / (6.0 * (g.vertex_count - 2))
     return [("contraction form", "eq", prof.tau, rhs)], "bridgeless, v >= 3"
 
 
 def _tau_del2(g):
-    _need_bridgeless(g, "TAU_DEL2")
-    if g.genus < 1:
-        raise NotApplicable("TAU_DEL2", "requires genus at least 1")
     prof = _prof(g)
     genus = g.genus
-    spread = _deletion_sum(g, lambda p: p.x - p.y)
-    leftover = _deletion_sum(g, lambda p: p.r)
+    spread = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.x - p.y)
+    leftover = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.r)
     rhs = (
         prof.ell / 12.0
         - spread / (6.0 * (genus + 1))
@@ -484,63 +410,55 @@ def _tau_del2(g):
     return [("deletion form", "eq", prof.tau, rhs)], "bridgeless, genus >= 1"
 
 
-def _succ_xy(g):
-    _need_bridgeless(g, "SUCC_XY")
-    _need_vertices(g, "SUCC_XY", 3)
-    _cap_nested(g, "SUCC_XY")
+def _succ_rows(g, leaf, sides):
+    """One row per contraction depth k in 1 .. v-2.
+
+    leaf(prof, graph) is the value summed over the depth-k contractions,
+    with prof the profile of g; sides(prof, v, k, nested) turns that sum
+    into the row's (lhs, rhs).
+    """
     prof = _prof(g)
     v = g.vertex_count
     depths = range(1, v - 1)
-    sums = invariants.nested_weighted_sum(
-        g, depths, lambda node: _prof(node.graph).x - _prof(node.graph).y
-    )
-    rows = []
-    for k, nested in zip(depths, sums):
-        lhs = math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y)
-        rows.append((f"depth {k}", "eq", lhs, nested))
+    sums = invariants.nested_weighted_sum(g, depths, lambda node: leaf(prof, node.graph))
+    rows = [(f"depth {k}", "eq", *sides(prof, v, k, nested)) for k, nested in zip(depths, sums)]
     return rows, "bridgeless, depths 1 .. v-2"
+
+
+def _succ_xy(g):
+    return _succ_rows(
+        g, lambda prof, h: _prof(h).x - _prof(h).y,
+        lambda prof, v, k, s: (math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y), s),
+    )
 
 
 def _succ_tau(g):
-    _need_bridgeless(g, "SUCC_TAU")
-    _need_vertices(g, "SUCC_TAU", 3)
-    _cap_nested(g, "SUCC_TAU")
-    prof = _prof(g)
-    v = g.vertex_count
-    depths = range(1, v - 1)
-    sums = invariants.nested_weighted_sum(g, depths, lambda node: _prof(node.graph).tau)
-    rows = []
-    for k, nested in zip(depths, sums):
-        rhs = (
-            math.factorial(v - k - 2) / math.factorial(v - 2) * nested
-            - k * prof.z / (12.0 * (v - k - 1))
-        )
-        rows.append((f"depth {k}", "eq", prof.tau, rhs))
-    return rows, "bridgeless, depths 1 .. v-2"
+    return _succ_rows(
+        g, lambda prof, h: _prof(h).tau,
+        lambda prof, v, k, s: (
+            prof.tau,
+            math.factorial(v - k - 2) / math.factorial(v - 2) * s - k * prof.z / (12.0 * (v - k - 1)),
+        ),
+    )
 
 
 def _succ_r(g):
-    _need_bridgeless(g, "SUCC_R")
-    _need_vertices(g, "SUCC_R", 3)
-    _cap_nested(g, "SUCC_R")
-    prof = _prof(g)
-    v = g.vertex_count
-    depths = range(1, v - 1)
     # The contracted lengths along a sequence are exactly what the leaf
     # graph lost, so the leaf value needs no bookkeeping of the path.
-    sums = invariants.nested_weighted_sum(
-        g, depths, lambda node: prof.ell - node.graph.total_length
+    return _succ_rows(
+        g, lambda prof, h: prof.ell - h.total_length,
+        lambda prof, v, k, s: (k * math.factorial(v - 2) / math.factorial(v - k - 1) * prof.r, s),
     )
-    rows = []
-    for k, nested in zip(depths, sums):
-        lhs = k * math.factorial(v - 2) / math.factorial(v - k - 1) * prof.r
-        rows.append((f"depth {k}", "eq", lhs, nested))
-    return rows, "bridgeless, depths 1 .. v-2"
+
+
+def _succ_z(g):
+    return _succ_rows(
+        g, lambda prof, h: _prof(h).z,
+        lambda prof, v, k, s: (math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z, s),
+    )
 
 
 def _succ_r_bounds(g):
-    _need_bridgeless(g, "SUCC_R_BOUNDS")
-    _need_vertices(g, "SUCC_R_BOUNDS", 3)
     prof = _prof(g)
     v = g.vertex_count
     lengths = sorted(length for _, _, length in g.edges)
@@ -553,29 +471,11 @@ def _succ_r_bounds(g):
     return rows, "bridgeless, subset sums for depths 1 .. v-2"
 
 
-def _succ_z(g):
-    _need_bridgeless(g, "SUCC_Z")
-    _need_vertices(g, "SUCC_Z", 3)
-    _cap_nested(g, "SUCC_Z")
-    prof = _prof(g)
-    v = g.vertex_count
-    depths = range(1, v - 1)
-    sums = invariants.nested_weighted_sum(g, depths, lambda node: _prof(node.graph).z)
-    rows = []
-    for k, nested in zip(depths, sums):
-        lhs = math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z
-        rows.append((f"depth {k}", "eq", lhs, nested))
-    return rows, "bridgeless, depths 1 .. v-2"
-
-
 def _leaf_tag(key) -> str:
     return "{" + ",".join(str(i) for i in sorted(key)) + "}"
 
 
 def _banana_xy(g):
-    _need_bridgeless(g, "BANANA_XY")
-    _need_vertices(g, "BANANA_XY", 2)
-    _cap_nested(g, "BANANA_XY")
     rows = []
     for key, node in invariants.admissible_leaf_nodes(g):
         count, harmonic = invariants.banana_stats(node.graph)
@@ -587,9 +487,6 @@ def _banana_xy(g):
 
 
 def _tau_main5(g):
-    _need_bridgeless(g, "TAU_MAIN5")
-    _need_vertices(g, "TAU_MAIN5", 3)
-    _cap_nested(g, "TAU_MAIN5")
     prof = _prof(g)
     depth = g.vertex_count - 2
 
@@ -603,9 +500,6 @@ def _tau_main5(g):
 
 
 def _w_id(g):
-    _need_bridgeless(g, "W_ID")
-    _need_vertices(g, "W_ID", 2)
-    _cap_nested(g, "W_ID")
     prof = _prof(g)
     lhs = (g.vertex_count - 1) * prof.z
     rhs = invariants.w_nested(g) + prof.x
@@ -613,8 +507,6 @@ def _w_id(g):
 
 
 def _z_x_bound(g):
-    _need_bridgeless(g, "Z_X_BOUND")
-    _need_vertices(g, "Z_X_BOUND", 2)
     prof = _prof(g)
     lam = cuts.edge_connectivity(g)
     bound = lam * prof.x / (g.vertex_count - 1)
@@ -622,9 +514,6 @@ def _z_x_bound(g):
 
 
 def _ahm(g):
-    _need_bridgeless(g, "AHM")
-    _need_vertices(g, "AHM", 2)
-    _cap_nested(g, "AHM")
     rows = []
     for key, node in invariants.admissible_leaf_nodes(g):
         count, harmonic = invariants.banana_stats(node.graph)
@@ -641,15 +530,13 @@ def _ahm(g):
 
 
 def _norm2term(g):
-    _need_normalized(g, "NORM2TERM")
     prof = _prof(g)
-    second = math.fsum(_second_moment_terms(g))
-    return [("squared first moment", "le", prof.r * prof.r, second)], "normalized"
+    return [("squared first moment", "le", prof.r * prof.r, _second_moment(g))], "normalized"
 
 
 def _val_partition(g):
     v = g.vertex_count
-    second = math.fsum(_second_moment_terms(g))
+    second = _second_moment(g)
     gap_by_base = [_gap_terms(g, p) for p in range(v)]
     away = []
     for q in range(v):
@@ -667,9 +554,6 @@ def _val_partition(g):
 
 
 def _edgecon11(g):
-    _need_normalized(g, "EDGECON11")
-    _need_bridgeless(g, "EDGECON11")
-    _need_vertices(g, "EDGECON11", 2)
     prof = _prof(g)
     v = g.vertex_count
     lam = cuts.edge_connectivity(g)
@@ -686,47 +570,50 @@ def _edgecon11(g):
     return rows, "normalized bridgeless, v >= 2"
 
 
+# Each identity id maps to (evaluator, preconditions).  Evaluators read the
+# memoized surgeries as module globals when they run, so a rebinding (as
+# perfbench/tracing.py does for its spans) takes effect.
 _REGISTRY = {
-    "GENUS": _genus,
-    "TAU_CONTRACT": _tau_contract,
-    "TAU_GENUS": _tau_genus,
-    "TAU_GENUS_LB": _tau_genus_lb,
-    "CONT_DEL_TAU": _cont_del_tau,
-    "DA_TAU": _da_tau,
-    "DEL_ID_DA": _del_id_da,
-    "DEL_ID_A": _del_id_a,
-    "K_NONNEG": _k_nonneg,
-    "K_CONTRACT": _k_contract,
-    "CD_X": _cd_x,
-    "CD_Y": _cd_y,
-    "CD_Z": _cd_z,
-    "CD_R": _cd_r,
-    "APQ_CONTRACT": _apq_contract,
-    "EULER_Z": _euler_z,
-    "EULER_XY": _euler_xy,
-    "CONTR_X": _contr_x,
-    "CONTR_Y": _contr_y,
-    "CONTR_Z": _contr_z,
-    "CONTR_R": _contr_r,
-    "DEL_X": _del_x,
-    "DEL_Y": _del_y,
-    "DEL_Z": _del_z,
-    "DEL_R": _del_r,
-    "TAU_CONTR2": _tau_contr2,
-    "TAU_DEL2": _tau_del2,
-    "SUCC_XY": _succ_xy,
-    "SUCC_TAU": _succ_tau,
-    "SUCC_R": _succ_r,
-    "SUCC_R_BOUNDS": _succ_r_bounds,
-    "SUCC_Z": _succ_z,
-    "BANANA_XY": _banana_xy,
-    "TAU_MAIN5": _tau_main5,
-    "W_ID": _w_id,
-    "Z_X_BOUND": _z_x_bound,
-    "AHM": _ahm,
-    "NORM2TERM": _norm2term,
-    "VAL_PARTITION": _val_partition,
-    "EDGECON11": _edgecon11,
+    "GENUS": (_genus, ()),
+    "TAU_CONTRACT": (_tau_contract, (_vertices(3),)),
+    "TAU_GENUS": (_tau_genus, (_bridgeless,)),
+    "TAU_GENUS_LB": (_tau_genus_lb, (_bridgeless,)),
+    "CONT_DEL_TAU": (_cont_del_tau, (_deletable_edge,)),
+    "DA_TAU": (_da_tau, ()),
+    "DEL_ID_DA": (_del_id_da, (_bridgeless, _some_edge)),
+    "DEL_ID_A": (_del_id_a, (_bridgeless, _some_edge)),
+    "K_NONNEG": (_k_nonneg, (_bridgeless, _some_edge)),
+    "K_CONTRACT": (_k_contract, (_deletable_edge,)),
+    "CD_X": (partial(_cd_rows, pick=lambda p: p.x, own=lambda L, R: L * R / (L + R)), (_deletable_edge,)),
+    "CD_Y": (partial(_cd_rows, pick=lambda p: p.y, own=lambda L, R: 0.0), (_deletable_edge,)),
+    "CD_Z": (partial(_cd_rows, pick=lambda p: p.z, own=lambda L, R: L * L / (L + R)), (_deletable_edge,)),
+    "CD_R": (partial(_cd_rows, pick=lambda p: p.r, own=lambda L, R: L * R / (L + R)), (_deletable_edge,)),
+    "APQ_CONTRACT": (_apq_contract, (_deletable_edge, _deletable_non_loop)),
+    "EULER_Z": (_euler_z, (_bridgeless,)),
+    "EULER_XY": (_euler_xy, (_bridgeless,)),
+    "CONTR_X": (partial(_contr_rows, pick=lambda p: p.x, drop=2), (_bridgeless, _vertices(3))),
+    "CONTR_Y": (partial(_contr_rows, pick=lambda p: p.y, drop=2), (_bridgeless, _vertices(3))),
+    "CONTR_Z": (partial(_contr_rows, pick=lambda p: p.z, drop=1), (_bridgeless, _vertices(2))),
+    "CONTR_R": (partial(_contr_rows, pick=lambda p: p.r, drop=2), (_bridgeless, _vertices(3))),
+    "DEL_X": (partial(_del_rows, pick=lambda p: p.x, shift=0, extra=lambda p: p.y), (_bridgeless,)),
+    "DEL_Y": (partial(_del_rows, pick=lambda p: p.y, shift=1), (_bridgeless,)),
+    "DEL_Z": (partial(_del_rows, pick=lambda p: p.z, shift=-1), (_bridgeless,)),
+    "DEL_R": (partial(_del_rows, pick=lambda p: p.r, shift=0), (_bridgeless,)),
+    "TAU_CONTR2": (_tau_contr2, (_bridgeless, _vertices(3))),
+    "TAU_DEL2": (_tau_del2, (_bridgeless, _positive_genus)),
+    "SUCC_XY": (_succ_xy, (_bridgeless, _vertices(3), _nested_cap)),
+    "SUCC_TAU": (_succ_tau, (_bridgeless, _vertices(3), _nested_cap)),
+    "SUCC_R": (_succ_r, (_bridgeless, _vertices(3), _nested_cap)),
+    "SUCC_R_BOUNDS": (_succ_r_bounds, (_bridgeless, _vertices(3))),
+    "SUCC_Z": (_succ_z, (_bridgeless, _vertices(3), _nested_cap)),
+    "BANANA_XY": (_banana_xy, (_bridgeless, _vertices(2), _nested_cap)),
+    "TAU_MAIN5": (_tau_main5, (_bridgeless, _vertices(3), _nested_cap)),
+    "W_ID": (_w_id, (_bridgeless, _vertices(2), _nested_cap)),
+    "Z_X_BOUND": (_z_x_bound, (_bridgeless, _vertices(2))),
+    "AHM": (_ahm, (_bridgeless, _vertices(2), _nested_cap)),
+    "NORM2TERM": (_norm2term, (_normalized,)),
+    "VAL_PARTITION": (_val_partition, ()),
+    "EDGECON11": (_edgecon11, (_normalized, _bridgeless, _vertices(2))),
 }
 
 
@@ -767,14 +654,18 @@ def _build_report(identity: str, rows, note: str, tol: float) -> IdentityReport:
 def verify(g: MetrizedGraph, identity_id: str, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Check one identity on one graph.
 
-    Raises NotApplicable when the graph does not meet the identity's
-    preconditions; numeric disagreement never raises, it comes back as a
-    report with passed=False.
+    Raises NotApplicable, before any evaluation, at the first of the
+    identity's preconditions that the graph does not meet; numeric
+    disagreement never raises, it comes back as a report with passed=False.
     """
     try:
-        evaluator = _REGISTRY[identity_id]
+        evaluator, preconditions = _REGISTRY[identity_id]
     except KeyError:
         raise UnknownIdentityId(f"unknown identity id: {identity_id!r}") from None
+    for precondition in preconditions:
+        reason = precondition(g)
+        if reason is not None:
+            raise NotApplicable(identity_id, reason)
     rows, note = evaluator(g)
     return _build_report(identity_id, rows, note, tol)
 

@@ -43,6 +43,13 @@ from .graphs import MetrizedGraph
 
 BASE_AGREEMENT_TOL = 1e-9
 
+# Cost caps for walks of the contraction lattice, whose size grows
+# exponentially with the vertex count: the nested contraction sums stop at
+# NESTED_VERTEX_CAP vertices, the exhaustive oracles (the contraction oracle
+# for tau, the parallel-class minimum N) at ORACLE_VERTEX_CAP.
+NESTED_VERTEX_CAP = 6
+ORACLE_VERTEX_CAP = 7
+
 
 def relative_gap(a: float, b: float) -> float:
     """|a - b| scaled by max(1, |a|, |b|); the residual convention used throughout."""
@@ -120,12 +127,6 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
 def z_of(g: MetrizedGraph) -> float:
     """sum of L^2/(L+R); base-free."""
     return graph_profile(g).z
-
-
-def xy_of(g: MetrizedGraph, base: int = 0) -> tuple[float, float]:
-    """The pair (x, y) computed at the given base vertex."""
-    prof = graph_profile(g, base)
-    return prof.x, prof.y
 
 
 def tau(g: MetrizedGraph) -> float:
@@ -368,15 +369,15 @@ def w_of(g: MetrizedGraph) -> float:
 
 
 def w_nested(g: MetrizedGraph) -> float:
-    """w evaluated from its defining nested sum (exponential; capped at 6 vertices).
+    """w evaluated from its defining nested sum (exponential; capped at NESTED_VERTEX_CAP).
 
     Averages, over all admissible contraction sequences, the sum of
     L^3/(L+R)^2 over the edges of the final two-vertex graph.
     """
     if not g.is_bridgeless():
         raise BridgePresent("w is only defined on bridgeless graphs")
-    if g.vertex_count > 6:
-        raise TooLarge("nested form of w is capped at 6 vertices")
+    if g.vertex_count > NESTED_VERTEX_CAP:
+        raise TooLarge(f"nested form of w is capped at {NESTED_VERTEX_CAP} vertices")
     if g.vertex_count < 2:
         raise TooSmall("nested form of w needs at least 2 vertices")
 
@@ -440,10 +441,10 @@ def tau_oracle_contraction(g: MetrizedGraph) -> float:
     For three or more vertices, tau is the weighted average of the tau values
     of all single-edge contractions (weight R/(L+R)) minus z/12, scaled by
     1/(v-2).  The x/y formulas are never consulted.  Exponential in the
-    vertex count, hence capped at 7 vertices.
+    vertex count, hence capped at ORACLE_VERTEX_CAP vertices.
     """
-    if g.vertex_count > 7:
-        raise TooLarge("contraction oracle is capped at 7 vertices")
+    if g.vertex_count > ORACLE_VERTEX_CAP:
+        raise TooLarge(f"contraction oracle is capped at {ORACLE_VERTEX_CAP} vertices")
     lattice = contraction_lattice(g)
     memo: dict[frozenset, float] = {}
 

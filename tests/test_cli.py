@@ -102,6 +102,20 @@ def test_invariants_reports_infinite_connectivity(tmp_path, capsys):
     assert report["vertex_connectivity"] is None
 
 
+def test_invariants_stdout_is_strict_json(tmp_path, capsys):
+    # No edges, no length: the conjecture margin is infinite, which JSON
+    # has no number for.
+    path = write(tmp_path, "graph 1\n")
+    code, out, _ = run(capsys, ["invariants", path])
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert report["conjecture_margin"] == "infinite"
+
+
 def test_verify_command_all(tmp_path, capsys):
     path = write(tmp_path, TRIANGLE_TEXT)
     code, out, _ = run(capsys, ["verify", path])
@@ -182,6 +196,16 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     assert "taulab:" in err
     code, _, err = run(capsys, ["invariants", str(tmp_path / "missing.graph")])
     assert code == 2
+
+
+def test_lengths_beyond_the_circuit_range_exit_2(tmp_path, capsys):
+    for length in ("1e200", "1e-200"):
+        path = write(tmp_path, f"graph 3\nedge 0 1 {length}\nedge 1 2 {length}\nedge 2 0 {length}\n")
+        for argv in (["invariants", path], ["verify", path, "--ids", "all"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2, (length, argv)
+            assert out == ""
+            assert err.startswith("taulab: ") and "Traceback" not in err
 
 
 def test_huge_vertex_count_without_edges_exits_2(tmp_path, capsys):

@@ -9,8 +9,10 @@ from taulab.errors import (
     DisconnectedGraph,
     NonPositiveLength,
 )
+from taulab.circuit import effective_resistance
 from taulab.fuzzing import random_connected_multigraph
-from taulab.graphs import MetrizedGraph, build_graph, component_labels
+from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels
+from taulab.invariants import tau
 
 
 def test_build_rejects_bad_vertex():
@@ -24,6 +26,19 @@ def test_build_rejects_bad_lengths():
     for length in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(NonPositiveLength):
             build_graph(2, [(0, 1, length)])
+
+
+def test_lengths_must_keep_conductance_products_normal():
+    # Beyond the bounds products of two conductances leave the normal
+    # floats: a 1e200 triangle divided by zero in the circuit layer, and at
+    # 1e160 its resistance came out 0.6666691 L instead of 2/3 L.
+    for length in (1e200, 1e-200, 1.01 * MAX_LENGTH, 0.99 * MIN_LENGTH):
+        with pytest.raises(NonPositiveLength):
+            build_graph(3, [(0, 1, length), (1, 2, length), (2, 0, length)])
+    for length in (MIN_LENGTH, MAX_LENGTH):
+        g = build_graph(3, [(0, 1, length), (1, 2, length), (2, 0, length)])
+        assert effective_resistance(g, 0, 1) / length == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert tau(g) / length == pytest.approx(0.25, rel=1e-12)
 
 
 def test_build_rejects_disconnected():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -112,6 +113,28 @@ def test_skip_reports_carry_reasons(path2, banana3):
         verify(path2, "TAU_GENUS")
     with pytest.raises(NotApplicable):
         verify(banana3, "TAU_CONTRACT")
+
+
+# sha256 of the "identity applicable note" lines of verify_all on each graph
+# of test_skip_table_is_pinned in turn.
+PINNED_SKIP_TABLE_SHA256 = "b5c0b3815045310e2675d2ff92a4c88040812c7c0e662a748804239abd9ec505"
+
+
+def test_skip_table_is_pinned():
+    # Between them these six graphs hit every reason an identity is skipped
+    # for, so a reordered or reworded precondition changes the table.
+    graphs = [
+        build_graph(1, []),
+        build_graph(1, [(0, 0, 1.5)]),
+        build_graph(2, [(0, 1, 1.0), (1, 1, 2.0)]),
+        build_graph(3, [(0, 1, 0.25), (1, 2, 0.75)]),
+        build_graph(7, [(i, i + 1, 1.0) for i in range(6)] + [(0, 6, 1.0), (1, 5, 1.0), (2, 4, 1.0)]),
+        build_graph(7, [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(0, 6, 1.0)]),
+    ]
+    reports = [r for g in graphs for r in verify_all(g)]
+    assert len({r.note for r in reports if not r.applicable}) == 9
+    table = "\n".join(f"{r.identity} {r.applicable} {r.note}" for r in reports)
+    assert hashlib.sha256(table.encode()).hexdigest() == PINNED_SKIP_TABLE_SHA256
 
 
 def test_normalization_gate(triangle):
@@ -244,6 +267,7 @@ def test_edgecon_family_on_normalized_k4(k4):
     r = verify(unit, "EDGECON11")
     assert r.passed
     # x <= g y and (lambda - 1) y <= x pin x/y between 2 and 3 here
-    x, y = invariants.xy_of(unit)
+    prof = invariants.graph_profile(unit)
+    x, y = prof.x, prof.y
     assert 2.0 * y <= x + 1e-12
     assert x <= 3.0 * y + 1e-12

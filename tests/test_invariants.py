@@ -23,7 +23,6 @@ from taulab.invariants import (
     tau_oracle_integral,
     w_nested,
     w_of,
-    xy_of,
     z_of,
 )
 
@@ -97,11 +96,11 @@ def test_invariants_are_base_independent():
     rng = random.Random(11)
     for _ in range(15):
         g = random_connected_multigraph(rng, 6, 10)
-        x0, y0 = xy_of(g, 0)
+        p0 = graph_profile(g, 0)
         for base in range(1, g.vertex_count):
-            xb, yb = xy_of(g, base)
-            assert xb == pytest.approx(x0, rel=1e-9, abs=1e-12)
-            assert yb == pytest.approx(y0, rel=1e-9, abs=1e-12)
+            pb = graph_profile(g, base)
+            assert pb.x == pytest.approx(p0.x, rel=1e-9, abs=1e-12)
+            assert pb.y == pytest.approx(p0.y, rel=1e-9, abs=1e-12)
 
 
 def test_invariants_scale_linearly(k4):
@@ -223,8 +222,8 @@ def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
         return tau(node.graph)
 
     def leaf_xy_gap(node):
-        x, y = xy_of(node.graph)
-        return x - y
+        prof = graph_profile(node.graph)
+        return prof.x - prof.y
 
     for g in (k4, named_corpus()["prism"]):
         depths = range(1, g.vertex_count - 1)
