@@ -18,8 +18,8 @@ class BadEdgeIndex(TauLabError, IndexError):
 
 
 class NonPositiveLength(TauLabError, ValueError):
-    """An edge length lies outside [MIN_LENGTH, MAX_LENGTH] of graphs.py: zero,
-    negative, NaN, infinite, or too small or too large for the circuit solves."""
+    """An edge length is zero, negative or not finite, or, in input given to
+    graphs.build_graph, outside [MIN_LENGTH, MAX_LENGTH]."""
 
 
 class DisconnectedGraph(TauLabError, ValueError):

@@ -6,8 +6,11 @@ allowed, vertices are integers 0..vertex_count-1, and edges keep the order
 in which they were given so that edge indices are stable handles.
 
 Graphs are immutable.  Every construction path goes through the same
-validation (index range, lengths in [MIN_LENGTH, MAX_LENGTH], connectivity),
-so any MetrizedGraph in existence is safe to hand to the circuit layer.
+validation (index range, positive finite lengths, connectivity).  Input from
+outside comes in through build_graph, which also bounds each length to
+[MIN_LENGTH, MAX_LENGTH]; surgeries shrink lengths only by small factors
+(halving, subdivision), which stays far inside the range where the circuit
+layer is exact, so their outputs are not bounded again.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import (
 
 Edge = tuple[int, int, float]
 
-# Lengths must lie in [MIN_LENGTH, MAX_LENGTH], so that cubes of lengths and
-# products of two conductances stay normal floats; beyond them conductance
-# products underflow to 0 and the circuit solves break down.
+# build_graph accepts lengths in [MIN_LENGTH, MAX_LENGTH], so that cubes of
+# lengths and products of two conductances stay normal floats; near 1e+-154
+# conductance products underflow to 0 and the circuit solves break down.
 MIN_LENGTH = 1e-100
 MAX_LENGTH = 1e100
 
@@ -58,10 +61,8 @@ class MetrizedGraph:
             length = float(length)
             if not (0 <= a < n) or not (0 <= b < n):
                 raise BadVertexIndex(f"edge {pos} touches vertex outside 0..{n - 1}: ({a}, {b})")
-            if not MIN_LENGTH <= length <= MAX_LENGTH:
-                raise NonPositiveLength(
-                    f"edge {pos} has length {length!r}, outside [{MIN_LENGTH!r}, {MAX_LENGTH!r}]"
-                )
+            if not math.isfinite(length) or length <= 0.0:
+                raise NonPositiveLength(f"edge {pos} has non-positive length {length!r}")
             normalized.append((a, b, length))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(normalized))
@@ -145,7 +146,13 @@ class MetrizedGraph:
 
 def build_graph(vertex_count: int, edges: Iterable[Sequence]) -> MetrizedGraph:
     """Validate and build a metrized graph from raw (u, w, length) triples."""
-    return MetrizedGraph(int(vertex_count), tuple(tuple(edge) for edge in edges))
+    g = MetrizedGraph(int(vertex_count), tuple(tuple(edge) for edge in edges))
+    for pos, (_, _, length) in enumerate(g.edges):
+        if not MIN_LENGTH <= length <= MAX_LENGTH:
+            raise NonPositiveLength(
+                f"edge {pos} has length {length!r}, outside [{MIN_LENGTH!r}, {MAX_LENGTH!r}]"
+            )
+    return g
 
 
 # -- connectivity helpers (shared with the transforms) ------------------------

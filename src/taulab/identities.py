@@ -411,51 +411,53 @@ def _tau_del2(g):
 
 
 def _succ_rows(g, leaf, sides):
-    """One row per contraction depth k in 1 .. v-2.
-
-    leaf(prof, graph) is the value summed over the depth-k contractions,
-    with prof the profile of g; sides(prof, v, k, nested) turns that sum
-    into the row's (lhs, rhs).
-    """
+    """One row per contraction depth k in 1 .. v-2: sides(prof, v, k, nested)
+    gives the row's (lhs, rhs), where prof is the profile of g and nested the
+    weighted sum of leaf(graph) over the depth-k contraction sequences."""
     prof = _prof(g)
     v = g.vertex_count
     depths = range(1, v - 1)
-    sums = invariants.nested_weighted_sum(g, depths, lambda node: leaf(prof, node.graph))
+    sums = invariants.nested_weighted_sum(g, depths, lambda node: leaf(node.graph))
     rows = [(f"depth {k}", "eq", *sides(prof, v, k, nested)) for k, nested in zip(depths, sums)]
     return rows, "bridgeless, depths 1 .. v-2"
 
 
 def _succ_xy(g):
-    return _succ_rows(
-        g, lambda prof, h: _prof(h).x - _prof(h).y,
-        lambda prof, v, k, s: (math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y), s),
-    )
+    def sides(prof, v, k, nested):
+        lhs = math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y)
+        return lhs, nested
+
+    return _succ_rows(g, lambda h: _prof(h).x - _prof(h).y, sides)
 
 
 def _succ_tau(g):
-    return _succ_rows(
-        g, lambda prof, h: _prof(h).tau,
-        lambda prof, v, k, s: (
-            prof.tau,
-            math.factorial(v - k - 2) / math.factorial(v - 2) * s - k * prof.z / (12.0 * (v - k - 1)),
-        ),
-    )
+    def sides(prof, v, k, nested):
+        rhs = (
+            math.factorial(v - k - 2) / math.factorial(v - 2) * nested
+            - k * prof.z / (12.0 * (v - k - 1))
+        )
+        return prof.tau, rhs
+
+    return _succ_rows(g, lambda h: _prof(h).tau, sides)
 
 
 def _succ_r(g):
+    def sides(prof, v, k, nested):
+        lhs = k * math.factorial(v - 2) / math.factorial(v - k - 1) * prof.r
+        return lhs, nested
+
     # The contracted lengths along a sequence are exactly what the leaf
     # graph lost, so the leaf value needs no bookkeeping of the path.
-    return _succ_rows(
-        g, lambda prof, h: prof.ell - h.total_length,
-        lambda prof, v, k, s: (k * math.factorial(v - 2) / math.factorial(v - k - 1) * prof.r, s),
-    )
+    ell = g.total_length
+    return _succ_rows(g, lambda h: ell - h.total_length, sides)
 
 
 def _succ_z(g):
-    return _succ_rows(
-        g, lambda prof, h: _prof(h).z,
-        lambda prof, v, k, s: (math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z, s),
-    )
+    def sides(prof, v, k, nested):
+        lhs = math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z
+        return lhs, nested
+
+    return _succ_rows(g, lambda h: _prof(h).z, sides)
 
 
 def _succ_r_bounds(g):
@@ -538,13 +540,10 @@ def _val_partition(g):
     v = g.vertex_count
     second = _second_moment(g)
     gap_by_base = [_gap_terms(g, p) for p in range(v)]
-    away = []
-    for q in range(v):
-        away.append(math.fsum(
-            gap_by_base[q][i]
-            for i, (a, b, _) in enumerate(g.edges)
-            if a != q and b != q
-        ))
+    away = [
+        math.fsum(gap[i] for i, (a, b, _) in enumerate(g.edges) if a != q and b != q)
+        for q, gap in enumerate(gap_by_base)
+    ]
     shared = 2.0 * second / v + math.fsum(away) / v
     rows = [
         (f"base {p}", "eq", math.fsum(gap_by_base[p]), shared)

@@ -206,6 +206,11 @@ def test_lengths_beyond_the_circuit_range_exit_2(tmp_path, capsys):
             assert code == 2, (length, argv)
             assert out == ""
             assert err.startswith("taulab: ") and "Traceback" not in err
+    # At the bound itself every command that shrinks lengths still runs.
+    path = write(tmp_path, "graph 3\nedge 0 1 1e-100\nedge 1 2 1e-100\nedge 2 0 1e-100\n")
+    for argv in (["verify", path, "--ids", "all"], ["oracle", path]):
+        code, out, err = run(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 def test_huge_vertex_count_without_edges_exits_2(tmp_path, capsys):

@@ -12,7 +12,8 @@ from taulab.errors import (
 from taulab.circuit import effective_resistance
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels
-from taulab.invariants import tau
+from taulab.identities import verify_all
+from taulab.invariants import tau, tau_oracle_contraction, tau_oracle_integral
 
 
 def test_build_rejects_bad_vertex():
@@ -39,6 +40,13 @@ def test_lengths_must_keep_conductance_products_normal():
         g = build_graph(3, [(0, 1, length), (1, 2, length), (2, 0, length)])
         assert effective_resistance(g, 0, 1) / length == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert tau(g) / length == pytest.approx(0.25, rel=1e-12)
+    # Surgeries may shrink an accepted graph below MIN_LENGTH (halving in
+    # DA_TAU, subdivision in the oracles); only input is bounded, so they run.
+    g = build_graph(3, [(0, 1, MIN_LENGTH), (1, 2, MIN_LENGTH), (2, 0, MIN_LENGTH)])
+    reports = verify_all(g)
+    assert [r.identity for r in reports if r.applicable and not r.passed] == []
+    assert tau_oracle_contraction(g) / MIN_LENGTH == pytest.approx(0.25, rel=1e-12)
+    assert tau_oracle_integral(g, 64) / MIN_LENGTH == pytest.approx(0.25, rel=1e-3)
 
 
 def test_build_rejects_disconnected():
