@@ -7,9 +7,13 @@ GTH elimination (Grassmann, Taksar and Heyman 1985) removes vertices from
 per-vertex conductance maps by star-mesh steps whose pivot is the sum of
 the removed vertex's conductances, so no step subtracts and each result
 keeps a small relative error whatever the spread of lengths (O'Cinneide
-1993).  effective_resistance reduces the network onto its two terminals;
-an edge's data at a base reduces G - e, built by skipping e, onto
-{a, b, base}.  GTH serves every non-bridge edge of a graph under
+1993).  effective_resistance reduces the network onto its two terminals.
+An edge's data at a base reduces G - e onto {a, b, base}.  The vertices
+eliminated there never read the a-b entry, so all edges between a and b
+share one reduction of G without any a-b edge, per base, and each edge
+then adds the other a-b conductances and the recorded fills of that entry
+in the order its own reduction would (_pair_stars): the same bits as one
+reduction per edge.  GTH serves every non-bridge edge of a graph under
 RANK_ONE_MIN_VERTICES and each edge that the closed-form route rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
@@ -35,6 +39,7 @@ entries are NaN and its limits are applied by whoever reads the mask.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -64,11 +69,11 @@ RANK_ONE_ERROR_BOUND = 1e-13
 # Graphs with fewer vertices take GTH for every edge, at each base asked
 # for.  GTH is slower than the closed form at every size, so this is not
 # a crossover: it keeps GTH to sizes where it costs a few ms.  Per graph
-# on 6-regular multigraphs, one BLAS thread, 2-core x86-64, GTH against
-# the closed form at one base: 0.68 against 0.22 ms at n = 6, 2.7 against
-# 0.30 at n = 10 and 6.6 against 0.39 at n = 14; at every base: 4.0
-# against 0.61 ms at n = 6, 25 against 1.4 at n = 10 and 83 against 2.0 at
-# n = 14.
+# on 6-regular multigraphs, one BLAS thread, 2-core x86-64, GTH (one
+# reduction per endpoint pair) against the closed form, median of 10
+# graphs, at one base: 0.17 against 0.09 ms at n = 6, 1.1 against 0.15 at
+# n = 10 and 3.6 against 0.17 at n = 14; at every base: 1.2 against 0.23 ms
+# at n = 6, 11 against 0.40 at n = 10 and 46 against 0.51 at n = 14.
 RANK_ONE_MIN_VERTICES = 10
 _EPS = np.finfo(float).eps
 
@@ -124,60 +129,106 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     return full
 
 
-def _conductances(vertex_count: int, edges, skip: int = -1) -> list[dict[int, float]]:
-    """Per-vertex maps neighbour -> conductance, parallel edges added, loops and edge skip left out."""
+def _conductances(vertex_count: int, edges) -> list[dict[int, float]]:
+    """Per-vertex maps neighbour -> conductance, parallel edges added in edge order, loops left out."""
     cond: list[dict[int, float]] = [{} for _ in range(vertex_count)]
-    for i, (a, b, length) in enumerate(edges):
-        if a != b and i != skip:
+    for a, b, length in edges:
+        if a != b:
             c = 1.0 / length
             cond[a][b] = cond[a].get(b, 0.0) + c
             cond[b][a] = cond[b].get(a, 0.0) + c
     return cond
 
 
-def _eliminate(cond: list[dict[int, float]], keep) -> list[dict[int, float]]:
+def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
     """Star-mesh eliminate, in place, every vertex outside keep (GTH).
 
     Removing v joins each pair u, w of its neighbours by c_vu c_vw / P,
     where the pivot P is the sum of v's conductances: the Schur complement
     step with its diagonal taken as a sum, never as a difference.  The
     fewest-neighbours vertex goes first, lowest index on ties, to limit
-    fill-in.
+    fill-in.  A fill between the two vertices of ``pair``, both kept, is
+    not added to cond: the fills between them are returned, in the order
+    they were made.
     """
+    fills = []
     pending = [v for v in range(len(cond)) if v not in keep]
     while pending:
-        v = min(pending, key=lambda u: len(cond[u]))
+        v = pending[0]
+        for u in pending:
+            if len(cond[u]) < len(cond[v]):
+                v = u
         pending.remove(v)
-        arms = list(cond[v].items())
-        pivot = sum(c for _, c in arms)
-        for u, _ in arms:
+        row = cond[v]
+        pivot = sum(row.values())
+        for u in row:
             del cond[u][v]
-        for j, (u, cu) in enumerate(arms):
-            for w, cw in arms[j + 1:]:
-                c = cu * cw / pivot
+        for (u, cu), (w, cw) in combinations(row.items(), 2):
+            c = cu * cw / pivot
+            if u in pair and w in pair:
+                fills.append(c)
+            else:
                 cond[u][w] = cond[u].get(w, 0.0) + c
                 cond[w][u] = cond[w].get(u, 0.0) + c
-    return cond
+    return fills
 
 
-def _gth_star(g: MetrizedGraph, edge: int, base: int) -> tuple[float, float]:
-    """Star arms at the endpoints a, b of a non-bridge edge, in G minus that edge, toward base.
+def _pair_stars(cond, edges, parallel: list[int], routed: list[int], base: int) -> list[tuple[float, float]]:
+    """Star arms toward base of each routed edge between one endpoint pair, from one reduction.
 
-    G - e is reduced onto {a, b, base}, leaving a triangle with conductances
-    g_ab (possibly 0), g_ap and g_bp; its star has arm_a = g_bp / D and
+    ``cond`` holds G's conductance maps (left unchanged), ``parallel`` every
+    edge between the pair's endpoints a, b in edge order, and ``routed`` the
+    ones wanted.  G without any a-b edge is reduced onto {a, b, base} once.
+    The eliminated vertices never read the a-b entry, so G - e reduces the
+    same way for each a-b edge e, and its a-b conductance g_ab is the other
+    a-b edges' conductances in edge order followed by the recorded fills:
+    the additions, in their order, of reducing G - e itself.  The reduced
+    triangle g_ab, g_ap, g_bp has the star arm_a = g_bp / D and
     arm_b = g_ap / D with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at
-    an endpoint leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
+    an endpoint leaves the two-terminal case: arm 0 there, 1/g_ab at the
+    other.
     """
-    a, b, _ = g.edges[edge]
-    cond = _eliminate(_conductances(g.vertex_count, g.edges, skip=edge), {a, b, base})
-    if base in (a, b):
-        r = 1.0 / cond[a][b]
-        return (0.0, r) if base == a else (r, 0.0)
-    g_ab = cond[a].get(b, 0.0)
-    g_ap = cond[a].get(base, 0.0)
-    g_bp = cond[b].get(base, 0.0)
-    d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
-    return g_bp / d, g_ap / d
+    a, b, _ = edges[parallel[0]]
+    cond = [dict(row) for row in cond]
+    del cond[a][b], cond[b][a]
+    fills = _eliminate(cond, {a, b, base}, (a, b))
+    conductance = [1.0 / edges[i][2] for i in parallel]
+    stars = []
+    for e in routed:
+        g_ab = 0.0
+        for i, c in zip(parallel, conductance):
+            if i != e:
+                g_ab += c
+        for c in fills:
+            g_ab += c
+        a, b, _ = edges[e]
+        if base == a:
+            stars.append((0.0, 1.0 / g_ab))
+        elif base == b:
+            stars.append((1.0 / g_ab, 0.0))
+        else:
+            g_ap = cond[a].get(base, 0.0)
+            g_bp = cond[b].get(base, 0.0)
+            d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
+            stars.append((g_bp / d, g_ap / d))
+    return stars
+
+
+def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> dict[int, tuple[float, float]]:
+    """Star arms toward base of the routed edges, by edge: one _pair_stars reduction per endpoint pair."""
+    edges = g.edges
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, _) in enumerate(edges):
+        if a != b:
+            parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
+    wanted = set(routed)
+    cond = _conductances(g.vertex_count, edges)
+    stars = {}
+    for ids in parallel.values():
+        chosen = [i for i in ids if i in wanted]
+        if chosen:
+            stars.update(zip(chosen, _pair_stars(cond, edges, ids, chosen, base)))
+    return stars
 
 
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
@@ -190,7 +241,9 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     y = g.check_vertex(y)
     if x == y:
         return 0.0
-    return 1.0 / _eliminate(_conductances(g.vertex_count, g.edges), {x, y})[x][y]
+    cond = _conductances(g.vertex_count, g.edges)
+    _eliminate(cond, {x, y})
+    return 1.0 / cond[x][y]
 
 
 @lru_cache(maxsize=16384)
@@ -208,7 +261,7 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     Returns (resistance, closed).  resistance[i] is R for edge i, or None
     for bridges, self-loops, edges the guard rejects and every edge of a
     graph under RANK_ONE_MIN_VERTICES; the non-bridge ones among them are
-    left to GTH elimination per base (_gth_star).  closed is None when no
+    left to GTH elimination per base (_gth_stars).  closed is None when no
     edge takes the route, else (K, a, b, scale, spread) with the per-edge
     arrays of endpoints, L / s and K[a,a] - K[b,b]: K plus O(m) scalars,
     O(n^3 + m) for the graph and shared across bases.
@@ -266,7 +319,10 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
     same arithmetic gives its arms 0.  Every other edge that is neither a
     bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,
-    one edge at a time (_gth_star), and R is the sum of its two arms.
+    one reduction per endpoint pair (_pair_stars), and R is the sum of its
+    two arms.  When no edge has closed-form data (every graph under
+    RANK_ONE_MIN_VERTICES), the columns are collected as Python floats and
+    each becomes one array at the end.
     """
     base = g.check_vertex(base)
     edges = g.edges
@@ -277,21 +333,26 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     bridge = np.zeros(len(edges), dtype=bool)
     bridge[list(bridges)] = True
     resistance, closed = _deleted_edge_inverses(g)
-    R = np.array(resistance, dtype=float)  # NaN where resistance[i] is None
-    R[loop] = 0.0
+    routed = [i for i, (r_ab, is_loop) in enumerate(zip(resistance, loops))
+              if r_ab is None and not is_loop and i not in bridges]
+    stars = _gth_stars(g, base, routed) if routed else {}
     if closed is None:
-        arm_first, arm_second = R.copy(), R.copy()
+        nan = float("nan")  # at bridges; every other edge but the loops is in stars
+        arms = [(0.0, 0.0) if is_loop else stars.get(i, (nan, nan)) for i, is_loop in enumerate(loops)]
+        R = np.array([arm_a + arm_b for arm_a, arm_b in arms], dtype=float)
+        arm_first = np.array([arm_a for arm_a, _ in arms], dtype=float)
+        arm_second = np.array([arm_b for _, arm_b in arms], dtype=float)
     else:
+        R = np.array(resistance, dtype=float)  # NaN where resistance[i] is None
+        R[loop] = 0.0
         K, a_of, b_of, scale, spread = closed
         row = K[base]
         gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
         arm_first = 0.5 * (R + gap)
         arm_second = R - arm_first
-    for i, (r_ab, is_loop) in enumerate(zip(resistance, loops)):
-        if r_ab is None and not is_loop and i not in bridges:
-            first, second = _gth_star(g, i, base)
-            arm_first[i], arm_second[i] = first, second
-            R[i] = first + second
+        for i, (arm_a, arm_b) in stars.items():
+            arm_first[i], arm_second[i] = arm_a, arm_b
+            R[i] = arm_a + arm_b
     columns = EdgeColumns(length, loop, bridge, R, arm_first, arm_second)
     for column in columns:
         column.setflags(write=False)

@@ -66,10 +66,17 @@ class MetrizedGraph:
             normalized.append((a, b, length))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(normalized))
+        # The dataclass hash of the fields, computed once: the memo caches
+        # hash a graph on every lookup.  Kept outside the fields, so eq and
+        # repr do not see it.
+        object.__setattr__(self, "_hash", hash((n, self.edges)))
         # Too few edges to span n vertices: reject before any per-vertex work,
         # so a huge vertex count with a handful of edges fails at once.
         if sum(a != b for a, b, _ in normalized) < n - 1 or not _connected(n, self.edges):
             raise DisconnectedGraph(f"graph on {n} vertices with {len(self.edges)} edges is not connected")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- size queries ------------------------------------------------------
 

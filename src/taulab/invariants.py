@@ -33,6 +33,7 @@ import numpy as np
 from . import transforms
 from .circuit import (
     EdgeColumns,
+    _deleted_edge_inverses,
     _grounded_inverse,
     _laplacian,
     all_edge_circuit_data,
@@ -84,14 +85,61 @@ class GraphProfile:
 def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     """The profile at one base: each sum is one math.fsum over its per-edge terms.
 
-    The terms are computed column-wise in the operation order of the
-    scalar formulas, and numpy's elementwise arithmetic rounds each
-    operation exactly as Python floats do; fsum is correctly rounded and
-    so independent of term order.  Self-loops add their length to z,
-    bridges theirs to r and y.
+    The terms take one of two paths, picked by the circuit route.  When no
+    edge has closed-form data (every graph under RANK_ONE_MIN_VERTICES) a
+    scalar loop computes them in Python floats; otherwise they are computed
+    column-wise in the same operation order, and numpy's elementwise
+    arithmetic rounds each operation exactly as Python floats do.  So both
+    paths give the same bits, and fsum is correctly rounded and so
+    independent of term order.  Self-loops add their length to z, bridges
+    theirs to r and y.
     """
     base = g.check_vertex(base)
     columns = all_edge_circuit_data(g, base)
+    if _deleted_edge_inverses(g)[1] is None:
+        z, r, x, y, w_res, w_len = _scalar_terms(columns)
+    else:
+        z, r, x, y, w_res, w_len = _column_terms(columns)
+    ell = g.total_length
+    tau = ell / 12.0 - x / 6.0 + y / 6.0
+    return GraphProfile(
+        base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
+        weight_resistance=w_res, weight_length=w_len, columns=columns,
+    )
+
+
+def _scalar_terms(columns: EdgeColumns):
+    """z, r, x, y and both weight tuples, one edge at a time."""
+    z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
+    for L, loop, bridge, R, arm_first, arm_second in zip(*(column.tolist() for column in columns)):
+        if loop:
+            z_terms.append(L)
+            w_res.append(0.0)
+            w_len.append(1.0)
+        elif bridge:
+            r_terms.append(L)
+            y_terms.append(L)
+            w_res.append(1.0)
+            w_len.append(0.0)
+        else:
+            denom = L + R
+            sq = denom * denom
+            LL = L * L
+            L75 = 0.75 * L
+            gap = arm_first - arm_second
+            gap_term = L75 * gap * gap
+            z_terms.append(LL / denom)
+            r_terms.append(L * R / denom)
+            y_terms.append((0.25 * L * R * R + gap_term) / sq)
+            x_terms.append((LL * R + L75 * R * R - gap_term) / sq)
+            w_res.append(R / denom)
+            w_len.append(L / denom)
+    return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
+            tuple(w_res), tuple(w_len))
+
+
+def _column_terms(columns: EdgeColumns):
+    """z, r, x, y and both weight tuples, each term computed for all plain edges at once."""
     loop, bridge = columns.loop, columns.bridge
     plain = ~(loop | bridge)
     L = columns.length[plain]
@@ -112,13 +160,7 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     w_res[plain] = R / denom
     w_len = loop.astype(float)
     w_len[plain] = L / denom
-    ell = g.total_length
-    tau = ell / 12.0 - x / 6.0 + y / 6.0
-    return GraphProfile(
-        base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
-        weight_resistance=tuple(w_res.tolist()), weight_length=tuple(w_len.tolist()),
-        columns=columns,
-    )
+    return z, r, x, y, tuple(w_res.tolist()), tuple(w_len.tolist())
 
 
 # -- the headline scalars ------------------------------------------------------

@@ -13,7 +13,7 @@ from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
 from taulab.invariants import tau
-from taulab.transforms import delete_edge
+from taulab.transforms import delete_edge, double_adjusted
 
 
 def loop_laplacian(n, edges):
@@ -341,13 +341,13 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
 
 def test_near_bridge_takes_the_gth_route(monkeypatch):
     routed = set()
-    gth_star = circuit._gth_star
+    pair_stars = circuit._pair_stars
 
-    def counting(g, edge, base):
-        routed.add(edge)
-        return gth_star(g, edge, base)
+    def counting(cond, edges, parallel, wanted, base):
+        routed.update(wanted)
+        return pair_stars(cond, edges, parallel, wanted, base)
 
-    monkeypatch.setattr(circuit, "_gth_star", counting)
+    monkeypatch.setattr(circuit, "_pair_stars", counting)
     rng = random.Random(31)
     g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
     circuit._deleted_edge_inverses.cache_clear()
@@ -367,6 +367,70 @@ def test_near_bridge_takes_the_gth_route(monkeypatch):
     ])
     all_edge_circuit_data(g, 4)
     assert routed == {0, 1, 2, 3, 4, 5, 9}
+
+
+def gth_star(g, edge, base):
+    """Star arms at the endpoints a, b of a non-bridge edge, in G minus that edge, toward base.
+
+    The per-edge reference for the pair reductions: G - e itself is reduced
+    onto {a, b, base}, leaving a triangle with conductances g_ab (possibly
+    0), g_ap and g_bp; its star has arm_a = g_bp / D and arm_b = g_ap / D
+    with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at an endpoint
+    leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
+    """
+    a, b, _ = g.edges[edge]
+    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])
+    circuit._eliminate(cond, {a, b, base})
+    if base in (a, b):
+        r = 1.0 / cond[a][b]
+        return (0.0, r) if base == a else (r, 0.0)
+    g_ab = cond[a].get(b, 0.0)
+    g_ap = cond[a].get(base, 0.0)
+    g_bp = cond[b].get(base, 0.0)
+    d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
+    return g_bp / d, g_ap / d
+
+
+def assert_gth_columns_match_the_per_edge_reference(g):
+    """Every GTH edge's R and arms equal gth_star's at every base; returns how many edges that is."""
+    resistance, _ = circuit._deleted_edge_inverses(g)
+    bridges = g.bridges()
+    routed = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges and resistance[i] is None]
+    for base in range(g.vertex_count):
+        c = all_edge_circuit_data(g, base)
+        for i in routed:
+            first, second = gth_star(g, i, base)
+            got = (c.arm_first[i], c.arm_second[i], c.resistance[i])
+            assert got == (first, second, first + second), (g.edges, i, base)
+    return len(routed)
+
+
+def test_pair_reductions_match_the_per_edge_reference_on_fuzz_multigraphs():
+    graphs = wide_spread_multigraphs(random.Random(6060), 80)
+    # double_adjusted doubles every edge, so every pair has a parallel twin.
+    graphs += [double_adjusted(g) for g in graphs]
+    shared = 0
+    for g in graphs:
+        assert g.vertex_count < circuit.RANK_ONE_MIN_VERTICES
+        assert_gth_columns_match_the_per_edge_reference(g)
+        pairs = [frozenset((a, b)) for i, (a, b, _) in enumerate(g.edges) if a != b and i not in g.bridges()]
+        shared += len(pairs) - len(set(pairs))
+    assert shared > 500
+
+
+def test_pair_reduction_replays_a_closed_form_twin():
+    # The near-bridge (c-1, c+2) is rejected by the closed-form guard; its
+    # long parallel twin takes the closed form.  G - near-bridge still holds
+    # the twin, so the shared reduction must add the twin's conductance.
+    rng = random.Random(17)
+    g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
+    a, b, _ = g.edges[near_bridge]
+    g = build_graph(g.vertex_count, g.edges + ((b, a, 2e4), (b, b, 3.0)))
+    twin = g.edge_count - 2
+    resistance, closed = circuit._deleted_edge_inverses(g)
+    assert g.vertex_count >= circuit.RANK_ONE_MIN_VERTICES and closed is not None
+    assert resistance[near_bridge] is None and resistance[twin] is not None
+    assert assert_gth_columns_match_the_per_edge_reference(g) == 1
 
 
 def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
@@ -450,6 +514,22 @@ def test_profile_columns_match_the_scalar_loop_on_regular_graphs():
         # Every edge takes the closed form here.
         assert None not in circuit._deleted_edge_inverses(g)[0]
         assert_profile_is_bit_identical(g, range(n))
+
+
+def test_profile_columns_match_the_scalar_loop_on_large_multigraphs():
+    # 10 vertices and more take the closed form and the column-wise terms:
+    # a 6-regular core plus self-loops, pendant bridges and parallel copies.
+    rng = random.Random(4040)
+    for n in (circuit.RANK_ONE_MIN_VERTICES, 13, 17):
+        core = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-2.0, 2.0))
+        edges = list(core.edges)
+        edges += [(v, v, 10.0 ** rng.uniform(-2.0, 2.0)) for v in rng.sample(range(n), 3)]
+        edges += [(v, n + k, 10.0 ** rng.uniform(-2.0, 2.0)) for k, v in enumerate(rng.sample(range(n), 2))]
+        edges += [(b, a, 10.0 ** rng.uniform(-2.0, 2.0)) for a, b, _ in rng.sample(core.edges, 4)]
+        g = build_graph(n + 2, edges)
+        assert circuit._deleted_edge_inverses(g)[1] is not None
+        assert len(g.bridges()) == 2
+        assert_profile_is_bit_identical(g, range(g.vertex_count))
 
 
 def test_profile_columns_match_the_scalar_loop_beside_a_near_bridge():

@@ -142,6 +142,17 @@ def test_graphs_are_hashable_values(triangle):
     assert isinstance(triangle, MetrizedGraph)
 
 
+def test_graph_hash_is_the_field_tuple_hash():
+    # tau picks its second base from hash(g), so the value must not change.
+    edges = [(0, 1, 1.5), (1, 2, 0.25), (2, 0, 3.0), (1, 1, 2.0)]
+    g = build_graph(3, edges)
+    assert hash(g) == hash((3, g.edges))
+    same = MetrizedGraph(3, tuple((a, b, L) for a, b, L in edges))
+    assert same is not g and same == g and hash(same) == hash(g)
+    assert repr(same) == repr(g) == f"MetrizedGraph(vertex_count=3, edges={g.edges!r})"
+    assert g != build_graph(3, edges[:3])
+
+
 def test_component_labels_skip_edge():
     edges = [(0, 1, 1.0), (1, 2, 1.0)]
     labels = component_labels(3, edges)
