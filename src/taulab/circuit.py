@@ -38,14 +38,13 @@ entries are NaN and its limits are applied by whoever reads the mask.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularSystem
-from .graphs import MetrizedGraph
+from .graphs import MetrizedGraph, graph_memo
 
 # Largest normwise relative residual ||A X - I|| / (||A|| ||X||) accepted
 # from any inverse.
@@ -246,7 +245,7 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     return 1.0 / cond[x][y]
 
 
-@lru_cache(maxsize=16384)
+@graph_memo
 def _deleted_edge_inverses(g: MetrizedGraph):
     """Closed-form deleted-edge data of every edge, from one grounded inverse K.
 
@@ -313,9 +312,9 @@ class EdgeColumns(NamedTuple):
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
-    Edges with closed-form data (_deleted_edge_inverses, cached per graph
-    and shared across bases) take R from it and their arm gap from one
-    gather of row K[base]: arm_first = (R + gap) / 2 and
+    Edges with closed-form data (_deleted_edge_inverses, held in the
+    graph's memo and shared across bases) take R from it and their arm gap
+    from one gather of row K[base]: arm_first = (R + gap) / 2 and
     arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
     same arithmetic gives its arms 0.  Every other edge that is neither a
     bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,

@@ -11,14 +11,23 @@ outside comes in through build_graph, which also bounds each length to
 [MIN_LENGTH, MAX_LENGTH]; surgeries shrink lengths only by small factors
 (halving, subdivision), which stays far inside the range where the circuit
 layer is exact, so their outputs are not bounded again.
+
+Each graph carries its own memo, a dict outside the dataclass fields (so
+outside eq, repr and hash).  graph_memo stores a function's result for a
+graph and its further arguments there: bridges, the closed-form circuit
+data, the profile at each base, the contraction lattice and the surgeries
+the identity catalog reads.  So whatever is computed for a graph lives
+exactly as long as the graph, and a surgery's result is held by its
+parent's memo.  An equal graph built a second time starts with an empty
+memo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import wraps
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadEdgeIndex,
@@ -66,17 +75,11 @@ class MetrizedGraph:
             normalized.append((a, b, length))
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(normalized))
-        # The dataclass hash of the fields, computed once: the memo caches
-        # hash a graph on every lookup.  Kept outside the fields, so eq and
-        # repr do not see it.
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
+        object.__setattr__(self, "_memo", {})
         # Too few edges to span n vertices: reject before any per-vertex work,
         # so a huge vertex count with a handful of edges fails at once.
         if sum(a != b for a, b, _ in normalized) < n - 1 or not _connected(n, self.edges):
             raise DisconnectedGraph(f"graph on {n} vertices with {len(self.edges)} edges is not connected")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     # -- size queries ------------------------------------------------------
 
@@ -162,6 +165,38 @@ def build_graph(vertex_count: int, edges: Iterable[Sequence]) -> MetrizedGraph:
     return g
 
 
+# -- the per-graph memo ------------------------------------------------------
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+def graph_memo(fn: Callable) -> Callable:
+    """fn(g, *args, **kwargs), stored in g's memo under fn and the further arguments.
+
+    fn must be pure.  A call that raises stores nothing.  The wrapper
+    counts hits and misses over all graphs; cache_info() returns them.
+    """
+    hits = misses = 0
+
+    @wraps(fn)
+    def memoized(g, *args, **kwargs):
+        nonlocal hits, misses
+        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
+        memo = g._memo
+        if key in memo:
+            hits += 1
+            return memo[key]
+        misses += 1
+        value = memo[key] = fn(g, *args, **kwargs)
+        return value
+
+    memoized.cache_info = lambda: CacheInfo(hits, misses)
+    return memoized
+
+
 # -- connectivity helpers (shared with the transforms) ------------------------
 
 
@@ -194,7 +229,7 @@ def component_labels(vertex_count: int, edges: Sequence[Edge]) -> list[int]:
     return labels
 
 
-@lru_cache(maxsize=16384)
+@graph_memo
 def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
     """Bridge edges via one depth-first pass (iterative, multigraph aware).
 

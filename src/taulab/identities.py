@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable
 
-from . import cuts, invariants, transforms
+from . import cuts, invariants
 from .errors import NotApplicable, UnknownIdentityId
-from .graphs import MetrizedGraph
-from .invariants import NESTED_VERTEX_CAP
+from .graphs import MetrizedGraph, graph_memo
+from .invariants import NESTED_VERTEX_CAP, _contract, _da, _delete, _loopify
 
 DEFAULT_TOL = 1e-9
 
@@ -74,17 +74,11 @@ class IdentityReport:
     note: str
 
 
-# Surgeries repeat across identities on the same graph, so memoize them here.
-# The underlying functions are pure and the graphs hash by value.
-_contract = lru_cache(maxsize=16384)(transforms.contract_edge)
-_delete = lru_cache(maxsize=16384)(transforms.delete_edge)
-_loopify = lru_cache(maxsize=16384)(transforms.identify_endpoints)
-_da = lru_cache(maxsize=8192)(transforms.double_adjusted)
-_a_value = lru_cache(maxsize=16384)(invariants.A_pq)
-
-
-def _prof(g: MetrizedGraph) -> invariants.GraphProfile:
-    return invariants.graph_profile(g)
+# Surgeries and crossing values repeat across identities on the same graph,
+# and each is held in that graph's memo.  The four surgery memos are
+# invariants', shared with the deletion defect and the contraction lattice.
+_a_value = graph_memo(invariants.A_pq)
+_prof = invariants.graph_profile
 
 
 def _deletable_edges(g: MetrizedGraph) -> list[int]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -40,7 +39,7 @@ from .circuit import (
     effective_resistance,
 )
 from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
-from .graphs import MetrizedGraph
+from .graphs import MetrizedGraph, graph_memo
 
 BASE_AGREEMENT_TOL = 1e-9
 
@@ -50,6 +49,15 @@ BASE_AGREEMENT_TOL = 1e-9
 # for tau, the parallel-class minimum N) at ORACLE_VERTEX_CAP.
 NESTED_VERTEX_CAP = 6
 ORACLE_VERTEX_CAP = 7
+
+# Surgeries, each held in the memo of the graph it cuts.  The deletion
+# defect, the contraction lattice and the identity catalog all read them
+# here, so each is built once per graph and edge; the public transforms
+# stay unmemoized.
+_contract = graph_memo(transforms.contract_edge)
+_delete = graph_memo(transforms.delete_edge)
+_loopify = graph_memo(transforms.identify_endpoints)
+_da = graph_memo(transforms.double_adjusted)
 
 
 def relative_gap(a: float, b: float) -> float:
@@ -81,7 +89,7 @@ class GraphProfile:
     columns: EdgeColumns = field(repr=False, compare=False)
 
 
-@lru_cache(maxsize=16384)
+@graph_memo
 def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     """The profile at one base: each sum is one math.fsum over its per-edge terms.
 
@@ -238,7 +246,7 @@ def K_definition(g: MetrizedGraph, i: int) -> float:
     prof = graph_profile(g)
     R = float(prof.columns.resistance[i])
     own = L * L / (L + R)
-    return float(prof.z - own - z_of(transforms.delete_edge(g, i)))
+    return float(prof.z - own - z_of(_delete(g, i)))
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
@@ -248,7 +256,7 @@ def K_contraction_form(g: MetrizedGraph, i: int) -> float:
     if a == b:
         return 0.0
     weight = graph_profile(g).weight_resistance[i]
-    return float(weight * (z_of(transforms.contract_edge(g, i)) - z_of(transforms.delete_edge(g, i))))
+    return float(weight * (z_of(_contract(g, i)) - z_of(_delete(g, i))))
 
 
 def K_of(g: MetrizedGraph, i: int) -> float:
@@ -313,7 +321,7 @@ class LatticeNode:
     original_ids: tuple[int, ...]
 
 
-@lru_cache(maxsize=64)
+@graph_memo
 def contraction_lattice(g: MetrizedGraph) -> dict[frozenset, LatticeNode]:
     """All graphs reachable by contracting non-loop edges, down to 2 vertices.
 
@@ -337,7 +345,7 @@ def contraction_lattice(g: MetrizedGraph) -> dict[frozenset, LatticeNode]:
                 if child_key in nodes:
                     continue
                 nodes[child_key] = LatticeNode(
-                    transforms.contract_edge(node.graph, j),
+                    _contract(node.graph, j),
                     node.original_ids[:j] + node.original_ids[j + 1:],
                 )
                 next_frontier.append(child_key)

@@ -201,7 +201,6 @@ def assert_edge_data_is_exact(g):
     Each value must be within 1e-9 of the largest exact resistance from
     either endpoint of its edge.  The graph must be bridgeless.
     """
-    circuit._deleted_edge_inverses.cache_clear()
     per_base = [all_edge_circuit_data(g, p) for p in range(g.vertex_count)]
     for i, (a, b, _) in enumerate(g.edges):
         K = exact_deleted_inverse(g.vertex_count, g.edges, i)
@@ -294,7 +293,6 @@ def test_rank_one_matches_explicit_route():
     rng = random.Random(8128)
     for n in (circuit.RANK_ONE_MIN_VERTICES, 15, 20, 40, 80, 120):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-        circuit._deleted_edge_inverses.cache_clear()
         per_base = [all_edge_circuit_data(g, p) for p in range(n)]
         for i, (to_a, to_b) in enumerate(zip(*explicit_route(g))):
             a = g.edges[i][0]
@@ -314,14 +312,12 @@ def test_deleted_edge_inverses_memory_is_quadratic_in_vertices():
     g = build_graph(60, [(a, b, rng.uniform(0.1, 10.0)) for a, b in pairs for _ in range(2)])
     assert g.edge_count == 3540
     g.bridges()
-    circuit._deleted_edge_inverses.cache_clear()
     tracemalloc.start()
     try:
         resistance, closed = circuit._deleted_edge_inverses(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        circuit._deleted_edge_inverses.cache_clear()
     assert peak < 2 * 2 ** 20, peak
     assert closed is not None and None not in resistance
 
@@ -350,7 +346,6 @@ def test_near_bridge_takes_the_gth_route(monkeypatch):
     monkeypatch.setattr(circuit, "_pair_stars", counting)
     rng = random.Random(31)
     g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
-    circuit._deleted_edge_inverses.cache_clear()
     for p in range(g.vertex_count):
         all_edge_circuit_data(g, p)
     assert routed == {near_bridge}

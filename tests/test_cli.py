@@ -435,7 +435,6 @@ def skew_other_bases(monkeypatch):
 
 
 def test_cross_base_disagreement_is_a_typed_error(tmp_path, capsys, monkeypatch):
-    # Lengths no other test uses, so no identity memo already holds a value.
     text = "graph 4\nedge 0 1 1.25\nedge 1 2 2.5\nedge 2 3 0.75\nedge 3 0 3.0\nedge 0 2 1.5\n"
     path = write(tmp_path, text)
     skew_other_bases(monkeypatch)

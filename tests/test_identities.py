@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -10,7 +12,7 @@ from taulab.fuzzing import (
     random_bridgeless_multigraph,
     random_connected_multigraph,
 )
-from taulab.graphs import build_graph
+from taulab.graphs import MetrizedGraph, build_graph
 from taulab.identities import identity_ids, verify, verify_all
 
 ALL_IDS = identity_ids()
@@ -271,3 +273,43 @@ def test_edgecon_family_on_normalized_k4(k4):
     x, y = prof.x, prof.y
     assert 2.0 * y <= x + 1e-12
     assert x <= 3.0 * y + 1e-12
+
+
+# -- the per-graph memo ----------------------------------------------------------
+
+
+def memo_graph(pendant=True):
+    """A square with a chord, a parallel pair and a self-loop, plus a pendant bridge if asked."""
+    edges = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 0, 1.5), (0, 2, 3.0), (0, 2, 0.75), (1, 1, 0.25)]
+    return build_graph(5, edges + [(3, 4, 1.25)]) if pendant else build_graph(4, edges)
+
+
+@pytest.mark.parametrize("pendant", [True, False])
+def test_a_graphs_memo_is_freed_with_the_graph(pendant):
+    # Without the pendant bridge the nested identities run and fill the lattice.
+    g = memo_graph(pendant)
+    verify_all(g)
+    invariants.invariant_set(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
+    g = memo_graph()
+    verify(g, "CD_Z")
+    built = []
+    post_init = MetrizedGraph.__post_init__
+
+    def counting(graph):
+        built.append(graph)
+        post_init(graph)
+
+    monkeypatch.setattr(MetrizedGraph, "__post_init__", counting)
+    deletable = [i for i in range(g.edge_count) if i not in g.bridges()]
+    assert len(deletable) == 7
+    for i in deletable:
+        invariants.K_definition(g, i)
+        invariants.K_contraction_form(g, i)
+    assert built == []

@@ -290,3 +290,26 @@ def test_contraction_oracle_size_cap():
     big = build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
     with pytest.raises(TooLarge):
         tau_oracle_contraction(big)
+
+
+# -- the per-graph memo ----------------------------------------------------------
+
+
+def test_profile_memo_counts_hits_per_graph_instance():
+    edges = [(0, 1, 1.375), (1, 2, 0.625), (2, 0, 2.875), (1, 1, 0.3125)]
+    g = build_graph(3, edges)
+    start = graph_profile.cache_info()
+    first = graph_profile(g)
+    missed = graph_profile.cache_info()
+    assert (missed.hits - start.hits, missed.misses - start.misses) == (0, 1)
+    assert graph_profile(g) is first
+    hit = graph_profile.cache_info()
+    assert (hit.hits - missed.hits, hit.misses - missed.misses) == (1, 0)
+    # An equal graph built again has its own, empty memo.
+    same = build_graph(3, edges)
+    assert same == g and same is not g
+    assert graph_profile(same) == first
+    again = graph_profile.cache_info()
+    assert (again.hits - hit.hits, again.misses - hit.misses) == (0, 1)
+    # Keyword calls are accepted too.
+    assert graph_profile(g, base=2) == graph_profile(g, 2)
