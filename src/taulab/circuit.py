@@ -15,6 +15,10 @@ then adds the other a-b conductances and the recorded fills of that entry
 in the order its own reduction would (_pair_stars): the same bits as one
 reduction per edge.  GTH serves every non-bridge edge of a graph under
 RANK_ONE_MIN_VERTICES and each edge that the closed-form route rejects.
+On that all-GTH route the reductions run on the graph's loopless core
+(graphs.loopless_core) and are memoized there (_core_arms): loops carry no
+current, so graphs that differ only in self-loops, such as the
+contractions of parallel twins, share them bit for bit.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
@@ -44,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularSystem
-from .graphs import MetrizedGraph, graph_memo
+from .graphs import MetrizedGraph, graph_memo, loopless_core
 
 # Largest normwise relative residual ||A X - I|| / (||A|| ||X||) accepted
 # from any inverse.
@@ -230,6 +234,25 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> dict[int, tupl
     return stars
 
 
+@graph_memo
+def _core_arms(core: MetrizedGraph, base: int) -> tuple:
+    """Star arms toward base of every edge of a loopless core, by edge; None at bridges.
+
+    Held in the core's memo, so every graph with this core (graphs that
+    differ only in self-loops) shares the reductions.  Loops carry no
+    current and _conductances, _pair_stars and _eliminate never read one,
+    so these are the bits a reduction of the graph itself gives.  On two
+    vertices every edge joins the base to the other vertex and nothing is
+    eliminated, so base 1 mirrors base 0: each edge's arms swap.
+    """
+    if core.vertex_count == 2 and base == 1:
+        return tuple(None if star is None else star[::-1] for star in _core_arms(core, 0))
+    bridges = core.bridges()
+    routed = [i for i in range(core.edge_count) if i not in bridges]
+    stars = _gth_stars(core, base, routed) if routed else {}
+    return tuple(stars.get(i) for i in range(core.edge_count))
+
+
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     """Effective resistance between two vertices of the (connected) graph.
 
@@ -312,32 +335,42 @@ class EdgeColumns(NamedTuple):
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
-    Edges with closed-form data (_deleted_edge_inverses, held in the
-    graph's memo and shared across bases) take R from it and their arm gap
-    from one gather of row K[base]: arm_first = (R + gap) / 2 and
-    arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
-    same arithmetic gives its arms 0.  Every other edge that is neither a
-    bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,
-    one reduction per endpoint pair (_pair_stars), and R is the sum of its
-    two arms.  When no edge has closed-form data (every graph under
-    RANK_ONE_MIN_VERTICES), the columns are collected as Python floats and
-    each becomes one array at the end.
+    Under RANK_ONE_MIN_VERTICES every non-loop edge reads its arms from
+    the loopless core's memo (_core_arms, None at bridges), in edge order.
+    From 10 vertices on, edges with closed-form data (_deleted_edge_inverses,
+    held in the graph's memo and shared across bases) take R from it and
+    their arm gap from one gather of row K[base]: arm_first = (R + gap) / 2
+    and arm_second = R - arm_first.  A self-loop's R is set to 0 first, so
+    the same arithmetic gives its arms 0.  Every other edge that is neither
+    a bridge nor a self-loop is reduced onto {a, b, base} by GTH
+    elimination, one reduction per endpoint pair (_pair_stars).  On a GTH
+    edge R is the sum of its two arms.  When no edge has closed-form data,
+    the columns are collected as Python floats and each becomes one array
+    at the end.
     """
     base = g.check_vertex(base)
     edges = g.edges
-    bridges = g.bridges()
     loops = [a == b for a, b, _ in edges]
     length = np.array([L for _, _, L in edges], dtype=float)
     loop = np.array(loops, dtype=bool)
-    bridge = np.zeros(len(edges), dtype=bool)
-    bridge[list(bridges)] = True
-    resistance, closed = _deleted_edge_inverses(g)
-    routed = [i for i, (r_ab, is_loop) in enumerate(zip(resistance, loops))
-              if r_ab is None and not is_loop and i not in bridges]
-    stars = _gth_stars(g, base, routed) if routed else {}
+    closed = None
+    if g.vertex_count < RANK_ONE_MIN_VERTICES:
+        core_arms = iter(_core_arms(loopless_core(g), base))
+        arms = [(0.0, 0.0) if is_loop else next(core_arms) for is_loop in loops]
+        bridge = np.array([star is None for star in arms], dtype=bool)
+    else:
+        bridges = g.bridges()
+        bridge = np.zeros(len(edges), dtype=bool)
+        bridge[list(bridges)] = True
+        resistance, closed = _deleted_edge_inverses(g)
+        routed = [i for i, (r_ab, is_loop) in enumerate(zip(resistance, loops))
+                  if r_ab is None and not is_loop and i not in bridges]
+        stars = _gth_stars(g, base, routed) if routed else {}
+        if closed is None:
+            arms = [(0.0, 0.0) if is_loop else stars.get(i) for i, is_loop in enumerate(loops)]
     if closed is None:
-        nan = float("nan")  # at bridges; every other edge but the loops is in stars
-        arms = [(0.0, 0.0) if is_loop else stars.get(i, (nan, nan)) for i, is_loop in enumerate(loops)]
+        nan = (float("nan"),) * 2  # at bridges; every other edge but the loops has its star
+        arms = [nan if star is None else star for star in arms]
         R = np.array([arm_a + arm_b for arm_a, arm_b in arms], dtype=float)
         arm_first = np.array([arm_a for arm_a, _ in arms], dtype=float)
         arm_second = np.array([arm_b for _, arm_b in arms], dtype=float)

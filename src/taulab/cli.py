@@ -305,6 +305,10 @@ def cmd_oracle(args) -> int:
     try:
         contraction = invariants.tau_oracle_contraction(g)
     except TooLarge as exc:
+        # Over the vertex cap the route is skipped with a note; under it, the
+        # refusal is a lattice over its node cap, and the input is refused.
+        if g.vertex_count <= invariants.ORACLE_VERTEX_CAP:
+            raise
         contraction = None
         note = str(exc)
     body = {

@@ -5,12 +5,13 @@ whose resistance equals its length.  Self-loops and parallel edges are both
 allowed, vertices are integers 0..vertex_count-1, and edges keep the order
 in which they were given so that edge indices are stable handles.
 
-Graphs are immutable.  Every construction path goes through the same
-validation (index range, positive finite lengths, connectivity).  Input from
-outside comes in through build_graph, which also bounds each length to
+Graphs are immutable.  Every graph built by its constructor is validated
+(index range, positive finite lengths, connectivity).  Input from outside
+comes in through build_graph, which also bounds each length to
 [MIN_LENGTH, MAX_LENGTH]; surgeries shrink lengths only by small factors
 (halving, subdivision), which stays far inside the range where the circuit
-layer is exact, so their outputs are not bounded again.
+layer is exact, so their outputs are not bounded again.  Surgeries whose
+outputs are valid by construction build them with MetrizedGraph._unchecked.
 
 Each graph carries its own memo, a dict outside the dataclass fields (so
 outside eq, repr and hash).  graph_memo stores a function's result for a
@@ -20,11 +21,19 @@ the identity catalog reads.  So whatever is computed for a graph lives
 exactly as long as the graph, and a surgery's result is held by its
 parent's memo.  An equal graph built a second time starts with an empty
 memo.
+
+One table is shared across graphs: _CORES interns loopless cores
+(loopless_core), each graph's non-loop edges on its vertices, by value.
+The circuit layer memoizes its GTH star arms on the core, so graphs that
+differ only in self-loops reduce once.  The table holds its cores weakly:
+a core lives only while a live graph holds it in its memo (or is that
+core), so the table never outgrows the live graphs.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -80,6 +89,17 @@ class MetrizedGraph:
         # so a huge vertex count with a handful of edges fails at once.
         if sum(a != b for a, b, _ in normalized) < n - 1 or not _connected(n, self.edges):
             raise DisconnectedGraph(f"graph on {n} vertices with {len(self.edges)} edges is not connected")
+
+    @classmethod
+    def _unchecked(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "MetrizedGraph":
+        """A graph from fields already valid and normalized (int ends, float lengths, connected).
+
+        Sets the fields and an empty memo and checks nothing: for surgeries
+        whose outputs are valid by construction.
+        """
+        g = object.__new__(cls)
+        vars(g).update(vertex_count=vertex_count, edges=edges, _memo={})
+        return g
 
     # -- size queries ------------------------------------------------------
 
@@ -195,6 +215,39 @@ def graph_memo(fn: Callable) -> Callable:
 
     memoized.cache_info = lambda: CacheInfo(hits, misses)
     return memoized
+
+
+# -- loopless cores ------------------------------------------------------------
+
+# (vertex_count, non-loop edges) -> the core with exactly those fields.  The
+# values are weak: a core lives while a graph's memo holds it or while it is
+# itself a live graph without loops.
+_CORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def loopless_core(g: MetrizedGraph) -> MetrizedGraph:
+    """g without its self-loops: same vertices, the non-loop edges in edge order.
+
+    Value-equal cores are one object, interned in _CORES, so graphs that
+    differ only in their loops (the twins of a contracted parallel edge
+    turn into loops) share whatever is memoized on their core.  A graph
+    without loops is its own core when no equal core is interned yet; every
+    other graph holds its core in its memo, which keeps the core alive.
+    """
+    core = g._memo.get(loopless_core)
+    if core is not None:
+        return core
+    kept = tuple(edge for edge in g.edges if edge[0] != edge[1])
+    key = (g.vertex_count, kept)
+    core = _CORES.get(key)
+    if core is None:
+        if len(kept) == len(g.edges):
+            _CORES[key] = g
+            return g
+        core = _CORES[key] = MetrizedGraph._unchecked(g.vertex_count, kept)
+    if core is not g:
+        g._memo[loopless_core] = core
+    return core
 
 
 # -- connectivity helpers (shared with the transforms) ------------------------

@@ -77,8 +77,22 @@ class IdentityReport:
 # Surgeries and crossing values repeat across identities on the same graph,
 # and each is held in that graph's memo.  The four surgery memos are
 # invariants', shared with the deletion defect and the contraction lattice.
-_a_value = graph_memo(invariants.A_pq)
 _prof = invariants.graph_profile
+
+
+@graph_memo
+def _edge_crossing(g: MetrizedGraph, i: int, doubled: bool) -> float:
+    """A_pq(G - e, a, b) for the non-loop edge e = (a, b) with id i, or
+    A_pq(DA(G - e), a, b) when doubled, bit for bit.
+
+    Gluing a to b in G - e gives G/e as a value, and in DA(G - e) it gives
+    DA(G/e), so the glued graph is read from the memoized contraction.
+    """
+    a, b, _ = g.edges[i]
+    deleted, glued = _delete(g, i), _contract(g, i)
+    if doubled:
+        deleted, glued = _da(deleted), _da(glued)
+    return invariants.glued_crossing(deleted, glued, a, b)
 
 
 def _deletable_edges(g: MetrizedGraph) -> list[int]:
@@ -114,6 +128,9 @@ def _nested_cap(g):
     if g.vertex_count <= NESTED_VERTEX_CAP:
         return None
     return f"nested contraction sums are capped at {NESTED_VERTEX_CAP} vertices"
+
+
+_lattice_cap = invariants.lattice_refusal
 
 
 def _positive_genus(g):
@@ -243,7 +260,7 @@ def _del_id_da(g):
         da_deleted = _da(_delete(g, i))
         # For a self-loop the two endpoints coincide and the crossing term
         # collapses to zero; the remaining terms reduce to the loop's L/12.
-        across = 0.0 if a == b else _a_value(da_deleted, a, b)
+        across = 0.0 if a == b else _edge_crossing(g, i, True)
         rhs = (
             _prof(da_deleted).tau
             + (2.0 * length * length - res * res) / (24.0 * (length + res))
@@ -260,8 +277,8 @@ def _del_id_a(g):
         if a == b:
             lhs, rhs = 0.0, 0.0
         else:
-            lhs = _a_value(_delete(g, i), a, b) / (length + res)
-            across = _a_value(_da(_delete(g, i)), a, b)
+            lhs = _edge_crossing(g, i, False) / (length + res)
+            across = _edge_crossing(g, i, True)
             rhs = 16.0 * across / (length + res) - invariants.K_definition(g, i) / 6.0
         rows.append((f"edge {i}", "eq", lhs, rhs))
     return rows, "bridgeless, per edge"
@@ -314,7 +331,7 @@ def _apq_contract(g):
             continue  # the crossing term divides by the loop's zero resistance
         res = resistances[i]
         cprof = _prof(_contract(g, i))
-        across = _a_value(_delete(g, i), a, b)
+        across = _edge_crossing(g, i, False)
         rhs = (cprof.x - cprof.y) + 6.0 * length * across / (res * (length + res))
         rows.append((f"edge {i}", "eq", diff, rhs))
     return rows, "per non-loop edge with connected deletion"
@@ -594,16 +611,16 @@ _REGISTRY = {
     "DEL_R": (partial(_del_rows, pick=lambda p: p.r, shift=0), (_bridgeless,)),
     "TAU_CONTR2": (_tau_contr2, (_bridgeless, _vertices(3))),
     "TAU_DEL2": (_tau_del2, (_bridgeless, _positive_genus)),
-    "SUCC_XY": (_succ_xy, (_bridgeless, _vertices(3), _nested_cap)),
-    "SUCC_TAU": (_succ_tau, (_bridgeless, _vertices(3), _nested_cap)),
-    "SUCC_R": (_succ_r, (_bridgeless, _vertices(3), _nested_cap)),
+    "SUCC_XY": (_succ_xy, (_bridgeless, _vertices(3), _nested_cap, _lattice_cap)),
+    "SUCC_TAU": (_succ_tau, (_bridgeless, _vertices(3), _nested_cap, _lattice_cap)),
+    "SUCC_R": (_succ_r, (_bridgeless, _vertices(3), _nested_cap, _lattice_cap)),
     "SUCC_R_BOUNDS": (_succ_r_bounds, (_bridgeless, _vertices(3))),
-    "SUCC_Z": (_succ_z, (_bridgeless, _vertices(3), _nested_cap)),
-    "BANANA_XY": (_banana_xy, (_bridgeless, _vertices(2), _nested_cap)),
-    "TAU_MAIN5": (_tau_main5, (_bridgeless, _vertices(3), _nested_cap)),
-    "W_ID": (_w_id, (_bridgeless, _vertices(2), _nested_cap)),
+    "SUCC_Z": (_succ_z, (_bridgeless, _vertices(3), _nested_cap, _lattice_cap)),
+    "BANANA_XY": (_banana_xy, (_bridgeless, _vertices(2), _nested_cap, _lattice_cap)),
+    "TAU_MAIN5": (_tau_main5, (_bridgeless, _vertices(3), _nested_cap, _lattice_cap)),
+    "W_ID": (_w_id, (_bridgeless, _vertices(2), _nested_cap, _lattice_cap)),
     "Z_X_BOUND": (_z_x_bound, (_bridgeless, _vertices(2))),
-    "AHM": (_ahm, (_bridgeless, _vertices(2), _nested_cap)),
+    "AHM": (_ahm, (_bridgeless, _vertices(2), _nested_cap, _lattice_cap)),
     "NORM2TERM": (_norm2term, (_normalized,)),
     "VAL_PARTITION": (_val_partition, ()),
     "EDGECON11": (_edgecon11, (_normalized, _bridgeless, _vertices(2))),

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import transforms
 from .circuit import (
+    RANK_ONE_MIN_VERTICES,
     EdgeColumns,
     _deleted_edge_inverses,
     _grounded_inverse,
@@ -49,6 +50,13 @@ BASE_AGREEMENT_TOL = 1e-9
 # for tau, the parallel-class minimum N) at ORACLE_VERTEX_CAP.
 NESTED_VERTEX_CAP = 6
 ORACLE_VERTEX_CAP = 7
+# The node count of the lattice grows as the edge multiplicity to the power
+# v - 2, so the vertex caps alone do not bound it: every walk refuses a
+# lattice of more than LATTICE_NODE_CAP nodes before building it.  K6 has
+# 1,636 nodes (verify_all 0.4 s) and the largest lattice of the benchmark's
+# catalog graphs 603; K6 with every pair doubled has 21,211 (verify_all 21 s,
+# 190 MB) and tripled 100,216.
+LATTICE_NODE_CAP = 5000
 
 # Surgeries, each held in the memo of the graph it cuts.  The deletion
 # defect, the contraction lattice and the identity catalog all read them
@@ -89,7 +97,6 @@ class GraphProfile:
     columns: EdgeColumns = field(repr=False, compare=False)
 
 
-@graph_memo
 def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     """The profile at one base: each sum is one math.fsum over its per-edge terms.
 
@@ -100,11 +107,16 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     arithmetic rounds each operation exactly as Python floats do.  So both
     paths give the same bits, and fsum is correctly rounded and so
     independent of term order.  Self-loops add their length to z, bridges
-    theirs to r and y.
+    theirs to r and y.  The base is checked before the memo is read, so
+    graph_profile(g) and graph_profile(g, 0) are one entry.
     """
-    base = g.check_vertex(base)
+    return _profile_at(g, g.check_vertex(base))
+
+
+@graph_memo
+def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
     columns = all_edge_circuit_data(g, base)
-    if _deleted_edge_inverses(g)[1] is None:
+    if g.vertex_count < RANK_ONE_MIN_VERTICES or _deleted_edge_inverses(g)[1] is None:
         z, r, x, y, w_res, w_len = _scalar_terms(columns)
     else:
         z, r, x, y, w_res, w_len = _column_terms(columns)
@@ -114,6 +126,9 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
         base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
         weight_resistance=w_res, weight_length=w_len, columns=columns,
     )
+
+
+graph_profile.cache_info = _profile_at.cache_info
 
 
 def _scalar_terms(columns: EdgeColumns):
@@ -281,8 +296,12 @@ def A_pq(g: MetrizedGraph, p: int, q: int) -> float:
     q = g.check_vertex(q)
     if p == q:
         raise SameVertex("A needs two distinct points")
+    return glued_crossing(g, transforms.identify_points(g, p, q), p, q)
+
+
+def glued_crossing(g: MetrizedGraph, glued: MetrizedGraph, p: int, q: int) -> float:
+    """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued."""
     resistance = effective_resistance(g, p, q)
-    glued = transforms.identify_points(g, p, q)
     return float(resistance * (tau(glued) - tau(g) + resistance / 6.0))
 
 
@@ -321,36 +340,123 @@ class LatticeNode:
     original_ids: tuple[int, ...]
 
 
+def _spanning_trees(mult: list[list[int]], block: list[int]) -> int:
+    """Spanning trees of the multigraph induced on block, exactly: a cofactor of its Laplacian.
+
+    The determinant is taken by Bareiss elimination, whose divisions are
+    exact in integers.
+    """
+    m = [[-mult[u][w] for w in block[1:]] for u in block[1:]]
+    for i, u in enumerate(block[1:]):
+        m[i][i] = sum(mult[u][w] for w in block)
+    sign, prev, size = 1, 1, len(m)
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def lattice_size(g: MetrizedGraph) -> int:
+    """Nodes of g's contraction lattice (the root counted), in exact integers, without building it.
+
+    The nodes are the forests of at most v - 2 non-loop edges.  The forests
+    inducing one vertex partition number the product of its blocks'
+    spanning-tree counts, so the count is the sum of that product over the
+    partitions into at least 2 blocks.  The sum runs over vertex subsets,
+    the block of each subset's lowest vertex first: O(3^v) steps.
+    """
+    n = g.vertex_count
+    if n < 3:
+        return 1
+    mult = [[0] * n for _ in range(n)]
+    for a, b, _ in g.edges:
+        if a != b:
+            mult[a][b] += 1
+            mult[b][a] += 1
+    full = (1 << n) - 1
+    trees = [0] * (full + 1)
+    # partitions[s]: over the partitions of vertex set s, the sum of the
+    # product of the blocks' spanning-tree counts.
+    partitions = [1] + [0] * full
+    for s in range(1, full + 1):
+        trees[s] = _spanning_trees(mult, [v for v in range(n) if s >> v & 1])
+        low = s & -s
+        rest = sub = s ^ low
+        while True:
+            block = sub | low
+            partitions[s] += trees[block] * partitions[s ^ block]
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return partitions[full] - trees[full]
+
+
+@graph_memo
+def lattice_refusal(g: MetrizedGraph) -> str | None:
+    """Why g's contraction lattice is not built, or None when it has at most LATTICE_NODE_CAP nodes.
+
+    The exact count (lattice_size) is skipped when the number of edge sets
+    of at most v - 2 non-loop edges is already within the cap, and when
+    the subsets of one spanning tree alone, 2^(v-1) - 1 of them, exceed it.
+    """
+    v = g.vertex_count
+    links = sum(a != b for a, b, _ in g.edges)
+    if sum(math.comb(links, k) for k in range(v - 1)) <= LATTICE_NODE_CAP:
+        return None
+    if 2 ** (v - 1) - 1 > LATTICE_NODE_CAP:
+        return f"contraction lattice has at least {2 ** (v - 1) - 1} nodes, capped at {LATTICE_NODE_CAP}"
+    nodes = lattice_size(g)
+    if nodes <= LATTICE_NODE_CAP:
+        return None
+    return f"contraction lattice has {nodes} nodes, capped at {LATTICE_NODE_CAP}"
+
+
 @graph_memo
 def contraction_lattice(g: MetrizedGraph) -> dict[frozenset, LatticeNode]:
-    """All graphs reachable by contracting non-loop edges, down to 2 vertices.
+    """All graphs reachable by contracting non-loop edges, down to 2 vertices, g itself left out.
 
     Keys are frozensets of contracted original edge indices.  The graph a set
     produces does not depend on the contraction order, so sequences collapse
     onto their underlying sets and every nested sum over sequences becomes a
-    walk over this lattice.
+    walk over this lattice.  The root (the empty set) is g, which the
+    walks take from their caller (lattice_node): the lattice lives in g's
+    memo, and a node holding g would keep g in a reference cycle.  Raises
+    TooLarge when the lattice would have more than LATTICE_NODE_CAP nodes.
     """
-    nodes: dict[frozenset, LatticeNode] = {
-        frozenset(): LatticeNode(g, tuple(range(g.edge_count)))
-    }
-    frontier = [frozenset()]
+    reason = lattice_refusal(g)
+    if reason is not None:
+        raise TooLarge(reason)
+    nodes: dict[frozenset, LatticeNode] = {}
+    frontier = [(frozenset(), lattice_node(g, nodes, frozenset()))]
     for _ in range(max(0, g.vertex_count - 2)):
         next_frontier = []
-        for key in frontier:
-            node = nodes[key]
+        for key, node in frontier:
             for j, (a, b, _) in enumerate(node.graph.edges):
                 if a == b:
                     continue
                 child_key = key | {node.original_ids[j]}
                 if child_key in nodes:
                     continue
-                nodes[child_key] = LatticeNode(
+                child = nodes[child_key] = LatticeNode(
                     _contract(node.graph, j),
                     node.original_ids[:j] + node.original_ids[j + 1:],
                 )
-                next_frontier.append(child_key)
+                next_frontier.append((child_key, child))
         frontier = next_frontier
     return nodes
+
+
+def lattice_node(g: MetrizedGraph, lattice: dict[frozenset, LatticeNode], key: frozenset) -> LatticeNode:
+    """The node of g's lattice at key; the root, g itself, for the empty key."""
+    return lattice[key] if key else LatticeNode(g, tuple(range(g.edge_count)))
 
 
 def nested_weighted_sum(
@@ -362,10 +468,10 @@ def nested_weighted_sum(
     Weights are taken in the graph current at each step, so this is the
     ordered-sequence sum, evaluated without enumerating orders: the future of
     a partial contraction depends only on the set of edges contracted so far.
-    One memoized walk of the lattice serves every depth; ``leaf_value`` is
-    called once per node whose size is a requested depth, and each depth's
-    sum at a node is one ``math.fsum`` over that node's children in edge
-    order.  Returns the sums in the order of ``depths``.
+    One walk of the lattice, deepest nodes first, serves every depth;
+    ``leaf_value`` is called once per node whose size is a requested depth,
+    and each depth's sum at a node is one ``math.fsum`` over that node's
+    children in edge order.  Returns the sums in the order of ``depths``.
     """
     depths = list(depths)
     top = max(0, g.vertex_count - 2)
@@ -374,12 +480,10 @@ def nested_weighted_sum(
             raise TooLarge(f"cannot contract {depth} times on {g.vertex_count} vertices")
     wanted = sorted(set(depths))
     lattice = contraction_lattice(g)
-    memo: dict[frozenset, dict[int, float]] = {}
-
-    def value(key: frozenset) -> dict[int, float]:
-        if key in memo:
-            return memo[key]
-        node = lattice[key]
+    # Deepest nodes first, so every child's sums are ready when its parents read them.
+    sums_at: dict[frozenset, dict[int, float]] = {}
+    for key in sorted((k for k in lattice if len(k) <= wanted[-1]), key=len, reverse=True) + [frozenset()]:
+        node = lattice_node(g, lattice, key)
         size = len(key)
         sums = {}
         if size in wanted:
@@ -387,17 +491,15 @@ def nested_weighted_sum(
         if size < wanted[-1]:
             prof = graph_profile(node.graph)
             children = [
-                (w, value(key | {orig}))
+                (w, sums_at[key | {orig}])
                 for w, orig in zip(prof.weight_resistance, node.original_ids)
                 if w != 0.0
             ]
             for depth in wanted:
                 if depth > size:
                     sums[depth] = math.fsum(w * child[depth] for w, child in children)
-        memo[key] = sums
-        return sums
-
-    root = value(frozenset())
+        sums_at[key] = sums
+    root = sums_at[frozenset()]
     return [root[depth] for depth in depths]
 
 
@@ -405,6 +507,8 @@ def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset, LatticeNode
     """The fully contracted (2-vertex) nodes of the lattice, sorted by key."""
     depth = g.vertex_count - 2
     lattice = contraction_lattice(g)
+    if depth == 0:
+        return [(frozenset(), lattice_node(g, lattice, frozenset()))]
     found = [(key, node) for key, node in lattice.items() if len(key) == depth]
     found.sort(key=lambda item: sorted(item[0]))
     return found
@@ -496,27 +600,22 @@ def tau_oracle_contraction(g: MetrizedGraph) -> float:
     if g.vertex_count > ORACLE_VERTEX_CAP:
         raise TooLarge(f"contraction oracle is capped at {ORACLE_VERTEX_CAP} vertices")
     lattice = contraction_lattice(g)
-    memo: dict[frozenset, float] = {}
-
-    def value(key: frozenset) -> float:
-        node = lattice[key]
-        graph = node.graph
-        v = graph.vertex_count
+    # Deepest nodes first, so every child's value is ready when its parents read it.
+    values: dict[frozenset, float] = {}
+    for key in sorted(lattice, key=len, reverse=True) + [frozenset()]:
+        node = lattice_node(g, lattice, key)
+        v = node.graph.vertex_count
         if v <= 2:
-            return _banana_tau(graph)
-        if key in memo:
-            return memo[key]
-        prof = graph_profile(graph)
+            values[key] = _banana_tau(node.graph)
+            continue
+        prof = graph_profile(node.graph)
         acc = math.fsum(
-            prof.weight_resistance[j] * value(key | {orig})
-            for j, orig in enumerate(node.original_ids)
-            if prof.weight_resistance[j] != 0.0
+            w * values[key | {orig}]
+            for w, orig in zip(prof.weight_resistance, node.original_ids)
+            if w != 0.0
         )
-        result = acc / (v - 2) - prof.z / (12.0 * (v - 2))
-        memo[key] = result
-        return result
-
-    return value(frozenset())
+        values[key] = acc / (v - 2) - prof.z / (12.0 * (v - 2))
+    return values[frozenset()]
 
 
 def a_pq_oracle_integral(g: MetrizedGraph, p: int, q: int, segments_per_edge: int = 128) -> float:

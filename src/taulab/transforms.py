@@ -30,11 +30,28 @@ from .errors import (
 from .graphs import MetrizedGraph, component_labels
 
 
+# Deletion, contraction and gluing keep every length and the connectivity of
+# a valid graph, so their outputs skip re-validation (MetrizedGraph._unchecked).
+
+
+def _shrunk(vertex_count: int, edges: list) -> MetrizedGraph:
+    """A graph whose lengths were divided down from valid ones: only positivity can fail.
+
+    A subnormal length halves or divides to 0.0 (possible in graphs built
+    directly, not through build_graph), and that is refused here.
+    """
+    for pos, (_, _, length) in enumerate(edges):
+        if not length > 0.0:
+            raise NonPositiveLength(f"edge {pos} would have non-positive length {length!r}")
+    return MetrizedGraph._unchecked(vertex_count, tuple(edges))
+
+
 def _merged(g: MetrizedGraph, u: int, w: int, edges) -> MetrizedGraph:
     """The given edges on g's vertices with u and w merged onto min(u, w)."""
     lo, hi = (u, w) if u < w else (w, u)
     vmap = tuple(lo if v == hi else v - 1 if v > hi else v for v in range(g.vertex_count))
-    return MetrizedGraph(g.vertex_count - 1, tuple((vmap[x], vmap[y], length) for x, y, length in edges))
+    merged = tuple((vmap[x], vmap[y], length) for x, y, length in edges)
+    return MetrizedGraph._unchecked(g.vertex_count - 1, merged)
 
 
 def delete_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
@@ -42,7 +59,7 @@ def delete_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
     i = g.check_edge(i)
     if i in g.bridges():
         raise WouldDisconnect(f"edge {i} is a bridge; deleting it would disconnect the graph")
-    return MetrizedGraph(g.vertex_count, g.edges[:i] + g.edges[i + 1:])
+    return MetrizedGraph._unchecked(g.vertex_count, g.edges[:i] + g.edges[i + 1:])
 
 
 def contract_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
@@ -53,7 +70,7 @@ def contract_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
     if a == b:
         # Contracting a self-loop shrinks the loop to a point: the edge just
         # disappears and the genus drops by one.
-        return MetrizedGraph(g.vertex_count, rest)
+        return MetrizedGraph._unchecked(g.vertex_count, rest)
     return _merged(g, a, b, rest)
 
 
@@ -84,7 +101,7 @@ def double_adjusted(g: MetrizedGraph) -> MetrizedGraph:
         half = 0.5 * length
         edges.append((a, b, half))
         edges.append((a, b, half))
-    return MetrizedGraph(g.vertex_count, tuple(edges))
+    return _shrunk(g.vertex_count, edges)
 
 
 def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:
@@ -107,7 +124,7 @@ def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:
         next_vertex += m - 1
         for u, w in zip(chain[:-1], chain[1:]):
             edges.append((u, w, step))
-    return MetrizedGraph(next_vertex, tuple(edges))
+    return _shrunk(next_vertex, edges)
 
 
 # -- cut vertices --------------------------------------------------------------

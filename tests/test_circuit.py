@@ -2,16 +2,17 @@ import itertools
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from taulab import circuit, invariants
+from taulab import circuit, graphs, invariants
 from taulab.circuit import all_edge_circuit_data, effective_resistance
 from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
-from taulab.graphs import build_graph
+from taulab.graphs import MetrizedGraph, build_graph
 from taulab.invariants import tau
 from taulab.transforms import delete_edge, double_adjusted
 
@@ -338,29 +339,35 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
 def test_near_bridge_takes_the_gth_route(monkeypatch):
     routed = set()
     pair_stars = circuit._pair_stars
+    graph = None
 
     def counting(cond, edges, parallel, wanted, base):
-        routed.update(wanted)
+        # On the all-GTH route the reductions run on the loopless core,
+        # whose edge j is the graph's j-th non-loop edge.
+        ids = range(len(edges))
+        if len(edges) < graph.edge_count:
+            ids = [i for i, (a, b, _) in enumerate(graph.edges) if a != b]
+        routed.update(ids[j] for j in wanted)
         return pair_stars(cond, edges, parallel, wanted, base)
 
     monkeypatch.setattr(circuit, "_pair_stars", counting)
     rng = random.Random(31)
-    g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
-    for p in range(g.vertex_count):
-        all_edge_circuit_data(g, p)
+    graph, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
+    for p in range(graph.vertex_count):
+        all_edge_circuit_data(graph, p)
     assert routed == {near_bridge}
 
     routed.clear()
-    g = random_regular_graph(rng, 40, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-    all_edge_circuit_data(g, 0)
+    graph = random_regular_graph(rng, 40, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+    all_edge_circuit_data(graph, 0)
     assert routed == set()
 
     # Below RANK_ONE_MIN_VERTICES every edge but the bridges and loops.
-    g = build_graph(5, [
+    graph = build_graph(5, [
         (0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (1, 2, 3.0), (2, 0, 1.3),
         (2, 3, 0.4), (3, 3, 2.0), (3, 4, 1.1), (2, 2, 0.9), (0, 3, 5.0),
     ])
-    all_edge_circuit_data(g, 4)
+    all_edge_circuit_data(graph, 4)
     assert routed == {0, 1, 2, 3, 4, 5, 9}
 
 
@@ -560,6 +567,30 @@ def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
                 assert np.isfinite(column[~bridge]).all(), (g.edges, base)
 
 
+def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
+    # Contracting one of several parallel edges turns its twins into loops,
+    # so the contractions below share loopless cores with one another and
+    # with loop-free graphs.  Every graph's columns and profile, at every
+    # base, must equal those of a fresh copy reduced with an empty core
+    # table (NaN-aware at bridges: the columns are compared as bytes).
+    family = []
+    for g in wide_spread_multigraphs(random.Random(5050), 80):
+        family.append(g)
+        family += [invariants._contract(g, i) for i, (a, b, _) in enumerate(g.edges) if a != b]
+    assert any(g.bridges() for g in family)
+    assert sum(a == b for g in family for a, b, _ in g.edges) > 300
+    got = [[([c.tobytes() for c in all_edge_circuit_data(g, p)], invariants.graph_profile(g, p))
+            for p in range(g.vertex_count)] for g in family]
+    cores = [graphs.loopless_core(g) for g in family]
+    assert len(family) - len({id(core) for core in cores}) > 150
+    for g, rows in zip(family, got):
+        monkeypatch.setattr(graphs, "_CORES", weakref.WeakValueDictionary())
+        fresh = MetrizedGraph(g.vertex_count, g.edges)
+        for p, (columns, prof) in enumerate(rows):
+            assert columns == [c.tobytes() for c in all_edge_circuit_data(fresh, p)], (g.edges, p)
+            assert prof == invariants.graph_profile(fresh, p), (g.edges, p)
+
+
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
     prof = invariants.graph_profile(g, 1)
@@ -568,7 +599,7 @@ def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     with pytest.raises(ValueError):
         all_edge_circuit_data(g, 1).resistance[0] = 0.0
     assert "columns" not in repr(prof)
-    assert prof == invariants.graph_profile.__wrapped__(g, 1)
+    assert prof == invariants._profile_at.__wrapped__(g, 1)
 
 
 def test_laplacian_matches_the_edge_loop_with_parallel_edges_both_ways():

@@ -337,6 +337,20 @@ def test_oracle_refuses_oversized_quadrature_at_once(tmp_path, capsys):
     assert "capped" in err
 
 
+def test_oracle_refuses_a_lattice_over_its_node_cap(tmp_path, capsys):
+    # K6 with every pair tripled is under the oracle's vertex cap, but its
+    # contraction lattice has 100,216 nodes: refused at once, exit 2.
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
+    path = write(tmp_path, cli.serialize_graph(g))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", path, "--segments", "4"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "100216 nodes" in err
+
+
 def test_tol_env_override(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, TRIANGLE_TEXT)
     monkeypatch.setenv("TAULAB_TOL", "0.5")

@@ -1,11 +1,12 @@
 import gc
 import hashlib
 import random
+import time
 import weakref
 
 import pytest
 
-from taulab import identities, invariants, transforms
+from taulab import graphs, identities, invariants, transforms
 from taulab.errors import NotApplicable, UnknownIdentityId
 from taulab.fuzzing import (
     named_corpus,
@@ -236,17 +237,56 @@ def test_succession_identities(k4):
         assert r.checks >= 2  # k = 1 and k = 2 both checked
 
 
+NESTED_IDS = ("SUCC_XY", "SUCC_TAU", "SUCC_R", "SUCC_Z", "BANANA_XY", "TAU_MAIN5", "W_ID", "AHM")
+
+
 def test_nested_identities_respect_size_cap():
     ladder = build_graph(7, (
         [(i, i + 1, 1.0) for i in range(6)]
         + [(0, 6, 1.0), (1, 5, 1.0), (2, 4, 1.0)]
     ))
     reports = {r.identity: r for r in verify_all(ladder)}
-    for ident in ("SUCC_XY", "SUCC_TAU", "SUCC_R", "SUCC_Z", "BANANA_XY", "TAU_MAIN5", "W_ID", "AHM"):
+    for ident in NESTED_IDS:
         assert not reports[ident].applicable, ident
     # everything without a nested sum still runs at 7 vertices
     assert reports["TAU_CONTRACT"].applicable and reports["TAU_CONTRACT"].passed
     assert reports["CD_X"].applicable and reports["CD_X"].passed
+
+
+def test_nested_identities_skip_a_lattice_over_its_node_cap():
+    # K6 with every pair tripled: 6 vertices, under the vertex cap, but
+    # 100,216 lattice nodes.  The guard counts them without building any.
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
+    start = time.perf_counter()
+    reports = identities.verify_many(g, NESTED_IDS)
+    assert time.perf_counter() - start < 1.0
+    for r in reports:
+        assert not r.applicable and "100216 nodes" in r.note, (r.identity, r.note)
+    # K6 itself (1,636 nodes) stays under the cap.
+    k6_reports = identities.verify_many(build_graph(6, [(a, b, 1.0) for a, b in k6]), ["SUCC_TAU"])
+    assert k6_reports[0].applicable and k6_reports[0].passed
+
+
+def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit():
+    # The catalog reads A_pq(G - e, a, b) and A_pq(DA(G - e), a, b) with
+    # the glued graph taken from the memoized contraction G/e (and DA(G/e)).
+    rng = random.Random(7070)
+    edges = 0
+    for _ in range(25):
+        g = random_bridgeless_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(2.0, 8.0)
+        g = build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges])
+        for i, (a, b, _) in enumerate(g.edges):
+            if a == b:
+                continue
+            deleted = transforms.delete_edge(g, i)
+            plain = invariants.A_pq(deleted, a, b)
+            doubled = invariants.A_pq(transforms.double_adjusted(deleted), a, b)
+            assert identities._edge_crossing(g, i, False) == plain, (g.edges, i)
+            assert identities._edge_crossing(g, i, True) == doubled, (g.edges, i)
+            edges += 1
+    assert edges > 150
 
 
 def test_loops_flow_through_the_catalog():
@@ -286,14 +326,23 @@ def memo_graph(pendant=True):
 
 @pytest.mark.parametrize("pendant", [True, False])
 def test_a_graphs_memo_is_freed_with_the_graph(pendant):
-    # Without the pendant bridge the nested identities run and fill the lattice.
+    # Without the pendant bridge the nested identities run and fill the
+    # lattice.  With the cyclic collector off, the graph, its memo and its
+    # loopless core (the graph has a self-loop) must go by reference
+    # counting alone, as soon as the last reference does.
     g = memo_graph(pendant)
-    verify_all(g)
-    invariants.invariant_set(g)
-    ref = weakref.ref(g)
-    del g
-    gc.collect()
-    assert ref() is None
+    core_key = (g.vertex_count, tuple(e for e in g.edges if e[0] != e[1]))
+    gc.disable()
+    try:
+        verify_all(g)
+        invariants.invariant_set(g)
+        assert graphs._CORES[core_key] is graphs.loopless_core(g)
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+        assert core_key not in graphs._CORES
+    finally:
+        gc.enable()
 
 
 def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
@@ -301,12 +350,19 @@ def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
     verify(g, "CD_Z")
     built = []
     post_init = MetrizedGraph.__post_init__
+    unchecked = MetrizedGraph._unchecked.__func__
 
     def counting(graph):
         built.append(graph)
         post_init(graph)
 
+    def counting_unchecked(cls, vertex_count, edges):
+        built.append(unchecked(cls, vertex_count, edges))
+        return built[-1]
+
+    # Surgeries build their outputs unchecked, so both constructors count.
     monkeypatch.setattr(MetrizedGraph, "__post_init__", counting)
+    monkeypatch.setattr(MetrizedGraph, "_unchecked", classmethod(counting_unchecked))
     deletable = [i for i in range(g.edge_count) if i not in g.bridges()]
     assert len(deletable) == 7
     for i in deletable:

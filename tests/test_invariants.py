@@ -1,9 +1,12 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 
 from taulab import invariants, transforms
+from taulab.connectivity import N_of
 from taulab.errors import BridgePresent, SameVertex, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
 from taulab.graphs import build_graph
@@ -313,3 +316,66 @@ def test_profile_memo_counts_hits_per_graph_instance():
     assert (again.hits - hit.hits, again.misses - hit.misses) == (0, 1)
     # Keyword calls are accepted too.
     assert graph_profile(g, base=2) == graph_profile(g, 2)
+
+
+def test_default_and_explicit_base_share_one_memo_entry():
+    g = build_graph(3, [(0, 1, 1.25), (1, 2, 0.5), (2, 0, 2.0), (0, 0, 0.75)])
+    start = graph_profile.cache_info()
+    assert graph_profile(g) is graph_profile(g, 0)
+    end = graph_profile.cache_info()
+    assert (end.hits - start.hits, end.misses - start.misses) == (1, 1)
+
+
+# -- the lattice-size guard -------------------------------------------------------
+
+
+def forest_count(g):
+    """Edge sets of at most v - 2 non-loop edges without a cycle, by brute force."""
+    links = [(a, b) for a, b, _ in g.edges if a != b]
+    count = 0
+    for k in range(max(0, g.vertex_count - 2) + 1):
+        for subset in itertools.combinations(links, k):
+            parent = list(range(g.vertex_count))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            acyclic = True
+            for a, b in subset:
+                ra, rb = find(a), find(b)
+                if ra == rb:
+                    acyclic = False
+                    break
+                parent[ra] = rb
+            count += acyclic
+    return count
+
+
+def test_lattice_size_counts_the_lattice_it_does_not_build():
+    rng = random.Random(909)
+    graphs = [random_connected_multigraph(rng, 6, 12) for _ in range(40)]
+    graphs += [named_corpus()["k4"], named_corpus()["prism"], build_graph(1, [(0, 0, 1.0)])]
+    for g in graphs:
+        nodes = len(invariants.contraction_lattice(g)) + 1  # the root is g itself
+        assert invariants.lattice_size(g) == nodes == forest_count(g), g.edges
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    for copies, nodes in ((1, 1636), (2, 21211), (3, 100216), (4, 306061)):
+        g = build_graph(6, [(a, b, 1.0) for a, b in k6 for _ in range(copies)])
+        assert invariants.lattice_size(g) == nodes
+
+
+def test_walks_refuse_a_lattice_over_its_node_cap():
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
+    start = time.perf_counter()
+    for walk in (invariants.contraction_lattice, tau_oracle_contraction, N_of, w_nested):
+        with pytest.raises(TooLarge, match="100216 nodes"):
+            walk(g)
+    assert time.perf_counter() - start < 1.0
+    # A cycle on 20 vertices is refused from its spanning trees alone.
+    ring = build_graph(20, [(i, (i + 1) % 20, 1.0) for i in range(20)])
+    with pytest.raises(TooLarge, match="at least 524287 nodes"):
+        invariants.contraction_lattice(ring)
+

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from taulab import invariants, transforms
+from taulab import identities, invariants, transforms
 from taulab.cuts import INFINITE, edge_connectivity
 from taulab.errors import (
     HasCutVertex,
@@ -10,12 +10,13 @@ from taulab.errors import (
     NotApplicable,
     NotNormalized,
     SameVertex,
+    TauLabError,
     TooSmall,
     ValenceBelowThree,
     WouldDisconnect,
 )
 from taulab.fuzzing import random_bridgeless_multigraph, random_connected_multigraph
-from taulab.graphs import build_graph
+from taulab.graphs import MetrizedGraph, build_graph
 
 
 def test_delete_edge(triangle):
@@ -215,3 +216,20 @@ def test_surgeries_preserve_validity():
         transforms.identify_endpoints(g, i)
         if i not in g.bridges():
             transforms.delete_edge(g, i)
+
+
+def test_surgeries_refuse_lengths_that_shrink_to_zero():
+    # build_graph bounds lengths below by MIN_LENGTH, but a graph built
+    # directly needs only positive ones.  Halving or dividing the smallest
+    # subnormal gives 0.0, which must end in a typed error.
+    g = MetrizedGraph(3, ((0, 1, 5e-324), (0, 1, 1.0), (1, 2, 1.0), (2, 0, 2.0), (1, 1, 5e-324)))
+    for surgery in (transforms.double_adjusted, lambda h: transforms.subdivide(h, 3)):
+        with pytest.raises(NonPositiveLength):
+            surgery(g)
+    with pytest.raises(TauLabError):
+        identities.verify(g, "DA_TAU")
+    # Deletion, contraction and gluing keep every length: valid, unchecked.
+    merged = ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0), (0, 0, 5e-324))
+    assert transforms.contract_edge(g, 0) == MetrizedGraph(2, merged)
+    assert transforms.delete_edge(g, 1).edges == g.edges[:1] + g.edges[2:]
+
