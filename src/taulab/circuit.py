@@ -13,9 +13,9 @@ eliminated there never read the a-b entry, so all edges between a and b
 share one reduction of G without any a-b edge, per base, and each edge
 then adds the other a-b conductances and the recorded fills of that entry
 in the order its own reduction would (_pair_stars): the same bits as one
-reduction per edge.  GTH serves every non-bridge edge of a graph under
-RANK_ONE_MIN_VERTICES and each edge that the closed-form route rejects.
-On that all-GTH route the reductions run on the graph's loopless core
+reduction per edge.  closed_form alone picks the route.  On the all-GTH
+route (graphs under RANK_ONE_MIN_VERTICES, or where no edge passes the
+closed form's guard) the reductions run on the graph's loopless core
 (graphs.loopless_core) and are memoized there (_core_arms): loops carry no
 current, so graphs that differ only in self-loops, such as the
 contractions of parallel twins, share them bit for bit.
@@ -33,11 +33,12 @@ SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
 deleted-edge resistance and the two star arms of every edge as read-only
-float64 arrays indexed by edge, next to the lengths and the self-loop and
-bridge masks.  The invariants and the identity catalog read every per-edge
-quantity from these columns.  A self-loop holds its exact limit there (R
-and both arms 0.0); a bridge has no finite deleted-edge resistance, so its
-entries are NaN and its limits are applied by whoever reads the mask.
+float64 arrays indexed by edge, next to the bridge mask (lengths and
+self-loops are read from the graph's edges).  The invariants and the
+identity catalog read every per-edge quantity from these columns.  A
+self-loop holds its exact limit there (R and both arms 0.0); a bridge has
+no finite deleted-edge resistance, so its entries are NaN and its limits
+are applied by whoever reads the mask.
 """
 
 from __future__ import annotations
@@ -281,18 +282,16 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     is at most RANK_ONE_ERROR_BOUND.
 
     Returns (resistance, closed).  resistance[i] is R for edge i, or None
-    for bridges, self-loops, edges the guard rejects and every edge of a
-    graph under RANK_ONE_MIN_VERTICES; the non-bridge ones among them are
-    left to GTH elimination per base (_gth_stars).  closed is None when no
-    edge takes the route, else (K, a, b, scale, spread) with the per-edge
-    arrays of endpoints, L / s and K[a,a] - K[b,b]: K plus O(m) scalars,
-    O(n^3 + m) for the graph and shared across bases.
+    for bridges, self-loops and edges the guard rejects; the non-bridge
+    ones among them are left to GTH elimination per base (_gth_stars).
+    closed is None when no edge takes the route, else (K, a, b, scale,
+    spread) with the per-edge arrays of endpoints, L / s and
+    K[a,a] - K[b,b]: K plus O(m) scalars, O(n^3 + m) for the graph and
+    shared across bases.
     """
     n = g.vertex_count
     edges = g.edges
     resistance = (None,) * len(edges)
-    if n < RANK_ONE_MIN_VERTICES:
-        return resistance, None
     a, b, length = map(np.array, zip(*edges))
     routed = a != b
     routed[list(g.bridges())] = False
@@ -306,26 +305,37 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     ok = routed & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
     scale = length / np.where(ok, s, 1.0)
     resistance = tuple(R if take else None for R, take in zip((scale * r).tolist(), ok.tolist()))
-    return resistance, (K, a, b, scale, d[a] - d[b])
+    return resistance, (K, a, b, scale, d[a] - d[b]) if ok.any() else None
+
+
+def closed_form(g: MetrizedGraph):
+    """The route decision: _deleted_edge_inverses(g), or None for the all-GTH route.
+
+    A graph takes the closed form when it has RANK_ONE_MIN_VERTICES or
+    more vertices and some edge passes the guard; under that size nothing
+    is inverted or memoized.
+    """
+    if g.vertex_count < RANK_ONE_MIN_VERTICES:
+        return None
+    data = _deleted_edge_inverses(g)
+    return None if data[1] is None else data
 
 
 class EdgeColumns(NamedTuple):
     """Every edge's circuit data at one base, as read-only arrays indexed by edge.
 
-    ``length`` is float64 and ``loop`` and ``bridge`` are boolean masks.
-    ``resistance`` is the effective resistance between the edge's endpoints
-    once the edge itself is deleted.  Seen from the two endpoints and the
-    base, the deleted-edge network reduces to a star with three arms;
-    ``arm_first`` and ``arm_second`` are the arms at the first and second
-    endpoint, the two the invariants read (through R = arm_first +
-    arm_second and the arm gap arm_first - arm_second).  A self-loop holds
-    its exact limit, 0.0 in all three float columns.  A bridge is masked:
-    its three entries are NaN, and whoever reads the mask applies its
-    limits (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).
+    ``bridge`` is a boolean mask; lengths and self-loops are read from the
+    graph's edges.  ``resistance`` is the effective resistance between the
+    edge's endpoints once the edge itself is deleted.  Seen from the two
+    endpoints and the base, the deleted-edge network reduces to a star with
+    three arms; ``arm_first`` and ``arm_second`` are the arms at the first
+    and second endpoint, the two the invariants read (through R = arm_first
+    + arm_second and the arm gap arm_first - arm_second).  A self-loop
+    holds its exact limit, 0.0 in all three float columns.  A bridge is
+    masked: its three entries are NaN, and whoever reads the mask applies
+    its limits (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).
     """
 
-    length: np.ndarray
-    loop: np.ndarray
     bridge: np.ndarray
     resistance: np.ndarray
     arm_first: np.ndarray
@@ -335,49 +345,37 @@ class EdgeColumns(NamedTuple):
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
-    Under RANK_ONE_MIN_VERTICES every non-loop edge reads its arms from
-    the loopless core's memo (_core_arms, None at bridges), in edge order.
-    From 10 vertices on, edges with closed-form data (_deleted_edge_inverses,
-    held in the graph's memo and shared across bases) take R from it and
-    their arm gap from one gather of row K[base]: arm_first = (R + gap) / 2
-    and arm_second = R - arm_first.  A self-loop's R is set to 0 first, so
-    the same arithmetic gives its arms 0.  Every other edge that is neither
-    a bridge nor a self-loop is reduced onto {a, b, base} by GTH
-    elimination, one reduction per endpoint pair (_pair_stars).  On a GTH
-    edge R is the sum of its two arms.  When no edge has closed-form data,
-    the columns are collected as Python floats and each becomes one array
-    at the end.
+    One branch per route (closed_form).  On the all-GTH route every
+    non-loop edge reads its arms from the loopless core's memo
+    (_core_arms, None at bridges), in edge order.  On the closed-form route
+    each edge that passed the guard takes R from the graph's closed-form
+    data and its arm gap from one gather of row K[base]:
+    arm_first = (R + gap) / 2 and arm_second = R - arm_first.  A self-loop's
+    R is set to 0 first, so the same arithmetic gives its arms 0.  Every
+    other edge that is neither a bridge nor a self-loop is reduced onto
+    {a, b, base} by GTH elimination, one reduction per endpoint pair
+    (_pair_stars).  On a GTH edge R is the sum of its two arms.
     """
     base = g.check_vertex(base)
     edges = g.edges
-    loops = [a == b for a, b, _ in edges]
-    length = np.array([L for _, _, L in edges], dtype=float)
-    loop = np.array(loops, dtype=bool)
-    closed = None
-    if g.vertex_count < RANK_ONE_MIN_VERTICES:
-        core_arms = iter(_core_arms(loopless_core(g), base))
-        arms = [(0.0, 0.0) if is_loop else next(core_arms) for is_loop in loops]
-        bridge = np.array([star is None for star in arms], dtype=bool)
+    data = closed_form(g)
+    if data is None:
+        nan = (float("nan"),) * 2  # at bridges, where the core has no star
+        stars = iter(_core_arms(loopless_core(g), base))
+        arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
+        bridge = np.array([star is nan for star in arms], dtype=bool)
+        arm_first, arm_second = np.array(arms, dtype=float).reshape(-1, 2).T
+        R = arm_first + arm_second
     else:
+        resistance, (K, a_of, b_of, scale, spread) = data
         bridges = g.bridges()
         bridge = np.zeros(len(edges), dtype=bool)
         bridge[list(bridges)] = True
-        resistance, closed = _deleted_edge_inverses(g)
-        routed = [i for i, (r_ab, is_loop) in enumerate(zip(resistance, loops))
-                  if r_ab is None and not is_loop and i not in bridges]
+        routed = [i for i, (r_ab, (a, b, _)) in enumerate(zip(resistance, edges))
+                  if r_ab is None and a != b and i not in bridges]
         stars = _gth_stars(g, base, routed) if routed else {}
-        if closed is None:
-            arms = [(0.0, 0.0) if is_loop else stars.get(i) for i, is_loop in enumerate(loops)]
-    if closed is None:
-        nan = (float("nan"),) * 2  # at bridges; every other edge but the loops has its star
-        arms = [nan if star is None else star for star in arms]
-        R = np.array([arm_a + arm_b for arm_a, arm_b in arms], dtype=float)
-        arm_first = np.array([arm_a for arm_a, _ in arms], dtype=float)
-        arm_second = np.array([arm_b for _, arm_b in arms], dtype=float)
-    else:
-        R = np.array(resistance, dtype=float)  # NaN where resistance[i] is None
-        R[loop] = 0.0
-        K, a_of, b_of, scale, spread = closed
+        # NaN where resistance[i] is None; 0.0 at self-loops.
+        R = np.array([0.0 if a == b else r_ab for r_ab, (a, b, _) in zip(resistance, edges)], dtype=float)
         row = K[base]
         gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
         arm_first = 0.5 * (R + gap)
@@ -385,7 +383,7 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         for i, (arm_a, arm_b) in stars.items():
             arm_first[i], arm_second[i] = arm_a, arm_b
             R[i] = arm_a + arm_b
-    columns = EdgeColumns(length, loop, bridge, R, arm_first, arm_second)
+    columns = EdgeColumns(bridge, R, arm_first, arm_second)
     for column in columns:
         column.setflags(write=False)
     return columns

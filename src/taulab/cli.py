@@ -131,7 +131,7 @@ def _bounds_body(report: connectivity.BoundsReport) -> dict:
                 "value": entry.value,
                 "slack": entry.slack,
             }
-            for entry in report.all_entries()
+            for entry in report.bounds
         ],
         "conjecture_margin": _finite(report.conjecture_margin),
     }
@@ -173,7 +173,7 @@ def cmd_invariants(args) -> int:
     if bounds.conjecture_margin <= 0.0:
         _shout_violation(bounds.conjecture_margin, g)
         return EXIT_CONJECTURE
-    if any(entry.slack < -args.tol for entry in bounds.all_entries()):
+    if any(entry.slack < -args.tol for entry in bounds.bounds):
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -222,7 +222,7 @@ def cmd_fuzz(args) -> int:
                 worst_residual = max(worst_residual, r.residual)
             if r.slack is not None:
                 worst_slack = min(worst_slack, r.slack)
-        for entry in bounds.all_entries():
+        for entry in bounds.bounds:
             worst_slack = min(worst_slack, entry.slack)
             if entry.slack < -args.tol:
                 case_failed.append(f"bound: {entry.name}")

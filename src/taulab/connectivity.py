@@ -76,23 +76,18 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Connectivity numbers and every tau bound that applies to the graph."""
+    """Connectivity numbers and every tau bound that applies to the graph.
+
+    ``bounds`` holds the connectivity and vertex-count bounds, then the
+    genus bound (bridgeless graphs), then the equal-length pair (bridgeless
+    graphs whose edges share one length).
+    """
 
     edge_conn: object  # int, or INFINITE for a single vertex with loops
     vertex_conn: int | None
     min_valence: int
-    bound_main: tuple[BoundEntry, ...]
-    bound_genus: BoundEntry | None
-    bound_equal_length: tuple[BoundEntry, BoundEntry] | None
+    bounds: tuple[BoundEntry, ...]
     conjecture_margin: float
-
-    def all_entries(self) -> tuple[BoundEntry, ...]:
-        entries = list(self.bound_main)
-        if self.bound_genus is not None:
-            entries.append(self.bound_genus)
-        if self.bound_equal_length is not None:
-            entries.extend(self.bound_equal_length)
-        return tuple(entries)
 
 
 def conjecture_margin(g: MetrizedGraph) -> float:
@@ -116,44 +111,36 @@ def lower_bounds(g: MetrizedGraph) -> BoundsReport:
     kappa = vertex_connectivity(g) if v >= 2 else None
     bridgeless = g.is_bridgeless()
 
-    main = []
+    bounds = []
     if is_infinite(lam):
         # Loop bouquets: the quadratic bound degenerates to its limit ell/12,
         # which the bouquet attains exactly.
-        main.append(BoundEntry("edge-connectivity bound", "lower", ell / 12.0, value))
+        bounds.append(BoundEntry("edge-connectivity bound", "lower", ell / 12.0, value))
     elif lam >= 4:
         quad = (1.0 / 12.0) * (1.0 - 4.0 / lam) ** 2 + 4.0 * (lam - 2) / ((v + 6) * lam * lam)
-        main.append(BoundEntry("edge-connectivity bound", "lower", ell * quad, value))
-    main.append(BoundEntry("vertex-count bound", "lower", ell / (2.0 * (v + 6)), value))
+        bounds.append(BoundEntry("edge-connectivity bound", "lower", ell * quad, value))
+    bounds.append(BoundEntry("vertex-count bound", "lower", ell / (2.0 * (v + 6)), value))
     if is_infinite(lam) or lam >= 6:
-        main.append(BoundEntry("length over 108", "lower", ell / 108.0, value))
+        bounds.append(BoundEntry("length over 108", "lower", ell / 108.0, value))
     elif lam == 5:
-        main.append(BoundEntry("length over 300", "lower", ell / 300.0, value))
+        bounds.append(BoundEntry("length over 300", "lower", ell / 300.0, value))
 
-    genus_entry = None
     if bridgeless:
-        genus_entry = BoundEntry(
-            "genus bound", "lower", ell / (6.0 * (g.genus + 1)), value
-        )
+        bounds.append(BoundEntry("genus bound", "lower", ell / (6.0 * (g.genus + 1)), value))
 
-    equal = None
     lengths = {length for _, _, length in g.edges}
     if bridgeless and len(lengths) == 1 and not is_infinite(lam):
         e = g.edge_count
         ratio = (v - 1) / e
         low = 1.0 / 12.0 - ratio / 6.0 + (v + 6) / (12.0 * v) * ratio * ratio
         high = 1.0 / 12.0 - ratio / 6.0 + ratio / (3.0 * lam)
-        equal = (
-            BoundEntry("equal-length lower", "lower", ell * low, value),
-            BoundEntry("equal-length upper", "upper", ell * high, value),
-        )
+        bounds.append(BoundEntry("equal-length lower", "lower", ell * low, value))
+        bounds.append(BoundEntry("equal-length upper", "upper", ell * high, value))
 
     return BoundsReport(
         edge_conn=lam,
         vertex_conn=kappa,
         min_valence=g.min_valence(),
-        bound_main=tuple(main),
-        bound_genus=genus_entry,
-        bound_equal_length=equal,
+        bounds=tuple(bounds),
         conjecture_margin=conjecture_margin(g),
     )

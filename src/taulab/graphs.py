@@ -33,6 +33,7 @@ core), so the table never outgrows the live graphs.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import wraps
@@ -62,10 +63,7 @@ class MetrizedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        try:
-            n = int(self.vertex_count)
-        except (TypeError, ValueError):
-            raise BadVertexIndex(f"vertex_count must be an integer, got {self.vertex_count!r}")
+        n = _index(self.vertex_count, BadVertexIndex, "vertex_count")
         if n < 1:
             raise BadVertexIndex(f"vertex_count must be >= 1, got {n}")
         normalized = []
@@ -74,9 +72,12 @@ class MetrizedGraph:
                 a, b, length = edge
             except (TypeError, ValueError):
                 raise NonPositiveLength(f"edge {pos} must be a (u, w, length) triple, got {edge!r}")
-            a = int(a)
-            b = int(b)
-            length = float(length)
+            a = _index(a, BadVertexIndex, f"edge {pos}'s first endpoint")
+            b = _index(b, BadVertexIndex, f"edge {pos}'s second endpoint")
+            try:
+                length = float(length)
+            except (TypeError, ValueError):
+                raise NonPositiveLength(f"edge {pos} has length {length!r}, not a number") from None
             if not (0 <= a < n) or not (0 <= b < n):
                 raise BadVertexIndex(f"edge {pos} touches vertex outside 0..{n - 1}: ({a}, {b})")
             if not math.isfinite(length) or length <= 0.0:
@@ -117,13 +118,13 @@ class MetrizedGraph:
         return math.fsum(length for _, _, length in self.edges)
 
     def check_vertex(self, p: int) -> int:
-        p = int(p)
+        p = _index(p, BadVertexIndex, "vertex")
         if not (0 <= p < self.vertex_count):
             raise BadVertexIndex(f"vertex {p} outside 0..{self.vertex_count - 1}")
         return p
 
     def check_edge(self, i: int) -> int:
-        i = int(i)
+        i = _index(i, BadEdgeIndex, "edge index")
         if not (0 <= i < len(self.edges)):
             raise BadEdgeIndex(f"edge {i} outside 0..{len(self.edges) - 1}")
         return i
@@ -174,9 +175,21 @@ class MetrizedGraph:
         return not _bridge_ids(self)
 
 
+def _index(value, error: type, what: str) -> int:
+    """value as a Python int, if operator.index accepts it (Python and numpy integers); else error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def build_graph(vertex_count: int, edges: Iterable[Sequence]) -> MetrizedGraph:
-    """Validate and build a metrized graph from raw (u, w, length) triples."""
-    g = MetrizedGraph(int(vertex_count), tuple(tuple(edge) for edge in edges))
+    """Validate and build a metrized graph from raw (u, w, length) triples.
+
+    The vertex count and endpoints must be integers (operator.index) and
+    lengths convertible by float(); anything else raises a TauLabError.
+    """
+    g = MetrizedGraph(vertex_count, tuple(edges))
     for pos, (_, _, length) in enumerate(g.edges):
         if not MIN_LENGTH <= length <= MAX_LENGTH:
             raise NonPositiveLength(

@@ -31,12 +31,11 @@ import numpy as np
 
 from . import transforms
 from .circuit import (
-    RANK_ONE_MIN_VERTICES,
     EdgeColumns,
-    _deleted_edge_inverses,
     _grounded_inverse,
     _laplacian,
     all_edge_circuit_data,
+    closed_form,
     effective_resistance,
 )
 from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
@@ -100,15 +99,16 @@ class GraphProfile:
 def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     """The profile at one base: each sum is one math.fsum over its per-edge terms.
 
-    The terms take one of two paths, picked by the circuit route.  When no
-    edge has closed-form data (every graph under RANK_ONE_MIN_VERTICES) a
-    scalar loop computes them in Python floats; otherwise they are computed
+    The terms take one of two paths, picked by the circuit route
+    (circuit.closed_form).  On the all-GTH route a scalar loop computes
+    them in Python floats; on the closed-form route they are computed
     column-wise in the same operation order, and numpy's elementwise
     arithmetic rounds each operation exactly as Python floats do.  So both
     paths give the same bits, and fsum is correctly rounded and so
-    independent of term order.  Self-loops add their length to z, bridges
-    theirs to r and y.  The base is checked before the memo is read, so
-    graph_profile(g) and graph_profile(g, 0) are one entry.
+    independent of term order; each is the faster one on its route.
+    Self-loops add their length to z, bridges theirs to r and y.  The base
+    is checked before the memo is read, so graph_profile(g) and
+    graph_profile(g, 0) are one entry.
     """
     return _profile_at(g, g.check_vertex(base))
 
@@ -116,10 +116,8 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
 @graph_memo
 def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
     columns = all_edge_circuit_data(g, base)
-    if g.vertex_count < RANK_ONE_MIN_VERTICES or _deleted_edge_inverses(g)[1] is None:
-        z, r, x, y, w_res, w_len = _scalar_terms(columns)
-    else:
-        z, r, x, y, w_res, w_len = _column_terms(columns)
+    terms = _scalar_terms if closed_form(g) is None else _column_terms
+    z, r, x, y, w_res, w_len = terms(g, columns)
     ell = g.total_length
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
@@ -131,11 +129,11 @@ def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
 graph_profile.cache_info = _profile_at.cache_info
 
 
-def _scalar_terms(columns: EdgeColumns):
+def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y and both weight tuples, one edge at a time."""
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    for L, loop, bridge, R, arm_first, arm_second in zip(*(column.tolist() for column in columns)):
-        if loop:
+    for (a, b, L), bridge, R, arm_first, arm_second in zip(g.edges, *(column.tolist() for column in columns)):
+        if a == b:
             z_terms.append(L)
             w_res.append(0.0)
             w_len.append(1.0)
@@ -161,11 +159,13 @@ def _scalar_terms(columns: EdgeColumns):
             tuple(w_res), tuple(w_len))
 
 
-def _column_terms(columns: EdgeColumns):
+def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y and both weight tuples, each term computed for all plain edges at once."""
-    loop, bridge = columns.loop, columns.bridge
+    length = np.array([L for _, _, L in g.edges], dtype=float)
+    loop = np.array([a == b for a, b, _ in g.edges], dtype=bool)
+    bridge = columns.bridge
     plain = ~(loop | bridge)
-    L = columns.length[plain]
+    L = length[plain]
     R = columns.resistance[plain]
     gap = columns.arm_first[plain] - columns.arm_second[plain]
     denom = L + R
@@ -174,8 +174,8 @@ def _column_terms(columns: EdgeColumns):
     LL = L * L
     L75 = 0.75 * L
     gap_term = L75 * gap * gap
-    bridge_lengths = columns.length[bridge].tolist()
-    z = math.fsum((LL / denom).tolist() + columns.length[loop].tolist())
+    bridge_lengths = length[bridge].tolist()
+    z = math.fsum((LL / denom).tolist() + length[loop].tolist())
     r = math.fsum((L * R / denom).tolist() + bridge_lengths)
     y = math.fsum(((0.25 * L * R * R + gap_term) / sq).tolist() + bridge_lengths)
     x = math.fsum(((LL * R + L75 * R * R - gap_term) / sq).tolist())

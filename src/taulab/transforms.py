@@ -201,14 +201,13 @@ def cubic_transform_trace(g: MetrizedGraph, epsilon: float) -> tuple[MetrizedGra
                 found.append((eid, 1))
         return found
 
-    def snapshot() -> MetrizedGraph:
-        return MetrizedGraph(vcount, tuple(tuple(e) for e in edges))
-
+    # Each step's graph and its tau carry into the next step, so every
+    # graph is built and solved once, and the result is the graph last solved.
+    current, tau_after = g, invariants.tau(g)
     for p in range(original_v):
         chain_edge: int | None = None
         while len(incidences(p)) >= 4:
-            current = snapshot()
-            tau_before = invariants.tau(current)
+            tau_before = tau_after
             gap = 1.0 / 12.0 - tau_before
             eps_step = epsilon_unit / gap if gap >= 1e-12 else epsilon_unit
 
@@ -231,10 +230,11 @@ def cubic_transform_trace(g: MetrizedGraph, epsilon: float) -> tuple[MetrizedGra
             for e in edges:
                 e[2] /= total
 
-            after = snapshot()
-            trace.append(CubicStep(p, tau_before, eps_step, invariants.tau(after)))
+            current = MetrizedGraph(vcount, tuple(tuple(e) for e in edges))
+            tau_after = invariants.tau(current)
+            trace.append(CubicStep(p, tau_before, eps_step, tau_after))
 
-    return snapshot(), tuple(trace)
+    return current, tuple(trace)
 
 
 def cubic_transform(g: MetrizedGraph, epsilon: float) -> MetrizedGraph:

@@ -188,17 +188,17 @@ def test_07_lower_bound_slacks():
     rng = random.Random(707)
     graphs += _remember([random_connected_multigraph(rng, 6, 12) for _ in range(50)])
     for g in graphs:
-        for entry in connectivity.lower_bounds(g).all_entries():
+        for entry in connectivity.lower_bounds(g).bounds:
             assert entry.slack >= -1e-9, (g, entry.name, entry.slack)
     banana6 = build_graph(2, [(0, 1, 1.0)] * 6).normalize()
     report = connectivity.lower_bounds(banana6)
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     assert invariants.tau(banana6) == pytest.approx(7.0 / 108.0, rel=1e-12)
     assert by_name["length over 108"].slack == pytest.approx(1.0 / 18.0, rel=1e-12)
     k4 = build_graph(4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)]).normalize()
     tau_k4 = invariants.tau(k4)
     assert 5.0 / 96.0 - 1e-12 <= tau_k4 <= 1.0 / 18.0 + 1e-12
-    window = {e.name: e for e in connectivity.lower_bounds(k4).all_entries()}
+    window = {e.name: e for e in connectivity.lower_bounds(k4).bounds}
     assert window["equal-length lower"].bound == pytest.approx(5.0 / 96.0, rel=1e-12)
     assert window["equal-length upper"].bound == pytest.approx(1.0 / 18.0, rel=1e-12)
     elapsed = done()

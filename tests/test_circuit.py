@@ -1,9 +1,11 @@
+import ast
 import itertools
 import math
 import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ def test_triangle_edge_data(triangle):
     assert c.resistance[0] == pytest.approx(2.0, rel=1e-12)
     assert c.arm_first[0] == pytest.approx(0.0, abs=1e-12)  # base sits at the first endpoint
     assert c.arm_second[0] == pytest.approx(2.0, rel=1e-12)
-    assert not c.loop[0] and not c.bridge[0]
+    assert not c.bridge[0]
 
 
 def test_arm_sum_recovers_deleted_resistance():
@@ -103,14 +105,14 @@ def test_arm_sum_recovers_deleted_resistance():
 def test_loop_edge_data():
     g = build_graph(2, [(0, 1, 1.0), (1, 1, 3.0)])
     c = all_edge_circuit_data(g, 0)
-    assert c.loop[1] and not c.bridge[1]
+    assert not c.bridge[1]
     assert c.resistance[1] == 0.0
     assert c.arm_first[1] == 0.0 and c.arm_second[1] == 0.0
 
 
 def test_bridge_edge_data(path2):
     c = all_edge_circuit_data(path2, 0)
-    assert c.bridge[0] and not c.loop[0]
+    assert c.bridge[0]
     assert np.isnan([c.resistance[0], c.arm_first[0], c.arm_second[0]]).all()
 
 
@@ -371,6 +373,44 @@ def test_near_bridge_takes_the_gth_route(monkeypatch):
     assert routed == {0, 1, 2, 3, 4, 5, 9}
 
 
+def test_closed_form_picks_the_route():
+    calls = circuit._deleted_edge_inverses.cache_info()
+    small = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+    assert circuit.closed_form(small) is None
+    assert circuit._deleted_edge_inverses.cache_info() == calls  # nothing asked under the size rule
+    n = circuit.RANK_ONE_MIN_VERTICES
+    tree = build_graph(n, [(v, v + 1, 1.0) for v in range(n - 1)] + [(0, 0, 2.0)])
+    assert circuit.closed_form(tree) is None  # no edge is routed
+    g = random_regular_graph(random.Random(5), n, lambda: 1.0)
+    data = circuit.closed_form(g)
+    assert data is circuit._deleted_edge_inverses(g) and data[1] is not None
+
+
+def test_only_closed_form_reads_the_route_rule():
+    # The route is decided in one place.  No module but circuit names the
+    # size rule or the closed-form builder, and inside circuit only
+    # closed_form reads either.
+    rule = {"RANK_ONE_MIN_VERTICES", "_deleted_edge_inverses"}
+
+    def named(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield from (sub.name, sub.asname)
+
+    package = Path(circuit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "circuit.py":
+            assert not rule & set(named(tree)), path.name
+    tree = ast.parse((package / "circuit.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert {fn.name for fn in functions if rule & set(named(fn))} == {"closed_form"}
+
+
 def gth_star(g, edge, base):
     """Star arms at the endpoints a, b of a non-bridge edge, in G minus that edge, toward base.
 
@@ -395,7 +435,8 @@ def gth_star(g, edge, base):
 
 def assert_gth_columns_match_the_per_edge_reference(g):
     """Every GTH edge's R and arms equal gth_star's at every base; returns how many edges that is."""
-    resistance, _ = circuit._deleted_edge_inverses(g)
+    data = circuit.closed_form(g)
+    resistance = (None,) * g.edge_count if data is None else data[0]
     bridges = g.bridges()
     routed = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges and resistance[i] is None]
     for base in range(g.vertex_count):
@@ -454,8 +495,8 @@ def reference_profile(g, base):
     """The per-edge scalar loop graph_profile ran before its terms became columns."""
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
     columns = all_edge_circuit_data(g, base)
-    for L, loop, bridge, R, arm_first, arm_second in zip(*(column.tolist() for column in columns)):
-        if loop:
+    for (a, b, L), bridge, R, arm_first, arm_second in zip(g.edges, *(column.tolist() for column in columns)):
+        if a == b:
             z_terms.append(L)
             w_res.append(0.0)
             w_len.append(1.0)
@@ -559,8 +600,8 @@ def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
         bridge = np.isin(np.arange(g.edge_count), list(g.bridges()))
         for base in range(g.vertex_count):
             c = all_edge_circuit_data(g, base)
-            assert np.array_equal(c.loop, loop) and np.array_equal(c.bridge, bridge)
-            assert np.array_equal(c.length, [L for _, _, L in g.edges])
+            assert c._fields == ("bridge", "resistance", "arm_first", "arm_second")
+            assert np.array_equal(c.bridge, bridge)
             for column in (c.resistance, c.arm_first, c.arm_second):
                 assert (column[loop] == 0.0).all(), (g.edges, base)
                 assert np.isnan(column[bridge]).all(), (g.edges, base)

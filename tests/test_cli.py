@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from taulab import cli, connectivity, invariants
+from taulab import circuit, cli, connectivity, invariants
 from taulab.connectivity import BoundsReport
 from taulab.errors import ParseError, SingularSystem
 from taulab.fuzzing import random_connected_multigraph
@@ -187,6 +187,43 @@ def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkey
             digest.update(run(capsys, argv)[1].encode())
     assert any(g.bridges() for g in graphs) and any(a == b for g in graphs for a, b, _ in g.edges)
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+# sha256 of the stdout of verify --ids all (graphs of at most 13 vertices)
+# then invariants, on each graph of
+# test_closed_form_report_bytes_are_pinned in turn.
+PINNED_CLOSED_FORM_SHA256 = "fa939943fb1589a5e46c544fdf8253d335236017907362bd01454fc02f1e3001"
+
+
+def test_closed_form_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # Graphs of 10 to 42 vertices, which take the closed-form route: a cycle
+    # plus 2n random chords (parallel edges and loops), lengths log-uniform
+    # over 1e-4..1e4, two pendant bridges, and one 1e-3 chord whose closed
+    # form the guard rejects, so GTH patches it (as it does other edges).  The
+    # grounded inverse goes through LAPACK, so these bytes hold for one
+    # numpy/BLAS build; they were the same on one and on two BLAS threads.
+    monkeypatch.delenv("TAULAB_TOL", raising=False)
+    rng = random.Random(1818)
+    digest = hashlib.sha256()
+    loops = 0
+    for n in (8, 9, 10, 11, 12, 14, 17, 20, 24, 29, 34, 40):
+        pairs = [(p, (p + 1) % n) for p in range(n)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+        pairs += [(rng.randrange(n), n), (rng.randrange(n), n + 1)]
+        edges = [(a, b, 10.0 ** rng.uniform(-4.0, 4.0)) for a, b in pairs]
+        while True:  # a chord of 1e-3 whose closed form the guard rejects
+            g = build_graph(n + 2, edges + [(*rng.sample(range(n), 2), 1e-3)])
+            resistance, closed = circuit._deleted_edge_inverses(g)
+            if resistance[-1] is None:
+                break
+        assert closed is not None and len(g.bridges()) == 2
+        loops += sum(a == b for a, b, _ in g.edges)
+        path = write(tmp_path, cli.serialize_graph(g))
+        if g.vertex_count <= 13:
+            digest.update(run(capsys, ["verify", path, "--ids", "all"])[1].encode())
+        digest.update(run(capsys, ["invariants", path])[1].encode())
+    assert loops > 0
+    assert digest.hexdigest() == PINNED_CLOSED_FORM_SHA256
 
 
 def test_parse_failures_exit_2(tmp_path, capsys):
@@ -388,9 +425,7 @@ def test_conjecture_violation_exit_code(tmp_path, capsys, monkeypatch):
             edge_conn=report.edge_conn,
             vertex_conn=report.vertex_conn,
             min_valence=report.min_valence,
-            bound_main=report.bound_main,
-            bound_genus=report.bound_genus,
-            bound_equal_length=report.bound_equal_length,
+            bounds=report.bounds,
             conjecture_margin=-1.0,
         )
 

@@ -332,10 +332,10 @@ def test_conjecture_margin(triangle):
 
 def test_lower_bounds_on_circle(triangle):
     report = lower_bounds(triangle)
-    names = [e.name for e in report.all_entries()]
+    names = [e.name for e in report.bounds]
     # connectivity 2: the quadratic edge-connectivity bound does not apply
     assert "edge-connectivity bound" not in names
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     # a circle meets its genus bound and both equal-length bounds exactly
     assert by_name["genus bound"].slack == pytest.approx(0.0, abs=1e-12)
     assert by_name["equal-length lower"].slack == pytest.approx(0.0, abs=1e-12)
@@ -346,7 +346,7 @@ def test_lower_bounds_on_circle(triangle):
 
 def test_lower_bounds_on_banana6():
     report = lower_bounds(banana(6).normalize())
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     assert by_name["length over 108"].value == pytest.approx(7.0 / 108.0, rel=1e-12)
     assert by_name["length over 108"].slack == pytest.approx(1.0 / 18.0, rel=1e-12)
     assert "length over 300" not in by_name
@@ -357,7 +357,7 @@ def test_lower_bounds_on_banana6():
 
 def test_lower_bounds_on_banana5():
     report = lower_bounds(banana(5).normalize())
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     assert "length over 300" in by_name
     assert "length over 108" not in by_name
     assert by_name["length over 300"].slack >= 0.0
@@ -365,7 +365,7 @@ def test_lower_bounds_on_banana5():
 
 def test_lower_bounds_on_normalized_k4(k4):
     report = lower_bounds(k4.normalize())
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     tau_value = 5.0 / 96.0
     lower = by_name["equal-length lower"]
     upper = by_name["equal-length upper"]
@@ -379,7 +379,7 @@ def test_lower_bounds_on_point_and_loop():
     report = lower_bounds(build_graph(1, [(0, 0, 1.0)]))
     assert is_infinite(report.edge_conn)
     assert report.vertex_conn is None
-    by_name = {e.name: e for e in report.all_entries()}
+    by_name = {e.name: e for e in report.bounds}
     # an infinite connectivity earns the strongest form of the main bound
     assert by_name["edge-connectivity bound"].bound == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert by_name["edge-connectivity bound"].slack == pytest.approx(0.0, abs=1e-12)
@@ -391,7 +391,7 @@ def test_bounds_hold_on_fuzzed_graphs():
     for _ in range(40):
         g = random_connected_multigraph(rng, 6, 12)
         report = lower_bounds(g)
-        for entry in report.all_entries():
+        for entry in report.bounds:
             assert entry.slack >= -1e-9, (entry.name, entry.slack, g)
         assert report.conjecture_margin > 0.0
         assert report.min_valence == g.min_valence()
@@ -400,6 +400,6 @@ def test_bounds_hold_on_fuzzed_graphs():
 def test_equal_length_window_requires_equal_lengths(triangle):
     lopsided = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
     report = lower_bounds(lopsided)
-    names = [e.name for e in report.all_entries()]
+    names = [e.name for e in report.bounds]
     assert "equal-length lower" not in names
     assert "equal-length upper" not in names

@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from taulab.errors import (
@@ -21,6 +22,36 @@ def test_build_rejects_bad_vertex():
         build_graph(2, [(0, 2, 1.0)])
     with pytest.raises(BadVertexIndex):
         build_graph(0, [])
+
+
+TRIANGLE = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_graph(2, [("x", 1, 1.0)]), BadVertexIndex, "edge 0's first endpoint"),
+    (lambda: build_graph(2, [(0, 1.9, 1.0)]), BadVertexIndex, "edge 0's second endpoint"),
+    (lambda: build_graph(2.7, [(0, 1, 1.0)]), BadVertexIndex, "vertex_count"),
+    (lambda: build_graph(2, [(0, 1, 1.0), (0, 1, "abc")]), NonPositiveLength, "edge 1 has length 'abc'"),
+    (lambda: build_graph(2, [(0, 1, None)]), NonPositiveLength, "edge 0 has length None"),
+    (lambda: build_graph(2, [None]), NonPositiveLength, "edge 0 must be a"),
+    (lambda: TRIANGLE.check_vertex(1.5), BadVertexIndex, "vertex must be an integer"),
+    (lambda: TRIANGLE.check_vertex("x"), BadVertexIndex, "vertex must be an integer"),
+    (lambda: TRIANGLE.check_edge(None), BadEdgeIndex, "edge index must be an integer"),
+    (lambda: TRIANGLE.check_edge(0.0), BadEdgeIndex, "edge index must be an integer"),
+], ids=["str-endpoint", "float-endpoint", "float-count", "str-length", "none-length", "none-edge",
+        "float-vertex", "str-vertex", "none-edge-index", "float-edge-index"])
+def test_input_that_is_not_an_index_or_a_number_raises_a_typed_error(call, error, message):
+    # Python and numpy integers pass operator.index; nothing else is an
+    # index, and a length must convert with float().
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_numpy_integers_are_indices():
+    g = build_graph(np.int64(2), [(np.int32(0), np.int64(1), np.float64(1.5)), (1, 0, "2.5")])
+    assert g == build_graph(2, [(0, 1, 1.5), (1, 0, 2.5)])
+    assert type(g.vertex_count) is int and all(type(a) is int and type(b) is int for a, b, _ in g.edges)
+    assert g.check_vertex(np.int64(1)) == 1 and g.check_edge(np.uint8(1)) == 1
 
 
 def test_build_rejects_bad_lengths():

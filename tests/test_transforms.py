@@ -175,6 +175,20 @@ def test_cubic_transform_splits_high_valence():
     assert increase <= 1e-5 + 1e-9
 
 
+def test_cubic_transform_builds_and_solves_each_graph_once(monkeypatch):
+    # Each step's graph and its tau carry into the next step, and the last
+    # one is returned, so a caller's tau of the result hits its memo.
+    edges = [(a, b, 1.0) for a in range(5) for b in range(a + 1, 5)]
+    k5 = build_graph(5, edges).normalize()
+    solved = []
+    real = invariants.tau
+    monkeypatch.setattr(invariants, "tau", lambda g: solved.append(g) or real(g))
+    out, trace = transforms.cubic_transform_trace(k5, 1e-5)
+    assert len(solved) == len(trace) + 1 == 6
+    assert solved[0] is k5 and solved[-1] is out
+    assert [step.tau_after for step in trace[:-1]] == [step.tau_before for step in trace[1:]]
+
+
 def test_reduce2_collapses_c4_to_loop():
     c4 = build_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     out = transforms.reduce_edge_connectivity_two(c4)
