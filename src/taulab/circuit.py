@@ -32,19 +32,19 @@ all lengths are scaled; a suspicious grounded inverse raises
 SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
-deleted-edge resistance and the two star arms of every edge as read-only
-float64 arrays indexed by edge, next to the bridge mask (lengths and
-self-loops are read from the graph's edges).  The invariants and the
-identity catalog read every per-edge quantity from these columns.  A
-self-loop holds its exact limit there (R and both arms 0.0); a bridge has
-no finite deleted-edge resistance, so its entries are NaN and its limits
-are applied by whoever reads the mask.
+deleted-edge resistance and the two star arms of every edge, indexed by
+edge, as tuples of Python floats on the all-GTH route (no numpy) and as
+float64 arrays on the closed-form route, which the profile turns into
+tuples with its sums.  A self-loop holds its exact limit there (R and both
+arms 0.0); a bridge has no finite deleted-edge resistance, so its entries
+are NaN and its limits are applied by whoever reads g.bridges().
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from operator import add
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -322,24 +322,24 @@ def closed_form(g: MetrizedGraph):
 
 
 class EdgeColumns(NamedTuple):
-    """Every edge's circuit data at one base, as read-only arrays indexed by edge.
+    """Every edge's circuit data at one base, one column per quantity, indexed by edge.
 
-    ``bridge`` is a boolean mask; lengths and self-loops are read from the
-    graph's edges.  ``resistance`` is the effective resistance between the
-    edge's endpoints once the edge itself is deleted.  Seen from the two
-    endpoints and the base, the deleted-edge network reduces to a star with
-    three arms; ``arm_first`` and ``arm_second`` are the arms at the first
-    and second endpoint, the two the invariants read (through R = arm_first
-    + arm_second and the arm gap arm_first - arm_second).  A self-loop
-    holds its exact limit, 0.0 in all three float columns.  A bridge is
-    masked: its three entries are NaN, and whoever reads the mask applies
-    its limits (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).
+    ``resistance`` is the effective resistance between the edge's endpoints
+    once the edge itself is deleted.  Seen from the two endpoints and the
+    base, the deleted-edge network reduces to a star with three arms;
+    ``arm_first`` and ``arm_second`` are the arms at the first and second
+    endpoint, the two the invariants read (through R = arm_first +
+    arm_second and the arm gap arm_first - arm_second).  A self-loop holds
+    its exact limit, 0.0 in all three columns.  A bridge's three entries
+    are NaN, and whoever reads g.bridges() applies its limits (z-term 0,
+    weights R/(L+R) = 1 and L/(L+R) = 0).  The columns are tuples of Python
+    floats, except the closed-form route's float64 arrays on their way to
+    invariants._column_terms.
     """
 
-    bridge: np.ndarray
-    resistance: np.ndarray
-    arm_first: np.ndarray
-    arm_second: np.ndarray
+    resistance: Sequence[float]
+    arm_first: Sequence[float]
+    arm_second: Sequence[float]
 
 
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
@@ -347,14 +347,16 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
 
     One branch per route (closed_form).  On the all-GTH route every
     non-loop edge reads its arms from the loopless core's memo
-    (_core_arms, None at bridges), in edge order.  On the closed-form route
-    each edge that passed the guard takes R from the graph's closed-form
-    data and its arm gap from one gather of row K[base]:
-    arm_first = (R + gap) / 2 and arm_second = R - arm_first.  A self-loop's
-    R is set to 0 first, so the same arithmetic gives its arms 0.  Every
-    other edge that is neither a bridge nor a self-loop is reduced onto
-    {a, b, base} by GTH elimination, one reduction per endpoint pair
-    (_pair_stars).  On a GTH edge R is the sum of its two arms.
+    (_core_arms, None at bridges), in edge order, and the columns are
+    tuples of Python floats: no numpy is touched.  On the closed-form route
+    the columns are float64 arrays: each edge that passed the guard takes R
+    from the graph's closed-form data and its arm gap from one gather of
+    row K[base]: arm_first = (R + gap) / 2 and arm_second = R - arm_first.
+    A self-loop's R is set to 0 first, so the same arithmetic gives its
+    arms 0.  Every other edge that is neither a bridge nor a self-loop is
+    reduced onto {a, b, base} by GTH elimination, one reduction per
+    endpoint pair (_pair_stars).  On a GTH edge R is the sum of its two
+    arms.
     """
     base = g.check_vertex(base)
     edges = g.edges
@@ -363,27 +365,20 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         nan = (float("nan"),) * 2  # at bridges, where the core has no star
         stars = iter(_core_arms(loopless_core(g), base))
         arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
-        bridge = np.array([star is nan for star in arms], dtype=bool)
-        arm_first, arm_second = np.array(arms, dtype=float).reshape(-1, 2).T
-        R = arm_first + arm_second
-    else:
-        resistance, (K, a_of, b_of, scale, spread) = data
-        bridges = g.bridges()
-        bridge = np.zeros(len(edges), dtype=bool)
-        bridge[list(bridges)] = True
-        routed = [i for i, (r_ab, (a, b, _)) in enumerate(zip(resistance, edges))
-                  if r_ab is None and a != b and i not in bridges]
-        stars = _gth_stars(g, base, routed) if routed else {}
-        # NaN where resistance[i] is None; 0.0 at self-loops.
-        R = np.array([0.0 if a == b else r_ab for r_ab, (a, b, _) in zip(resistance, edges)], dtype=float)
-        row = K[base]
-        gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
-        arm_first = 0.5 * (R + gap)
-        arm_second = R - arm_first
-        for i, (arm_a, arm_b) in stars.items():
-            arm_first[i], arm_second[i] = arm_a, arm_b
-            R[i] = arm_a + arm_b
-    columns = EdgeColumns(bridge, R, arm_first, arm_second)
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+        arm_first, arm_second = zip(*arms) if arms else ((), ())
+        return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
+    resistance, (K, a_of, b_of, scale, spread) = data
+    bridges = g.bridges()
+    routed = [i for i, (r_ab, (a, b, _)) in enumerate(zip(resistance, edges))
+              if r_ab is None and a != b and i not in bridges]
+    stars = _gth_stars(g, base, routed) if routed else {}
+    # NaN where resistance[i] is None; 0.0 at self-loops.
+    R = np.array([0.0 if a == b else r_ab for r_ab, (a, b, _) in zip(resistance, edges)], dtype=float)
+    row = K[base]
+    gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
+    arm_first = 0.5 * (R + gap)
+    arm_second = R - arm_first
+    for i, (arm_a, arm_b) in stars.items():
+        arm_first[i], arm_second[i] = arm_a, arm_b
+        R[i] = arm_a + arm_b
+    return EdgeColumns(R, arm_first, arm_second)

@@ -25,9 +25,9 @@ conventions live in the invariant layer (a loop has resistance 0 and weight
 pair (0, 1), a bridge has infinite resistance and weight pair (1, 0)), and
 every identity below stays true under those limits.  The few places where a
 formula would divide by a loop's zero resistance skip loops explicitly and
-say so.  Per-edge resistances and arms are read from the profile's columns
-(GraphProfile.columns), where a bridge's entries are NaN; the per-edge
-squared terms, which run over bridges, apply the bridge limit from the mask.
+say so.  Per-edge resistances and arms are Python floats read from the
+profile's columns (GraphProfile.columns), NaN at bridges; the per-edge
+squared terms, which run over bridges, take the bridge limit at g.bridges().
 """
 
 from __future__ import annotations
@@ -150,14 +150,14 @@ def _deletable_non_loop(g):
 # -- shared sums ---------------------------------------------------------------
 
 
-def _squared_terms(g: MetrizedGraph, columns, spreads: list[float]) -> list[float]:
+def _squared_terms(g: MetrizedGraph, resistances, spreads) -> list[float]:
     """L s^2/(L+R)^2 per edge for its entry s of spreads; bridge limit L, loops 0."""
-    rows = zip(g.edges, spreads, columns.resistance.tolist(), columns.bridge.tolist())
+    bridges = g.bridges()
     terms = []
-    for (a, b, length), spread, res, bridge in rows:
+    for i, ((a, b, length), spread, res) in enumerate(zip(g.edges, spreads, resistances)):
         if a == b:
             terms.append(0.0)
-        elif bridge:
+        elif i in bridges:
             terms.append(length)
         else:
             den = length + res
@@ -167,14 +167,14 @@ def _squared_terms(g: MetrizedGraph, columns, spreads: list[float]) -> list[floa
 
 def _second_moment(g: MetrizedGraph) -> float:
     """sum of L R^2/(L+R)^2."""
-    c = _prof(g).columns
-    return math.fsum(_squared_terms(g, c, c.resistance.tolist()))
+    resistances = _prof(g).columns.resistance
+    return math.fsum(_squared_terms(g, resistances, resistances))
 
 
 def _gap_terms(g: MetrizedGraph, base: int) -> list[float]:
     """L (Ra - Rb)^2/(L+R)^2 per edge at one base."""
     c = invariants.graph_profile(g, base).columns
-    return _squared_terms(g, c, [f - s for f, s in zip(c.arm_first.tolist(), c.arm_second.tolist())])
+    return _squared_terms(g, c.resistance, [f - s for f, s in zip(c.arm_first, c.arm_second)])
 
 
 def _weighted_sum(g: MetrizedGraph, weights, surgery, pick) -> float:
@@ -232,7 +232,7 @@ def _tau_genus_lb(g):
 
 def _cont_del_tau(g):
     prof = _prof(g)
-    resistances = prof.columns.resistance.tolist()
+    resistances = prof.columns.resistance
     rows = []
     for i in _deletable_edges(g):
         length, res = g.edges[i][2], resistances[i]
@@ -256,7 +256,7 @@ def _del_id_da(g):
     prof = _prof(g)
     lhs = _prof(_da(g)).tau
     rows = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         da_deleted = _da(_delete(g, i))
         # For a self-loop the two endpoints coincide and the crossing term
         # collapses to zero; the remaining terms reduce to the loop's L/12.
@@ -273,7 +273,7 @@ def _del_id_da(g):
 def _del_id_a(g):
     prof = _prof(g)
     rows = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         if a == b:
             lhs, rhs = 0.0, 0.0
         else:
@@ -308,7 +308,7 @@ def _cd_rows(g, pick, own):
     edge's direct contribution from its length and deleted-edge resistance.
     """
     prof = _prof(g)
-    resistances = prof.columns.resistance.tolist()
+    resistances = prof.columns.resistance
     rows = []
     for i in _deletable_edges(g):
         rhs = (
@@ -323,7 +323,7 @@ def _cd_rows(g, pick, own):
 def _apq_contract(g):
     prof = _prof(g)
     diff = prof.x - prof.y
-    resistances = prof.columns.resistance.tolist()
+    resistances = prof.columns.resistance
     rows = []
     for i in _deletable_edges(g):
         a, b, length = g.edges[i]
@@ -342,7 +342,7 @@ def _euler_z(g):
     through_k = []
     through_surgery = []
     direct = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         den = length + res
         through_k.append(length * invariants.K_definition(g, i) / den)
         if a == b:
@@ -365,7 +365,7 @@ def _euler_xy(g):
     prof = _prof(g)
     x_terms = []
     y_terms = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance.tolist())):
+    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         if a == b:
             continue  # weight L R/(L+R)^2 vanishes with R = 0
         den = length + res
@@ -530,7 +530,7 @@ def _ahm(g):
     rows = []
     for key, node in invariants.admissible_leaf_nodes(g):
         count, harmonic = invariants.banana_stats(node.graph)
-        resistances = _prof(node.graph).columns.resistance.tolist()
+        resistances = _prof(node.graph).columns.resistance
         parallel_z = math.fsum(
             length * length / (length + res)
             for (a, b, length), res in zip(node.graph.edges, resistances)
@@ -640,8 +640,8 @@ def _row_slack(kind: str, lhs: float, rhs: float) -> float:
 
 
 def _build_report(identity: str, rows, note: str, tol: float) -> IdentityReport:
-    # Plain floats and bools throughout: evaluators may hand back numpy
-    # scalars, which would otherwise leak into JSON serialization.
+    # Plain floats and bools throughout: the report is the JSON boundary,
+    # so its numbers are cast here, whatever type an evaluator's row holds.
     slacks = [float(_row_slack(kind, lhs, rhs)) for _, kind, lhs, rhs in rows]
     worst = min(range(len(rows)), key=lambda i: slacks[i])
     worst_label, _, worst_lhs, worst_rhs = rows[worst]

@@ -78,8 +78,8 @@ class GraphProfile:
 
     The scalars and both weight tuples are computed from the base's
     EdgeColumns (circuit.all_edge_circuit_data).  The profile keeps them,
-    read-only and outside eq, hash and repr, as ``columns``: the per-edge
-    layout that the identity catalog and the per-edge invariants read.
+    as tuples of Python floats outside eq, hash and repr, as ``columns``:
+    the layout that the identity catalog and the per-edge invariants read.
     """
 
     base: int
@@ -105,7 +105,8 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     column-wise in the same operation order, and numpy's elementwise
     arithmetic rounds each operation exactly as Python floats do.  So both
     paths give the same bits, and fsum is correctly rounded and so
-    independent of term order; each is the faster one on its route.
+    independent of term order; each is the faster one on its route.  The
+    closed-form route's arrays become tuples there, once.
     Self-loops add their length to z, bridges theirs to r and y.  The base
     is checked before the memo is read, so graph_profile(g) and
     graph_profile(g, 0) are one entry.
@@ -115,9 +116,8 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
 
 @graph_memo
 def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
-    columns = all_edge_circuit_data(g, base)
     terms = _scalar_terms if closed_form(g) is None else _column_terms
-    z, r, x, y, w_res, w_len = terms(g, columns)
+    z, r, x, y, w_res, w_len, columns = terms(g, all_edge_circuit_data(g, base))
     ell = g.total_length
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
@@ -130,14 +130,15 @@ graph_profile.cache_info = _profile_at.cache_info
 
 
 def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y and both weight tuples, one edge at a time."""
+    """z, r, x, y, both weight tuples and the columns as given, one edge at a time."""
+    bridges = g.bridges()
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    for (a, b, L), bridge, R, arm_first, arm_second in zip(g.edges, *(column.tolist() for column in columns)):
+    for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
         if a == b:
             z_terms.append(L)
             w_res.append(0.0)
             w_len.append(1.0)
-        elif bridge:
+        elif i in bridges:
             r_terms.append(L)
             y_terms.append(L)
             w_res.append(1.0)
@@ -156,14 +157,15 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             w_res.append(R / denom)
             w_len.append(L / denom)
     return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
-            tuple(w_res), tuple(w_len))
+            tuple(w_res), tuple(w_len), columns)
 
 
 def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y and both weight tuples, each term computed for all plain edges at once."""
+    """z, r, x, y, both weight tuples and the columns as tuples; each term for all plain edges at once."""
     length = np.array([L for _, _, L in g.edges], dtype=float)
     loop = np.array([a == b for a, b, _ in g.edges], dtype=bool)
-    bridge = columns.bridge
+    bridge = np.zeros(g.edge_count, dtype=bool)
+    bridge[list(g.bridges())] = True
     plain = ~(loop | bridge)
     L = length[plain]
     R = columns.resistance[plain]
@@ -183,7 +185,8 @@ def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     w_res[plain] = R / denom
     w_len = loop.astype(float)
     w_len[plain] = L / denom
-    return z, r, x, y, tuple(w_res.tolist()), tuple(w_len.tolist())
+    columns = EdgeColumns(*(tuple(column.tolist()) for column in columns))
+    return z, r, x, y, tuple(w_res.tolist()), tuple(w_len.tolist()), columns
 
 
 # -- the headline scalars ------------------------------------------------------
@@ -259,9 +262,9 @@ def K_definition(g: MetrizedGraph, i: int) -> float:
     if a == b:
         return 0.0
     prof = graph_profile(g)
-    R = float(prof.columns.resistance[i])
+    R = prof.columns.resistance[i]
     own = L * L / (L + R)
-    return float(prof.z - own - z_of(_delete(g, i)))
+    return prof.z - own - z_of(_delete(g, i))
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
@@ -271,7 +274,7 @@ def K_contraction_form(g: MetrizedGraph, i: int) -> float:
     if a == b:
         return 0.0
     weight = graph_profile(g).weight_resistance[i]
-    return float(weight * (z_of(_contract(g, i)) - z_of(_delete(g, i))))
+    return weight * (z_of(_contract(g, i)) - z_of(_delete(g, i)))
 
 
 def K_of(g: MetrizedGraph, i: int) -> float:
@@ -302,7 +305,7 @@ def A_pq(g: MetrizedGraph, p: int, q: int) -> float:
 def glued_crossing(g: MetrizedGraph, glued: MetrizedGraph, p: int, q: int) -> float:
     """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued."""
     resistance = effective_resistance(g, p, q)
-    return float(resistance * (tau(glued) - tau(g) + resistance / 6.0))
+    return resistance * (tau(glued) - tau(g) + resistance / 6.0)
 
 
 # -- two-vertex closed form and the contraction lattice -------------------------
@@ -539,7 +542,7 @@ def w_nested(g: MetrizedGraph) -> float:
         graph = node.graph
         return math.fsum(
             L if a == b else L ** 3 / ((L + R) * (L + R))
-            for (a, b, L), R in zip(graph.edges, graph_profile(graph).columns.resistance.tolist())
+            for (a, b, L), R in zip(graph.edges, graph_profile(graph).columns.resistance)
         )
 
     depth = g.vertex_count - 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taulab import circuit, graphs, invariants
+from taulab import circuit, graphs, identities, invariants
 from taulab.circuit import all_edge_circuit_data, effective_resistance
 from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
@@ -76,13 +76,18 @@ def test_resistance_matches_pseudoinverse_oracle():
             assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
 
 
+def non_bridges(g):
+    """The edge ids outside g.bridges(), in order."""
+    return [i for i in range(g.edge_count) if i not in g.bridges()]
+
+
 def test_triangle_edge_data(triangle):
     c = all_edge_circuit_data(triangle, 0)
     # edge 0 = (0, 1): the rest is a two-edge path of length 2
     assert c.resistance[0] == pytest.approx(2.0, rel=1e-12)
     assert c.arm_first[0] == pytest.approx(0.0, abs=1e-12)  # base sits at the first endpoint
     assert c.arm_second[0] == pytest.approx(2.0, rel=1e-12)
-    assert not c.bridge[0]
+    assert 0 not in triangle.bridges()
 
 
 def test_arm_sum_recovers_deleted_resistance():
@@ -91,28 +96,28 @@ def test_arm_sum_recovers_deleted_resistance():
         g = random_connected_multigraph(rng, 6, 10)
         base = rng.randrange(g.vertex_count)
         c = all_edge_circuit_data(g, base)
-        for i in np.flatnonzero(~c.bridge):
+        for i in non_bridges(g):
             assert c.arm_first[i] + c.arm_second[i] == pytest.approx(c.resistance[i], rel=1e-9, abs=1e-12)
     # These sizes take the closed form, whose arms are a difference.
     for n in (circuit.RANK_ONE_MIN_VERTICES, 20, 40):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         for base in range(g.vertex_count):
-            c = all_edge_circuit_data(g, base)
-            np.testing.assert_allclose(c.arm_first + c.arm_second, c.resistance, rtol=1e-9, atol=1e-12)
-            assert (np.minimum(c.arm_first, c.arm_second) >= -1e-12 * c.resistance).all(), (n, base)
+            resistance, arm_first, arm_second = map(np.asarray, all_edge_circuit_data(g, base))
+            np.testing.assert_allclose(arm_first + arm_second, resistance, rtol=1e-9, atol=1e-12)
+            assert (np.minimum(arm_first, arm_second) >= -1e-12 * resistance).all(), (n, base)
 
 
 def test_loop_edge_data():
     g = build_graph(2, [(0, 1, 1.0), (1, 1, 3.0)])
     c = all_edge_circuit_data(g, 0)
-    assert not c.bridge[1]
+    assert 1 not in g.bridges()
     assert c.resistance[1] == 0.0
     assert c.arm_first[1] == 0.0 and c.arm_second[1] == 0.0
 
 
 def test_bridge_edge_data(path2):
     c = all_edge_circuit_data(path2, 0)
-    assert c.bridge[0]
+    assert 0 in path2.bridges()
     assert np.isnan([c.resistance[0], c.arm_first[0], c.arm_second[0]]).all()
 
 
@@ -121,7 +126,7 @@ def test_deleted_resistance_matches_pseudoinverse_oracle():
     for _ in range(30):
         g = random_connected_multigraph(rng, 6, 12)
         c = all_edge_circuit_data(g, 0)
-        for i in np.flatnonzero(~c.bridge):
+        for i in non_bridges(g):
             a, b, _ = g.edges[i]
             oracle = pinv_resistance(delete_edge(g, i), a, b)
             assert c.resistance[i] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
@@ -386,29 +391,82 @@ def test_closed_form_picks_the_route():
     assert data is circuit._deleted_edge_inverses(g) and data[1] is not None
 
 
+def named(node):
+    """Every name that node reads, as attribute or import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from (sub.name, sub.asname)
+
+
+def package_sources():
+    """Every module of the package, parsed, by file name."""
+    package = Path(circuit.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 def test_only_closed_form_reads_the_route_rule():
     # The route is decided in one place.  No module but circuit names the
     # size rule or the closed-form builder, and inside circuit only
     # closed_form reads either.
     rule = {"RANK_ONE_MIN_VERTICES", "_deleted_edge_inverses"}
-
-    def named(node):
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield from (sub.name, sub.asname)
-
-    package = Path(circuit.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        if path.name != "circuit.py":
-            assert not rule & set(named(tree)), path.name
-    tree = ast.parse((package / "circuit.py").read_text())
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    sources = package_sources()
+    for name, tree in sources.items():
+        if name != "circuit.py":
+            assert not rule & set(named(tree)), name
+    functions = [node for node in sources["circuit.py"].body if isinstance(node, ast.FunctionDef)]
     assert {fn.name for fn in functions if rule & set(named(fn))} == {"closed_form"}
+
+
+def test_numpy_and_the_column_builder_stay_in_their_layers():
+    # Only the circuit and the invariants import numpy, and the per-edge
+    # columns are built in one place: invariants imports
+    # all_edge_circuit_data and only _profile_at calls it.
+    importers, readers = set(), set()
+    for name, tree in package_sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.add(name)
+            if "all_edge_circuit_data" in named(node):
+                readers.add((name, "import"))
+        for node in tree.body:
+            if isinstance(node, ast.Import | ast.ImportFrom):
+                continue
+            if "all_edge_circuit_data" in named(node):
+                readers.add((name, getattr(node, "name", None)))
+    assert importers == {"circuit.py", "invariants.py"}
+    assert readers == {("invariants.py", "import"), ("invariants.py", "_profile_at")}
+
+
+class NoNumpy:
+    """Stands in for the numpy module: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_the_all_gth_route_uses_no_numpy(monkeypatch):
+    graphs = wide_spread_multigraphs(random.Random(7070), 40)
+    assert any(g.bridges() for g in graphs)
+    assert any(a == b for g in graphs for a, b, _ in g.edges)
+    assert any(len({(a, b) for a, b, _ in g.edges}) < g.edge_count for g in graphs)
+    monkeypatch.setattr(circuit, "np", NoNumpy())
+    monkeypatch.setattr(invariants, "np", NoNumpy())
+    for g in graphs:
+        assert g.vertex_count < circuit.RANK_ONE_MIN_VERTICES
+        for base in range(g.vertex_count):
+            invariants.graph_profile(g, base)
+        tau(g)
+        identities.verify_all(g)
 
 
 def gth_star(g, edge, base):
@@ -494,13 +552,13 @@ def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
 def reference_profile(g, base):
     """The per-edge scalar loop graph_profile ran before its terms became columns."""
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    columns = all_edge_circuit_data(g, base)
-    for (a, b, L), bridge, R, arm_first, arm_second in zip(g.edges, *(column.tolist() for column in columns)):
+    columns = (np.asarray(column).tolist() for column in all_edge_circuit_data(g, base))
+    for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
         if a == b:
             z_terms.append(L)
             w_res.append(0.0)
             w_len.append(1.0)
-        elif bridge:
+        elif i in g.bridges():
             r_terms.append(L)
             y_terms.append(L)
             w_res.append(1.0)
@@ -600,9 +658,8 @@ def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
         bridge = np.isin(np.arange(g.edge_count), list(g.bridges()))
         for base in range(g.vertex_count):
             c = all_edge_circuit_data(g, base)
-            assert c._fields == ("bridge", "resistance", "arm_first", "arm_second")
-            assert np.array_equal(c.bridge, bridge)
-            for column in (c.resistance, c.arm_first, c.arm_second):
+            assert c._fields == ("resistance", "arm_first", "arm_second")
+            for column in map(np.asarray, c):
                 assert (column[loop] == 0.0).all(), (g.edges, base)
                 assert np.isnan(column[bridge]).all(), (g.edges, base)
                 assert np.isfinite(column[~bridge]).all(), (g.edges, base)
@@ -620,7 +677,7 @@ def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
         family += [invariants._contract(g, i) for i, (a, b, _) in enumerate(g.edges) if a != b]
     assert any(g.bridges() for g in family)
     assert sum(a == b for g in family for a, b, _ in g.edges) > 300
-    got = [[([c.tobytes() for c in all_edge_circuit_data(g, p)], invariants.graph_profile(g, p))
+    got = [[([np.asarray(c).tobytes() for c in all_edge_circuit_data(g, p)], invariants.graph_profile(g, p))
             for p in range(g.vertex_count)] for g in family]
     cores = [graphs.loopless_core(g) for g in family]
     assert len(family) - len({id(core) for core in cores}) > 150
@@ -628,19 +685,22 @@ def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
         monkeypatch.setattr(graphs, "_CORES", weakref.WeakValueDictionary())
         fresh = MetrizedGraph(g.vertex_count, g.edges)
         for p, (columns, prof) in enumerate(rows):
-            assert columns == [c.tobytes() for c in all_edge_circuit_data(fresh, p)], (g.edges, p)
+            assert columns == [np.asarray(c).tobytes() for c in all_edge_circuit_data(fresh, p)], (g.edges, p)
             assert prof == invariants.graph_profile(fresh, p), (g.edges, p)
 
 
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
-    prof = invariants.graph_profile(g, 1)
-    for column in prof.columns:
-        assert not column.flags.writeable
-    with pytest.raises(ValueError):
-        all_edge_circuit_data(g, 1).resistance[0] = 0.0
-    assert "columns" not in repr(prof)
-    assert prof == invariants._profile_at.__wrapped__(g, 1)
+    closed = random_regular_graph(random.Random(5), circuit.RANK_ONE_MIN_VERTICES, lambda: 1.0)
+    assert circuit.closed_form(g) is None and circuit.closed_form(closed) is not None
+    for graph in (g, closed):
+        prof = invariants.graph_profile(graph, 1)
+        for column in prof.columns:
+            assert type(column) is tuple and all(type(value) is float for value in column)
+            with pytest.raises(TypeError):
+                column[0] = 0.0
+        assert "columns" not in repr(prof)
+        assert prof == invariants._profile_at.__wrapped__(graph, 1)
 
 
 def test_laplacian_matches_the_edge_loop_with_parallel_edges_both_ways():
