@@ -33,20 +33,23 @@ SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
 deleted-edge resistance and the two star arms of every edge, indexed by
-edge, as tuples of Python floats on the all-GTH route (no numpy) and as
-float64 arrays on the closed-form route, which the profile turns into
-tuples with its sums.  A self-loop holds its exact limit there (R and both
-arms 0.0); a bridge has no finite deleted-edge resistance, so its entries
-are NaN and its limits are applied by whoever reads g.bridges().
+edge, as tuples of Python floats on the all-GTH route and as float64
+arrays on the closed-form route, which the profile turns into tuples with
+its sums.  A self-loop holds its exact limit there (R and both arms 0.0);
+a bridge has no finite deleted-edge resistance, so its entries are NaN and
+its limits are applied by whoever reads g.bridges().
+
+numpy is imported inside the functions of the closed-form route, not at
+module level: the all-GTH route does not even import it, so a process that
+only meets graphs under RANK_ONE_MIN_VERTICES never loads numpy.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from operator import add
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import SingularSystem
 from .graphs import MetrizedGraph, graph_memo, loopless_core
@@ -79,16 +82,18 @@ RANK_ONE_ERROR_BOUND = 1e-13
 # n = 10 and 3.6 against 0.17 at n = 14; at every base: 1.2 against 0.23 ms
 # at n = 6, 11 against 0.40 at n = 10 and 46 against 0.51 at n = 14.
 RANK_ONE_MIN_VERTICES = 10
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
-def _laplacian(vertex_count: int, edges) -> np.ndarray:
+def _laplacian(vertex_count: int, edges):
     """The weighted Laplacian, conductance 1/length per edge, self-loops left out.
 
     Each entry takes its conductances in edge order, the order of the
     per-edge loop this replaces, so the matrix keeps its bits: np.add.at
     and np.subtract.at apply repeated indices one at a time, in order.
     """
+    import numpy as np
+
     lap = np.zeros((vertex_count, vertex_count))
     if not edges:
         return lap
@@ -103,7 +108,7 @@ def _laplacian(vertex_count: int, edges) -> np.ndarray:
     return lap
 
 
-def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
+def _grounded_inverse(lap):
     """Invert the Laplacian with vertex 0's row/column removed, padded back with zeros.
 
     The returned matrix K satisfies r(x, y) = K[x,x] + K[y,y] - 2 K[x,y]
@@ -113,6 +118,8 @@ def _grounded_inverse(lap: np.ndarray) -> np.ndarray:
     bounds its backward error and, unlike max|A X - I|, is unchanged when
     all lengths are scaled.
     """
+    import numpy as np
+
     n = lap.shape[0]
     full = np.zeros((n, n))
     if n == 1:
@@ -289,6 +296,8 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     K[a,a] - K[b,b]: K plus O(m) scalars, O(n^3 + m) for the graph and
     shared across bases.
     """
+    import numpy as np
+
     n = g.vertex_count
     edges = g.edges
     resistance = (None,) * len(edges)
@@ -348,15 +357,15 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     One branch per route (closed_form).  On the all-GTH route every
     non-loop edge reads its arms from the loopless core's memo
     (_core_arms, None at bridges), in edge order, and the columns are
-    tuples of Python floats: no numpy is touched.  On the closed-form route
-    the columns are float64 arrays: each edge that passed the guard takes R
-    from the graph's closed-form data and its arm gap from one gather of
-    row K[base]: arm_first = (R + gap) / 2 and arm_second = R - arm_first.
-    A self-loop's R is set to 0 first, so the same arithmetic gives its
-    arms 0.  Every other edge that is neither a bridge nor a self-loop is
-    reduced onto {a, b, base} by GTH elimination, one reduction per
-    endpoint pair (_pair_stars).  On a GTH edge R is the sum of its two
-    arms.
+    tuples of Python floats: numpy is not even imported.  On the
+    closed-form route the columns are float64 arrays: each edge that passed
+    the guard takes R from the graph's closed-form data and its arm gap from
+    one gather of row K[base]: arm_first = (R + gap) / 2 and
+    arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
+    same arithmetic gives its arms 0.  Every other edge that is neither a
+    bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,
+    one reduction per endpoint pair (_pair_stars).  On a GTH edge R is the
+    sum of its two arms.
     """
     base = g.check_vertex(base)
     edges = g.edges
@@ -367,6 +376,8 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
         arm_first, arm_second = zip(*arms) if arms else ((), ())
         return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
+    import numpy as np
+
     resistance, (K, a_of, b_of, scale, spread) = data
     bridges = g.bridges()
     routed = [i for i, (r_ab, (a, b, _)) in enumerate(zip(resistance, edges))

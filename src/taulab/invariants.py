@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from . import transforms
 from .circuit import (
     EdgeColumns,
@@ -160,13 +158,21 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             tuple(w_res), tuple(w_len), columns)
 
 
-def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y, both weight tuples and the columns as tuples; each term for all plain edges at once."""
+@graph_memo
+def _edge_arrays(g: MetrizedGraph):
+    """The edges' lengths and their loop, bridge and plain masks: built once per graph, read at every base."""
+    import numpy as np
+
     length = np.array([L for _, _, L in g.edges], dtype=float)
     loop = np.array([a == b for a, b, _ in g.edges], dtype=bool)
     bridge = np.zeros(g.edge_count, dtype=bool)
     bridge[list(g.bridges())] = True
-    plain = ~(loop | bridge)
+    return length, loop, bridge, ~(loop | bridge)
+
+
+def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
+    """z, r, x, y, both weight tuples and the columns as tuples; each term for all plain edges at once."""
+    length, loop, bridge, plain = _edge_arrays(g)
     L = length[plain]
     R = columns.resistance[plain]
     gap = columns.arm_first[plain] - columns.arm_second[plain]
@@ -584,7 +590,7 @@ def tau_oracle_integral(g: MetrizedGraph, segments_per_edge: int = 64) -> float:
     """
     fine = _quadrature_graph(g, segments_per_edge)
     K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
-    r_to_origin = np.diag(K)
+    r_to_origin = K.diagonal()
     total = math.fsum(
         (r_to_origin[b] - r_to_origin[a]) ** 2 / h
         for a, b, h in fine.edges
@@ -634,7 +640,7 @@ def a_pq_oracle_integral(g: MetrizedGraph, p: int, q: int, segments_per_edge: in
         raise SameVertex("A needs two distinct points")
     fine = _quadrature_graph(g, segments_per_edge)
     K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
-    diag = np.diag(K)
+    diag = K.diagonal()
     r_p = diag[p] + diag - 2.0 * K[p]
     r_q = diag[q] + diag - 2.0 * K[q]
     r_pq = r_p[q]

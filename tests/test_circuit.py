@@ -1,7 +1,10 @@
 import ast
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -10,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taulab import circuit, graphs, identities, invariants
+from taulab import circuit, graphs, invariants
 from taulab.circuit import all_edge_circuit_data, effective_resistance
+from taulab.cli import serialize_graph
 from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import MetrizedGraph, build_graph
@@ -422,10 +426,11 @@ def test_only_closed_form_reads_the_route_rule():
 
 
 def test_numpy_and_the_column_builder_stay_in_their_layers():
-    # Only the circuit and the invariants import numpy, and the per-edge
-    # columns are built in one place: invariants imports
-    # all_edge_circuit_data and only _profile_at calls it.
-    importers, readers = set(), set()
+    # Only the circuit and the invariants import numpy, inside the functions
+    # that use it and never at module level, and the per-edge columns are
+    # built in one place: invariants imports all_edge_circuit_data and only
+    # _profile_at calls it.
+    importers, top_level, readers = set(), set(), set()
     for name, tree in package_sources().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -436,6 +441,8 @@ def test_numpy_and_the_column_builder_stay_in_their_layers():
                 continue
             if any(module.split(".")[0] == "numpy" for module in modules):
                 importers.add(name)
+                if node in tree.body:
+                    top_level.add(name)
             if "all_edge_circuit_data" in named(node):
                 readers.add((name, "import"))
         for node in tree.body:
@@ -444,29 +451,87 @@ def test_numpy_and_the_column_builder_stay_in_their_layers():
             if "all_edge_circuit_data" in named(node):
                 readers.add((name, getattr(node, "name", None)))
     assert importers == {"circuit.py", "invariants.py"}
+    assert not top_level
     assert readers == {("invariants.py", "import"), ("invariants.py", "_profile_at")}
+    # The guard's epsilon is numpy's, bit for bit, without importing numpy.
+    assert circuit._EPS == np.finfo(float).eps
 
 
-class NoNumpy:
-    """Stands in for the numpy module: any use of it fails."""
+def run_fresh(code, *args):
+    """Run code in a fresh interpreter that imports taulab from this checkout; fails on a nonzero exit."""
+    env = {name: value for name, value in os.environ.items() if name != "TAULAB_TOL"}
+    env["PYTHONPATH"] = str(Path(circuit.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used")
+
+def test_importing_the_package_and_its_cli_loads_no_numpy():
+    run_fresh("import sys, taulab, taulab.cli; assert 'numpy' not in sys.modules")
 
 
-def test_the_all_gth_route_uses_no_numpy(monkeypatch):
+# Run with numpy blocked (None in sys.modules makes every import of it raise
+# ImportError) on the graph files named in argv: the library's profiles at
+# every base, tau and verify_all, then the CLI's verify, invariants and fuzz.
+# Last, tau on a 10-vertex cycle must raise ImportError, which shows the
+# block holds.
+NO_NUMPY_SCRIPT = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from taulab import build_graph, cli, identities, invariants
+from taulab.circuit import RANK_ONE_MIN_VERTICES
+exits = set()
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in sys.argv[1:]:
+        with open(path) as handle:
+            g = cli.parse_graph(handle.read())
+        assert g.vertex_count < RANK_ONE_MIN_VERTICES
+        for base in range(g.vertex_count):
+            invariants.graph_profile(g, base)
+        invariants.tau(g)
+        identities.verify_all(g)
+        exits.add(cli.main(["verify", path, "--ids", "all"]))
+        exits.add(cli.main(["invariants", path]))
+    exits.add(cli.main(["fuzz", "--count", "20"]))
+assert exits <= {cli.EXIT_OK, cli.EXIT_CHECK_FAILED}, exits
+cycle = build_graph(RANK_ONE_MIN_VERTICES, [(v, (v + 1) % RANK_ONE_MIN_VERTICES, 1.0)
+                                            for v in range(RANK_ONE_MIN_VERTICES)])
+try:
+    invariants.tau(cycle)
+except ImportError:
+    pass
+else:
+    raise AssertionError("a closed-form solve ran with numpy blocked")
+assert sys.modules["numpy"] is None
+assert not [name for name in sys.modules if name.startswith("numpy.")]
+print("no numpy")
+"""
+
+
+def test_the_all_gth_route_uses_no_numpy(tmp_path):
     graphs = wide_spread_multigraphs(random.Random(7070), 40)
     assert any(g.bridges() for g in graphs)
     assert any(a == b for g in graphs for a, b, _ in g.edges)
     assert any(len({(a, b) for a, b, _ in g.edges}) < g.edge_count for g in graphs)
-    monkeypatch.setattr(circuit, "np", NoNumpy())
-    monkeypatch.setattr(invariants, "np", NoNumpy())
-    for g in graphs:
-        assert g.vertex_count < circuit.RANK_ONE_MIN_VERTICES
-        for base in range(g.vertex_count):
-            invariants.graph_profile(g, base)
-        tau(g)
-        identities.verify_all(g)
+    paths = []
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.graph"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        paths.append(str(path))
+    assert run_fresh(NO_NUMPY_SCRIPT, *paths) == "no numpy\n"
+
+
+def test_column_terms_build_their_edge_arrays_once_per_graph():
+    # The closed-form route's lengths and masks are built at the first base
+    # and shared by every other base.
+    rng = random.Random(3030)
+    g = random_regular_graph(rng, 12, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+    assert circuit.closed_form(g) is not None
+    before = invariants._edge_arrays.cache_info()
+    for base in range(g.vertex_count):
+        invariants.graph_profile(g, base)
+    after = invariants._edge_arrays.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, g.vertex_count - 1)
 
 
 def gth_star(g, edge, base):
