@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import build_graph
 
 
@@ -25,6 +28,21 @@ def banana3():
 def path2():
     # two unit edges in a row, the smallest tree with an interior vertex
     return build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+
+
+@pytest.fixture
+def report_graphs():
+    """Forty fuzz multigraphs of at most 6 vertices (loops, bridges, parallel
+    edges), lengths log-uniform over spreads 1e2-1e8.  Below 10 vertices
+    every resistance comes from GTH elimination in pure Python, so whatever
+    is computed from them does not depend on the BLAS build."""
+    rng = random.Random(4040)
+    graphs = []
+    for _ in range(40):
+        g = random_connected_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(2.0, 8.0)
+        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+    return graphs
 
 
 def replay_sequences(g, depth):

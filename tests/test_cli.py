@@ -169,23 +169,17 @@ def test_verify_exit_matches_library_verdict(tmp_path, capsys):
 PINNED_REPORTS_SHA256 = "874214bc617f074fe6e1c89de73b7bb3fe14e78165623ba2bf38b679a653e100"
 
 
-def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
-    # Fuzz multigraphs of at most 6 vertices (loops, bridges, parallel
-    # edges), lengths log-uniform over spreads 1e2-1e8.  Below 10 vertices
-    # every resistance comes from GTH elimination in pure Python, so the
-    # bytes do not depend on the BLAS build.
+def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, report_graphs):
+    # The report_graphs fixture: no BLAS call, so the bytes do not depend on
+    # the BLAS build.
     monkeypatch.delenv("TAULAB_TOL", raising=False)
-    rng = random.Random(4040)
     digest = hashlib.sha256()
-    graphs = []
-    for _ in range(40):
-        g = random_connected_multigraph(rng, 6, 12)
-        spread = 10.0 ** rng.uniform(2.0, 8.0)
-        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
-        path = write(tmp_path, cli.serialize_graph(graphs[-1]))
+    for g in report_graphs:
+        path = write(tmp_path, cli.serialize_graph(g))
         for argv in (["verify", path, "--ids", "all"], ["invariants", path]):
             digest.update(run(capsys, argv)[1].encode())
-    assert any(g.bridges() for g in graphs) and any(a == b for g in graphs for a, b, _ in g.edges)
+    assert any(g.bridges() for g in report_graphs)
+    assert any(a == b for g in report_graphs for a, b, _ in g.edges)
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 

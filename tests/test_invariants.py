@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -287,6 +288,19 @@ def test_contraction_oracle_agrees():
     for _ in range(20):
         g = random_connected_multigraph(rng, 6, 10)
         assert tau_oracle_contraction(g) == pytest.approx(tau(g), rel=1e-9, abs=1e-12)
+
+
+# sha256 of repr(tau_oracle_contraction(g)), one line per graph, over the
+# report_graphs fixture then named_corpus(): graphs of at most 6 vertices,
+# so every float comes from pure Python.
+PINNED_ORACLE_SHA256 = "6714bb80023776ab884a37fedfc09e914d44def5e9cb3354d59930b343c18c62"
+
+
+def test_contraction_oracle_bits_are_pinned(report_graphs):
+    digest = hashlib.sha256()
+    for g in report_graphs + list(named_corpus().values()):
+        digest.update((repr(tau_oracle_contraction(g)) + "\n").encode())
+    assert digest.hexdigest() == PINNED_ORACLE_SHA256
 
 
 def test_contraction_oracle_size_cap():
