@@ -51,8 +51,8 @@ def N_of(g: MetrizedGraph) -> int:
     if not g.is_bridgeless():
         raise BridgePresent("parallel-class minimum expects a bridgeless graph")
     best = None
-    for _, node in invariants.admissible_leaf_nodes(g):
-        count, _ = invariants.banana_stats(node.graph)
+    for _, graph in invariants.admissible_leaf_nodes(g):
+        count, _ = invariants.banana_stats(graph)
         if best is None or count < best:
             best = count
     return best

@@ -428,7 +428,7 @@ def _succ_rows(g, leaf, sides):
     prof = _prof(g)
     v = g.vertex_count
     depths = range(1, v - 1)
-    sums = invariants.nested_weighted_sum(g, depths, lambda node: leaf(node.graph))
+    sums = invariants.nested_weighted_sum(g, depths, leaf)
     rows = [(f"depth {k}", "eq", *sides(prof, v, k, nested)) for k, nested in zip(depths, sums)]
     return rows, "bridgeless, depths 1 .. v-2"
 
@@ -490,9 +490,9 @@ def _leaf_tag(key) -> str:
 
 def _banana_xy(g):
     rows = []
-    for key, node in invariants.admissible_leaf_nodes(g):
-        count, harmonic = invariants.banana_stats(node.graph)
-        leaf = _prof(node.graph)
+    for key, graph in invariants.admissible_leaf_nodes(g):
+        count, harmonic = invariants.banana_stats(graph)
+        leaf = _prof(graph)
         tag = _leaf_tag(key)
         rows.append((f"x at {tag}", "eq", leaf.x, (count - 1) * harmonic))
         rows.append((f"y at {tag}", "eq", leaf.y, harmonic))
@@ -503,8 +503,8 @@ def _tau_main5(g):
     prof = _prof(g)
     depth = g.vertex_count - 2
 
-    def leaf(node):
-        count, harmonic = invariants.banana_stats(node.graph)
+    def leaf(graph):
+        count, harmonic = invariants.banana_stats(graph)
         return (count - 2) * harmonic
 
     nested = invariants.nested_weighted_sum(g, [depth], leaf)[0]
@@ -528,12 +528,12 @@ def _z_x_bound(g):
 
 def _ahm(g):
     rows = []
-    for key, node in invariants.admissible_leaf_nodes(g):
-        count, harmonic = invariants.banana_stats(node.graph)
-        resistances = _prof(node.graph).columns.resistance
+    for key, graph in invariants.admissible_leaf_nodes(g):
+        count, harmonic = invariants.banana_stats(graph)
+        resistances = _prof(graph).columns.resistance
         parallel_z = math.fsum(
             length * length / (length + res)
-            for (a, b, length), res in zip(node.graph.edges, resistances)
+            for (a, b, length), res in zip(graph.edges, resistances)
             if a != b
         )
         rows.append(

@@ -341,14 +341,6 @@ def _banana_tau(g: MetrizedGraph) -> float:
     return ell / 12.0 - (count - 2) * harmonic / 6.0
 
 
-@dataclass(frozen=True)
-class LatticeNode:
-    """A partially contracted graph, remembering which original edges survive."""
-
-    graph: MetrizedGraph
-    original_ids: tuple[int, ...]
-
-
 def _spanning_trees(mult: list[list[int]], block: list[int]) -> int:
     """Spanning trees of the multigraph induced on block, exactly: a cofactor of its Laplacian.
 
@@ -374,7 +366,7 @@ def _spanning_trees(mult: list[list[int]], block: list[int]) -> int:
 
 
 def lattice_size(g: MetrizedGraph) -> int:
-    """Nodes of g's contraction lattice (the root counted), in exact integers, without building it.
+    """len(contraction_lattice(g)), the root counted, in exact integers, without building it.
 
     The nodes are the forests of at most v - 2 non-loop edges.  The forests
     inducing one vertex partition number the product of its blocks'
@@ -429,47 +421,51 @@ def lattice_refusal(g: MetrizedGraph) -> str | None:
 
 
 @graph_memo
-def contraction_lattice(g: MetrizedGraph) -> dict[frozenset, LatticeNode]:
-    """All graphs reachable by contracting non-loop edges, down to 2 vertices, g itself left out.
+def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
+    """All graphs reachable by contracting non-loop edges, down to 2 vertices, as a DAG.
 
-    Keys are frozensets of contracted original edge indices.  The graph a set
-    produces does not depend on the contraction order, so sequences collapse
-    onto their underlying sets and every nested sum over sequences becomes a
-    walk over this lattice.  The root (the empty set) is g, which the
-    walks take from their caller (lattice_node): the lattice lives in g's
-    memo, and a node holding g would keep g in a reference cycle.  Raises
+    A tuple of nodes (key, graph, children), the root first and then in
+    depth order, so a walk from the end reaches every child before its
+    parents.  The key is the frozenset of contracted original edge indices:
+    the graph a set produces does not depend on the contraction order, so
+    sequences collapse onto their underlying sets and every nested sum over
+    sequences becomes one walk.  children[j] is the position of the node
+    that contracting the node graph's edge j reaches, None at a self-loop;
+    the deepest nodes have none.  This is the only function that forms
+    keys.  The root's graph is None: it is g, and the lattice lives in g's
+    memo, where a node holding g would keep g in a reference cycle.  Raises
     TooLarge when the lattice would have more than LATTICE_NODE_CAP nodes.
     """
     reason = lattice_refusal(g)
     if reason is not None:
         raise TooLarge(reason)
-    nodes: dict[frozenset, LatticeNode] = {}
-    frontier = [(frozenset(), lattice_node(g, nodes, frozenset()))]
-    for _ in range(max(0, g.vertex_count - 2)):
-        next_frontier = []
-        for key, node in frontier:
-            for j, (a, b, _) in enumerate(node.graph.edges):
+    depth = max(0, g.vertex_count - 2)
+    found = [(frozenset(), None)]
+    position = {frozenset(): 0}
+    lattice = []
+    # found grows as the loop runs: each node's new children join its end.
+    for key, graph in found:
+        children = []
+        if len(key) < depth:
+            # A contraction keeps edge order, so the node's edges are the
+            # original edges outside its key, in order.
+            alive = (i for i in range(g.edge_count) if i not in key)
+            parent = g if graph is None else graph
+            for j, ((a, b, _), orig) in enumerate(zip(parent.edges, alive)):
                 if a == b:
+                    children.append(None)
                     continue
-                child_key = key | {node.original_ids[j]}
-                if child_key in nodes:
-                    continue
-                child = nodes[child_key] = LatticeNode(
-                    _contract(node.graph, j),
-                    node.original_ids[:j] + node.original_ids[j + 1:],
-                )
-                next_frontier.append((child_key, child))
-        frontier = next_frontier
-    return nodes
-
-
-def lattice_node(g: MetrizedGraph, lattice: dict[frozenset, LatticeNode], key: frozenset) -> LatticeNode:
-    """The node of g's lattice at key; the root, g itself, for the empty key."""
-    return lattice[key] if key else LatticeNode(g, tuple(range(g.edge_count)))
+                child_key = key | {orig}
+                if child_key not in position:
+                    position[child_key] = len(found)
+                    found.append((child_key, _contract(parent, j)))
+                children.append(position[child_key])
+        lattice.append((key, graph, tuple(children)))
+    return tuple(lattice)
 
 
 def nested_weighted_sum(
-    g: MetrizedGraph, depths: Iterable[int], leaf_value: Callable[[LatticeNode], float]
+    g: MetrizedGraph, depths: Iterable[int], leaf_value: Callable[[MetrizedGraph], float]
 ) -> list[float]:
     """For each requested depth k, the sum over all length-k contraction
     sequences of R/(L+R) weight products times a value of the final graph.
@@ -477,50 +473,52 @@ def nested_weighted_sum(
     Weights are taken in the graph current at each step, so this is the
     ordered-sequence sum, evaluated without enumerating orders: the future of
     a partial contraction depends only on the set of edges contracted so far.
-    One walk of the lattice, deepest nodes first, serves every depth;
-    ``leaf_value`` is called once per node whose size is a requested depth,
+    One walk of the lattice from its deepest nodes up serves every depth;
+    ``leaf_value`` is called once per node graph whose depth is requested,
     and each depth's sum at a node is one ``math.fsum`` over that node's
-    children in edge order.  Returns the sums in the order of ``depths``.
+    children in edge order.  Returns the sums in the order of ``depths``,
+    [] without building the lattice when none is asked; a depth below 0
+    raises TooSmall and one above v - 2 TooLarge.
     """
     depths = list(depths)
+    if not depths:
+        return []
     top = max(0, g.vertex_count - 2)
     for depth in depths:
+        if depth < 0:
+            raise TooSmall(f"cannot contract {depth} times")
         if depth > top:
             raise TooLarge(f"cannot contract {depth} times on {g.vertex_count} vertices")
     wanted = sorted(set(depths))
+    deepest = wanted[-1]
     lattice = contraction_lattice(g)
-    # Deepest nodes first, so every child's sums are ready when its parents read them.
-    sums_at: dict[frozenset, dict[int, float]] = {}
-    for key in sorted((k for k in lattice if len(k) <= wanted[-1]), key=len, reverse=True) + [frozenset()]:
-        node = lattice_node(g, lattice, key)
+    sums_at: list[dict[int, float] | None] = [None] * len(lattice)
+    for at in reversed(range(len(lattice))):
+        key, graph, children = lattice[at]
         size = len(key)
+        graph = g if graph is None else graph
         sums = {}
         if size in wanted:
-            sums[size] = leaf_value(node)
-        if size < wanted[-1]:
-            prof = graph_profile(node.graph)
-            children = [
-                (w, sums_at[key | {orig}])
-                for w, orig in zip(prof.weight_resistance, node.original_ids)
+            sums[size] = leaf_value(graph)
+        if size < deepest:
+            weighted = [
+                (w, sums_at[child])
+                for w, child in zip(graph_profile(graph).weight_resistance, children)
                 if w != 0.0
             ]
             for depth in wanted:
                 if depth > size:
-                    sums[depth] = math.fsum(w * child[depth] for w, child in children)
-        sums_at[key] = sums
-    root = sums_at[frozenset()]
-    return [root[depth] for depth in depths]
+                    sums[depth] = math.fsum(w * child[depth] for w, child in weighted)
+        sums_at[at] = sums
+    return [sums_at[0][depth] for depth in depths]
 
 
-def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset, LatticeNode]]:
-    """The fully contracted (2-vertex) nodes of the lattice, sorted by key."""
+def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset[int], MetrizedGraph]]:
+    """The fully contracted (2-vertex) nodes of the lattice as (key, graph), sorted by key."""
     depth = g.vertex_count - 2
-    lattice = contraction_lattice(g)
-    if depth == 0:
-        return [(frozenset(), lattice_node(g, lattice, frozenset()))]
-    found = [(key, node) for key, node in lattice.items() if len(key) == depth]
-    found.sort(key=lambda item: sorted(item[0]))
-    return found
+    found = [(key, g if graph is None else graph)
+             for key, graph, _ in contraction_lattice(g) if len(key) == depth]
+    return sorted(found, key=lambda item: sorted(item[0]))
 
 
 def w_of(g: MetrizedGraph) -> float:
@@ -544,8 +542,7 @@ def w_nested(g: MetrizedGraph) -> float:
     if g.vertex_count < 2:
         raise TooSmall("nested form of w needs at least 2 vertices")
 
-    def leaf(node: LatticeNode) -> float:
-        graph = node.graph
+    def leaf(graph: MetrizedGraph) -> float:
         return math.fsum(
             L if a == b else L ** 3 / ((L + R) * (L + R))
             for (a, b, L), R in zip(graph.edges, graph_profile(graph).columns.resistance)
@@ -609,22 +606,22 @@ def tau_oracle_contraction(g: MetrizedGraph) -> float:
     if g.vertex_count > ORACLE_VERTEX_CAP:
         raise TooLarge(f"contraction oracle is capped at {ORACLE_VERTEX_CAP} vertices")
     lattice = contraction_lattice(g)
-    # Deepest nodes first, so every child's value is ready when its parents read it.
-    values: dict[frozenset, float] = {}
-    for key in sorted(lattice, key=len, reverse=True) + [frozenset()]:
-        node = lattice_node(g, lattice, key)
-        v = node.graph.vertex_count
+    values = [0.0] * len(lattice)
+    for at in reversed(range(len(lattice))):
+        _, graph, children = lattice[at]
+        graph = g if graph is None else graph
+        v = graph.vertex_count
         if v <= 2:
-            values[key] = _banana_tau(node.graph)
+            values[at] = _banana_tau(graph)
             continue
-        prof = graph_profile(node.graph)
+        prof = graph_profile(graph)
         acc = math.fsum(
-            w * values[key | {orig}]
-            for w, orig in zip(prof.weight_resistance, node.original_ids)
+            w * values[child]
+            for w, child in zip(prof.weight_resistance, children)
             if w != 0.0
         )
-        values[key] = acc / (v - 2) - prof.z / (12.0 * (v - 2))
-    return values[frozenset()]
+        values[at] = acc / (v - 2) - prof.z / (12.0 * (v - 2))
+    return values[0]
 
 
 def a_pq_oracle_integral(g: MetrizedGraph, p: int, q: int, segments_per_edge: int = 128) -> float:

@@ -7,8 +7,10 @@ and every vertex above the larger index shifts down by one.  Vertex 0
 therefore always survives as vertex 0, which is what lets invariant code
 compare base-pointed quantities across a surgery without extra bookkeeping.
 Edge order is preserved (minus removals), and edge lengths never change
-unless the operation says so.  Sequences of contractions are walked as a
-lattice of contracted edge sets in ``invariants.contraction_lattice``.
+unless the operation says so.  Sequences of contractions are walked over
+``invariants.contraction_lattice``, a DAG of contracted edge sets that
+relies on the kept edge order: a node's edges are the original edges
+outside its set, in order.
 """
 
 from __future__ import annotations

@@ -50,14 +50,14 @@ def replay_sequences(g, depth):
     one surgery at a time, in lexicographic order of original edge ids.
 
     Yields (original ids contracted, product of the R/(L+R) weights taken in
-    the graph current at each step, final LatticeNode): an enumeration that
-    shares nothing with the set-memoized lattice walk it is compared with.
+    the graph current at each step, final graph): an enumeration that shares
+    nothing with the set-memoized lattice walk it is compared with.
     """
     from taulab import invariants, transforms
 
     def rec(graph, alive, ids, weight):
         if len(ids) == depth:
-            yield ids, weight, invariants.LatticeNode(graph, alive)
+            yield ids, weight, graph
             return
         prof = invariants.graph_profile(graph)
         for j, (a, b, _) in enumerate(graph.edges):

@@ -425,6 +425,43 @@ def test_only_closed_form_reads_the_route_rule():
     assert {fn.name for fn in functions if rule & set(named(fn))} == {"closed_form"}
 
 
+def forms_a_key(node):
+    """Whether node's code (its annotations aside) names frozenset or joins a key with |."""
+    def joins(sub):
+        if isinstance(sub, ast.BinOp | ast.AugAssign) and isinstance(sub.op, ast.BitOr):
+            operands = (sub.left, sub.right) if isinstance(sub, ast.BinOp) else (sub.target, sub.value)
+            return any(isinstance(o, ast.Set) or "key" in getattr(o, "id", "") for o in operands)
+        return False
+
+    code = node.body if isinstance(node, ast.FunctionDef) else [node]
+    return any(
+        (isinstance(sub, ast.Name) and sub.id == "frozenset") or joins(sub)
+        for statement in code
+        for sub in ast.walk(statement)
+    )
+
+
+def test_only_the_lattice_builder_knows_its_nodes():
+    # The contraction lattice's builder alone forms node keys; the walks
+    # read child positions.  No module names the old per-node edge ids or
+    # the root rebuilder, and inside invariants only contraction_lattice
+    # names frozenset or joins a key with |.
+    gone = {"original_ids", "lattice_node"}
+    for name, tree in package_sources().items():
+        defined = {
+            sub.name for sub in ast.walk(tree)
+            if isinstance(sub, ast.FunctionDef | ast.ClassDef)
+        } | {sub.arg for sub in ast.walk(tree) if isinstance(sub, ast.keyword | ast.arg)}
+        assert not gone & (set(named(tree)) | defined), name
+    body = package_sources()["invariants.py"].body
+    functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, fn in functions.items() if forms_a_key(fn)} == {"contraction_lattice"}
+    for walk in ("nested_weighted_sum", "tau_oracle_contraction", "admissible_leaf_nodes"):
+        assert not forms_a_key(functions[walk]), walk
+    others = [node for node in body if not isinstance(node, ast.FunctionDef)]
+    assert not any(forms_a_key(node) for node in others)
+
+
 def test_numpy_and_the_column_builder_stay_in_their_layers():
     # Only the circuit and the invariants import numpy, inside the functions
     # that use it and never at module level, and the per-edge columns are

@@ -222,28 +222,34 @@ def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
     # One walk for every depth against a replay of every admissible
     # sequence, multiplying the R/(L+R) weight of each step in the graph
     # current at that step.
-    def leaf_tau(node):
-        return tau(node.graph)
-
-    def leaf_xy_gap(node):
-        prof = graph_profile(node.graph)
+    def leaf_xy_gap(graph):
+        prof = graph_profile(graph)
         return prof.x - prof.y
 
     for g in (k4, named_corpus()["prism"]):
         depths = range(1, g.vertex_count - 1)
-        for leaf in (leaf_tau, leaf_xy_gap):
+        for leaf in (tau, leaf_xy_gap):
             fast = nested_weighted_sum(g, depths, leaf)
             slow = [
-                math.fsum(weight * leaf(node) for _, weight, node in replay(g, depth))
+                math.fsum(weight * leaf(graph) for _, weight, graph in replay(g, depth))
                 for depth in depths
             ]
             assert fast == pytest.approx(slow, rel=1e-9)
 
 
-def test_nested_sum_depth_cap(triangle):
+def test_nested_sum_depth_cap(triangle, k4, monkeypatch):
     for depths in ([2], [1, 2]):
         with pytest.raises(TooLarge):
-            nested_weighted_sum(triangle, depths, lambda node: 0.0)
+            nested_weighted_sum(triangle, depths, lambda graph: 0.0)
+    for depths in ([-1], [1, -1]):
+        with pytest.raises(TooSmall):
+            nested_weighted_sum(k4, depths, lambda graph: 0.0)
+
+    def must_not_run(g):
+        raise AssertionError("built a lattice for no depth")
+
+    monkeypatch.setattr(invariants, "contraction_lattice", must_not_run)
+    assert nested_weighted_sum(k4, [], lambda graph: 0.0) == []
 
 
 def test_contraction_weight(triangle, banana3):
@@ -372,7 +378,7 @@ def test_lattice_size_counts_the_lattice_it_does_not_build():
     graphs = [random_connected_multigraph(rng, 6, 12) for _ in range(40)]
     graphs += [named_corpus()["k4"], named_corpus()["prism"], build_graph(1, [(0, 0, 1.0)])]
     for g in graphs:
-        nodes = len(invariants.contraction_lattice(g)) + 1  # the root is g itself
+        nodes = len(invariants.contraction_lattice(g))
         assert invariants.lattice_size(g) == nodes == forest_count(g), g.edges
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     for copies, nodes in ((1, 1636), (2, 21211), (3, 100216), (4, 306061)):

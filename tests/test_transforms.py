@@ -108,7 +108,7 @@ def test_admissible_contractions_on_triangle(triangle):
 
 def test_admissible_contractions_skip_loops():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 1.0)])
-    for key in invariants.contraction_lattice(g):
+    for key, _, _ in invariants.contraction_lattice(g):
         assert 2 not in key
 
 
@@ -119,7 +119,7 @@ def test_k4_has_thirty_admissible_pairs(k4, replay):
     assert len(list(replay(k4, 2))) == 30
     leaves = invariants.admissible_leaf_nodes(k4)
     assert len(leaves) == 15
-    assert all(node.graph.vertex_count == 2 for _, node in leaves)
+    assert all(graph.vertex_count == 2 for _, graph in leaves)
 
 
 def test_cut_vertices_on_bowtie():
