@@ -3,28 +3,38 @@
 Lengths play no role here; only the incidence structure matters.  Both
 connectivities come from one integer max-flow routine, `_flow_into`, capped
 at the best value found so far, and one sink sweep, `_sweep`, which grows
-the source set in the manner of Hao and Orlin (1994): once a sink's flow
-has run (or has been shown unable to improve the best value), that sink
-becomes a source for every later flow.  The sweep takes the sinks in index
-order; a sink whose attachment to the current source set already reaches
-the best value needs no flow.  Any order would be exact: the lemmas below
-hold for every order.
+the source set in the manner of Hao and Orlin (1994): once a sink is
+finished, it becomes a source for every later flow.  The sweep takes the
+sinks in index order.  Any order would be exact: the lemmas below hold for
+every order.
+
+Most sinks need no flow at all.  Before a flow, the sweep counts short
+disjoint paths from the sources into the sink: the direct ones (the sink's
+attachment) and two-hop detours through one further vertex.  Such a count
+is a lower bound on the flow, so once it reaches the best value the flow
+could not lower that value, and the sink is merged into the sources without
+one.  Each augmenting search grows from both ends, the sources and the
+sink, and always widens the smaller frontier, so the two halves meet near
+the middle of a path instead of one of them exploring half the network.
 
 Merging a finished sink into the source set stays exact because of a
 merging lemma for each connectivity, stated with its proof in the
 docstrings of `edge_connectivity` and `vertex_connectivity`.  In both, every
 flow value is the size of a real cut or separator, so none is below the
 answer, and the first swept sink on the far side of a minimum cut sees only
-sources on the near side, so its flow is at most the answer.  Self-loops
-never contribute to either quantity.
+sources on the near side, so its flow is at most the answer.  A sink the
+path count settles has a flow of at least the best value, so skipping its
+flow leaves every minimum as it was.  Self-loops never contribute to either
+quantity.  Both results live in the graph's memo.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterable
 
 from .errors import TooSmall
-from .graphs import MetrizedGraph
+from .graphs import MetrizedGraph, graph_memo
 
 
 class Infinite:
@@ -68,60 +78,96 @@ def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int
     """Integer max flow from every node marked in is_source into sink, capped at limit.
 
     The capacities are copied once per call.  Each augmenting search is a
-    breadth-first search backwards from the sink along arcs with residual
-    capacity, and stops at the first source it reaches.
+    breadth-first search from both ends at once: backwards from the sink
+    along arcs with residual capacity into the reached nodes, and forwards
+    from the sources along arcs with residual capacity out of them, one
+    whole level at a time on whichever side has the smaller frontier.  It
+    stops when the two sides meet.  When either side runs out, the nodes it
+    reached form a closed set that the other side never entered, so no
+    augmenting path is left.
     """
     head, base, out = net
     cap = base[:]
+    sources = list(compress(range(len(out)), is_source))
+    unreached = [-1] * len(out)
+    for u in sources:
+        unreached[u] = -2
     flow = 0
     while flow < limit:
-        # via[u] is the arc from u one step nearer the sink; -1 unreached.
-        via = [-1] * len(out)
-        via[sink] = -2
-        queue = [sink]
-        found = -1
-        for w in queue:
-            for i in out[w]:
-                u = head[i]
-                if via[u] == -1 and cap[i ^ 1] > 0:
-                    via[u] = i ^ 1
-                    if is_source[u]:
-                        found = u
+        # ahead[u] is the arc into u one step nearer a source, back[u] the
+        # arc from u one step nearer the sink; -2 at a root, -1 unreached.
+        ahead = unreached[:]
+        back = [-1] * len(out)
+        back[sink] = -2
+        forward, backward = sources, [sink]
+        meet = -1
+        while meet < 0 and forward and backward:
+            grown = []
+            if len(backward) <= len(forward):
+                for w in backward:
+                    for i in out[w]:
+                        u = head[i]
+                        if back[u] == -1 and cap[i ^ 1] > 0:
+                            back[u] = i ^ 1
+                            if ahead[u] != -1:
+                                meet = u
+                                break
+                            grown.append(u)
+                    if meet >= 0:
                         break
-                    queue.append(u)
-            if found >= 0:
-                break
-        if found < 0:
+                backward = grown
+            else:
+                for u in forward:
+                    for i in out[u]:
+                        w = head[i]
+                        if ahead[w] == -1 and cap[i] > 0:
+                            ahead[w] = i
+                            if back[w] != -1:
+                                meet = w
+                                break
+                            grown.append(w)
+                    if meet >= 0:
+                        break
+                forward = grown
+        if meet < 0:
             return flow
         push = limit - flow
-        u = found
+        path = []
+        u = meet
+        while ahead[u] != -2:
+            i = ahead[u]
+            path.append(i)
+            push = min(push, cap[i])
+            u = head[i ^ 1]
+        u = meet
         while u != sink:
-            i = via[u]
+            i = back[u]
+            path.append(i)
             push = min(push, cap[i])
             u = head[i]
-        u = found
-        while u != sink:
-            i = via[u]
+        for i in path:
             cap[i] -= push
             cap[i ^ 1] += push
-            u = head[i]
         flow += push
     return flow
 
 
 def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
-           merge: Callable[[int], Iterable[tuple[int, int]]], best: int) -> int:
+           merge: Callable[[int], Iterable[tuple[int, int]]],
+           detour: Callable[[int, int], int], best: int) -> int:
     """Run every sink in attach through the capped flow and return the smallest value.
 
-    attach maps each pending sink to a lower bound on its flow from the
-    current sources.  Sinks go in index order.  A sink whose attachment is
-    below best gets a flow capped at best; one at or above best cannot
-    improve it and gets none.  Either way merge(sink) then marks it as a
-    source and yields (node, gain) pairs that raise the attachments of the
-    pending sinks it touches.
+    attach maps each pending sink to its number of direct paths from the
+    current sources.  Sinks go in index order.  detour(sink, count) extends
+    the sink's count of direct paths with disjoint two-hop paths.  A sink
+    whose count stays below best gets a flow capped at best; one at or
+    above best cannot improve it and gets none.  Either way merge(sink)
+    then marks it as a source and yields (node, gain) pairs that raise the
+    attachments of the pending sinks it touches.
     """
     for t in sorted(attach):
-        if attach.pop(t) < best:
+        count = attach.pop(t)
+        if count < best and detour(t, count) < best:
             best = min(best, _flow_into(net, is_source, t, best))
         for u, gain in merge(t):
             if u in attach:
@@ -129,6 +175,7 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
     return best
 
 
+@graph_memo
 def edge_connectivity(g: MetrizedGraph) -> int | Infinite:
     """Smallest number of edges whose removal disconnects the graph.
 
@@ -141,6 +188,20 @@ def edge_connectivity(g: MetrizedGraph) -> int | Infinite:
     holds 0.  The first swept vertex outside X finds every source inside X,
     so its flow is at most lambda; every flow value is the size of a real
     cut, so none is below lambda.  Hence the result is lambda.
+
+    Path-count lemma: let S be the sources, t the sink, and for each
+    pending vertex w let attach(w) count the edges between w and S.  Then
+    the flow from S into t is at least
+
+        attach(t) + sum over pending w of min(mult(t, w), attach(w)).
+
+    Proof: each edge t-S is a path of its own.  Through a pending w, pair
+    min(mult(t, w), attach(w)) of the edges t-w with as many edges w-S,
+    one of each per path.  The edges t-w belong to w alone and so do the
+    edges w-S, and none of them is an edge t-S, so all these paths are
+    edge-disjoint, and their number bounds the flow from below.  A sink
+    whose count reaches best has a flow of at least best and is merged
+    without one.
     """
     n = g.vertex_count
     if n == 1:
@@ -157,16 +218,23 @@ def edge_connectivity(g: MetrizedGraph) -> int | Infinite:
                 _add_arc(net, a, b, count, count)
     is_source = bytearray(n)
     is_source[0] = 1
+    attach = {t: multiplicity[0].get(t, 0) for t in range(1, n)}
 
     def merge(t: int) -> Iterable[tuple[int, int]]:
         is_source[t] = 1
         return multiplicity[t].items()
 
-    attach = {t: multiplicity[0].get(t, 0) for t in range(1, n)}
+    def detour(t: int, count: int) -> int:
+        for w, parallel in multiplicity[t].items():
+            if w in attach:
+                count += min(parallel, attach[w])
+        return count
+
     best = min(sum(row.values()) for row in multiplicity)
-    return _sweep(net, is_source, attach, merge, best)
+    return _sweep(net, is_source, attach, merge, detour, best)
 
 
+@graph_memo
 def vertex_connectivity(g: MetrizedGraph) -> int:
     """Smallest number of vertices whose removal disconnects the graph.
 
@@ -183,20 +251,44 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
 
     The flows run on the split network: vertex u becomes u_in -> u_out with
     capacity 1, and each edge u-w becomes u_out -> w_in and w_out -> u_in
-    with capacity above any separator.
+    with capacity above any separator.  A sweep from a vertex s starts with
+    the source s_out, takes sinks t that are not adjacent to s, and makes
+    only t_in a source once t is finished.  Let R be s's neighbours and the
+    finished sinks.  Each capped flow value is the size of a real separator
+    between s and its sink: a value below best is a minimum cut below the
+    unbounded capacity, so it cuts only split arcs, and their vertices
+    separate s from the sink.  So no value is below the vertex connectivity.
 
-    Family 1, v against its non-neighbours, is one sweep from the source
-    v_out; each finished sink t makes only t_in a source.  A sink's
-    attachment counts its neighbours that are neighbours of v or finished
-    sinks: each gives a path through that neighbour's split arc alone.
-    Merging lemma: take a minimum separator X that misses v, with v on side
-    A and the rest on side B.  A finished t in A or X leaves t_in on the
-    source side of X's cut, so the first swept sink in B has a flow of at
-    most |X|.  Every flow value is still the size of a real separator
-    between v and the sink, so none is below the vertex connectivity.
+    Family 1, v against its non-neighbours, is one sweep from v.  Merging
+    lemma: take a minimum separator X that misses v, with v on side A and
+    the rest on side B.  A finished t in A or X leaves t_in on the source
+    side of X's cut, so the first swept sink in B has a flow of at most |X|.
 
-    Family 2, the non-adjacent pairs of v's neighbours, runs single-source
-    capped flows from x_out into y_in.
+    Family 2, the non-adjacent pairs of v's neighbours, is one sweep from
+    each neighbour x of v over the later neighbours of v that x misses, its
+    sources reset for each x.  Merging lemma: take a minimum separator X
+    that holds v.  Every vertex of a minimum separator has a neighbour in
+    each component of G - X, or dropping it would leave a smaller one; so v
+    has neighbours in at least two components.  Let x0 be the first
+    neighbour of v outside X, in index order, and C its component.  Every
+    other neighbour of v outside X comes later, and some lie outside C, so
+    they are sinks of x0's sweep, for they miss x0.  The first such sink y
+    finds only sources in C or X: x0_out, and t_in for finished t in C or
+    X.  The split arcs of X are the only arcs of positive capacity that
+    leave the nodes of C and the in-nodes of X, and y_in is not among those
+    nodes, so y's flow is at most |X|.
+
+    Path-count lemma: the flow from a sweep's sources into a sink t_in is
+    at least the number of t's neighbours in R plus the number of detours
+    t-w-z that a greedy pass finds, with w a neighbour of t outside R and z
+    in R, each z a neighbour of neither t nor an earlier detour's z.
+    Proof: a neighbour z of t in R gives the path s_out -> z_in -> z_out ->
+    t_in, or z_in -> z_out -> t_in when z is a finished sink, through z's
+    split arc alone.  A detour t-w-z adds w's split arc to z's.  Each split
+    arc has capacity 1; the greedy pass uses each w once and each z once,
+    never a direct neighbour's z, and no w is in R.  So the paths share no
+    split arc, their number bounds the flow from below, and a sink whose
+    count reaches best is merged without a flow.
     """
     n = g.vertex_count
     if n < 2:
@@ -218,22 +310,37 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
         _add_arc(net, 2 * u, 2 * u + 1, 1, 0)
         for w in neighbours[u]:
             _add_arc(net, 2 * u + 1, 2 * w, unbounded, 0)
-    is_source = bytearray(2 * n)
-    is_source[2 * v + 1] = 1
 
-    def merge(t_in: int) -> Iterable[tuple[int, int]]:
-        is_source[t_in] = 1
-        return ((2 * w, 1) for w in neighbours[t_in // 2])
+    def sweep(s: int, sinks: list[int], best: int) -> int:
+        is_source = bytearray(2 * n)
+        is_source[2 * s + 1] = 1
+        in_r = bytearray(n)
+        for u in neighbours[s]:
+            in_r[u] = 1
 
-    attach = {2 * t: len(neighbours[t] & near) for t in range(n) if t != v and t not in near}
-    best = _sweep(net, is_source, attach, merge, len(near))
+        def merge(t_in: int) -> Iterable[tuple[int, int]]:
+            is_source[t_in] = 1
+            in_r[t_in // 2] = 1
+            return ((2 * w, 1) for w in neighbours[t_in // 2])
 
-    is_source = bytearray(2 * n)
+        def detour(t_in: int, count: int) -> int:
+            direct = neighbours[t_in // 2]
+            taken = set()
+            for w in direct:
+                if in_r[w]:
+                    continue
+                for z in neighbours[w]:
+                    if in_r[z] and z not in direct and z not in taken:
+                        taken.add(z)
+                        count += 1
+                        break
+            return count
+
+        attach = {2 * t: sum(in_r[u] for u in neighbours[t]) for t in sinks}
+        return _sweep(net, is_source, attach, merge, detour, best)
+
+    best = sweep(v, [t for t in range(n) if t != v and t not in near], len(near))
     ordered = sorted(near)
     for i, x in enumerate(ordered):
-        is_source[2 * x + 1] = 1
-        for y in ordered[i + 1:]:
-            if y not in neighbours[x]:
-                best = min(best, _flow_into(net, is_source, 2 * y, best))
-        is_source[2 * x + 1] = 0
+        best = sweep(x, [y for y in ordered[i + 1:] if y not in neighbours[x]], best)
     return best

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from taulab import connectivity, cuts
+from taulab import connectivity, cuts, identities, transforms
 from taulab.connectivity import N_of, conjecture_margin, lower_bounds
 from taulab.cuts import INFINITE, edge_connectivity, is_infinite, vertex_connectivity
 from taulab.errors import BridgePresent, DisconnectedGraph, TooLarge, TooSmall
@@ -24,6 +24,13 @@ def test_edge_connectivity_known_values(triangle, k4, path2):
     assert edge_connectivity(banana(5)) == 5
     assert is_infinite(edge_connectivity(build_graph(1, [])))
     assert is_infinite(edge_connectivity(build_graph(1, [(0, 0, 1.0)])))
+    # Vertices 0-4 form a K5 (degree 4) and vertices 5-8 a doubled K4
+    # (degree 6); all three cut edges end at 5, the first vertex swept on the
+    # far side.  Its direct edges reach 3 of the best value 4, so a path
+    # count that took them twice would skip the one flow that finds the cut.
+    pairs = list(itertools.combinations(range(5), 2)) + [(0, 5), (1, 5), (2, 5)]
+    pairs += [pair for pair in itertools.combinations(range(5, 9), 2) for _ in range(2)]
+    assert edge_connectivity(unit_graph(9, pairs)) == 3
 
 
 def test_infinite_marker_semantics():
@@ -261,14 +268,16 @@ def test_edge_connectivity_below_minimum_degree():
             assert lam == brute_edge_connectivity(g)
 
 
-def planted_separator(rng, n, separator, v_inside):
+def planted_separator(rng, n, separator, v_inside, neighbour_inside=False):
     """Two dense halves joined only through the vertices 0..separator-1.
 
     With v_inside, vertex 0 has the fewest distinct neighbours, two in each
     half, so only a separator holding it is smallest.  Otherwise every
-    separator vertex is dense and the sparsest vertex lies in a half.
+    separator vertex is dense and the sparsest vertex lies in a half.  With
+    neighbour_inside as well, vertex 0 is also joined to vertex 1, so its
+    first neighbour lies in the separator too.
     """
-    pairs = []
+    pairs = [(0, 1)] if neighbour_inside else []
     halves = list(range(separator, n))
     rng.shuffle(halves)
     for half in (halves[:len(halves) // 2], halves[len(halves) // 2:]):
@@ -291,6 +300,148 @@ def test_vertex_connectivity_of_planted_separators(v_inside):
         separator = rng.randint(2, 3)
         g = planted_separator(rng, n, separator, v_inside)
         assert vertex_connectivity(g) == all_pairs_vertex_connectivity(g) == separator, n
+
+
+def test_vertex_connectivity_when_v_and_its_first_neighbour_share_the_separator():
+    # Vertex 0 is the sparsest vertex and vertex 1, its first neighbour, is
+    # in the separator as well.  A separator between 1 and any other vertex
+    # leaves 1 out, so the sweep from 1 cannot find it; only the sweep from
+    # a later neighbour of 0 can, on sources of its own.
+    rng = random.Random(4343)
+    for n in (20, 30, 45, 60):
+        separator = rng.randint(2, 3)
+        g = planted_separator(rng, n, separator, True, neighbour_inside=True)
+        near = {b if a == 0 else a for a, b, _ in g.edges if 0 in (a, b)}
+        assert min(near) == 1 and len(near) == 5
+        assert all(sum(u in (a, b) for a, b, _ in g.edges) > 5 for u in range(1, n))
+        assert vertex_connectivity(g) == all_pairs_vertex_connectivity(g) == separator, n
+
+
+def test_flow_into_matches_reference_max_flow():
+    # Random networks with parallel arcs and one-way arcs, several marked
+    # sources, and limits from 1 up to more than the total capacity.
+    rng = random.Random(7171)
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        net = ([], [], [[] for _ in range(n)])
+        capacity = [dict() for _ in range(n + 1)]  # node n feeds every source
+        for _ in range(rng.randint(0, 4 * n)):
+            u, w = rng.sample(range(n), 2)
+            forward = rng.randint(0, 3)
+            backward = rng.randint(0, 3) if rng.random() < 0.5 else 0
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                cuts._add_arc(net, u, w, forward, backward)
+                capacity[u][w] = capacity[u].get(w, 0) + forward
+                capacity[w][u] = capacity[w].get(u, 0) + backward
+        sink = rng.randrange(n)
+        is_source = bytearray(n)
+        unbounded = sum(net[1]) + 1
+        for s in rng.sample([u for u in range(n) if u != sink], rng.randint(1, n - 1)):
+            is_source[s] = 1
+            capacity[n][s] = unbounded
+        expected = max_flow(capacity, n, sink)
+        base = list(net[1])
+        for limit in {1, 2, 3, rng.randint(1, unbounded), unbounded}:
+            assert cuts._flow_into(net, is_source, sink, limit) == min(limit, expected)
+        assert net[1] == base
+
+
+def larger_multigraph(rng):
+    """A connected multigraph of 10-40 vertices, then extra loops and parallel edges.
+
+    The base is a random 6-regular graph, a chain of planted edge cuts, a
+    planted separator or a sparse random multigraph, so the two
+    connectivities range from 1 up to the minimum degree.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        g = random_six_regular(rng, rng.randint(10, 40))
+    elif kind == 1:
+        sizes = [rng.randint(3, 8) for _ in range(rng.randint(2, 5))]
+        while sum(sizes) < 10:
+            sizes.append(3)
+        g = planted_cut(rng, sizes, rng.randint(1, 3))
+    elif kind == 2:
+        g = planted_separator(rng, rng.randint(10, 40), rng.randint(1, 3), rng.random() < 0.5)
+    else:
+        n = rng.randint(10, 40)
+        g = random_connected_multigraph(rng, n, rng.randint(n, 3 * n))
+        while g.vertex_count < 10:
+            g = random_connected_multigraph(rng, n, rng.randint(n, 3 * n))
+    n = g.vertex_count
+    edges = [(a, b) for a, b, _ in g.edges]
+    edges += [(u, u) for u in rng.sample(range(n), 2)]
+    edges += rng.sample([(a, b) for a, b in edges if a != b], 3)
+    return unit_graph(n, edges)
+
+
+def test_connectivity_matches_references_beyond_nine_vertices():
+    rng = random.Random(9191)
+    kappas, lambdas = set(), set()
+    for _ in range(40):
+        g = larger_multigraph(rng)
+        assert 10 <= g.vertex_count <= 40
+        kappa, lam = vertex_connectivity(g), edge_connectivity(g)
+        assert kappa == all_pairs_vertex_connectivity(g), g
+        assert lam == pairwise_edge_connectivity(g), g
+        kappas.add(kappa)
+        lambdas.add(lam)
+    assert len(kappas) >= 3 and len(lambdas) >= 3, (kappas, lambdas)
+
+
+def test_short_paths_settle_most_sinks(monkeypatch):
+    # On random 6-regular graphs the direct paths and two-hop detours into a
+    # sink already reach the best value for most sinks, so fewer than half
+    # of the sinks of either sweep get a flow.
+    rng = random.Random(8008)
+    real = cuts._flow_into
+    calls = []
+
+    def counted(net, is_source, sink, limit):
+        calls.append(sink)
+        return real(net, is_source, sink, limit)
+
+    monkeypatch.setattr(cuts, "_flow_into", counted)
+    for n in (20, 40, 60, 80):
+        g = random_six_regular(rng, n)
+        neighbours = [set() for _ in range(n)]
+        for a, b, _ in g.edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        near = sorted(min(neighbours, key=len))
+        pairs = sum(y not in neighbours[x] for x, y in itertools.combinations(near, 2))
+        calls.clear()
+        edge_connectivity(g)
+        assert 0 < len(calls) < (n - 1) / 2, (n, len(calls))
+        calls.clear()
+        vertex_connectivity(g)
+        assert len(calls) < (n - 1 - len(near) + pairs) / 2, (n, len(calls))
+
+
+def test_each_connectivity_is_computed_once_per_graph(k4):
+    # verify --ids all reads lambda in Z_X_BOUND and in EDGECON11, and the
+    # 2-edge-cut reduction reads its input's lambda before and inside its loop.
+    g = k4.normalize()
+    before = edge_connectivity.cache_info()
+    reports = {r.identity: r for r in identities.verify_all(g)}
+    assert reports["Z_X_BOUND"].applicable and reports["EDGECON11"].applicable
+    after = edge_connectivity.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    # A 4-cycle with one chord doubled collapses in two steps to a banana of
+    # four edges: three graphs, each computed once.
+    c4 = unit_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (0, 2)])
+    before = edge_connectivity.cache_info()
+    out = transforms.reduce_edge_connectivity_two(c4)
+    after = edge_connectivity.cache_info()
+    assert (out.vertex_count, out.edge_count) == (2, 4)
+    assert (after.misses - before.misses, after.hits - before.hits) == (3, 1)
+
+    before = vertex_connectivity.cache_info()
+    lower_bounds(c4)
+    lower_bounds(c4)
+    after = vertex_connectivity.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_connectivity_sandwich():
