@@ -25,11 +25,14 @@ once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
 needs nothing beyond G's own resistances: R = L r / s and the arm gap
 L Delta_p / s, with r = r(a, b), s = L - r and Delta_p = r(p, a) - r(p, b)
 at base p.  This is what the rank-one (Sherman-Morrison) update of the
-inverse reduces to: O(1) per edge and one gather of row K[p] per base.
-The inverse is checked by the normwise relative residual
-||A X - I|| / (||A|| ||X||) (infinity norms), which does not change when
-all lengths are scaled; a suspicious grounded inverse raises
-SingularSystem.
+inverse reduces to.  Everything that does not depend on the base is built
+once per graph (_deleted_edge_inverses, from one array view of the edges,
+_edge_view): K, each edge's R, L / s and K[a,a] - K[b,b], and the ids of
+the edges left to GTH.  The work per base is one gather of row K[p] and
+O(m) arithmetic, plus the GTH reductions of those edges.  The inverse is
+checked by the normwise relative residual ||A X - I|| / (||A|| ||X||)
+(infinity norms), which does not change when all lengths are scaled; a
+suspicious grounded inverse raises SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
 deleted-edge resistance and the two star arms of every edge, indexed by
@@ -47,7 +50,7 @@ only meets graphs under RANK_ONE_MIN_VERTICES never loads numpy.
 from __future__ import annotations
 
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -85,8 +88,25 @@ RANK_ONE_MIN_VERTICES = 10
 _EPS = sys.float_info.epsilon
 
 
-def _laplacian(vertex_count: int, edges):
-    """The weighted Laplacian, conductance 1/length per edge, self-loops left out.
+@graph_memo
+def _edge_view(g: MetrizedGraph):
+    """The edges as arrays, in edge order: first ends, second ends and lengths.
+
+    Built once per graph and read-only, since every reader shares it: the
+    Laplacian, the closed-form data and the profile's masks.
+    """
+    import numpy as np
+
+    m = len(g.edges)
+    flat = np.fromiter(chain.from_iterable(g.edges), dtype=float, count=3 * m).reshape(m, 3)
+    view = flat[:, 0].astype(np.intp), flat[:, 1].astype(np.intp), flat[:, 2].copy()
+    for column in view:
+        column.flags.writeable = False
+    return view
+
+
+def _laplacian(g: MetrizedGraph):
+    """The weighted Laplacian of g, conductance 1/length per edge, self-loops left out.
 
     Each entry takes its conductances in edge order, the order of the
     per-edge loop this replaces, so the matrix keeps its bits: np.add.at
@@ -94,10 +114,8 @@ def _laplacian(vertex_count: int, edges):
     """
     import numpy as np
 
-    lap = np.zeros((vertex_count, vertex_count))
-    if not edges:
-        return lap
-    a, b, length = map(np.array, zip(*edges))
+    a, b, length = _edge_view(g)
+    lap = np.zeros((g.vertex_count, g.vertex_count))
     keep = a != b
     a, b = a[keep], b[keep]
     c = np.repeat(1.0 / length[keep], 2)
@@ -116,7 +134,9 @@ def _grounded_inverse(lap):
     of the reduced matrix A must pass the normwise relative residual check
     ||A X - I|| / (||A|| ||X||) <= RESIDUAL_BOUND (infinity norms), which
     bounds its backward error and, unlike max|A X - I|, is unchanged when
-    all lengths are scaled.
+    all lengths are scaled.  A Laplacian row sums to 0 and is positive only
+    on the diagonal, so row i of A has absolute sum 2 L_ii + L_i0: ||A|| is
+    read in O(n).
     """
     import numpy as np
 
@@ -133,7 +153,9 @@ def _grounded_inverse(lap):
     def norm(m):
         return np.abs(m).sum(axis=1).max()
 
-    residual = norm(reduced @ inv - np.eye(n - 1)) / (norm(reduced) * norm(inv))
+    check = reduced @ inv
+    check.flat[::n] -= 1.0  # the diagonal of the (n - 1) x (n - 1) product
+    residual = norm(check) / ((2.0 * lap.diagonal()[1:] + lap[1:, 0]).max() * norm(inv))
     if not residual <= RESIDUAL_BOUND:
         raise SingularSystem(f"grounded Laplacian solve residual {residual:.3e} exceeds {RESIDUAL_BOUND:.0e}")
     full[1:, 1:] = inv
@@ -292,29 +314,39 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     for bridges, self-loops and edges the guard rejects; the non-bridge
     ones among them are left to GTH elimination per base (_gth_stars).
     closed is None when no edge takes the route, else (K, a, b, scale,
-    spread) with the per-edge arrays of endpoints, L / s and
-    K[a,a] - K[b,b]: K plus O(m) scalars, O(n^3 + m) for the graph and
-    shared across bases.
+    spread, R, gth): K, the per-edge arrays of endpoints, L / s and
+    K[a,a] - K[b,b], the read-only array R (0.0 at self-loops, NaN where
+    resistance is None) and the ids of the edges left to GTH.  All of it
+    is base-free: O(n^3 + m) once per graph, and each base adds one gather
+    of row K[p].
     """
     import numpy as np
 
-    n = g.vertex_count
-    edges = g.edges
-    resistance = (None,) * len(edges)
-    a, b, length = map(np.array, zip(*edges))
-    routed = a != b
+    a, b, length = _edge_view(g)
+    resistance = (None,) * len(g.edges)
+    loop = a == b
+    routed = ~loop
     routed[list(g.bridges())] = False
     if not routed.any():
         return resistance, None
-    K = _grounded_inverse(_laplacian(n, edges))
+    K = _grounded_inverse(_laplacian(g))
     d = np.diag(K)
     k_ab = K[a, b]
     r = d[a] + d[b] - 2.0 * k_ab
     s = length - r
     ok = routed & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
+    if not ok.any():
+        return resistance, None
     scale = length / np.where(ok, s, 1.0)
-    resistance = tuple(R if take else None for R, take in zip((scale * r).tolist(), ok.tolist()))
-    return resistance, (K, a, b, scale, d[a] - d[b]) if ok.any() else None
+    R = np.where(ok, scale * r, np.nan)
+    R[loop] = 0.0
+    R.flags.writeable = False
+    resistance = R.tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        resistance[i] = None
+    resistance = tuple(resistance)
+    gth = np.flatnonzero(routed & ~ok).tolist()
+    return resistance, (K, a, b, scale, d[a] - d[b], R, gth)
 
 
 def closed_form(g: MetrizedGraph):
@@ -361,11 +393,10 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     closed-form route the columns are float64 arrays: each edge that passed
     the guard takes R from the graph's closed-form data and its arm gap from
     one gather of row K[base]: arm_first = (R + gap) / 2 and
-    arm_second = R - arm_first.  A self-loop's R is set to 0 first, so the
-    same arithmetic gives its arms 0.  Every other edge that is neither a
-    bridge nor a self-loop is reduced onto {a, b, base} by GTH elimination,
-    one reduction per endpoint pair (_pair_stars).  On a GTH edge R is the
-    sum of its two arms.
+    arm_second = R - arm_first.  A self-loop's R is 0, so the same
+    arithmetic gives its arms 0.  The edges the guard left to GTH are
+    reduced onto {a, b, base}, one reduction per endpoint pair
+    (_pair_stars), and their R is the sum of their two arms.
     """
     base = g.check_vertex(base)
     edges = g.edges
@@ -376,20 +407,14 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
         arm_first, arm_second = zip(*arms) if arms else ((), ())
         return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
-    import numpy as np
-
-    resistance, (K, a_of, b_of, scale, spread) = data
-    bridges = g.bridges()
-    routed = [i for i, (r_ab, (a, b, _)) in enumerate(zip(resistance, edges))
-              if r_ab is None and a != b and i not in bridges]
-    stars = _gth_stars(g, base, routed) if routed else {}
-    # NaN where resistance[i] is None; 0.0 at self-loops.
-    R = np.array([0.0 if a == b else r_ab for r_ab, (a, b, _) in zip(resistance, edges)], dtype=float)
+    K, a_of, b_of, scale, spread, R, gth = data[1]
     row = K[base]
     gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
     arm_first = 0.5 * (R + gap)
     arm_second = R - arm_first
-    for i, (arm_a, arm_b) in stars.items():
-        arm_first[i], arm_second[i] = arm_a, arm_b
-        R[i] = arm_a + arm_b
+    if gth:
+        R = R.copy()
+        for i, (arm_a, arm_b) in _gth_stars(g, base, gth).items():
+            arm_first[i], arm_second[i] = arm_a, arm_b
+            R[i] = arm_a + arm_b
     return EdgeColumns(R, arm_first, arm_second)

@@ -20,7 +20,10 @@ data, the profile at each base, the contraction lattice and the surgeries
 the identity catalog reads.  So whatever is computed for a graph lives
 exactly as long as the graph, and a surgery's result is held by its
 parent's memo.  An equal graph built a second time starts with an empty
-memo.
+memo.  Surgeries whose bridges follow from their parent's seed the
+result's memo with them (graph_memo's seed): contractions, doubled graphs
+and loopless cores.  Parsed graphs, deletions and gluings run the
+depth-first pass.
 
 One table is shared across graphs: _CORES interns loopless cores
 (loopless_core), each graph's non-loop edges on its vertices, by value.
@@ -36,7 +39,8 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -113,9 +117,10 @@ class MetrizedGraph:
         """First Betti number e - v + 1 (count of independent cycles)."""
         return len(self.edges) - self.vertex_count + 1
 
-    @property
+    @cached_property
     def total_length(self) -> float:
-        return math.fsum(length for _, _, length in self.edges)
+        """The sum of the edge lengths, taken once per graph instance."""
+        return math.fsum(map(operator.itemgetter(2), self.edges))
 
     def check_vertex(self, p: int) -> int:
         p = _index(p, BadVertexIndex, "vertex")
@@ -211,6 +216,8 @@ def graph_memo(fn: Callable) -> Callable:
 
     fn must be pure.  A call that raises stores nothing.  The wrapper
     counts hits and misses over all graphs; cache_info() returns them.
+    seed(g, value, *args) stores a value known without calling fn, such as
+    one a surgery hands down from its parent's; it counts as neither.
     """
     hits = misses = 0
 
@@ -227,6 +234,7 @@ def graph_memo(fn: Callable) -> Callable:
         return value
 
     memoized.cache_info = lambda: CacheInfo(hits, misses)
+    memoized.seed = lambda g, value, *args: g._memo.setdefault((fn, args), value)
     return memoized
 
 
@@ -260,6 +268,13 @@ def loopless_core(g: MetrizedGraph) -> MetrizedGraph:
         core = _CORES[key] = MetrizedGraph._unchecked(g.vertex_count, kept)
     if core is not g:
         g._memo[loopless_core] = core
+        # Deleting loops changes no bridge.  A bridge is no loop, so it moves
+        # down by the number of loops up to it.
+        bridges = g.bridges()
+        if bridges:
+            loops = list(accumulate(a == b for a, b, _ in g.edges))
+            bridges = frozenset(i - loops[i] for i in bridges)
+        _bridge_ids.seed(core, bridges)
     return core
 
 
@@ -297,19 +312,25 @@ def component_labels(vertex_count: int, edges: Sequence[Edge]) -> list[int]:
 
 @graph_memo
 def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
-    """Bridge edges via one depth-first pass (iterative, multigraph aware).
+    """Bridge edges by one depth-first pass (Tarjan 1974), iterative and multigraph aware.
 
-    The entry edge into a vertex is skipped by its id, not by its endpoint,
-    so a parallel copy of the tree edge correctly lowers the low-link and
-    parallel edges are never reported as bridges.  Self-loops are ignored.
+    Each stack frame is (vertex, id of the edge it was entered by, iterator
+    over its incidences), so a step advances an iterator and writes no list.
+    The entry edge is skipped by its id, not by its endpoint, so a parallel
+    copy of a tree edge lowers the low-link and parallel edges are never
+    bridges.  A tree edge is a bridge when nothing below it reaches above
+    its upper end: low[child] > disc[parent].  Self-loops are skipped.
+
+    Surgeries whose bridges follow from their parent's hand them down
+    through _bridge_ids.seed instead of running this pass: contract_edge,
+    double_adjusted and loopless_core.
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (a, b, _) in enumerate(g.edges):
-        if a == b:
-            continue
-        adj[a].append((b, eid))
-        adj[b].append((a, eid))
+        if a != b:
+            adj[a].append((b, eid))
+            adj[b].append((a, eid))
     disc = [-1] * n
     low = [0] * n
     out: list[int] = []
@@ -319,25 +340,25 @@ def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[list[int]] = [[root, -1, 0]]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            u, entry_eid, pos = stack[-1]
-            if pos < len(adj[u]):
-                stack[-1][2] = pos + 1
-                w, eid = adj[u][pos]
-                if eid == entry_eid:
+            u, entry, incidences = stack[-1]
+            for w, eid in incidences:
+                if eid == entry:
                     continue
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, eid, 0])
-                else:
-                    low[u] = min(low[u], disc[w])
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:
                 stack.pop()
-                if entry_eid != -1:
+                if stack:
                     parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
                     if low[u] > disc[parent]:
-                        out.append(entry_eid)
+                        out.append(entry)
     return frozenset(out)

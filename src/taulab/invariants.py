@@ -30,6 +30,7 @@ from typing import Callable, Iterable
 from . import transforms
 from .circuit import (
     EdgeColumns,
+    _edge_view,
     _grounded_inverse,
     _laplacian,
     all_edge_circuit_data,
@@ -63,11 +64,6 @@ _contract = graph_memo(transforms.contract_edge)
 _delete = graph_memo(transforms.delete_edge)
 _loopify = graph_memo(transforms.identify_endpoints)
 _da = graph_memo(transforms.double_adjusted)
-
-
-def relative_gap(a: float, b: float) -> float:
-    """|a - b| scaled by max(1, |a|, |b|); the residual convention used throughout."""
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -160,36 +156,41 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
 
 @graph_memo
 def _edge_arrays(g: MetrizedGraph):
-    """The edges' lengths and their loop, bridge and plain masks: built once per graph, read at every base."""
+    """Everything base-free that _column_terms reads, built once per graph.
+
+    The plain-edge mask (neither loop nor bridge), the plain edges' L,
+    L * L and 0.75 * L, the loop and bridge lengths as lists, and both
+    weight columns with their limits set at loops and bridges, which each
+    base copies before it fills in the plain edges.
+    """
     import numpy as np
 
-    length = np.array([L for _, _, L in g.edges], dtype=float)
-    loop = np.array([a == b for a, b, _ in g.edges], dtype=bool)
+    a, b, length = _edge_view(g)
+    loop = a == b
     bridge = np.zeros(g.edge_count, dtype=bool)
     bridge[list(g.bridges())] = True
-    return length, loop, bridge, ~(loop | bridge)
+    plain = ~(loop | bridge)
+    L = length[plain]
+    return (plain, L, L * L, 0.75 * L, length[loop].tolist(), length[bridge].tolist(),
+            bridge.astype(float), loop.astype(float))
 
 
 def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y, both weight tuples and the columns as tuples; each term for all plain edges at once."""
-    length, loop, bridge, plain = _edge_arrays(g)
-    L = length[plain]
+    plain, L, LL, L75, loop_lengths, bridge_lengths, w_res, w_len = _edge_arrays(g)
     R = columns.resistance[plain]
     gap = columns.arm_first[plain] - columns.arm_second[plain]
     denom = L + R
     sq = denom * denom
     # Shared subexpressions, each evaluated as the scalar formulas group it.
-    LL = L * L
-    L75 = 0.75 * L
     gap_term = L75 * gap * gap
-    bridge_lengths = length[bridge].tolist()
-    z = math.fsum((LL / denom).tolist() + length[loop].tolist())
+    z = math.fsum((LL / denom).tolist() + loop_lengths)
     r = math.fsum((L * R / denom).tolist() + bridge_lengths)
     y = math.fsum(((0.25 * L * R * R + gap_term) / sq).tolist() + bridge_lengths)
     x = math.fsum(((LL * R + L75 * R * R - gap_term) / sq).tolist())
-    w_res = bridge.astype(float)
+    w_res = w_res.copy()
     w_res[plain] = R / denom
-    w_len = loop.astype(float)
+    w_len = w_len.copy()
     w_len[plain] = L / denom
     columns = EdgeColumns(*(tuple(column.tolist()) for column in columns))
     return z, r, x, y, tuple(w_res.tolist()), tuple(w_len.tolist()), columns
@@ -208,13 +209,15 @@ def tau(g: MetrizedGraph) -> float:
 
     Independent of the base vertex used internally: the value is recomputed
     at a second, graph-dependent base, and SingularSystem is raised unless
-    the two agree to BASE_AGREEMENT_TOL (1e-9 relative).
+    the two agree to BASE_AGREEMENT_TOL relative to the larger of them,
+    with no floor: tau is positive on every graph with an edge, so the
+    check does not change when all lengths are scaled.
     """
     value = graph_profile(g).tau
     if g.vertex_count >= 2:
         other_base = 1 + (hash(g) % (g.vertex_count - 1)) if g.vertex_count > 2 else 1
         check = graph_profile(g, other_base).tau
-        if not relative_gap(value, check) <= BASE_AGREEMENT_TOL:
+        if not abs(value - check) <= BASE_AGREEMENT_TOL * max(abs(value), abs(check)):
             raise SingularSystem(
                 f"tau disagrees across base vertices: {value!r} at 0 vs {check!r} at {other_base}"
             )
@@ -586,7 +589,7 @@ def tau_oracle_integral(g: MetrizedGraph, segments_per_edge: int = 64) -> float:
     subdivided graph would have more than INTEGRAL_VERTEX_CAP vertices.
     """
     fine = _quadrature_graph(g, segments_per_edge)
-    K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
+    K = _grounded_inverse(_laplacian(fine))
     r_to_origin = K.diagonal()
     total = math.fsum(
         (r_to_origin[b] - r_to_origin[a]) ** 2 / h
@@ -636,7 +639,7 @@ def a_pq_oracle_integral(g: MetrizedGraph, p: int, q: int, segments_per_edge: in
     if p == q:
         raise SameVertex("A needs two distinct points")
     fine = _quadrature_graph(g, segments_per_edge)
-    K = _grounded_inverse(_laplacian(fine.vertex_count, fine.edges))
+    K = _grounded_inverse(_laplacian(fine))
     diag = K.diagonal()
     r_p = diag[p] + diag - 2.0 * K[p]
     r_q = diag[q] + diag - 2.0 * K[q]

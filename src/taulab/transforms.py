@@ -29,7 +29,7 @@ from .errors import (
     ValenceBelowThree,
     WouldDisconnect,
 )
-from .graphs import MetrizedGraph, component_labels
+from .graphs import MetrizedGraph, _bridge_ids, component_labels
 
 
 # Deletion, contraction and gluing keep every length and the connectivity of
@@ -65,15 +65,23 @@ def delete_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
 
 
 def contract_edge(g: MetrizedGraph, i: int) -> MetrizedGraph:
-    """Shrink edge i to a point, merging its endpoints (loops just vanish)."""
+    """Shrink edge i to a point, merging its endpoints (loops just vanish).
+
+    The result's bridges are g's other bridges, reindexed, and are handed
+    down into its memo: (G/e) - f = (G - f)/e, and contracting an edge
+    neither joins nor splits components.
+    """
     i = g.check_edge(i)
     a, b, _ = g.edges[i]
     rest = g.edges[:i] + g.edges[i + 1:]
     if a == b:
         # Contracting a self-loop shrinks the loop to a point: the edge just
         # disappears and the genus drops by one.
-        return MetrizedGraph._unchecked(g.vertex_count, rest)
-    return _merged(g, a, b, rest)
+        out = MetrizedGraph._unchecked(g.vertex_count, rest)
+    else:
+        out = _merged(g, a, b, rest)
+    _bridge_ids.seed(out, frozenset(j if j < i else j - 1 for j in g.bridges() if j != i))
+    return out
 
 
 def identify_endpoints(g: MetrizedGraph, i: int) -> MetrizedGraph:
@@ -96,14 +104,17 @@ def double_adjusted(g: MetrizedGraph) -> MetrizedGraph:
     """Replace every edge by two parallel copies of half its length.
 
     Old edge i becomes new edges 2i and 2i+1.  Total length is preserved and
-    every effective resistance drops by a factor of 4.
+    every effective resistance drops by a factor of 4.  Every edge has a
+    parallel twin, so the result has no bridge, and its memo is told so.
     """
     edges: list[tuple[int, int, float]] = []
     for a, b, length in g.edges:
         half = 0.5 * length
         edges.append((a, b, half))
         edges.append((a, b, half))
-    return _shrunk(g.vertex_count, edges)
+    out = _shrunk(g.vertex_count, edges)
+    _bridge_ids.seed(out, frozenset())
+    return out
 
 
 def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:

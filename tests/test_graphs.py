@@ -1,9 +1,12 @@
+import collections
 import random
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from taulab import graphs
 from taulab.errors import (
     BadEdgeIndex,
     BadVertexIndex,
@@ -11,10 +14,11 @@ from taulab.errors import (
     NonPositiveLength,
 )
 from taulab.circuit import effective_resistance
-from taulab.fuzzing import random_connected_multigraph
-from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels
+from taulab.fuzzing import named_corpus, random_connected_multigraph
+from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels, loopless_core
 from taulab.identities import verify_all
-from taulab.invariants import tau, tau_oracle_contraction, tau_oracle_integral
+from taulab.invariants import contraction_lattice, lattice_refusal, tau, tau_oracle_contraction, tau_oracle_integral
+from taulab.transforms import contract_edge, double_adjusted
 
 
 def test_build_rejects_bad_vertex():
@@ -182,6 +186,109 @@ def test_graph_hash_is_the_field_tuple_hash():
     assert same is not g and same == g and hash(same) == hash(g)
     assert repr(same) == repr(g) == f"MetrizedGraph(vertex_count=3, edges={g.edges!r})"
     assert g != build_graph(3, edges[:3])
+
+
+def bridges_by_definition(g):
+    """The non-loop edges whose deletion leaves more than one component."""
+    return frozenset(
+        i for i, (a, b, _) in enumerate(g.edges)
+        if a != b and max(component_labels(g.vertex_count, g.edges[:i] + g.edges[i + 1:])) > 0
+    )
+
+
+def test_bridge_pass_matches_the_definition_on_seeded_multigraphs():
+    rng = random.Random(1974)
+    kinds = collections.Counter()
+    for k in range(1200):
+        g = random_connected_multigraph(rng, 9, 16)
+        edges = list(g.edges)
+        if k % 4 == 0:  # the spanning tree alone: every edge a bridge
+            edges = edges[:g.vertex_count - 1]
+        elif k % 4 == 1:  # a pendant path hung off a random vertex
+            n = g.vertex_count
+            tail = rng.randint(1, 3)
+            edges += [(rng.randrange(n) if j == 0 else n + j - 1, n + j, 1.0) for j in range(tail)]
+        rng.shuffle(edges)
+        n = 1 + max(max(a, b) for a, b, _ in edges)
+        g = MetrizedGraph(n, tuple(edges))
+        want = bridges_by_definition(g)
+        assert g.bridges() == want, g
+        kinds["loops"] += any(a == b for a, b, _ in edges)
+        kinds["parallel"] += len({frozenset((a, b)) for a, b, _ in edges if a != b}) < sum(a != b for a, b, _ in edges)
+        kinds["bridged"] += bool(want)
+        kinds["bridgeless"] += not want
+    assert min(kinds.values()) >= 100, kinds
+
+
+def fresh_bridges(g):
+    """The bridges of a graph equal to g, from its own depth-first pass."""
+    return MetrizedGraph(g.vertex_count, g.edges).bridges()
+
+
+def handed_down(g):
+    """g's bridges, asserting that they come from g's memo, not from a pass of their own."""
+    misses = graphs._bridge_ids.cache_info().misses
+    found = g.bridges()
+    assert graphs._bridge_ids.cache_info().misses == misses
+    return found
+
+
+def test_contractions_doublings_and_cores_hand_down_the_bridges_a_fresh_pass_finds(report_graphs):
+    checked = collections.Counter()
+    for g in report_graphs + list(named_corpus().values()):
+        nodes = [g]
+        if lattice_refusal(g) is None:
+            nodes += [graph for _, graph, _ in contraction_lattice(g)[1:]]
+        for h in nodes:
+            for i in range(h.edge_count):
+                c = contract_edge(h, i)
+                assert handed_down(c) == fresh_bridges(c)
+                checked["contraction"] += 1
+            assert handed_down(double_adjusted(h)) == frozenset()
+            core = loopless_core(h)
+            if core is not h:
+                assert handed_down(core) == fresh_bridges(core)
+                checked["core"] += 1
+            checked["lattice node"] += 1
+    assert min(checked.values()) >= 500, checked
+
+
+# The kind of graph each surgery builds, by the name of the function that
+# builds it through MetrizedGraph._unchecked.
+BUILDERS = {
+    "contract_edge": "contraction", "delete_edge": "deletion", "identify_points": "gluing",
+    "double_adjusted": "doubling", "loopless_core": "core", "subdivide": "subdivision",
+}
+
+
+def test_verify_all_runs_the_bridge_pass_only_where_nothing_is_handed_down(monkeypatch):
+    built = collections.Counter()
+    unchecked = MetrizedGraph._unchecked
+    post_init = MetrizedGraph.__post_init__
+
+    def tagged(cls, vertex_count, edges):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in BUILDERS:
+            frame = frame.f_back
+        built[BUILDERS[frame.f_code.co_name]] += 1
+        return unchecked(vertex_count, edges)
+
+    def parsed(self):
+        built["parsed"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(MetrizedGraph, "_unchecked", classmethod(tagged))
+    monkeypatch.setattr(MetrizedGraph, "__post_init__", parsed)
+    misses = graphs._bridge_ids.cache_info().misses
+    g = build_graph(5, [
+        (0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.4),
+        (4, 0, 1.1), (1, 3, 3.0), (2, 2, 0.9), (2, 4, 5.0),
+    ])
+    assert g.is_bridgeless()
+    verify_all(g)
+    passes = graphs._bridge_ids.cache_info().misses - misses
+    assert min(built[kind] for kind in ("contraction", "doubling", "core", "deletion", "gluing")) > 0, built
+    assert passes == built["parsed"] + built["deletion"] + built["gluing"], built
 
 
 def test_component_labels_skip_edge():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -8,7 +9,7 @@ import pytest
 
 from taulab import invariants, transforms
 from taulab.connectivity import N_of
-from taulab.errors import BridgePresent, SameVertex, TooLarge, TooSmall, WouldDisconnect
+from taulab.errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
 from taulab.graphs import build_graph
 from taulab.invariants import (
@@ -105,6 +106,23 @@ def test_invariants_are_base_independent():
             pb = graph_profile(g, base)
             assert pb.x == pytest.approx(p0.x, rel=1e-9, abs=1e-12)
             assert pb.y == pytest.approx(p0.y, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+def test_cross_base_check_refuses_a_relative_disagreement_at_every_scale(k4, monkeypatch, scale):
+    # Scaling by a power of 2 is exact, so only the unit changes: a tau that
+    # differs by 1e-6 relative at its second base is refused at every unit.
+    g = k4.scaled(scale)
+    assert tau(g) > 0.0
+    profile = invariants.graph_profile
+
+    def skewed(graph, base=0):
+        prof = profile(graph, base)
+        return prof if base == 0 else dataclasses.replace(prof, tau=prof.tau * (1.0 + 1e-6))
+
+    monkeypatch.setattr(invariants, "graph_profile", skewed)
+    with pytest.raises(SingularSystem, match="disagrees across base vertices"):
+        tau(g)
 
 
 def test_invariants_scale_linearly(k4):
