@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
+from test_circuit import random_regular_graph
 
-from taulab import identities, invariants, transforms
+from taulab import cli, identities, invariants, transforms
 from taulab.cuts import INFINITE, edge_connectivity
 from taulab.errors import (
     HasCutVertex,
@@ -247,3 +249,52 @@ def test_surgeries_refuse_lengths_that_shrink_to_zero():
     assert transforms.contract_edge(g, 0) == MetrizedGraph(2, merged)
     assert transforms.delete_edge(g, 1).edges == g.edges[:1] + g.edges[2:]
 
+
+
+# sha256 of the reductions' output bytes, in the order that
+# test_reduction_bytes_are_pinned feeds them: serialize_graph of each cubic
+# transform plus repr of its trace, serialize_graph of each 2-cut collapse,
+# then the exit code and stdout of every `taulab transform` op on each small
+# graph.  The 6-regular graph's steps take the closed-form route through
+# LAPACK, so these bytes hold for one numpy/BLAS build.
+PINNED_REDUCTIONS_SHA256 = "d2255160d826b6577577be5a106e0b0d5eca886e31bdb3151c652a7cd30aa312"
+
+
+def test_reduction_bytes_are_pinned(tmp_path, capsys):
+    rng = random.Random(2424)
+    cubic_inputs = []
+    while len(cubic_inputs) < 40:
+        g = random_bridgeless_multigraph(rng, 6, 12)
+        if g.min_valence() >= 3 and not transforms.has_cut_vertex(g):
+            cubic_inputs.append(g.normalize())
+    assert any(max(g.valence(p) for p in range(g.vertex_count)) == 3 for g in cubic_inputs)
+    k5 = build_graph(5, [(a, b, 1.0) for a in range(5) for b in range(a + 1, 5)]).normalize()
+    draw = random.Random(1212)
+    regular = random_regular_graph(draw, 12, lambda: 10.0 ** draw.uniform(-1.0, 1.0))
+    cubic_inputs += [k5, regular.normalize()]
+    lam2_inputs = []
+    while len(lam2_inputs) < 60:
+        g = random_bridgeless_multigraph(rng, 6, 12)
+        if edge_connectivity(g) == 2:
+            lam2_inputs.append(g)
+    c4 = build_graph(4, [(i, (i + 1) % 4, 1.0) for i in range(4)])
+    lam2_inputs.append(c4)
+
+    digest = hashlib.sha256()
+    for g in cubic_inputs:
+        out, trace = transforms.cubic_transform_trace(g, 1e-4)
+        digest.update((cli.serialize_graph(out) + repr(trace) + "\n").encode())
+    for g in lam2_inputs:
+        digest.update(cli.serialize_graph(transforms.reduce_edge_connectivity_two(g)).encode())
+    triangle = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    accepted = 0
+    for g in (k5, c4, triangle):
+        path = tmp_path / "g.graph"
+        path.write_text(cli.serialize_graph(g))
+        for op in ("contract", "delete", "identify", "da", "cubic", "reduce2"):
+            code = cli.main(["transform", str(path), "--op", op, "--edge", "0"])
+            out = capsys.readouterr().out
+            accepted += code == 0
+            digest.update(f"{op} {code}\n{out}".encode())
+    assert accepted == 15  # cubic takes K5 alone; reduce2 takes C4 and the triangle
+    assert digest.hexdigest() == PINNED_REDUCTIONS_SHA256
