@@ -266,14 +266,15 @@ def cmd_fuzz(args) -> int:
 def cmd_transform(args) -> int:
     g = _load(args.path)
     comments = []
-    if args.op in ("contract", "delete", "identify") and args.edge is None:
-        raise ParseError(f"--edge is required for --op {args.op}")
-    if args.op == "contract":
-        result = transforms.contract_edge(g, args.edge)
-    elif args.op == "delete":
-        result = transforms.delete_edge(g, args.edge)
-    elif args.op == "identify":
-        result = transforms.identify_endpoints(g, args.edge)
+    edge_ops = {
+        "contract": transforms.contract_edge,
+        "delete": transforms.delete_edge,
+        "identify": transforms.identify_endpoints,
+    }
+    if args.op in edge_ops:
+        if args.edge is None:
+            raise ParseError(f"--edge is required for --op {args.op}")
+        result = edge_ops[args.op](g, args.edge)
     elif args.op == "da":
         result = transforms.double_adjusted(g)
     elif args.op == "cubic":
@@ -291,8 +292,6 @@ def cmd_transform(args) -> int:
         comments.append(f"tau after: {after!r}")
         if abs(after - before) <= 1e-9 * max(1.0, abs(before)):
             comments.append("tau preserved")
-    else:
-        raise ParseError(f"unknown transform op {args.op!r}")
     sys.stdout.write(serialize_graph(result, comments))
     return EXIT_OK
 

@@ -215,7 +215,7 @@ def tau(g: MetrizedGraph) -> float:
     """
     value = graph_profile(g).tau
     if g.vertex_count >= 2:
-        other_base = 1 + (hash(g) % (g.vertex_count - 1)) if g.vertex_count > 2 else 1
+        other_base = 1 + hash(g) % (g.vertex_count - 1)
         check = graph_profile(g, other_base).tau
         if not abs(value - check) <= BASE_AGREEMENT_TOL * max(abs(value), abs(check)):
             raise SingularSystem(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuts import INFINITE, edge_connectivity
+from .cuts import edge_connectivity
 from .errors import (
     HasCutVertex,
     NonPositiveLength,
@@ -180,7 +180,13 @@ class CubicStep:
 
 
 def cubic_transform_trace(g: MetrizedGraph, epsilon: float) -> tuple[MetrizedGraph, tuple[CubicStep, ...]]:
-    """cubic_transform plus the per-step tau trace (for bound checking)."""
+    """cubic_transform plus the per-step tau trace (for bound checking).
+
+    When vertex p's turn comes, its incidences are still its original
+    ones in edge order: earlier steps move only other vertices' ends, and
+    a chain edge touches p only if it was made for p.  So p's (edge, end)
+    list is read once, before any split.
+    """
     from . import invariants  # deferred: invariants imports this module
 
     epsilon = float(epsilon)
@@ -193,57 +199,39 @@ def cubic_transform_trace(g: MetrizedGraph, epsilon: float) -> tuple[MetrizedGra
     if has_cut_vertex(g):
         raise HasCutVertex("cut vertices (including loop base points) are not allowed here")
 
-    original_v = g.vertex_count
-    original_e = g.edge_count
-    if max(g.valence(p) for p in range(original_v)) == 3:
+    # With every valence >= 3, the valences sum to 2e >= 3v, with equality
+    # exactly when the graph is cubic already.
+    steps_total = 2 * g.edge_count - 3 * g.vertex_count
+    if steps_total == 0:
         return g, ()
-
-    steps_total = 2 * original_e - 3 * original_v
     epsilon_unit = epsilon / steps_total
 
     edges = [list(e) for e in g.edges]
-    vcount = g.vertex_count
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for eid, (a, b, _) in enumerate(g.edges):
+        incident[a].append((eid, 0))
+        incident[b].append((eid, 1))
     trace: list[CubicStep] = []
-
-    def incidences(p: int) -> list[tuple[int, int]]:
-        found = []
-        for eid, (a, b, _) in enumerate(edges):
-            if a == p:
-                found.append((eid, 0))
-            if b == p:
-                found.append((eid, 1))
-        return found
 
     # Each step's graph and its tau carry into the next step, so every
     # graph is built and solved once, and the result is the graph last solved.
     current, tau_after = g, invariants.tau(g)
-    for p in range(original_v):
-        chain_edge: int | None = None
-        while len(incidences(p)) >= 4:
+    for p, ends in enumerate(incident):
+        for k in range(len(ends) - 3):
             tau_before = tau_after
             gap = 1.0 / 12.0 - tau_before
             eps_step = epsilon_unit / gap if gap >= 1e-12 else epsilon_unit
-
-            dirs = incidences(p)
-            if chain_edge is None:
-                move = dirs[:2]
-            else:
-                carried = next(d for d in dirs if d[0] == chain_edge)
-                first_original = next(d for d in dirs if d[0] != chain_edge)
-                move = [carried, first_original]
-
-            new_vertex = vcount
-            vcount += 1
+            move = ends[:2] if k == 0 else [(len(edges) - 1, 1), ends[k + 1]]
+            new_vertex = g.vertex_count + len(trace)
             for eid, slot in move:
                 edges[eid][slot] = new_vertex
             edges.append([new_vertex, p, eps_step])
-            chain_edge = len(edges) - 1
 
             total = math.fsum(e[2] for e in edges)
             for e in edges:
                 e[2] /= total
 
-            current = MetrizedGraph(vcount, tuple(tuple(e) for e in edges))
+            current = MetrizedGraph(new_vertex + 1, tuple(tuple(e) for e in edges))
             tau_after = invariants.tau(current)
             trace.append(CubicStep(p, tau_before, eps_step, tau_after))
 
@@ -254,12 +242,14 @@ def cubic_transform(g: MetrizedGraph, epsilon: float) -> MetrizedGraph:
     """Split high-valence vertices until every valence is exactly 3.
 
     The input must be normalized, free of cut vertices, and have minimum
-    valence 3.  At a vertex of valence n, the first two incident directions
-    (ascending edge index) move onto a new vertex joined back by a short
-    edge; each later step carries that short edge plus the next original
-    direction onto the next new vertex, n - 3 steps in all.  After each step
-    the graph is renormalized.  The step lengths are chosen so the total tau
-    increase over the whole run is at most epsilon.
+    valence 3.  Vertices are split in index order.  A vertex p of valence
+    n takes n - 3 steps over its incidence list, read once in edge order:
+    step 0 moves p's first two ends onto a new vertex joined back to p by
+    a short chain edge, and step k moves the last chain edge's p-end and
+    p's end k + 1 onto the next new vertex.  New vertices are numbered
+    from v up, and each chain edge is appended as (new vertex, p).  After
+    each step the graph is renormalized.  The step lengths are chosen so
+    the total tau increase over the whole run is at most epsilon.
     """
     return cubic_transform_trace(g, epsilon)[0]
 
@@ -270,48 +260,34 @@ def cubic_transform(g: MetrizedGraph, epsilon: float) -> MetrizedGraph:
 def reduce_edge_connectivity_two(g: MetrizedGraph) -> MetrizedGraph:
     """Collapse 2-edge-cuts until edge connectivity is at least 3 (or one vertex).
 
-    Pick an edge whose deletion creates bridges, contract all those bridges,
-    and stretch the picked edge by their total length.  Total length, genus,
-    and tau are preserved; the edge count only ever drops.  A graph that
+    Pick the first non-loop edge e whose deletion creates bridges, contract
+    all those bridges at once, and stretch e by their total length.  The
+    contraction is one relabel: each vertex takes the index of its
+    component under the bridges, components numbered by their lowest
+    vertex, which is where contracting the bridges one at a time (each
+    merging onto the lower index) would leave it.  The other edges keep
+    their order.  Every cut of the result is a cut of the graph before, so
+    the edge connectivity never falls below 2.  Total length, genus, and
+    tau are preserved; the edge count only ever drops.  A graph that
     collapses all the way ends as a bouquet of loops on a single vertex.
     """
     start = edge_connectivity(g)
-    if start is INFINITE or start != 2:
+    if start != 2:
         raise NotApplicable("reduce_edge_connectivity_two", f"edge connectivity is {start}, need exactly 2")
 
     current = g
-    while True:
-        if current.vertex_count == 1:
-            return current
-        lam = edge_connectivity(current)
-        if lam is INFINITE or lam >= 3:
-            return current
-
-        chosen = None
-        bridge_ids: list[int] = []
-        for i, (a, b, _) in enumerate(current.edges):
-            if a == b:
-                continue
-            removed = delete_edge(current, i)
-            found = removed.bridges()
-            if found:
-                chosen = i
-                # Bridge ids in the deleted-edge graph shift back up past i.
-                bridge_ids = sorted(j if j < i else j + 1 for j in found)
+    while current.vertex_count > 1 and edge_connectivity(current) == 2:
+        for chosen, (a, b, _) in enumerate(current.edges):
+            if a != b and (found := delete_edge(current, chosen).bridges()):
                 break
-        if chosen is None:
-            # Cannot happen while lam == 2, but never loop forever on it.
-            return current
-
-        added = math.fsum(current.edges[j][2] for j in bridge_ids)
-        work = current
-        alive = list(range(work.edge_count))
-        for original in bridge_ids:
-            pos = alive.index(original)
-            work = contract_edge(work, pos)
-            alive.pop(pos)
-        target = alive.index(chosen)
-        stretched = list(work.edges)
-        a, b, length = stretched[target]
-        stretched[target] = (a, b, length + added)
-        current = MetrizedGraph(work.vertex_count, tuple(stretched))
+        else:
+            break  # cannot happen while the connectivity is 2, but never loop forever on it
+        # Bridge ids in the deleted-edge graph shift back up past the chosen edge.
+        bridges = {j if j < chosen else j + 1 for j in found}
+        labels = component_labels(current.vertex_count, [current.edges[j] for j in bridges])
+        added = math.fsum(current.edges[j][2] for j in bridges)
+        current = MetrizedGraph(max(labels) + 1, tuple(
+            (labels[x], labels[y], length + added if j == chosen else length)
+            for j, (x, y, length) in enumerate(current.edges) if j not in bridges
+        ))
+    return current

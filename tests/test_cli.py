@@ -305,6 +305,13 @@ def test_transform_requires_edge(tmp_path, capsys):
     assert "--edge" in err
 
 
+def test_transform_unknown_op_exits_2_in_argparse(tmp_path):
+    path = write(tmp_path, TRIANGLE_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", path, "--op", "bogus"])
+    assert exc.value.code == 2
+
+
 def test_transform_reduce2_prints_tau_notes(tmp_path, capsys):
     path = write(tmp_path, "graph 4\nedge 0 1 1.0\nedge 1 2 1.0\nedge 2 3 1.0\nedge 3 0 1.0\n")
     code, out, _ = run(capsys, ["transform", path, "--op", "reduce2"])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -221,6 +222,73 @@ def test_reduce2_preserves_invariants():
         assert out.total_length == pytest.approx(g.total_length, rel=1e-12)
         assert out.genus == g.genus
         assert invariants.tau(out) == pytest.approx(invariants.tau(g), rel=1e-9)
+
+
+def collapse_by_contractions(g):
+    """The 2-cut collapse contracting one bridge at a time, as first written.
+
+    The reference for the one-relabel collapse: after each contract_edge,
+    the surviving original edges are found by position tracking, and the
+    picked edge is stretched in a copy of the contracted edge list.
+    """
+    current = g
+    while True:
+        if current.vertex_count == 1:
+            return current
+        lam = edge_connectivity(current)
+        if lam is INFINITE or lam >= 3:
+            return current
+
+        chosen = None
+        bridge_ids = []
+        for i, (a, b, _) in enumerate(current.edges):
+            if a == b:
+                continue
+            removed = transforms.delete_edge(current, i)
+            found = removed.bridges()
+            if found:
+                chosen = i
+                bridge_ids = sorted(j if j < i else j + 1 for j in found)
+                break
+        if chosen is None:
+            return current
+
+        added = math.fsum(current.edges[j][2] for j in bridge_ids)
+        work = current
+        alive = list(range(work.edge_count))
+        for original in bridge_ids:
+            pos = alive.index(original)
+            work = transforms.contract_edge(work, pos)
+            alive.pop(pos)
+        target = alive.index(chosen)
+        stretched = list(work.edges)
+        a, b, length = stretched[target]
+        stretched[target] = (a, b, length + added)
+        current = MetrizedGraph(work.vertex_count, tuple(stretched))
+
+
+def test_reduce2_relabels_where_contracting_each_bridge_would_land(monkeypatch):
+    rng = random.Random(88)
+    inputs = []
+    while len(inputs) < 300:
+        g = random_bridgeless_multigraph(rng, 8, 16)
+        if edge_connectivity(g) == 2:
+            inputs.append(g)
+    assert sum(any(a == b for a, b, _ in g.edges) for g in inputs) >= 30
+    parallel = 0
+    for g in inputs:
+        pairs = [frozenset((a, b)) for a, b, _ in g.edges if a != b]
+        parallel += len(set(pairs)) < len(pairs)
+    assert parallel >= 30
+    expected = [collapse_by_contractions(g) for g in inputs]
+
+    def refuse(*args):
+        raise AssertionError("the collapse must not contract bridges one at a time")
+
+    monkeypatch.setattr(transforms, "contract_edge", refuse)
+    for g, want in zip(inputs, expected):
+        out = transforms.reduce_edge_connectivity_two(g)
+        assert (out.vertex_count, out.edges) == (want.vertex_count, want.edges)
 
 
 def test_surgeries_preserve_validity():
