@@ -290,7 +290,7 @@ def cmd_transform(args) -> int:
         after = invariants.tau(result)
         comments.append(f"tau before: {before!r}")
         comments.append(f"tau after: {after!r}")
-        if abs(after - before) <= 1e-9 * max(1.0, abs(before)):
+        if abs(after - before) <= 1e-9 * max(abs(after), abs(before)):
             comments.append("tau preserved")
     sys.stdout.write(serialize_graph(result, comments))
     return EXIT_OK

@@ -19,7 +19,8 @@ class BadEdgeIndex(TauLabError, IndexError):
 
 class NonPositiveLength(TauLabError, ValueError):
     """An edge length is zero, negative or not finite, or, in input given to
-    graphs.build_graph, outside [MIN_LENGTH, MAX_LENGTH]."""
+    graphs.build_graph or made by MetrizedGraph.scaled or normalize,
+    outside [MIN_LENGTH, MAX_LENGTH]."""
 
 
 class DisconnectedGraph(TauLabError, ValueError):

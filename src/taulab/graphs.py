@@ -8,10 +8,11 @@ in which they were given so that edge indices are stable handles.
 Graphs are immutable.  Every graph built by its constructor is validated
 (index range, positive finite lengths, connectivity).  Input from outside
 comes in through build_graph, which also bounds each length to
-[MIN_LENGTH, MAX_LENGTH]; surgeries shrink lengths only by small factors
-(halving, subdivision), which stays far inside the range where the circuit
-layer is exact, so their outputs are not bounded again.  Surgeries whose
-outputs are valid by construction build them with MetrizedGraph._unchecked.
+[MIN_LENGTH, MAX_LENGTH]; scaled and normalize build through it too.
+Surgeries shrink lengths only by small factors (halving, subdivision),
+which stays far inside the range where the circuit layer is exact, so
+their outputs are not bounded again.  Surgeries whose outputs are valid
+by construction build them with MetrizedGraph._unchecked.
 
 Each graph carries its own memo, a dict outside the dataclass fields (so
 outside eq, repr and hash).  graph_memo stores a function's result for a
@@ -158,13 +159,14 @@ class MetrizedGraph:
     # -- scaling -----------------------------------------------------------
 
     def scaled(self, factor: float) -> "MetrizedGraph":
+        """Every length times factor, built through build_graph, so its length bounds hold."""
         factor = float(factor)
         if not math.isfinite(factor) or factor <= 0.0:
             raise NonPositiveLength(f"scale factor must be positive and finite, got {factor!r}")
-        return MetrizedGraph(self.vertex_count, tuple((a, b, length * factor) for a, b, length in self.edges))
+        return build_graph(self.vertex_count, ((a, b, length * factor) for a, b, length in self.edges))
 
     def normalize(self) -> "MetrizedGraph":
-        """Rescale all lengths by the same factor so total length is 1."""
+        """Rescale all lengths by the same factor so total length is 1 (through scaled)."""
         total = self.total_length
         if total <= 0.0:
             raise NonPositiveLength("cannot normalize a graph with no edges")

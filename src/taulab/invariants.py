@@ -24,6 +24,7 @@ contracts edges down to two-vertex graphs with a closed form.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -49,11 +50,12 @@ BASE_AGREEMENT_TOL = 1e-9
 NESTED_VERTEX_CAP = 6
 ORACLE_VERTEX_CAP = 7
 # The node count of the lattice grows as the edge multiplicity to the power
-# v - 2, so the vertex caps alone do not bound it: every walk refuses a
-# lattice of more than LATTICE_NODE_CAP nodes before building it.  K6 has
+# v - 2, so the vertex caps alone do not bound it: the lattice builder stops
+# before it would make node LATTICE_NODE_CAP + 1, and refuses at once a
+# graph whose edge counts alone force more nodes than that.  K6 has
 # 1,636 nodes (verify_all 0.4 s) and the largest lattice of the benchmark's
-# catalog graphs 603; K6 with every pair doubled has 21,211 (verify_all 21 s,
-# 190 MB) and tripled 100,216.
+# catalog graphs 603; K6 with every pair doubled has 21,211 (unguarded,
+# verify_all took 21 s and 190 MB) and tripled 100,216.
 LATTICE_NODE_CAP = 5000
 
 # Surgeries, each held in the memo of the graph it cuts.  The deletion
@@ -344,86 +346,18 @@ def _banana_tau(g: MetrizedGraph) -> float:
     return ell / 12.0 - (count - 2) * harmonic / 6.0
 
 
-def _spanning_trees(mult: list[list[int]], block: list[int]) -> int:
-    """Spanning trees of the multigraph induced on block, exactly: a cofactor of its Laplacian.
-
-    The determinant is taken by Bareiss elimination, whose divisions are
-    exact in integers.
-    """
-    m = [[-mult[u][w] for w in block[1:]] for u in block[1:]]
-    for i, u in enumerate(block[1:]):
-        m[i][i] = sum(mult[u][w] for w in block)
-    sign, prev, size = 1, 1, len(m)
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if m else 1
-
-
-def lattice_size(g: MetrizedGraph) -> int:
-    """len(contraction_lattice(g)), the root counted, in exact integers, without building it.
-
-    The nodes are the forests of at most v - 2 non-loop edges.  The forests
-    inducing one vertex partition number the product of its blocks'
-    spanning-tree counts, so the count is the sum of that product over the
-    partitions into at least 2 blocks.  The sum runs over vertex subsets,
-    the block of each subset's lowest vertex first: O(3^v) steps.
-    """
-    n = g.vertex_count
-    if n < 3:
-        return 1
-    mult = [[0] * n for _ in range(n)]
-    for a, b, _ in g.edges:
-        if a != b:
-            mult[a][b] += 1
-            mult[b][a] += 1
-    full = (1 << n) - 1
-    trees = [0] * (full + 1)
-    # partitions[s]: over the partitions of vertex set s, the sum of the
-    # product of the blocks' spanning-tree counts.
-    partitions = [1] + [0] * full
-    for s in range(1, full + 1):
-        trees[s] = _spanning_trees(mult, [v for v in range(n) if s >> v & 1])
-        low = s & -s
-        rest = sub = s ^ low
-        while True:
-            block = sub | low
-            partitions[s] += trees[block] * partitions[s ^ block]
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    return partitions[full] - trees[full]
-
-
-@graph_memo
 def lattice_refusal(g: MetrizedGraph) -> str | None:
     """Why g's contraction lattice is not built, or None when it has at most LATTICE_NODE_CAP nodes.
 
-    The exact count (lattice_size) is skipped when the number of edge sets
-    of at most v - 2 non-loop edges is already within the cap, and when
-    the subsets of one spanning tree alone, 2^(v-1) - 1 of them, exceed it.
+    Asks contraction_lattice, so the one memoized build answers both.
     """
-    v = g.vertex_count
-    links = sum(a != b for a, b, _ in g.edges)
-    if sum(math.comb(links, k) for k in range(v - 1)) <= LATTICE_NODE_CAP:
-        return None
-    if 2 ** (v - 1) - 1 > LATTICE_NODE_CAP:
-        return f"contraction lattice has at least {2 ** (v - 1) - 1} nodes, capped at {LATTICE_NODE_CAP}"
-    nodes = lattice_size(g)
-    if nodes <= LATTICE_NODE_CAP:
-        return None
-    return f"contraction lattice has {nodes} nodes, capped at {LATTICE_NODE_CAP}"
+    try:
+        contraction_lattice(g)
+    except TooLarge as exc:
+        return str(exc)
+    return None
 
 
-@graph_memo
 def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
     """All graphs reachable by contracting non-loop edges, down to 2 vertices, as a DAG.
 
@@ -434,15 +368,40 @@ def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
     sequences collapse onto their underlying sets and every nested sum over
     sequences becomes one walk.  children[j] is the position of the node
     that contracting the node graph's edge j reaches, None at a self-loop;
-    the deepest nodes have none.  This is the only function that forms
-    keys.  The root's graph is None: it is g, and the lattice lives in g's
-    memo, where a node holding g would keep g in a reference cycle.  Raises
-    TooLarge when the lattice would have more than LATTICE_NODE_CAP nodes.
+    the deepest nodes have none.  The root's graph is None: it is g, and
+    the lattice lives in g's memo, where a node holding g would keep g in a
+    reference cycle.  Raises TooLarge when the lattice has more than
+    LATTICE_NODE_CAP nodes; the refusal is memoized like the lattice.
     """
-    reason = lattice_refusal(g)
-    if reason is not None:
-        raise TooLarge(reason)
-    depth = max(0, g.vertex_count - 2)
+    lattice = _lattice(g)
+    if isinstance(lattice, str):
+        raise TooLarge(lattice)
+    return lattice
+
+
+@graph_memo
+def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
+    """contraction_lattice(g), or the reason it is refused.
+
+    The only function that forms keys.  The nodes are the forests of at
+    most v - 2 non-loop edges (links).  Two lower bounds on their number
+    refuse a lattice before any contraction: the nodes of depth at most
+    min(2, v - 2), which are the root, one per link and one per two links
+    that are not parallel (two such links always form a forest); and the
+    2^(v-1) - 1 subsets of one spanning tree.  Otherwise the build stops
+    before it would make node LATTICE_NODE_CAP + 1.  The root's children
+    are g's memoized contractions (_contract), which the catalog reads
+    too; the deeper nodes are held by the lattice alone.
+    """
+    v = g.vertex_count
+    depth = max(0, v - 2)
+    multiplicity = Counter((min(a, b), max(a, b)) for a, b, _ in g.edges if a != b)
+    links = sum(multiplicity.values())
+    # Nodes at depth 0, 1 and 2; the lattice holds those up to its own depth.
+    by_depth = (1, links, math.comb(links, 2) - sum(math.comb(k, 2) for k in multiplicity.values()))
+    at_least = max(sum(by_depth[:depth + 1]), 2 ** (v - 1) - 1)
+    if at_least > LATTICE_NODE_CAP:
+        return f"contraction lattice has at least {at_least} nodes, capped at {LATTICE_NODE_CAP}"
     found = [(frozenset(), None)]
     position = {frozenset(): 0}
     lattice = []
@@ -453,18 +412,24 @@ def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
             # A contraction keeps edge order, so the node's edges are the
             # original edges outside its key, in order.
             alive = (i for i in range(g.edge_count) if i not in key)
-            parent = g if graph is None else graph
+            parent, contract = (g, _contract) if graph is None else (graph, transforms.contract_edge)
             for j, ((a, b, _), orig) in enumerate(zip(parent.edges, alive)):
                 if a == b:
                     children.append(None)
                     continue
                 child_key = key | {orig}
                 if child_key not in position:
+                    if len(found) == LATTICE_NODE_CAP:
+                        return (f"contraction lattice has more than {LATTICE_NODE_CAP} nodes, "
+                                f"capped at {LATTICE_NODE_CAP}")
                     position[child_key] = len(found)
-                    found.append((child_key, _contract(parent, j)))
+                    found.append((child_key, contract(parent, j)))
                 children.append(position[child_key])
         lattice.append((key, graph, tuple(children)))
     return tuple(lattice)
+
+
+contraction_lattice.cache_info = _lattice.cache_info
 
 
 def nested_weighted_sum(

@@ -444,7 +444,7 @@ def forms_a_key(node):
 def test_only_the_lattice_builder_knows_its_nodes():
     # The contraction lattice's builder alone forms node keys; the walks
     # read child positions.  No module names the old per-node edge ids or
-    # the root rebuilder, and inside invariants only contraction_lattice
+    # the root rebuilder, and inside invariants only the builder, _lattice,
     # names frozenset or joins a key with |.
     gone = {"original_ids", "lattice_node"}
     for name, tree in package_sources().items():
@@ -455,7 +455,7 @@ def test_only_the_lattice_builder_knows_its_nodes():
         assert not gone & (set(named(tree)) | defined), name
     body = package_sources()["invariants.py"].body
     functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
-    assert {name for name, fn in functions.items() if forms_a_key(fn)} == {"contraction_lattice"}
+    assert {name for name, fn in functions.items() if forms_a_key(fn)} == {"_lattice"}
     for walk in ("nested_weighted_sum", "tau_oracle_contraction", "admissible_leaf_nodes"):
         assert not forms_a_key(functions[walk]), walk
     others = [node for node in body if not isinstance(node, ast.FunctionDef)]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from taulab import circuit, cli, connectivity, invariants
+from taulab import circuit, cli, connectivity, invariants, transforms
 from taulab.connectivity import BoundsReport
 from taulab.errors import ParseError, SingularSystem
 from taulab.fuzzing import random_connected_multigraph
@@ -321,6 +321,26 @@ def test_transform_reduce2_prints_tau_notes(tmp_path, capsys):
     assert cli.parse_graph(out).vertex_count == 1
 
 
+def test_transform_reduce2_compares_taus_relatively(tmp_path, capsys, monkeypatch):
+    # On C4 scaled by 2^-40 both taus are near 3e-13, so an absolute floor of
+    # 1e-9 would call any change preserved; a reduction that comes out with
+    # one edge 1% longer must not.
+    reduce = transforms.reduce_edge_connectivity_two
+
+    def lengthened(g):
+        out = reduce(g)
+        (a, b, length), *rest = out.edges
+        return build_graph(out.vertex_count, [(a, b, 1.01 * length), *rest])
+
+    monkeypatch.setattr(transforms, "reduce_edge_connectivity_two", lengthened)
+    c4 = build_graph(4, [(i, (i + 1) % 4, 1.0) for i in range(4)]).scaled(2.0 ** -40)
+    path = write(tmp_path, cli.serialize_graph(c4))
+    code, out, _ = run(capsys, ["transform", path, "--op", "reduce2"])
+    assert code == 0
+    assert "# tau before" in out and "# tau after" in out
+    assert "tau preserved" not in out
+
+
 def test_transform_cubic_on_normalized_k5(tmp_path, capsys):
     edges = [(a, b, 0.1) for a in range(5) for b in range(a + 1, 5)]
     g = build_graph(5, edges)
@@ -377,7 +397,8 @@ def test_oracle_refuses_oversized_quadrature_at_once(tmp_path, capsys):
 
 def test_oracle_refuses_a_lattice_over_its_node_cap(tmp_path, capsys):
     # K6 with every pair tripled is under the oracle's vertex cap, but its
-    # contraction lattice has 100,216 nodes: refused at once, exit 2.
+    # contraction lattice has 100,216 nodes: the build stops at the node cap,
+    # exit 2.
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
     path = write(tmp_path, cli.serialize_graph(g))
@@ -386,7 +407,7 @@ def test_oracle_refuses_a_lattice_over_its_node_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "100216 nodes" in err
+    assert "more than 5000 nodes" in err
 
 
 def test_tol_env_override(tmp_path, capsys, monkeypatch):

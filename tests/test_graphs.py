@@ -159,6 +159,18 @@ def test_scaled_and_normalize(triangle):
         build_graph(1, []).normalize()
 
 
+def test_scaled_keeps_lengths_in_the_accepted_range():
+    # Outside [MIN_LENGTH, MAX_LENGTH] the circuit solves break down: tau
+    # divided by zero or came out NaN on these scalings of the triangle.
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+    for factor in (1e200, 1e-200, 1e300, 1e150):
+        with pytest.raises(NonPositiveLength, match="outside"):
+            g.scaled(factor)
+    # normalize scales too: lengths spread over 1e200 cannot all keep the range.
+    with pytest.raises(NonPositiveLength, match="outside"):
+        build_graph(2, [(0, 1, 1e-100), (0, 1, 1e100)]).normalize()
+
+
 def test_check_edge_and_vertex(triangle):
     assert triangle.check_edge(2) == 2
     with pytest.raises(BadEdgeIndex):

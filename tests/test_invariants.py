@@ -1,17 +1,17 @@
 import dataclasses
+import gc
 import hashlib
-import itertools
 import math
 import random
 import time
 
 import pytest
 
-from taulab import invariants, transforms
+from taulab import fuzzing, invariants, transforms
 from taulab.connectivity import N_of
 from taulab.errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
-from taulab.graphs import build_graph
+from taulab.graphs import MetrizedGraph, build_graph
 from taulab.invariants import (
     A_pq,
     K_contraction_form,
@@ -270,6 +270,19 @@ def test_nested_sum_depth_cap(triangle, k4, monkeypatch):
     assert nested_weighted_sum(k4, [], lambda graph: 0.0) == []
 
 
+def test_tau_scales_exactly_with_powers_of_two():
+    # Multiplying every length by 2^k is exact in floats, and every term of
+    # tau is homogeneous of degree 1, so tau scales bit for bit.
+    triangle = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
+    cases = [(triangle, k) for k in (-320, -40, -1, 1, 40, 320)]
+    rng = random.Random(3)
+    for _ in range(60):
+        g = random_connected_multigraph(rng, 6, 10)
+        cases += [(g, k) for k in (-60, -20, 20, 60)]
+    for g, k in cases:
+        assert tau(g.scaled(2.0 ** k)) == tau(g) * 2.0 ** k, (g.edges, k)
+
+
 def test_contraction_weight(triangle, banana3):
     assert w_of(triangle) == pytest.approx(1.0, rel=1e-12)
     assert w_of(banana3) == pytest.approx(4.0 / 3.0, rel=1e-12)
@@ -364,44 +377,149 @@ def test_default_and_explicit_base_share_one_memo_entry():
     assert (end.hits - start.hits, end.misses - start.misses) == (1, 1)
 
 
-# -- the lattice-size guard -------------------------------------------------------
+# -- the lattice guard ------------------------------------------------------------
 
 
-def forest_count(g):
-    """Edge sets of at most v - 2 non-loop edges without a cycle, by brute force."""
+def forest_count(g, stop=math.inf):
+    """Edge sets of at most v - 2 non-loop edges without a cycle, by brute force.
+
+    Each forest grows from a smaller one by an edge of higher index whose
+    ends lie in different components.  Counting stops once it passes stop.
+    """
     links = [(a, b) for a, b, _ in g.edges if a != b]
+    depth = max(0, g.vertex_count - 2)
     count = 0
-    for k in range(max(0, g.vertex_count - 2) + 1):
-        for subset in itertools.combinations(links, k):
-            parent = list(range(g.vertex_count))
-
-            def find(x):
-                while parent[x] != x:
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for a, b in subset:
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    acyclic = False
-                    break
-                parent[ra] = rb
-            count += acyclic
+    # (forest size, component label of each vertex, first edge index to try)
+    stack = [(0, tuple(range(g.vertex_count)), 0)]
+    while stack and count <= stop:
+        size, label, start = stack.pop()
+        count += 1
+        if size < depth:
+            for i in range(start, len(links)):
+                a, b = label[links[i][0]], label[links[i][1]]
+                if a != b:
+                    stack.append((size + 1, tuple(a if x == b else x for x in label), i + 1))
     return count
 
 
-def test_lattice_size_counts_the_lattice_it_does_not_build():
+def test_the_lattice_has_one_node_per_forest():
     rng = random.Random(909)
     graphs = [random_connected_multigraph(rng, 6, 12) for _ in range(40)]
     graphs += [named_corpus()["k4"], named_corpus()["prism"], build_graph(1, [(0, 0, 1.0)])]
-    for g in graphs:
-        nodes = len(invariants.contraction_lattice(g))
-        assert invariants.lattice_size(g) == nodes == forest_count(g), g.edges
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    for copies, nodes in ((1, 1636), (2, 21211), (3, 100216), (4, 306061)):
-        g = build_graph(6, [(a, b, 1.0) for a, b in k6 for _ in range(copies)])
-        assert invariants.lattice_size(g) == nodes
+    graphs.append(build_graph(6, [(a, b, 1.0) for a, b in k6]))
+    for g in graphs:
+        assert len(invariants.contraction_lattice(g)) == forest_count(g), g.edges
+    assert len(invariants.contraction_lattice(graphs[-1])) == 1636
+
+
+def test_the_guard_refuses_exactly_the_lattices_over_the_cap():
+    # Multigraphs of 2-7 vertices, loops included, with every edge repeated
+    # up to three times: their forest counts fall on both sides of the cap.
+    # Each graph is dropped before the next, so the lattices kept alive stay few.
+    rng = random.Random(1)
+    cap = invariants.LATTICE_NODE_CAP
+    accepted = refused = near = 0
+    for _ in range(300):
+        v = rng.randint(2, 7)
+        pairs = fuzzing._random_tree_edges(rng, v)
+        pairs += [(rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(0, v - 1))]
+        g = build_graph(v, [(a, b, 1.0) for a, b in pairs for _ in range(rng.randint(1, 3))])
+        forests = forest_count(g, stop=cap)
+        if invariants.lattice_refusal(g) is None:
+            assert forests <= cap, g.edges
+            assert len(invariants.contraction_lattice(g)) == forests, g.edges
+            accepted += 1
+            near += forests > cap // 5
+        else:
+            assert forests > cap, g.edges
+            refused += 1
+    assert accepted > 250 and refused > 10 and near > 20, (accepted, refused, near)
+
+
+def test_the_build_stops_one_node_past_the_cap():
+    # Two multigraphs on K5's pairs with 5,000 and 5,001 forests; both pass
+    # the edge-count bounds, so the build alone decides.
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    at_cap = (5, 4, 4, 5, 0, 3, 4, 5, 3, 2)
+    past_cap = (5, 3, 1, 2, 5, 5, 5, 2, 3, 4)
+    for copies, forests in ((at_cap, 5000), (past_cap, 5001)):
+        g = build_graph(5, [(a, b, 1.0) for (a, b), k in zip(pairs, copies) for _ in range(k)])
+        assert forest_count(g) == forests
+        if copies is at_cap:
+            assert invariants.lattice_refusal(g) is None
+            assert len(invariants.contraction_lattice(g)) == forests
+        else:
+            assert invariants.lattice_refusal(g) == (
+                "contraction lattice has more than 5000 nodes, capped at 5000"
+            )
+
+
+def test_edge_counts_alone_refuse_a_lattice(monkeypatch):
+    def must_not_run(g, i):
+        raise AssertionError("contracted an edge of a lattice the edge counts refuse")
+
+    monkeypatch.setattr(transforms, "contract_edge", must_not_run)
+    monkeypatch.setattr(invariants, "_contract", must_not_run)
+    cases = {
+        # 2^19 - 1 subsets of one spanning tree
+        "at least 524287 nodes": build_graph(20, [(i, (i + 1) % 20, 1.0) for i in range(20)]),
+        # 1 + 3,000 + C(3000, 2) - 15 C(200, 2) nodes of depth at most 2
+        "at least 4203001 nodes": build_graph(
+            6, [(a, b, 1.0) for a in range(6) for b in range(a + 1, 6) for _ in range(200)]
+        ),
+        # the root and one node per link
+        "at least 5001 nodes": build_graph(3, [(0, 1, 1.0)] * 2500 + [(1, 2, 1.0)] * 2500),
+    }
+    for message, g in cases.items():
+        assert invariants.lattice_refusal(g) == (
+            f"contraction lattice has {message}, capped at {invariants.LATTICE_NODE_CAP}"
+        )
+    # Two vertices contract no further: the root alone, whatever the multiplicity.
+    banana = build_graph(2, [(0, 1, 1.0)] * 6000)
+    assert invariants.lattice_refusal(banana) is None
+    assert len(invariants.contraction_lattice(banana)) == 1
+
+
+def live_graphs():
+    gc.collect()
+    return {id(obj): obj for obj in gc.get_objects() if isinstance(obj, MetrizedGraph)}
+
+
+def test_a_refused_lattice_keeps_only_the_root_contractions(monkeypatch):
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
+    built = 0
+    unchecked = MetrizedGraph._unchecked.__func__
+
+    def counted(cls, vertex_count, edges):
+        nonlocal built
+        built += 1
+        return unchecked(cls, vertex_count, edges)
+
+    monkeypatch.setattr(MetrizedGraph, "_unchecked", classmethod(counted))
+    before = live_graphs()
+    assert "more than 5000 nodes" in invariants.lattice_refusal(g)
+    assert built <= invariants.LATTICE_NODE_CAP + 1
+    new = live_graphs().keys() - before.keys()
+    assert new == {id(invariants._contract(g, j)) for j in range(g.edge_count)}
+    assert len(new) == 45
+    built = 0
+    for walk in (invariants.contraction_lattice, tau_oracle_contraction, N_of, w_nested):
+        with pytest.raises(TooLarge, match="more than 5000 nodes"):
+            walk(g)
+    assert invariants.lattice_refusal(g) is not None
+    assert built == 0
+
+
+def test_the_first_contractions_are_the_catalogs():
+    rng = random.Random(2)
+    for _ in range(20):
+        g = random_connected_multigraph(rng, 6, 10)
+        lattice = invariants.contraction_lattice(g)
+        for j, child in enumerate(lattice[0][2]):
+            if child is not None:
+                assert lattice[child][1] is invariants._contract(g, j)
 
 
 def test_walks_refuse_a_lattice_over_its_node_cap():
@@ -409,7 +527,7 @@ def test_walks_refuse_a_lattice_over_its_node_cap():
     g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
     start = time.perf_counter()
     for walk in (invariants.contraction_lattice, tau_oracle_contraction, N_of, w_nested):
-        with pytest.raises(TooLarge, match="100216 nodes"):
+        with pytest.raises(TooLarge, match="more than 5000 nodes"):
             walk(g)
     assert time.perf_counter() - start < 1.0
     # A cycle on 20 vertices is refused from its spanning trees alone.
