@@ -37,10 +37,11 @@ suspicious grounded inverse raises SingularSystem.
 Both routes land in one layout, all_edge_circuit_data: per base, the
 deleted-edge resistance and the two star arms of every edge, indexed by
 edge, as tuples of Python floats on the all-GTH route and as float64
-arrays on the closed-form route, which the profile turns into tuples with
-its sums.  A self-loop holds its exact limit there (R and both arms 0.0);
-a bridge has no finite deleted-edge resistance, so its entries are NaN and
-its limits are applied by whoever reads g.bridges().
+arrays on the closed-form route, which the profile sums column-wise and
+keeps, read-only, as they are.  A self-loop holds its exact limit there
+(R and both arms 0.0); a bridge has no finite deleted-edge resistance, so
+its entries are NaN and its limits are applied by whoever reads
+g.bridges().
 
 numpy is imported inside the functions of the closed-form route, not at
 module level: the all-GTH route does not even import it, so a process that
@@ -310,25 +311,22 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     rounding error predicted for s, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s,
     is at most RANK_ONE_ERROR_BOUND.
 
-    Returns (resistance, closed).  resistance[i] is R for edge i, or None
-    for bridges, self-loops and edges the guard rejects; the non-bridge
-    ones among them are left to GTH elimination per base (_gth_stars).
-    closed is None when no edge takes the route, else (K, a, b, scale,
-    spread, R, gth): K, the per-edge arrays of endpoints, L / s and
-    K[a,a] - K[b,b], the read-only array R (0.0 at self-loops, NaN where
-    resistance is None) and the ids of the edges left to GTH.  All of it
-    is base-free: O(n^3 + m) once per graph, and each base adds one gather
-    of row K[p].
+    Returns None when no edge takes the route, else (R, K, a, b, scale,
+    spread, gth): the read-only per-edge array R (0.0 at self-loops, NaN
+    at bridges and at the edges the guard rejects), K, the per-edge arrays
+    of endpoints, L / s and K[a,a] - K[b,b], and the ids of the non-bridge
+    edges the guard rejects, which are left to GTH elimination per base
+    (_gth_stars).  All of it is base-free: O(n^3 + m) once per graph, and
+    each base adds one gather of row K[p].
     """
     import numpy as np
 
     a, b, length = _edge_view(g)
-    resistance = (None,) * len(g.edges)
     loop = a == b
     routed = ~loop
     routed[list(g.bridges())] = False
     if not routed.any():
-        return resistance, None
+        return None
     K = _grounded_inverse(_laplacian(g))
     d = np.diag(K)
     k_ab = K[a, b]
@@ -336,17 +334,12 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     s = length - r
     ok = routed & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
     if not ok.any():
-        return resistance, None
+        return None
     scale = length / np.where(ok, s, 1.0)
     R = np.where(ok, scale * r, np.nan)
     R[loop] = 0.0
     R.flags.writeable = False
-    resistance = R.tolist()
-    for i in np.flatnonzero(~ok).tolist():
-        resistance[i] = None
-    resistance = tuple(resistance)
-    gth = np.flatnonzero(routed & ~ok).tolist()
-    return resistance, (K, a, b, scale, d[a] - d[b], R, gth)
+    return R, K, a, b, scale, d[a] - d[b], np.flatnonzero(routed & ~ok).tolist()
 
 
 def closed_form(g: MetrizedGraph):
@@ -356,10 +349,7 @@ def closed_form(g: MetrizedGraph):
     more vertices and some edge passes the guard; under that size nothing
     is inverted or memoized.
     """
-    if g.vertex_count < RANK_ONE_MIN_VERTICES:
-        return None
-    data = _deleted_edge_inverses(g)
-    return None if data[1] is None else data
+    return None if g.vertex_count < RANK_ONE_MIN_VERTICES else _deleted_edge_inverses(g)
 
 
 class EdgeColumns(NamedTuple):
@@ -374,8 +364,8 @@ class EdgeColumns(NamedTuple):
     its exact limit, 0.0 in all three columns.  A bridge's three entries
     are NaN, and whoever reads g.bridges() applies its limits (z-term 0,
     weights R/(L+R) = 1 and L/(L+R) = 0).  The columns are tuples of Python
-    floats, except the closed-form route's float64 arrays on their way to
-    invariants._column_terms.
+    floats on the all-GTH route and float64 arrays on the closed-form
+    route.
     """
 
     resistance: Sequence[float]
@@ -407,7 +397,7 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
         arm_first, arm_second = zip(*arms) if arms else ((), ())
         return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
-    K, a_of, b_of, scale, spread, R, gth = data[1]
+    R, K, a_of, b_of, scale, spread, gth = data
     row = K[base]
     gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
     arm_first = 0.5 * (R + gap)

@@ -25,9 +25,11 @@ conventions live in the invariant layer (a loop has resistance 0 and weight
 pair (0, 1), a bridge has infinite resistance and weight pair (1, 0)), and
 every identity below stays true under those limits.  The few places where a
 formula would divide by a loop's zero resistance skip loops explicitly and
-say so.  Per-edge resistances and arms are Python floats read from the
-profile's columns (GraphProfile.columns), NaN at bridges; the per-edge
-squared terms, which run over bridges, take the bridge limit at g.bridges().
+say so.  Per-edge resistances, arms and weights are read from the profile,
+NaN at bridges: Python floats, or on the closed-form route float64 array
+entries, which round as Python floats do and which _build_report casts.
+The per-edge squared terms, which run over bridges, take the bridge limit
+at g.bridges().
 """
 
 from __future__ import annotations

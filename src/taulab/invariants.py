@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import transforms
 from .circuit import (
@@ -72,10 +72,11 @@ _da = graph_memo(transforms.double_adjusted)
 class GraphProfile:
     """Everything the invariant formulas need about one graph at one base.
 
-    The scalars and both weight tuples are computed from the base's
-    EdgeColumns (circuit.all_edge_circuit_data).  The profile keeps them,
-    as tuples of Python floats outside eq, hash and repr, as ``columns``:
-    the layout that the identity catalog and the per-edge invariants read.
+    The scalars and both weight columns come from the base's EdgeColumns
+    (circuit.all_edge_circuit_data), kept as ``columns``: the layout the
+    identity catalog and the per-edge invariants read.  The three per-edge
+    fields, tuples of Python floats on the all-GTH route and read-only
+    float64 arrays on the closed-form route, stay out of eq, hash and repr.
     """
 
     base: int
@@ -87,8 +88,8 @@ class GraphProfile:
     tau: float
     # R/(L+R) and L/(L+R) per edge, with the limits baked in:
     # a self-loop weighs (0, 1), a bridge weighs (1, 0).
-    weight_resistance: tuple[float, ...]
-    weight_length: tuple[float, ...]
+    weight_resistance: Sequence[float] = field(repr=False, compare=False)
+    weight_length: Sequence[float] = field(repr=False, compare=False)
     columns: EdgeColumns = field(repr=False, compare=False)
 
 
@@ -102,7 +103,7 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     arithmetic rounds each operation exactly as Python floats do.  So both
     paths give the same bits, and fsum is correctly rounded and so
     independent of term order; each is the faster one on its route.  The
-    closed-form route's arrays become tuples there, once.
+    closed-form route's weights and columns stay float64 arrays, read-only.
     Self-loops add their length to z, bridges theirs to r and y.  The base
     is checked before the memo is read, so graph_profile(g) and
     graph_profile(g, 0) are one entry.
@@ -113,7 +114,8 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
 @graph_memo
 def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
     terms = _scalar_terms if closed_form(g) is None else _column_terms
-    z, r, x, y, w_res, w_len, columns = terms(g, all_edge_circuit_data(g, base))
+    columns = all_edge_circuit_data(g, base)
+    z, r, x, y, w_res, w_len = terms(g, columns)
     ell = g.total_length
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
@@ -126,7 +128,7 @@ graph_profile.cache_info = _profile_at.cache_info
 
 
 def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y, both weight tuples and the columns as given, one edge at a time."""
+    """z, r, x, y and both weight tuples, one edge at a time."""
     bridges = g.bridges()
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
     for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
@@ -153,7 +155,7 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             w_res.append(R / denom)
             w_len.append(L / denom)
     return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
-            tuple(w_res), tuple(w_len), columns)
+            tuple(w_res), tuple(w_len))
 
 
 @graph_memo
@@ -178,7 +180,7 @@ def _edge_arrays(g: MetrizedGraph):
 
 
 def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y, both weight tuples and the columns as tuples; each term for all plain edges at once."""
+    """z, r, x, y and both weight columns, each term for all plain edges at once; every array left read-only."""
     plain, L, LL, L75, loop_lengths, bridge_lengths, w_res, w_len = _edge_arrays(g)
     R = columns.resistance[plain]
     gap = columns.arm_first[plain] - columns.arm_second[plain]
@@ -194,8 +196,9 @@ def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     w_res[plain] = R / denom
     w_len = w_len.copy()
     w_len[plain] = L / denom
-    columns = EdgeColumns(*(tuple(column.tolist()) for column in columns))
-    return z, r, x, y, tuple(w_res.tolist()), tuple(w_len.tolist()), columns
+    for column in (*columns, w_res, w_len):
+        column.flags.writeable = False
+    return z, r, x, y, w_res, w_len
 
 
 # -- the headline scalars ------------------------------------------------------
@@ -275,7 +278,7 @@ def K_definition(g: MetrizedGraph, i: int) -> float:
     prof = graph_profile(g)
     R = prof.columns.resistance[i]
     own = L * L / (L + R)
-    return prof.z - own - z_of(_delete(g, i))
+    return float(prof.z - own - z_of(_delete(g, i)))
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
@@ -285,7 +288,7 @@ def K_contraction_form(g: MetrizedGraph, i: int) -> float:
     if a == b:
         return 0.0
     weight = graph_profile(g).weight_resistance[i]
-    return weight * (z_of(_contract(g, i)) - z_of(_delete(g, i)))
+    return float(weight * (z_of(_contract(g, i)) - z_of(_delete(g, i))))
 
 
 def K_of(g: MetrizedGraph, i: int) -> float:
@@ -388,10 +391,14 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
     refuse a lattice before any contraction: the nodes of depth at most
     min(2, v - 2), which are the root, one per link and one per two links
     that are not parallel (two such links always form a forest); and the
-    2^(v-1) - 1 subsets of one spanning tree.  Otherwise the build stops
-    before it would make node LATTICE_NODE_CAP + 1.  The root's children
-    are g's memoized contractions (_contract), which the catalog reads
-    too; the deeper nodes are held by the lattice alone.
+    2^(v-1) - 1 subsets of one spanning tree.  Otherwise the keys are
+    walked first, each with a label per vertex of g, the lowest vertex of
+    its block, so an edge is a loop at a node when its two ends share a
+    label; the walk stops before it would make node LATTICE_NODE_CAP + 1,
+    and a refused lattice builds no graph.  An accepted one then builds
+    each node's graph from the node that first reached it.  The root's
+    children are g's memoized contractions (_contract), which the catalog
+    reads too; the deeper nodes are held by the lattice alone.
     """
     v = g.vertex_count
     depth = max(0, v - 2)
@@ -402,18 +409,21 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
     at_least = max(sum(by_depth[:depth + 1]), 2 ** (v - 1) - 1)
     if at_least > LATTICE_NODE_CAP:
         return f"contraction lattice has at least {at_least} nodes, capped at {LATTICE_NODE_CAP}"
-    found = [(frozenset(), None)]
+    # Each node: its key, its vertex labels, and the parent position and
+    # the parent's edge whose contraction first reached it.
+    found = [(frozenset(), tuple(range(v)), None, None)]
     position = {frozenset(): 0}
-    lattice = []
+    children_of = []
     # found grows as the loop runs: each node's new children join its end.
-    for key, graph in found:
+    for at, (key, labels, _, _) in enumerate(found):
         children = []
         if len(key) < depth:
             # A contraction keeps edge order, so the node's edges are the
             # original edges outside its key, in order.
             alive = (i for i in range(g.edge_count) if i not in key)
-            parent, contract = (g, _contract) if graph is None else (graph, transforms.contract_edge)
-            for j, ((a, b, _), orig) in enumerate(zip(parent.edges, alive)):
+            for j, orig in enumerate(alive):
+                a, b, _ = g.edges[orig]
+                a, b = labels[a], labels[b]
                 if a == b:
                     children.append(None)
                     continue
@@ -423,10 +433,14 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
                         return (f"contraction lattice has more than {LATTICE_NODE_CAP} nodes, "
                                 f"capped at {LATTICE_NODE_CAP}")
                     position[child_key] = len(found)
-                    found.append((child_key, contract(parent, j)))
+                    low = min(a, b)
+                    found.append((child_key, tuple(low if x in (a, b) else x for x in labels), at, j))
                 children.append(position[child_key])
-        lattice.append((key, graph, tuple(children)))
-    return tuple(lattice)
+        children_of.append(tuple(children))
+    graphs = [None]
+    for _, _, parent, j in found[1:]:
+        graphs.append(_contract(g, j) if parent == 0 else transforms.contract_edge(graphs[parent], j))
+    return tuple((key, graph, children) for (key, *_), graph, children in zip(found, graphs, children_of))
 
 
 contraction_lattice.cache_info = _lattice.cache_info

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import os
@@ -18,7 +19,8 @@ from taulab.circuit import all_edge_circuit_data, effective_resistance
 from taulab.cli import serialize_graph
 from taulab.errors import DisconnectedGraph
 from taulab.fuzzing import random_connected_multigraph
-from taulab.graphs import MetrizedGraph, build_graph
+from taulab.graphs import MetrizedGraph, build_graph, graph_memo
+from taulab.identities import verify_all
 from taulab.invariants import tau
 from taulab.transforms import delete_edge, double_adjusted
 
@@ -326,12 +328,12 @@ def test_deleted_edge_inverses_memory_is_quadratic_in_vertices():
     g.bridges()
     tracemalloc.start()
     try:
-        resistance, closed = circuit._deleted_edge_inverses(g)
+        closed = circuit._deleted_edge_inverses(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20, peak
-    assert closed is not None and None not in resistance
+    assert closed is not None and closed[-1] == []
 
 
 def test_rank_one_matches_exact_rationals_at_wide_spreads():
@@ -392,7 +394,7 @@ def test_closed_form_picks_the_route():
     assert circuit.closed_form(tree) is None  # no edge is routed
     g = random_regular_graph(random.Random(5), n, lambda: 1.0)
     data = circuit.closed_form(g)
-    assert data is circuit._deleted_edge_inverses(g) and data[1] is not None
+    assert data is not None and data is circuit._deleted_edge_inverses(g)
 
 
 def named(node):
@@ -596,9 +598,10 @@ def gth_star(g, edge, base):
 def assert_gth_columns_match_the_per_edge_reference(g):
     """Every GTH edge's R and arms equal gth_star's at every base; returns how many edges that is."""
     data = circuit.closed_form(g)
-    resistance = (None,) * g.edge_count if data is None else data[0]
-    bridges = g.bridges()
-    routed = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges and resistance[i] is None]
+    if data is None:
+        routed = [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in g.bridges()]
+    else:
+        routed = data[-1]  # the ids of the edges left to GTH
     for base in range(g.vertex_count):
         c = all_edge_circuit_data(g, base)
         for i in routed:
@@ -630,9 +633,9 @@ def test_pair_reduction_replays_a_closed_form_twin():
     a, b, _ = g.edges[near_bridge]
     g = build_graph(g.vertex_count, g.edges + ((b, a, 2e4), (b, b, 3.0)))
     twin = g.edge_count - 2
-    resistance, closed = circuit._deleted_edge_inverses(g)
+    closed = circuit._deleted_edge_inverses(g)
     assert g.vertex_count >= circuit.RANK_ONE_MIN_VERTICES and closed is not None
-    assert resistance[near_bridge] is None and resistance[twin] is not None
+    assert near_bridge in closed[-1] and twin not in closed[-1]
     assert assert_gth_columns_match_the_per_edge_reference(g) == 1
 
 
@@ -688,7 +691,10 @@ def assert_profile_is_bit_identical(g, bases):
     for base in bases:
         prof = invariants.graph_profile(g, base)
         for name, want in reference_profile(g, base).items():
-            assert getattr(prof, name) == want, (name, base, g.vertex_count)
+            got = getattr(prof, name)
+            if isinstance(got, np.ndarray):
+                got = tuple(got.tolist())
+            assert got == want, (name, base, g.vertex_count)
 
 
 def wide_spread_multigraphs(rng, count):
@@ -715,7 +721,7 @@ def test_profile_columns_match_the_scalar_loop_on_regular_graphs():
     for n in (10, 11, 20, 40, 80, 120):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         # Every edge takes the closed form here.
-        assert None not in circuit._deleted_edge_inverses(g)[0]
+        assert not np.isnan(circuit._deleted_edge_inverses(g)[0]).any()
         assert_profile_is_bit_identical(g, range(n))
 
 
@@ -730,7 +736,7 @@ def test_profile_columns_match_the_scalar_loop_on_large_multigraphs():
         edges += [(v, n + k, 10.0 ** rng.uniform(-2.0, 2.0)) for k, v in enumerate(rng.sample(range(n), 2))]
         edges += [(b, a, 10.0 ** rng.uniform(-2.0, 2.0)) for a, b, _ in rng.sample(core.edges, 4)]
         g = build_graph(n + 2, edges)
-        assert circuit._deleted_edge_inverses(g)[1] is not None
+        assert circuit._deleted_edge_inverses(g) is not None
         assert len(g.bridges()) == 2
         assert_profile_is_bit_identical(g, range(g.vertex_count))
 
@@ -740,8 +746,7 @@ def test_profile_columns_match_the_scalar_loop_beside_a_near_bridge():
     # form.  GTH costs tens of ms per base here, so a spread of bases is
     # checked: every tenth vertex and each vertex of the cycle.
     g, near_bridge = near_bridge_graph(random.Random(203), 1e-3, 1e4, core=200)
-    resistance, _ = circuit._deleted_edge_inverses(g)
-    assert [i for i, R in enumerate(resistance) if R is None] == [near_bridge]
+    assert circuit._deleted_edge_inverses(g)[-1] == [near_bridge]
     assert_profile_is_bit_identical(g, sorted(set(range(0, 203, 10)) | {199, 200, 201, 202}))
 
 
@@ -788,21 +793,84 @@ def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
         fresh = MetrizedGraph(g.vertex_count, g.edges)
         for p, (columns, prof) in enumerate(rows):
             assert columns == [np.asarray(c).tobytes() for c in all_edge_circuit_data(fresh, p)], (g.edges, p)
-            assert prof == invariants.graph_profile(fresh, p), (g.edges, p)
+            again = invariants.graph_profile(fresh, p)
+            assert prof == again, (g.edges, p)
+            assert prof.weight_resistance == again.weight_resistance, (g.edges, p)
+            assert prof.weight_length == again.weight_length, (g.edges, p)
 
 
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
     closed = random_regular_graph(random.Random(5), circuit.RANK_ONE_MIN_VERTICES, lambda: 1.0)
     assert circuit.closed_form(g) is None and circuit.closed_form(closed) is not None
-    for graph in (g, closed):
+    # The all-GTH route holds tuples of Python floats, the closed-form
+    # route read-only float64 arrays.
+    for graph, layout, value, refusal in ((g, tuple, float, TypeError), (closed, np.ndarray, np.float64, ValueError)):
         prof = invariants.graph_profile(graph, 1)
-        for column in prof.columns:
-            assert type(column) is tuple and all(type(value) is float for value in column)
-            with pytest.raises(TypeError):
+        for column in (*prof.columns, prof.weight_resistance, prof.weight_length):
+            assert type(column) is layout and len(column) == graph.edge_count
+            assert {type(entry) for entry in column} == {value}
+            with pytest.raises(refusal):
                 column[0] = 0.0
-        assert "columns" not in repr(prof)
-        assert prof == invariants._profile_at.__wrapped__(graph, 1)
+        assert "columns" not in repr(prof) and "weight" not in repr(prof)
+        again = invariants._profile_at.__wrapped__(graph, 1)
+        assert prof == again and hash(prof) == hash(again)
+
+
+def closed_form_catalog_graphs():
+    """6-regular graphs of 12, 20 and 40 vertices, and one with loops, pendant bridges and a near-bridge."""
+    rng = random.Random(2626)
+    found = [random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0)) for n in (12, 20, 40)]
+    g, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
+    n = g.vertex_count
+    edges = list(g.edges) + [(v, v, 10.0 ** rng.uniform(-2.0, 2.0)) for v in rng.sample(range(n), 3)]
+    edges += [(v, n + k, 10.0 ** rng.uniform(-2.0, 2.0)) for k, v in enumerate(rng.sample(range(n), 2))]
+    g = build_graph(n + 2, edges)
+    assert len(g.bridges()) == 2 and circuit.closed_form(g)[-1] == [near_bridge]
+    return found + [g]
+
+
+def test_catalog_reports_are_the_same_from_arrays_and_from_tuples(monkeypatch):
+    # The closed-form route keeps its per-edge data as float64 arrays.
+    # verify_all must report the same bytes as from tuples of Python
+    # floats, the layout its profiles held before: a fresh copy of each
+    # graph is checked with every profile's per-edge fields turned into
+    # tuples.
+    graphs = closed_form_catalog_graphs()
+    arrays = [repr(verify_all(g)) for g in graphs]
+    for g in graphs:
+        assert circuit.closed_form(g) is not None
+        assert type(invariants.graph_profile(g).weight_resistance) is np.ndarray
+    profile_at = invariants._profile_at.__wrapped__
+
+    def as_tuples(g, base):
+        prof = profile_at(g, base)
+
+        def listed(column):
+            return tuple(np.asarray(column).tolist())
+
+        return dataclasses.replace(
+            prof, weight_resistance=listed(prof.weight_resistance), weight_length=listed(prof.weight_length),
+            columns=circuit.EdgeColumns(*map(listed, prof.columns)),
+        )
+
+    monkeypatch.setattr(invariants, "_profile_at", graph_memo(as_tuples))
+    fresh = [MetrizedGraph(g.vertex_count, g.edges) for g in graphs]
+    assert [repr(verify_all(g)) for g in fresh] == arrays
+    assert all(type(invariants.graph_profile(g).weight_resistance) is tuple for g in fresh)
+
+
+def test_public_scalars_are_python_floats_on_both_routes():
+    gth = build_graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 0.5), (1, 2, 1.5), (1, 3, 3.0), (2, 3, 0.7), (1, 2, 4.0)])
+    closed = closed_form_catalog_graphs()[0]
+    assert circuit.closed_form(gth) is None and circuit.closed_form(closed) is not None
+    for g in (gth, closed):
+        assert g.is_bridgeless()
+        values = [tau(g), invariants.K_of(g, 0), invariants.K_definition(g, 0), invariants.K_contraction_form(g, 0),
+                  invariants.A_pq(g, 0, 1), invariants.w_of(g)]
+        inv = invariants.invariant_set(g)
+        values += [inv.ell, inv.tau, inv.x, inv.y, inv.z, inv.r, inv.w]
+        assert [type(value) for value in values] == [float] * len(values), g.vertex_count
 
 
 def test_laplacian_matches_the_edge_loop_with_parallel_edges_both_ways():

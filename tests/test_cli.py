@@ -152,6 +152,15 @@ def test_verify_unknown_id(tmp_path, capsys):
     assert "unknown identity" in err
 
 
+def test_verify_ids_that_name_no_identity_exit_2(tmp_path, capsys):
+    # A check that checks nothing is a usage error, not a pass.
+    path = write(tmp_path, TRIANGLE_TEXT)
+    for ids in ("", ",", " "):
+        code, out, err = run(capsys, ["verify", path, "--ids", ids])
+        assert (code, out) == (2, ""), ids
+        assert "names no identity" in err
+
+
 def test_verify_exit_matches_library_verdict(tmp_path, capsys):
     # ugly lengths at zero tolerance: the CLI must agree with verify_all
     from taulab.identities import verify_all
@@ -207,8 +216,8 @@ def test_closed_form_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         edges = [(a, b, 10.0 ** rng.uniform(-4.0, 4.0)) for a, b in pairs]
         while True:  # a chord of 1e-3 whose closed form the guard rejects
             g = build_graph(n + 2, edges + [(*rng.sample(range(n), 2), 1e-3)])
-            resistance, closed = circuit._deleted_edge_inverses(g)
-            if resistance[-1] is None:
+            closed = circuit._deleted_edge_inverses(g)
+            if closed is None or g.edge_count - 1 in closed[-1]:
                 break
         assert closed is not None and len(g.bridges()) == 2
         loops += sum(a == b for a, b, _ in g.edges)
@@ -455,6 +464,48 @@ def test_conjecture_violation_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["invariants", path])
     assert code == 3
     assert "CONJECTURE VIOLATION" in err
+
+
+def banana4(scale):
+    """Four parallel edges of length scale between two vertices."""
+    return build_graph(2, [(0, 1, scale)] * 4)
+
+
+def test_bound_verdicts_do_not_depend_on_the_unit_of_length(tmp_path, capsys, monkeypatch):
+    # The equal-length banana attains the edge-connectivity, vertex-count
+    # and equal-length lower bounds with equality, and scaling by a power
+    # of two is exact, so only a test relative to the bound's size passes
+    # at every unit.
+    monkeypatch.delenv("TAULAB_TOL", raising=False)
+    for k in range(-60, 61):
+        path = write(tmp_path, cli.serialize_graph(banana4(2.0 ** k)))
+        code, out, _ = run(capsys, ["invariants", path])
+        assert code == 0, (k, json.loads(out)["bounds"])
+    for k in (-60, -40, 26, 40, 60):
+        monkeypatch.setattr(cli.fuzzing, "random_connected_multigraph", lambda rng, v, e: banana4(2.0 ** k))
+        _, out, _ = run(capsys, ["fuzz", "--count", "1"])
+        assert not [f for f in json.loads(out)["cases"][0]["failed"] if f.startswith("bound:")], k
+
+
+def test_a_bound_missed_by_a_relative_1e_6_fails_at_a_small_unit(tmp_path, capsys, monkeypatch):
+    # At lengths of 2^-40 the miss is about 1e-19 in absolute terms, yet
+    # 1e-6 of the bound: both commands count it as a failed bound.
+    monkeypatch.delenv("TAULAB_TOL", raising=False)
+    real = connectivity.lower_bounds
+
+    def planted(g):
+        report = real(g)
+        tau = report.bounds[0].value
+        missed = connectivity.BoundEntry("planted", "lower", tau * (1.0 + 1e-6), tau)
+        return dataclasses.replace(report, bounds=report.bounds + (missed,))
+
+    monkeypatch.setattr(connectivity, "lower_bounds", planted)
+    g = banana4(2.0 ** -40)
+    code, _, _ = run(capsys, ["invariants", write(tmp_path, cli.serialize_graph(g))])
+    assert code == 1
+    monkeypatch.setattr(cli.fuzzing, "random_connected_multigraph", lambda rng, v, e: g)
+    _, out, _ = run(capsys, ["fuzz", "--count", "1"])
+    assert "bound: planted" in json.loads(out)["cases"][0]["failed"]
 
 
 def test_parser_is_built_once_and_reads_the_tolerance_per_call(tmp_path, capsys, monkeypatch):

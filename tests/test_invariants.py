@@ -486,7 +486,9 @@ def live_graphs():
     return {id(obj): obj for obj in gc.get_objects() if isinstance(obj, MetrizedGraph)}
 
 
-def test_a_refused_lattice_keeps_only_the_root_contractions(monkeypatch):
+def test_a_refused_lattice_builds_no_graph(monkeypatch):
+    # The keys are walked before any graph is made, so a lattice refused
+    # at its node cap leaves no graph behind, not even g's contractions.
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])
     built = 0
@@ -500,11 +502,8 @@ def test_a_refused_lattice_keeps_only_the_root_contractions(monkeypatch):
     monkeypatch.setattr(MetrizedGraph, "_unchecked", classmethod(counted))
     before = live_graphs()
     assert "more than 5000 nodes" in invariants.lattice_refusal(g)
-    assert built <= invariants.LATTICE_NODE_CAP + 1
-    new = live_graphs().keys() - before.keys()
-    assert new == {id(invariants._contract(g, j)) for j in range(g.edge_count)}
-    assert len(new) == 45
-    built = 0
+    assert built == 0
+    assert live_graphs().keys() == before.keys()
     for walk in (invariants.contraction_lattice, tau_oracle_contraction, N_of, w_nested):
         with pytest.raises(TooLarge, match="more than 5000 nodes"):
             walk(g)
