@@ -272,12 +272,8 @@ def _core_arms(core: MetrizedGraph, base: int) -> tuple:
     Held in the core's memo, so every graph with this core (graphs that
     differ only in self-loops) shares the reductions.  Loops carry no
     current and _conductances, _pair_stars and _eliminate never read one,
-    so these are the bits a reduction of the graph itself gives.  On two
-    vertices every edge joins the base to the other vertex and nothing is
-    eliminated, so base 1 mirrors base 0: each edge's arms swap.
+    so these are the bits a reduction of the graph itself gives.
     """
-    if core.vertex_count == 2 and base == 1:
-        return tuple(None if star is None else star[::-1] for star in _core_arms(core, 0))
     bridges = core.bridges()
     routed = [i for i in range(core.edge_count) if i not in bridges]
     stars = _gth_stars(core, base, routed) if routed else {}

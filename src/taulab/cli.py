@@ -24,7 +24,6 @@ import os
 import sys
 
 from . import connectivity, fuzzing, identities, invariants, transforms
-from .cuts import is_infinite
 from .errors import (
     ParseError,
     TauLabError,
@@ -104,10 +103,10 @@ def _load(path: str) -> MetrizedGraph:
 
 
 def _finite(value):
-    """Make a value JSON-friendly; the infinite marker and math.inf become a string."""
+    """Make a value JSON-friendly; math.inf (also INFINITE) becomes a string."""
     if value is None:
         return None
-    if is_infinite(value) or value == math.inf:
+    if value == math.inf:
         return "infinite"
     return value
 
@@ -416,9 +415,6 @@ def main(argv=None) -> int:
         if "tol" in vars(args):
             args.tol = tol if args.tol is None else _checked_tol(args.tol, "--tol")
         return args.func(args)
-    except ParseError as exc:
-        print(f"taulab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnknownIdentityId as exc:
         # KeyError reprs its argument; unwrap for a readable message.
         print(f"taulab: {exc.args[0]}", file=sys.stderr)

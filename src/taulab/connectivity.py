@@ -83,7 +83,7 @@ class BoundsReport:
     graphs whose edges share one length).
     """
 
-    edge_conn: object  # int, or INFINITE for a single vertex with loops
+    edge_conn: int | float  # math.inf (INFINITE) for a single vertex
     vertex_conn: int | None
     min_valence: int
     bounds: tuple[BoundEntry, ...]
@@ -120,7 +120,7 @@ def lower_bounds(g: MetrizedGraph) -> BoundsReport:
         quad = (1.0 / 12.0) * (1.0 - 4.0 / lam) ** 2 + 4.0 * (lam - 2) / ((v + 6) * lam * lam)
         bounds.append(BoundEntry("edge-connectivity bound", "lower", ell * quad, value))
     bounds.append(BoundEntry("vertex-count bound", "lower", ell / (2.0 * (v + 6)), value))
-    if is_infinite(lam) or lam >= 6:
+    if lam >= 6:
         bounds.append(BoundEntry("length over 108", "lower", ell / 108.0, value))
     elif lam == 5:
         bounds.append(BoundEntry("length over 300", "lower", ell / 300.0, value))

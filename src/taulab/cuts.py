@@ -30,6 +30,7 @@ quantity.  Both results live in the graph's memo.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 from typing import Callable, Iterable
 
@@ -37,25 +38,12 @@ from .errors import TooSmall
 from .graphs import MetrizedGraph, graph_memo
 
 
-class Infinite:
-    """Marker for an unbounded connectivity (a single vertex cannot be disconnected)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = Infinite()
+# The edge connectivity of a single vertex: it cannot be disconnected.
+INFINITE = math.inf
 
 
 def is_infinite(value) -> bool:
-    return value is INFINITE
+    return value == INFINITE
 
 
 # A flow network as flat arc arrays: arc i runs into head[i] with capacity
@@ -176,10 +164,11 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
 
 
 @graph_memo
-def edge_connectivity(g: MetrizedGraph) -> int | Infinite:
+def edge_connectivity(g: MetrizedGraph) -> int | float:
     """Smallest number of edges whose removal disconnects the graph.
 
-    A single vertex cannot be disconnected, whatever its loops: INFINITE.
+    A single vertex cannot be disconnected, whatever its loops: INFINITE
+    (math.inf).
     Parallel edges count individually; self-loops are ignored.
 
     Sweeps the sinks 1..n-1 from the source set {0}, each finished sink

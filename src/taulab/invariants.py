@@ -366,7 +366,10 @@ def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
 
     A tuple of nodes (key, graph, children), the root first and then in
     depth order, so a walk from the end reaches every child before its
-    parents.  The key is the frozenset of contracted original edge indices:
+    parents.  Within a depth the keys come in lexicographic order of their
+    sorted indices: a node appends its children in edge order, and a key
+    is first reached from itself minus its largest index, the
+    lexicographically first of its parents.  The key is the frozenset of contracted original edge indices:
     the graph a set produces does not depend on the contraction order, so
     sequences collapse onto their underlying sets and every nested sum over
     sequences becomes one walk.  children[j] is the position of the node
@@ -496,11 +499,10 @@ def nested_weighted_sum(
 
 
 def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset[int], MetrizedGraph]]:
-    """The fully contracted (2-vertex) nodes of the lattice as (key, graph), sorted by key."""
+    """The fully contracted (2-vertex) nodes of the lattice as (key, graph), in key order."""
     depth = g.vertex_count - 2
-    found = [(key, g if graph is None else graph)
-             for key, graph, _ in contraction_lattice(g) if len(key) == depth]
-    return sorted(found, key=lambda item: sorted(item[0]))
+    return [(key, g if graph is None else graph)
+            for key, graph, _ in contraction_lattice(g) if len(key) == depth]
 
 
 def w_of(g: MetrizedGraph) -> float:

@@ -799,6 +799,19 @@ def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
             assert prof.weight_length == again.weight_length, (g.edges, p)
 
 
+def test_two_vertex_cores_mirror_their_bases_bit_for_bit():
+    # Nothing is eliminated on two vertices, so each edge's star toward
+    # base 1 is its star toward base 0 reversed, in the same bits.
+    rng = random.Random(28)
+    for _ in range(200):
+        edges = [(0, 1) if rng.random() < 0.5 else (1, 0) for _ in range(rng.randint(1, 6))]
+        edges += [(p, p) for p in (0, 1) if rng.random() < 0.5]
+        g = build_graph(2, [(a, b, 10.0 ** rng.uniform(-8.0, 8.0)) for a, b in edges])
+        core = graphs.loopless_core(g)
+        mirrored = tuple(None if star is None else star[::-1] for star in circuit._core_arms(core, 0))
+        assert repr(circuit._core_arms(core, 1)) == repr(mirrored), g.edges
+
+
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0), (2, 2, 1.0), (0, 1, 0.5)])
     closed = random_regular_graph(random.Random(5), circuit.RANK_ONE_MIN_VERTICES, lambda: 1.0)

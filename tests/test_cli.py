@@ -93,13 +93,29 @@ def test_invariants_command(tmp_path, capsys):
     assert "vertex-count bound" in names
 
 
-def test_invariants_reports_infinite_connectivity(tmp_path, capsys):
-    path = write(tmp_path, "graph 1\nedge 0 0 1.0\n")
+def test_invariants_reports_infinite_connectivity(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "graph 1\nedge 0 0 1.0\nedge 0 0 2.5\n")
     code, out, _ = run(capsys, ["invariants", path])
     assert code == 0
     report = json.loads(out)
     assert report["edge_connectivity"] == "infinite"
     assert report["vertex_connectivity"] is None
+    assert [b["name"] for b in report["bounds"]] == [
+        "edge-connectivity bound", "vertex-count bound", "length over 108", "genus bound",
+    ]
+    # fuzz carries no connectivity field; a bouquet case passes every bound.
+    g = cli.parse_graph("graph 1\nedge 0 0 1.0\nedge 0 0 2.5\n")
+    monkeypatch.setattr(cli.fuzzing, "random_connected_multigraph", lambda rng, v, e: g)
+    code, out, _ = run(capsys, ["fuzz", "--count", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cases"] == [{"bridgeless": True, "case": 0, "edges": 2, "failed": [], "vertices": 1}]
+    assert report["min_conjecture_margin"] == 0.07407407407407408
+    assert report["worst_slack"] == 0.0
+    # A 2-edge-cut reduction needs a finite connectivity.
+    code, out, err = run(capsys, ["transform", path, "--op", "reduce2"])
+    assert (code, out) == (2, "")
+    assert err == "taulab: reduce_edge_connectivity_two: edge connectivity is inf, need exactly 2\n"
 
 
 def test_invariants_stdout_is_strict_json(tmp_path, capsys):

@@ -36,7 +36,26 @@ def test_edge_connectivity_known_values(triangle, k4, path2):
 def test_infinite_marker_semantics():
     assert is_infinite(INFINITE)
     assert not is_infinite(1e300)
-    assert str(INFINITE) == "INFINITE"
+    assert INFINITE == math.inf
+    assert INFINITE >= 5
+    assert min(INFINITE, 3) == 3
+
+
+def test_a_bouquet_meets_every_connectivity_threshold():
+    # The paper's hypothesis "edge connectivity 5 or more" is a plain
+    # comparison, and a bouquet of loops satisfies it.
+    for loops in ([], [(0, 0, 1.0)], [(0, 0, 1.0), (0, 0, 2.5), (0, 0, 0.25)]):
+        g = build_graph(1, loops)
+        lam = edge_connectivity(g)
+        assert lam >= 5 and lam == math.inf and is_infinite(lam)
+        # The entries a bouquet has always listed: the quadratic bound at its
+        # limit ell / 12, and no equal-length pair.
+        report = lower_bounds(g)
+        assert report.edge_conn == math.inf
+        assert [e.name for e in report.bounds] == [
+            "edge-connectivity bound", "vertex-count bound", "length over 108", "genus bound",
+        ]
+        assert report.bounds[0].bound == g.total_length / 12.0
 
 
 def test_edge_connectivity_ignores_loops():

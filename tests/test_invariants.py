@@ -413,6 +413,23 @@ def test_the_lattice_has_one_node_per_forest():
     assert len(invariants.contraction_lattice(graphs[-1])) == 1636
 
 
+def test_each_depth_of_the_lattice_comes_in_key_order():
+    # The builder's own order is the one admissible_leaf_nodes promises:
+    # depth by depth, and within a depth lexicographic in the sorted keys.
+    rng = random.Random(1)
+    built = 0
+    for _ in range(600):
+        g = random_connected_multigraph(rng, 7, 14)
+        if invariants.lattice_refusal(g) is not None:
+            continue
+        built += 1
+        keys = [(len(key), sorted(key)) for key, _, _ in invariants.contraction_lattice(g)]
+        assert keys == sorted(keys), g.edges
+        leaves = [key for key, _ in admissible_leaf_nodes(g)]
+        assert leaves == sorted(leaves, key=sorted), g.edges
+    assert built >= 300, built
+
+
 def test_the_guard_refuses_exactly_the_lattices_over_the_cap():
     # Multigraphs of 2-7 vertices, loops included, with every edge repeated
     # up to three times: their forest counts fall on both sides of the cap.
