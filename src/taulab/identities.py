@@ -460,9 +460,12 @@ def _succ_r(g):
         return lhs, nested
 
     # The contracted lengths along a sequence are exactly what the leaf
-    # graph lost, so the leaf value needs no bookkeeping of the path.
-    ell = g.total_length
-    return _succ_rows(g, lambda h: ell - h.total_length, sides)
+    # graph lost, so the leaf value needs no bookkeeping of the path.  One
+    # fsum over g's lengths and the negated leaf's is their exact sum,
+    # rounded once; a difference of two rounded totals would drown the
+    # short contracted edges beside long kept ones.
+    lengths = [length for _, _, length in g.edges]
+    return _succ_rows(g, lambda h: math.fsum(lengths + [-length for _, _, length in h.edges]), sides)
 
 
 def _succ_z(g):

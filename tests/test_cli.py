@@ -191,7 +191,7 @@ def test_verify_exit_matches_library_verdict(tmp_path, capsys):
 
 # sha256 of the stdout of verify --ids all then invariants, on each graph of
 # test_identity_and_invariant_report_bytes_are_pinned in turn.
-PINNED_REPORTS_SHA256 = "874214bc617f074fe6e1c89de73b7bb3fe14e78165623ba2bf38b679a653e100"
+PINNED_REPORTS_SHA256 = "e308eb28371326aa4ff5dd110d1fe26d21317d9a5446601f9caf8ac2cf80fc0c"
 
 
 def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, report_graphs):

@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import math
 import random
 import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -235,6 +237,54 @@ def test_succession_identities(k4):
         r = verify(k4, ident)
         assert r.passed, (ident, r.residual, r.slack)
         assert r.checks >= 2  # k = 1 and k = 2 both checked
+
+
+def test_succ_r_holds_at_spreads_up_to_1e16():
+    # Lengths log-uniform over spreads 10**U(8, 16): the contracted length
+    # is the leaf value, and a difference of two rounded totals lost it.
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(200):
+        g = random_bridgeless_multigraph(rng, 6, 12)
+        power = rng.uniform(8.0, 16.0) / 2.0
+        g = build_graph(g.vertex_count, [(a, b, 10.0 ** (math.log10(L) * power)) for a, b, L in g.edges])
+        if g.vertex_count >= 3:
+            checked += 1
+            r = verify(g, "SUCC_R")
+            assert r.passed, (g.edges, r.residual)
+    assert checked == 139
+    # Two unit edges beside a 1e20 edge: the leaf total dropped a unit
+    # edge, and the rows read 4 against 2.
+    r = verify(build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1e20)]), "SUCC_R")
+    assert (r.lhs, r.rhs, r.residual) == (4.0, 4.0, 0.0)
+
+
+def test_succ_r_leaf_is_the_contracted_length_rounded_once(monkeypatch):
+    leaves = []
+    real = invariants.nested_weighted_sum
+
+    def spy(g, depths, leaf_value):
+        leaves.append(leaf_value)
+        return real(g, depths, leaf_value)
+
+    monkeypatch.setattr(invariants, "nested_weighted_sum", spy)
+    rng = random.Random(28)
+    graphs = [build_graph(3, [(0, 1, 1e-100), (1, 2, 1e-100), (2, 0, 1e100)])]
+    for _ in range(40):
+        g = random_bridgeless_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(8.0, 16.0)
+        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+    nodes = 0
+    for g in graphs:
+        if g.vertex_count < 3:
+            continue
+        verify(g, "SUCC_R")
+        leaf = leaves.pop()
+        for key, graph, _ in invariants.contraction_lattice(g)[1:]:
+            exact = sum(Fraction(g.edges[i][2]) for i in key)
+            assert leaf(graph) == float(exact), (g.edges, sorted(key))
+            nodes += 1
+    assert nodes > 1000, nodes
 
 
 NESTED_IDS = ("SUCC_XY", "SUCC_TAU", "SUCC_R", "SUCC_Z", "BANANA_XY", "TAU_MAIN5", "W_ID", "AHM")
