@@ -340,13 +340,6 @@ def cmd_oracle(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _checked_tol(tol: float, source: str) -> float:
-    """A tolerance must be finite and >= 0: NaN would pass every check, -1 fail every one."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParseError(f"{source}={tol!r} must be a finite number >= 0")
-    return tol
-
-
 def _default_tol() -> float:
     raw = os.environ.get("TAULAB_TOL")
     if raw is None:
@@ -355,7 +348,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise ParseError(f"TAULAB_TOL={raw!r} is not a number") from None
-    return _checked_tol(tol, "TAULAB_TOL")
+    return identities.checked_tol(tol, "TAULAB_TOL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +406,7 @@ def main(argv=None) -> int:
         tol = _default_tol()
         args = _PARSER.parse_args(argv)
         if "tol" in vars(args):
-            args.tol = tol if args.tol is None else _checked_tol(args.tol, "--tol")
+            args.tol = tol if args.tol is None else identities.checked_tol(args.tol, "--tol")
         return args.func(args)
     except UnknownIdentityId as exc:
         # KeyError reprs its argument; unwrap for a readable message.

@@ -72,6 +72,10 @@ class NotApplicable(TauLabError, ValueError):
         super().__init__(f"{subject}: {reason}")
 
 
+class BadTolerance(TauLabError, ValueError):
+    """A tolerance is not a finite number >= 0."""
+
+
 class ParseError(TauLabError, ValueError):
     """A graph file could not be parsed."""
 

@@ -40,7 +40,7 @@ from functools import partial
 from typing import Iterable
 
 from . import cuts, invariants
-from .errors import NotApplicable, UnknownIdentityId
+from .errors import BadTolerance, NotApplicable, UnknownIdentityId
 from .graphs import MetrizedGraph, graph_memo
 from .invariants import NESTED_VERTEX_CAP, _contract, _da, _delete, _loopify
 
@@ -50,6 +50,7 @@ __all__ = [
     "DEFAULT_TOL",
     "NESTED_VERTEX_CAP",
     "IdentityReport",
+    "checked_tol",
     "identity_ids",
     "verify",
     "verify_all",
@@ -666,13 +667,29 @@ def _build_report(identity: str, rows, note: str, tol: float) -> IdentityReport:
     )
 
 
+def checked_tol(tol, source: str = "tol") -> float:
+    """tol, if it is a finite number >= 0; else BadTolerance.
+
+    NaN would pass every check and a negative tolerance fail every one.
+    """
+    try:
+        usable = math.isfinite(tol) and tol >= 0.0
+    except TypeError:
+        usable = False
+    if not usable:
+        raise BadTolerance(f"{source}={tol!r} must be a finite number >= 0")
+    return tol
+
+
 def verify(g: MetrizedGraph, identity_id: str, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Check one identity on one graph.
 
-    Raises NotApplicable, before any evaluation, at the first of the
-    identity's preconditions that the graph does not meet; numeric
-    disagreement never raises, it comes back as a report with passed=False.
+    Raises BadTolerance unless tol is a finite number >= 0, then
+    NotApplicable, before any evaluation, at the first of the identity's
+    preconditions that the graph does not meet; numeric disagreement never
+    raises, it comes back as a report with passed=False.
     """
+    checked_tol(tol)
     try:
         evaluator, preconditions = _REGISTRY[identity_id]
     except KeyError:
@@ -688,7 +705,8 @@ def verify(g: MetrizedGraph, identity_id: str, tol: float = DEFAULT_TOL) -> Iden
 def verify_many(g: MetrizedGraph, ids: Iterable[str], tol: float = DEFAULT_TOL) -> list[IdentityReport]:
     """Check the given identities in order; those that do not apply become skip reports.
 
-    Raises UnknownIdentityId, from verify(), at the first id not in the catalog.
+    Raises, from verify(), BadTolerance for a bad tol and UnknownIdentityId at
+    the first id not in the catalog.
     """
     reports = []
     for ident in ids:

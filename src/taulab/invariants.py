@@ -39,7 +39,7 @@ from .circuit import (
     effective_resistance,
 )
 from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
-from .graphs import MetrizedGraph, graph_memo
+from .graphs import MetrizedGraph, _index, graph_memo
 
 BASE_AGREEMENT_TOL = 1e-9
 
@@ -548,7 +548,7 @@ INTEGRAL_VERTEX_CAP = 2500
 
 def _quadrature_graph(g: MetrizedGraph, segments_per_edge: int) -> MetrizedGraph:
     """g with every edge cut into equal segments, refused above the size cap."""
-    segments_per_edge = int(segments_per_edge)
+    segments_per_edge = _index(segments_per_edge, TooSmall, "segments per edge")
     if segments_per_edge < 2:
         raise TooSmall("integral oracle needs at least 2 segments per edge")
     size = g.vertex_count + g.edge_count * (segments_per_edge - 1)

@@ -29,7 +29,7 @@ from .errors import (
     ValenceBelowThree,
     WouldDisconnect,
 )
-from .graphs import MetrizedGraph, _bridge_ids, component_labels
+from .graphs import MetrizedGraph, _bridge_ids, _index, component_labels
 
 
 # Deletion, contraction and gluing keep every length and the connectivity of
@@ -124,7 +124,7 @@ def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:
     endpoint to the old second one.  New vertices are appended after the
     original ones, in edge order.
     """
-    m = int(m)
+    m = _index(m, TooSmall, "subdivision factor")
     if m < 1:
         raise TooSmall(f"subdivision factor must be >= 1, got {m}")
     if m == 1:

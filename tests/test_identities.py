@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from taulab import graphs, identities, invariants, transforms
-from taulab.errors import NotApplicable, UnknownIdentityId
+from taulab.errors import BadTolerance, NotApplicable, TauLabError, UnknownIdentityId
 from taulab.fuzzing import (
     named_corpus,
     random_bridgeless_multigraph,
@@ -160,6 +160,21 @@ def test_tolerance_is_respected(triangle):
     loose = [r for r in verify_all(g, tol=1.0) if r.applicable and not r.passed]
     assert strict  # at least one identity misses exact float equality
     assert not loose
+
+
+def test_a_bad_tolerance_is_refused_before_any_precondition(path2, triangle):
+    # path2 has bridges, which SUCC_R's first precondition refuses, and
+    # verify_many would turn that refusal into a skip: the tolerance is
+    # checked before it.
+    for tol in (float("nan"), -1.0, "x", math.inf):
+        for g in (path2, triangle):
+            with pytest.raises(BadTolerance, match="must be a finite number >= 0"):
+                verify(g, "SUCC_R", tol)
+            with pytest.raises(BadTolerance):
+                identities.verify_many(g, ["GENUS", "SUCC_R"], tol)
+            with pytest.raises(TauLabError):
+                verify_all(g, tol)
+    assert verify(triangle, "GENUS", 0).passed
 
 
 # -- spot values for single identities -----------------------------------------

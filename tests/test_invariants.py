@@ -320,6 +320,14 @@ def test_integral_oracle_is_exact_on_trees(path2):
     assert tau_oracle_integral(path2, 4) == pytest.approx(tau(path2), rel=1e-12)
 
 
+def test_integral_oracles_refuse_a_fractional_segment_count(path2):
+    # 2.7 used to run silently at 2 segments per edge.
+    with pytest.raises(TooSmall, match="segments per edge must be an integer"):
+        tau_oracle_integral(path2, 2.7)
+    with pytest.raises(TooSmall, match="segments per edge must be an integer"):
+        a_pq_oracle_integral(path2, 0, 2, 2.7)
+
+
 def test_contraction_oracle_agrees():
     rng = random.Random(85)
     for _ in range(20):

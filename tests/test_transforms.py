@@ -102,6 +102,10 @@ def test_subdivide(triangle):
     assert transforms.subdivide(triangle, 1) == triangle
     with pytest.raises(TooSmall):
         transforms.subdivide(triangle, 0)
+    # A count is an integer: 1.5 and "2" are refused, not truncated or parsed.
+    for count in (1.5, "2"):
+        with pytest.raises(TooSmall, match="subdivision factor must be an integer"):
+            transforms.subdivide(triangle, count)
 
 
 def test_admissible_contractions_on_triangle(triangle):
