@@ -167,9 +167,9 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
 def edge_connectivity(g: MetrizedGraph) -> int | float:
     """Smallest number of edges whose removal disconnects the graph.
 
-    A single vertex cannot be disconnected, whatever its loops: INFINITE
-    (math.inf).
-    Parallel edges count individually; self-loops are ignored.
+    A single vertex cannot be disconnected, whatever its loops: INFINITE,
+    which is math.inf.  Parallel edges count individually; self-loops are
+    ignored.
 
     Sweeps the sinks 1..n-1 from the source set {0}, each finished sink
     joining the sources, with best starting at the smallest non-loop degree

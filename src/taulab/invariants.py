@@ -366,18 +366,19 @@ def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
 
     A tuple of nodes (key, graph, children), the root first and then in
     depth order, so a walk from the end reaches every child before its
-    parents.  Within a depth the keys come in lexicographic order of their
-    sorted indices: a node appends its children in edge order, and a key
-    is first reached from itself minus its largest index, the
-    lexicographically first of its parents.  The key is the frozenset of contracted original edge indices:
+    parents.  The key is the frozenset of contracted original edge indices:
     the graph a set produces does not depend on the contraction order, so
     sequences collapse onto their underlying sets and every nested sum over
-    sequences becomes one walk.  children[j] is the position of the node
-    that contracting the node graph's edge j reaches, None at a self-loop;
-    the deepest nodes have none.  The root's graph is None: it is g, and
-    the lattice lives in g's memo, where a node holding g would keep g in a
-    reference cycle.  Raises TooLarge when the lattice has more than
-    LATTICE_NODE_CAP nodes; the refusal is memoized like the lattice.
+    sequences becomes one walk.  Within a depth the keys come in
+    lexicographic order of their sorted indices: a node appends its
+    children in edge order, and a key is first reached from itself minus
+    its largest index, the lexicographically first of its parents.
+    children[j] is the position of the node that contracting the node
+    graph's edge j reaches, None at a self-loop; the deepest nodes have
+    none.  The root's graph is None: it is g, and the lattice lives in g's
+    memo, where a node holding g would keep g in a reference cycle.  Raises
+    TooLarge when the lattice has more than LATTICE_NODE_CAP nodes; the
+    refusal is memoized like the lattice.
     """
     lattice = _lattice(g)
     if isinstance(lattice, str):
