@@ -15,10 +15,9 @@ then adds the other a-b conductances and the recorded fills of that entry
 in the order its own reduction would (_pair_stars): the same bits as one
 reduction per edge.  closed_form alone picks the route.  On the all-GTH
 route (graphs under RANK_ONE_MIN_VERTICES, or where no edge passes the
-closed form's guard) the reductions run on the graph's loopless core
-(graphs.loopless_core) and are memoized there (_core_arms): loops carry no
-current, so graphs that differ only in self-loops, such as the
-contractions of parallel twins, share them bit for bit.
+closed form's guard) every non-loop, non-bridge edge is reduced this way
+on the graph itself (_gth_stars), as the closed-form route does for the
+edges its guard rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
@@ -56,7 +55,7 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .errors import SingularSystem
-from .graphs import MetrizedGraph, graph_memo, loopless_core
+from .graphs import MetrizedGraph, graph_memo
 
 # Largest normwise relative residual ||A X - I|| / (||A|| ||X||) accepted
 # from any inverse.
@@ -265,21 +264,6 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> dict[int, tupl
     return stars
 
 
-@graph_memo
-def _core_arms(core: MetrizedGraph, base: int) -> tuple:
-    """Star arms toward base of every edge of a loopless core, by edge; None at bridges.
-
-    Held in the core's memo, so every graph with this core (graphs that
-    differ only in self-loops) shares the reductions.  Loops carry no
-    current and _conductances, _pair_stars and _eliminate never read one,
-    so these are the bits a reduction of the graph itself gives.
-    """
-    bridges = core.bridges()
-    routed = [i for i in range(core.edge_count) if i not in bridges]
-    stars = _gth_stars(core, base, routed) if routed else {}
-    return tuple(stars.get(i) for i in range(core.edge_count))
-
-
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     """Effective resistance between two vertices of the (connected) graph.
 
@@ -372,25 +356,25 @@ class EdgeColumns(NamedTuple):
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
-    One branch per route (closed_form).  On the all-GTH route every
-    non-loop edge reads its arms from the loopless core's memo
-    (_core_arms, None at bridges), in edge order, and the columns are
+    One branch per route (closed_form).  On either route the edges left to
+    GTH are reduced onto {a, b, base}, one reduction per endpoint pair
+    (_gth_stars), and their R is the sum of their two arms.  On the all-GTH
+    route these are all the non-loop, non-bridge edges, and the columns are
     tuples of Python floats: numpy is not even imported.  On the
     closed-form route the columns are float64 arrays: each edge that passed
     the guard takes R from the graph's closed-form data and its arm gap from
     one gather of row K[base]: arm_first = (R + gap) / 2 and
     arm_second = R - arm_first.  A self-loop's R is 0, so the same
-    arithmetic gives its arms 0.  The edges the guard left to GTH are
-    reduced onto {a, b, base}, one reduction per endpoint pair
-    (_pair_stars), and their R is the sum of their two arms.
+    arithmetic gives its arms 0.
     """
     base = g.check_vertex(base)
     edges = g.edges
     data = closed_form(g)
     if data is None:
-        nan = (float("nan"),) * 2  # at bridges, where the core has no star
-        stars = iter(_core_arms(loopless_core(g), base))
-        arms = [(0.0, 0.0) if a == b else next(stars) or nan for a, b, _ in edges]
+        bridges = g.bridges()
+        stars = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridges])
+        nan = (float("nan"),) * 2  # at bridges, which have no star
+        arms = [(0.0, 0.0) if a == b else stars.get(i, nan) for i, (a, b, _) in enumerate(edges)]
         arm_first, arm_second = zip(*arms) if arms else ((), ())
         return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
     R, K, a_of, b_of, scale, spread, gth = data

@@ -40,6 +40,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CONJECTURE = 3
 
+# fuzz refuses larger --max-v and --max-e: the generator builds lists of
+# that many entries and the catalog's cost grows with the edge count.  One
+# case at the caps (100 vertices, 300 edges, random_connected_multigraph
+# with each draw at its upper end) ran verify_all and lower_bounds in 4.7 s
+# at 289 MB peak RSS on a 2-core x86-64 box; the slowest case seen under
+# the caps, 100 vertices and 150 edges, took 24.5 s at 80 MB.
+FUZZ_MAX_VERTICES = 100
+FUZZ_MAX_EDGES = 300
+
 
 # -- graph file format -------------------------------------------------------
 
@@ -212,11 +221,15 @@ def cmd_fuzz(args) -> int:
 
     # The report echoes these, so a value the generator would silently
     # clamp or exceed (or a negative count that runs nothing) is refused
-    # instead.  Every case plants a spanning tree of up to max_v - 1 edges.
-    for flag, value, least in (("--count", args.count, 0), ("--max-v", args.max_v, 2),
-                               ("--max-e", args.max_e, args.max_v - 1)):
+    # instead, and so is a size past its cap, before anything is generated.
+    # Every case plants a spanning tree of up to max_v - 1 edges.
+    for flag, value, least, most in (("--count", args.count, 0, math.inf),
+                                     ("--max-v", args.max_v, 2, FUZZ_MAX_VERTICES),
+                                     ("--max-e", args.max_e, args.max_v - 1, FUZZ_MAX_EDGES)):
         if value < least:
             raise ParseError(f"{flag}={value} must be >= {least}")
+        if value > most:
+            raise ParseError(f"{flag}={value} must be <= {most}")
     rng = random.Random(args.seed)
     worst_residual = 0.0
     worst_slack = math.inf

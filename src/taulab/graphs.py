@@ -21,27 +21,18 @@ data, the profile at each base, the contraction lattice and the surgeries
 the identity catalog reads.  So whatever is computed for a graph lives
 exactly as long as the graph, and a surgery's result is held by its
 parent's memo.  An equal graph built a second time starts with an empty
-memo.  Surgeries whose bridges follow from their parent's seed the
-result's memo with them (graph_memo's seed): contractions, doubled graphs
-and loopless cores.  Parsed graphs, deletions and gluings run the
-depth-first pass.
-
-One table is shared across graphs: _CORES interns loopless cores
-(loopless_core), each graph's non-loop edges on its vertices, by value.
-The circuit layer memoizes its GTH star arms on the core, so graphs that
-differ only in self-loops reduce once.  The table holds its cores weakly:
-a core lives only while a live graph holds it in its memo (or is that
-core), so the table never outgrows the live graphs.
+memo, and no table is shared across graphs.  Surgeries whose bridges
+follow from their parent's seed the result's memo with them (graph_memo's
+seed): contractions and doubled graphs.  Parsed graphs, deletions and
+gluings run the depth-first pass.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -131,6 +122,8 @@ class MetrizedGraph:
 
     def check_edge(self, i: int) -> int:
         i = _index(i, BadEdgeIndex, "edge index")
+        if not self.edges:
+            raise BadEdgeIndex(f"edge {i}: the graph has no edges")
         if not (0 <= i < len(self.edges)):
             raise BadEdgeIndex(f"edge {i} outside 0..{len(self.edges) - 1}")
         return i
@@ -240,46 +233,6 @@ def graph_memo(fn: Callable) -> Callable:
     return memoized
 
 
-# -- loopless cores ------------------------------------------------------------
-
-# (vertex_count, non-loop edges) -> the core with exactly those fields.  The
-# values are weak: a core lives while a graph's memo holds it or while it is
-# itself a live graph without loops.
-_CORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def loopless_core(g: MetrizedGraph) -> MetrizedGraph:
-    """g without its self-loops: same vertices, the non-loop edges in edge order.
-
-    Value-equal cores are one object, interned in _CORES, so graphs that
-    differ only in their loops (the twins of a contracted parallel edge
-    turn into loops) share whatever is memoized on their core.  A graph
-    without loops is its own core when no equal core is interned yet; every
-    other graph holds its core in its memo, which keeps the core alive.
-    """
-    core = g._memo.get(loopless_core)
-    if core is not None:
-        return core
-    kept = tuple(edge for edge in g.edges if edge[0] != edge[1])
-    key = (g.vertex_count, kept)
-    core = _CORES.get(key)
-    if core is None:
-        if len(kept) == len(g.edges):
-            _CORES[key] = g
-            return g
-        core = _CORES[key] = MetrizedGraph._unchecked(g.vertex_count, kept)
-    if core is not g:
-        g._memo[loopless_core] = core
-        # Deleting loops changes no bridge.  A bridge is no loop, so it moves
-        # down by the number of loops up to it.
-        bridges = g.bridges()
-        if bridges:
-            loops = list(accumulate(a == b for a, b, _ in g.edges))
-            bridges = frozenset(i - loops[i] for i in bridges)
-        _bridge_ids.seed(core, bridges)
-    return core
-
-
 # -- connectivity helpers (shared with the transforms) ------------------------
 
 
@@ -324,8 +277,8 @@ def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
     its upper end: low[child] > disc[parent].  Self-loops are skipped.
 
     Surgeries whose bridges follow from their parent's hand them down
-    through _bridge_ids.seed instead of running this pass: contract_edge,
-    double_adjusted and loopless_core.
+    through _bridge_ids.seed instead of running this pass: contract_edge
+    and double_adjusted.
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

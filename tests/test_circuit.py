@@ -7,14 +7,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taulab import circuit, graphs, invariants
+from taulab import circuit, invariants
 from taulab.circuit import all_edge_circuit_data, effective_resistance
 from taulab.cli import serialize_graph
 from taulab.errors import DisconnectedGraph
@@ -352,15 +351,9 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
 def test_near_bridge_takes_the_gth_route(monkeypatch):
     routed = set()
     pair_stars = circuit._pair_stars
-    graph = None
 
     def counting(cond, edges, parallel, wanted, base):
-        # On the all-GTH route the reductions run on the loopless core,
-        # whose edge j is the graph's j-th non-loop edge.
-        ids = range(len(edges))
-        if len(edges) < graph.edge_count:
-            ids = [i for i, (a, b, _) in enumerate(graph.edges) if a != b]
-        routed.update(ids[j] for j in wanted)
+        routed.update(wanted)
         return pair_stars(cond, edges, parallel, wanted, base)
 
     monkeypatch.setattr(circuit, "_pair_stars", counting)
@@ -494,6 +487,28 @@ def test_numpy_and_the_column_builder_stay_in_their_layers():
     assert readers == {("invariants.py", "import"), ("invariants.py", "_profile_at")}
     # The guard's epsilon is numpy's, bit for bit, without importing numpy.
     assert circuit._EPS == np.finfo(float).eps
+
+
+def test_every_memo_lives_with_its_graph():
+    # One memo layer: what is cached is held by a graph (graph_memo, or a
+    # cached_property of MetrizedGraph), so no module keeps a table of its
+    # own through weakref or functools' lru_cache and cache.
+    caches = {"lru_cache", "cache"}
+    for name, tree in package_sources().items():
+        functools_names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name.split(".")[0] != "weakref", name
+                    if alias.name == "functools":
+                        functools_names.add(alias.asname or alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "weakref", name
+                if node.module == "functools":
+                    assert not caches & {alias.name for alias in node.names}, name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id in functools_names and node.attr in caches), name
 
 
 def run_fresh(code, *args):
@@ -772,33 +787,6 @@ def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
                 assert np.isfinite(column[~bridge]).all(), (g.edges, base)
 
 
-def test_shared_cores_give_the_bits_of_a_fresh_reduction(monkeypatch):
-    # Contracting one of several parallel edges turns its twins into loops,
-    # so the contractions below share loopless cores with one another and
-    # with loop-free graphs.  Every graph's columns and profile, at every
-    # base, must equal those of a fresh copy reduced with an empty core
-    # table (NaN-aware at bridges: the columns are compared as bytes).
-    family = []
-    for g in wide_spread_multigraphs(random.Random(5050), 80):
-        family.append(g)
-        family += [invariants._contract(g, i) for i, (a, b, _) in enumerate(g.edges) if a != b]
-    assert any(g.bridges() for g in family)
-    assert sum(a == b for g in family for a, b, _ in g.edges) > 300
-    got = [[([np.asarray(c).tobytes() for c in all_edge_circuit_data(g, p)], invariants.graph_profile(g, p))
-            for p in range(g.vertex_count)] for g in family]
-    cores = [graphs.loopless_core(g) for g in family]
-    assert len(family) - len({id(core) for core in cores}) > 150
-    for g, rows in zip(family, got):
-        monkeypatch.setattr(graphs, "_CORES", weakref.WeakValueDictionary())
-        fresh = MetrizedGraph(g.vertex_count, g.edges)
-        for p, (columns, prof) in enumerate(rows):
-            assert columns == [np.asarray(c).tobytes() for c in all_edge_circuit_data(fresh, p)], (g.edges, p)
-            again = invariants.graph_profile(fresh, p)
-            assert prof == again, (g.edges, p)
-            assert prof.weight_resistance == again.weight_resistance, (g.edges, p)
-            assert prof.weight_length == again.weight_length, (g.edges, p)
-
-
 def test_two_vertex_cores_mirror_their_bases_bit_for_bit():
     # Nothing is eliminated on two vertices, so each edge's star toward
     # base 1 is its star toward base 0 reversed, in the same bits.
@@ -807,9 +795,9 @@ def test_two_vertex_cores_mirror_their_bases_bit_for_bit():
         edges = [(0, 1) if rng.random() < 0.5 else (1, 0) for _ in range(rng.randint(1, 6))]
         edges += [(p, p) for p in (0, 1) if rng.random() < 0.5]
         g = build_graph(2, [(a, b, 10.0 ** rng.uniform(-8.0, 8.0)) for a, b in edges])
-        core = graphs.loopless_core(g)
-        mirrored = tuple(None if star is None else star[::-1] for star in circuit._core_arms(core, 0))
-        assert repr(circuit._core_arms(core, 1)) == repr(mirrored), g.edges
+        toward_0, toward_1 = all_edge_circuit_data(g, 0), all_edge_circuit_data(g, 1)
+        assert repr(toward_1) == repr(toward_0._replace(arm_first=toward_0.arm_second,
+                                                        arm_second=toward_0.arm_first)), g.edges
 
 
 def test_profile_columns_are_read_only_and_outside_eq_and_repr():

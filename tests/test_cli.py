@@ -314,6 +314,30 @@ def test_fuzz_arguments_must_be_in_range(capsys):
     assert report["cases"][0]["vertices"] == 2
 
 
+def test_fuzz_refuses_sizes_past_its_caps_before_generating(capsys, monkeypatch):
+    # The generator is replaced, so a refusal that came too late would show
+    # as a call instead of allocating lists of a billion entries.
+    asked = []
+    bouquet = cli.parse_graph("graph 1\nedge 0 0 1.0\nedge 0 0 2.5\n")
+
+    def generator(rng, max_v, max_e):
+        asked.append((max_v, max_e))
+        return bouquet
+
+    monkeypatch.setattr(cli.fuzzing, "random_connected_multigraph", generator)
+    v_cap, e_cap = cli.FUZZ_MAX_VERTICES, cli.FUZZ_MAX_EDGES
+    for flag, sizes in (("--max-e", (3, 300_000_000)), ("--max-v", (v_cap + 1, e_cap)),
+                        ("--max-v", (10 ** 9, 10 ** 9)), ("--max-e", (v_cap, e_cap + 1))):
+        argv = ["fuzz", "--count", "1", "--max-v", str(sizes[0]), "--max-e", str(sizes[1])]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), sizes
+        assert err.startswith(f"taulab: {flag}=") and "must be <=" in err, (sizes, err)
+    assert asked == []
+    code, out, _ = run(capsys, ["fuzz", "--count", "1", "--max-v", str(v_cap), "--max-e", str(e_cap)])
+    assert code == 0
+    assert asked == [(v_cap, e_cap)]
+
+
 def test_transform_contract(tmp_path, capsys):
     path = write(tmp_path, TRIANGLE_TEXT)
     code, out, _ = run(capsys, ["transform", path, "--op", "contract", "--edge", "0"])
@@ -386,6 +410,11 @@ def test_transform_errors_exit_2(tmp_path, capsys):
     path = write(tmp_path, "graph 2\nedge 0 1 1.0\n", "bridge.graph")
     code, _, err = run(capsys, ["transform", path, "--op", "delete", "--edge", "0"])
     assert code == 2
+    # an edge of a graph that has none
+    path = write(tmp_path, "graph 1\n", "point.graph")
+    code, out, err = run(capsys, ["transform", path, "--op", "identify", "--edge", "0"])
+    assert (code, out) == (2, "")
+    assert err == "taulab: edge 0: the graph has no edges\n"
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -15,7 +15,7 @@ from taulab.errors import (
 )
 from taulab.circuit import effective_resistance
 from taulab.fuzzing import named_corpus, random_connected_multigraph
-from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels, loopless_core
+from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels
 from taulab.identities import verify_all
 from taulab.invariants import contraction_lattice, lattice_refusal, tau, tau_oracle_contraction, tau_oracle_integral
 from taulab.transforms import contract_edge, double_adjusted
@@ -245,7 +245,7 @@ def handed_down(g):
     return found
 
 
-def test_contractions_doublings_and_cores_hand_down_the_bridges_a_fresh_pass_finds(report_graphs):
+def test_contractions_and_doublings_hand_down_the_bridges_a_fresh_pass_finds(report_graphs):
     checked = collections.Counter()
     for g in report_graphs + list(named_corpus().values()):
         nodes = [g]
@@ -257,10 +257,6 @@ def test_contractions_doublings_and_cores_hand_down_the_bridges_a_fresh_pass_fin
                 assert handed_down(c) == fresh_bridges(c)
                 checked["contraction"] += 1
             assert handed_down(double_adjusted(h)) == frozenset()
-            core = loopless_core(h)
-            if core is not h:
-                assert handed_down(core) == fresh_bridges(core)
-                checked["core"] += 1
             checked["lattice node"] += 1
     assert min(checked.values()) >= 500, checked
 
@@ -269,7 +265,7 @@ def test_contractions_doublings_and_cores_hand_down_the_bridges_a_fresh_pass_fin
 # builds it through MetrizedGraph._unchecked.
 BUILDERS = {
     "contract_edge": "contraction", "delete_edge": "deletion", "identify_points": "gluing",
-    "double_adjusted": "doubling", "loopless_core": "core", "subdivide": "subdivision",
+    "double_adjusted": "doubling", "subdivide": "subdivision",
 }
 
 
@@ -299,7 +295,7 @@ def test_verify_all_runs_the_bridge_pass_only_where_nothing_is_handed_down(monke
     assert g.is_bridgeless()
     verify_all(g)
     passes = graphs._bridge_ids.cache_info().misses - misses
-    assert min(built[kind] for kind in ("contraction", "doubling", "core", "deletion", "gluing")) > 0, built
+    assert min(built[kind] for kind in ("contraction", "doubling", "deletion", "gluing")) > 0, built
     assert passes == built["parsed"] + built["deletion"] + built["gluing"], built
 
 
