@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import invariants
 from .cuts import edge_connectivity, is_infinite, vertex_connectivity
-from .errors import BridgePresent, TooLarge, TooSmall
+from .errors import BridgePresent, TooSmall
 from .graphs import MetrizedGraph
 
 __all__ = [
@@ -41,21 +41,14 @@ def N_of(g: MetrizedGraph) -> int:
     """Minimum parallel-edge count over all full contractions to 2 vertices.
 
     This equals edge_connectivity(g), but is computed by exhaustive
-    enumeration of contraction outcomes rather than by max-flow.
+    enumeration of contraction outcomes rather than by max-flow.  Raises
+    TooLarge when the contraction lattice is over its node cap.
     """
     if g.vertex_count < 2:
         raise TooSmall("parallel-class minimum needs at least 2 vertices")
-    cap = invariants.ORACLE_VERTEX_CAP
-    if g.vertex_count > cap:
-        raise TooLarge(f"parallel-class enumeration is capped at {cap} vertices")
     if not g.is_bridgeless():
         raise BridgePresent("parallel-class minimum expects a bridgeless graph")
-    best = None
-    for _, graph in invariants.admissible_leaf_nodes(g):
-        count, _ = invariants.banana_stats(graph)
-        if best is None or count < best:
-            best = count
-    return best
+    return min(invariants.banana_stats(graph)[0] for _, graph in invariants.admissible_leaf_nodes(g))
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from typing import Iterable
 from . import cuts, invariants
 from .errors import BadTolerance, NotApplicable, UnknownIdentityId
 from .graphs import MetrizedGraph, graph_memo
-from .invariants import NESTED_VERTEX_CAP, _contract, _da, _delete, _loopify
+from .invariants import _contract, _da, _delete, _loopify
 
 DEFAULT_TOL = 1e-9
 
@@ -125,6 +125,13 @@ def _some_edge(g):
 
 def _normalized(g):
     return None if abs(g.total_length - 1.0) <= 1e-9 else "requires total length 1 (normalize first)"
+
+
+# The nested rows stop here for accuracy, not cost: their sums scale by up
+# to (v - 2)!, against a residual floor of 1.  Uncapped, SUCC_XY on
+# random-length cycles left residuals of 2e-13 at 7 vertices, 1.6e-11 at 9
+# and 3.1e-7 at 12, where 6 of 6 failed.
+NESTED_VERTEX_CAP = 6
 
 
 def _nested_cap(g):

@@ -24,7 +24,6 @@ contracts edges down to two-vertex graphs with a closed form.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -43,16 +42,11 @@ from .graphs import MetrizedGraph, _index, graph_memo
 
 BASE_AGREEMENT_TOL = 1e-9
 
-# Cost caps for walks of the contraction lattice, whose size grows
-# exponentially with the vertex count: the nested contraction sums stop at
-# NESTED_VERTEX_CAP vertices, the exhaustive oracles (the contraction oracle
-# for tau, the parallel-class minimum N) at ORACLE_VERTEX_CAP.
-NESTED_VERTEX_CAP = 6
-ORACLE_VERTEX_CAP = 7
-# The node count of the lattice grows as the edge multiplicity to the power
-# v - 2, so the vertex caps alone do not bound it: the lattice builder stops
-# before it would make node LATTICE_NODE_CAP + 1, and refuses at once a
-# graph whose edge counts alone force more nodes than that.  K6 has
+# The one size guard of every walk of the contraction lattice, whose node
+# count grows exponentially with the vertex count and as the edge
+# multiplicity to the power v - 2: the builder stops before it would make
+# node LATTICE_NODE_CAP + 1.  The 2^(v-1) - 1 subsets of one spanning tree
+# are always nodes, so an accepted lattice has at most 13 vertices.  K6 has
 # 1,636 nodes (verify_all 0.4 s) and the largest lattice of the benchmark's
 # catalog graphs 603; K6 with every pair doubled has 21,211 (unguarded,
 # verify_all took 21 s and 190 MB) and tripled 100,216.
@@ -391,28 +385,17 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
     """contraction_lattice(g), or the reason it is refused.
 
     The only function that forms keys.  The nodes are the forests of at
-    most v - 2 non-loop edges (links).  Two lower bounds on their number
-    refuse a lattice before any contraction: the nodes of depth at most
-    min(2, v - 2), which are the root, one per link and one per two links
-    that are not parallel (two such links always form a forest); and the
-    2^(v-1) - 1 subsets of one spanning tree.  Otherwise the keys are
-    walked first, each with a label per vertex of g, the lowest vertex of
-    its block, so an edge is a loop at a node when its two ends share a
-    label; the walk stops before it would make node LATTICE_NODE_CAP + 1,
-    and a refused lattice builds no graph.  An accepted one then builds
-    each node's graph from the node that first reached it.  The root's
-    children are g's memoized contractions (_contract), which the catalog
-    reads too; the deeper nodes are held by the lattice alone.
+    most v - 2 non-loop edges.  The keys are walked first, each with a
+    label per vertex of g, the lowest vertex of its block, so an edge is a
+    loop at a node when its two ends share a label; the walk stops before
+    it would make node LATTICE_NODE_CAP + 1, and a refused lattice builds
+    no graph.  An accepted one then builds each node's graph from the node
+    that first reached it.  The root's children are g's memoized
+    contractions (_contract), which the catalog reads too; the deeper nodes
+    are held by the lattice alone.
     """
     v = g.vertex_count
     depth = max(0, v - 2)
-    multiplicity = Counter((min(a, b), max(a, b)) for a, b, _ in g.edges if a != b)
-    links = sum(multiplicity.values())
-    # Nodes at depth 0, 1 and 2; the lattice holds those up to its own depth.
-    by_depth = (1, links, math.comb(links, 2) - sum(math.comb(k, 2) for k in multiplicity.values()))
-    at_least = max(sum(by_depth[:depth + 1]), 2 ** (v - 1) - 1)
-    if at_least > LATTICE_NODE_CAP:
-        return f"contraction lattice has at least {at_least} nodes, capped at {LATTICE_NODE_CAP}"
     # Each node: its key, its vertex labels, and the parent position and
     # the parent's edge whose contraction first reached it.
     found = [(frozenset(), tuple(range(v)), None, None)]
@@ -515,15 +498,14 @@ def w_of(g: MetrizedGraph) -> float:
 
 
 def w_nested(g: MetrizedGraph) -> float:
-    """w evaluated from its defining nested sum (exponential; capped at NESTED_VERTEX_CAP).
+    """w evaluated from its defining nested sum, one walk of the contraction lattice.
 
     Averages, over all admissible contraction sequences, the sum of
-    L^3/(L+R)^2 over the edges of the final two-vertex graph.
+    L^3/(L+R)^2 over the edges of the final two-vertex graph.  Raises
+    TooLarge when the lattice has more than LATTICE_NODE_CAP nodes.
     """
     if not g.is_bridgeless():
         raise BridgePresent("w is only defined on bridgeless graphs")
-    if g.vertex_count > NESTED_VERTEX_CAP:
-        raise TooLarge(f"nested form of w is capped at {NESTED_VERTEX_CAP} vertices")
     if g.vertex_count < 2:
         raise TooSmall("nested form of w needs at least 2 vertices")
 
@@ -585,11 +567,10 @@ def tau_oracle_contraction(g: MetrizedGraph) -> float:
 
     For three or more vertices, tau is the weighted average of the tau values
     of all single-edge contractions (weight R/(L+R)) minus z/12, scaled by
-    1/(v-2).  The x/y formulas are never consulted.  Exponential in the
-    vertex count, hence capped at ORACLE_VERTEX_CAP vertices.
+    1/(v-2).  The x/y formulas are never consulted.  One walk of the
+    contraction lattice: raises TooLarge when it has more than
+    LATTICE_NODE_CAP nodes.
     """
-    if g.vertex_count > ORACLE_VERTEX_CAP:
-        raise TooLarge(f"contraction oracle is capped at {ORACLE_VERTEX_CAP} vertices")
     lattice = contraction_lattice(g)
     values = [0.0] * len(lattice)
     for at in reversed(range(len(lattice))):

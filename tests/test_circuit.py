@@ -457,6 +457,26 @@ def test_only_the_lattice_builder_knows_its_nodes():
     assert not any(forms_a_key(node) for node in others)
 
 
+def test_the_lattice_has_one_size_guard():
+    # Every walk of the contraction lattice is guarded by the builder's node
+    # count alone: only invariants._lattice reads LATTICE_NODE_CAP, beside
+    # its definition; NESTED_VERTEX_CAP, an accuracy cap of the nested
+    # rows, lives in identities; and no vertex cap for the oracles is left.
+    sources = package_sources()
+    readers = set()
+    for name, tree in sources.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "LATTICE_NODE_CAP" in named(node.targets[0]):
+                continue
+            if "LATTICE_NODE_CAP" in named(node):
+                readers.add((name, getattr(node, "name", None)))
+        assert "ORACLE_VERTEX_CAP" not in named(tree), name
+        if name != "identities.py":
+            assert "NESTED_VERTEX_CAP" not in named(tree), name
+    assert readers == {("invariants.py", "_lattice")}
+    assert "NESTED_VERTEX_CAP" in named(sources["identities.py"])
+
+
 def test_numpy_and_the_column_builder_stay_in_their_layers():
     # Only the circuit and the invariants import numpy, inside the functions
     # that use it and never at module level, and the per-edge columns are

@@ -490,8 +490,11 @@ def test_minimum_leaf_width_preconditions(path2):
         N_of(path2)
     with pytest.raises(TooSmall):
         N_of(build_graph(1, [(0, 0, 1.0)]))
-    ring = build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
-    with pytest.raises(TooLarge):
+    # The 8-ring's lattice has 247 nodes; the 14-ring's 2^13 - 1
+    # spanning-tree subsets alone pass the node cap.
+    assert N_of(build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])) == 2
+    ring = build_graph(14, [(i, (i + 1) % 14, 1.0) for i in range(14)])
+    with pytest.raises(TooLarge, match="more than 5000 nodes"):
         N_of(ring)
 
 

@@ -318,7 +318,7 @@ def test_nested_identities_respect_size_cap():
 
 
 def test_nested_identities_skip_a_lattice_over_its_node_cap():
-    # K6 with every pair tripled: 6 vertices, under the vertex cap, but
+    # K6 with every pair tripled: 6 vertices, under NESTED_VERTEX_CAP, but
     # 100,216 lattice nodes.  The build stops at the node cap.
     k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     g = build_graph(6, [(a, b, 1.0 + 0.125 * copy) for a, b in k6 for copy in range(3)])

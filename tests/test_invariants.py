@@ -8,9 +8,14 @@ import time
 import pytest
 
 from taulab import fuzzing, invariants, transforms
-from taulab.connectivity import N_of
+from taulab.connectivity import N_of, edge_connectivity
 from taulab.errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
-from taulab.fuzzing import named_corpus, random_bridgeless_multigraph, random_connected_multigraph
+from taulab.fuzzing import (
+    named_corpus,
+    random_bridgeless_multigraph,
+    random_connected_multigraph,
+    random_length,
+)
 from taulab.graphs import MetrizedGraph, build_graph
 from taulab.invariants import (
     A_pq,
@@ -349,9 +354,42 @@ def test_contraction_oracle_bits_are_pinned(report_graphs):
 
 
 def test_contraction_oracle_size_cap():
-    big = build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
-    with pytest.raises(TooLarge):
+    ring = build_graph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
+    assert tau_oracle_contraction(ring) == pytest.approx(tau(ring), rel=1e-12)
+    big = build_graph(14, [(i, (i + 1) % 14, 1.0) for i in range(14)])
+    with pytest.raises(TooLarge, match="more than 5000 nodes"):
         tau_oracle_contraction(big)
+
+
+def exhaustive_walks_agree(g):
+    """The three lattice walks against their closed routes on one graph."""
+    assert tau_oracle_contraction(g) == pytest.approx(tau(g), rel=1e-12, abs=0.0), g.edges
+    assert N_of(g) == edge_connectivity(g), g.edges
+    assert w_nested(g) == pytest.approx(w_of(g), rel=1e-12, abs=0.0), g.edges
+
+
+def test_exhaustive_walks_reach_every_lattice_under_the_node_cap():
+    # The node count is the walks' only size guard.  The lattice of the
+    # n-cycle holds its 2^n - 1 - n edge sets of at most n - 2 edges: 1,013
+    # at n = 10, 4,083 at n = 12 and 16,369 at n = 14.
+    rng = random.Random(0)
+    for n in range(7, 13):
+        exhaustive_walks_agree(build_graph(n, [(i, (i + 1) % n, random_length(rng)) for i in range(n)]))
+    ring = build_graph(10, [(i, (i + 1) % 10, 1.0) for i in range(10)])
+    assert len(invariants.contraction_lattice(ring)) == 1013
+    exhaustive_walks_agree(ring)
+    ring = build_graph(14, [(i, (i + 1) % 14, 1.0) for i in range(14)])
+    for walk in (tau_oracle_contraction, N_of, w_nested):
+        with pytest.raises(TooLarge, match="more than 5000 nodes"):
+            walk(ring)
+    # Random bridgeless multigraphs of 7 or more vertices whose lattices
+    # the cap accepts.
+    accepted = 0
+    while accepted < 50:
+        g = random_bridgeless_multigraph(rng, 12, 15)
+        if g.vertex_count >= 7 and invariants.lattice_refusal(g) is None:
+            exhaustive_walks_agree(g)
+            accepted += 1
 
 
 # -- the per-graph memo ----------------------------------------------------------
@@ -463,8 +501,8 @@ def test_the_guard_refuses_exactly_the_lattices_over_the_cap():
 
 
 def test_the_build_stops_one_node_past_the_cap():
-    # Two multigraphs on K5's pairs with 5,000 and 5,001 forests; both pass
-    # the edge-count bounds, so the build alone decides.
+    # Two multigraphs on K5's pairs with 5,000 and 5,001 forests: the
+    # build accepts the first and stops at the last node of the second.
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     at_cap = (5, 4, 4, 5, 0, 3, 4, 5, 3, 2)
     past_cap = (5, 3, 1, 2, 5, 5, 5, 2, 3, 4)
@@ -481,25 +519,27 @@ def test_the_build_stops_one_node_past_the_cap():
 
 
 def test_edge_counts_alone_refuse_a_lattice(monkeypatch):
+    # Graphs whose edge counts alone force more than 5,000 nodes: the key
+    # walk refuses each at its node cap, fast and before any contraction.
     def must_not_run(g, i):
-        raise AssertionError("contracted an edge of a lattice the edge counts refuse")
+        raise AssertionError("contracted an edge of a refused lattice")
 
     monkeypatch.setattr(transforms, "contract_edge", must_not_run)
     monkeypatch.setattr(invariants, "_contract", must_not_run)
-    cases = {
+    cases = (
         # 2^19 - 1 subsets of one spanning tree
-        "at least 524287 nodes": build_graph(20, [(i, (i + 1) % 20, 1.0) for i in range(20)]),
+        build_graph(20, [(i, (i + 1) % 20, 1.0) for i in range(20)]),
         # 1 + 3,000 + C(3000, 2) - 15 C(200, 2) nodes of depth at most 2
-        "at least 4203001 nodes": build_graph(
-            6, [(a, b, 1.0) for a in range(6) for b in range(a + 1, 6) for _ in range(200)]
-        ),
+        build_graph(6, [(a, b, 1.0) for a in range(6) for b in range(a + 1, 6) for _ in range(200)]),
         # the root and one node per link
-        "at least 5001 nodes": build_graph(3, [(0, 1, 1.0)] * 2500 + [(1, 2, 1.0)] * 2500),
-    }
-    for message, g in cases.items():
+        build_graph(3, [(0, 1, 1.0)] * 2500 + [(1, 2, 1.0)] * 2500),
+    )
+    for g in cases:
+        start = time.perf_counter()
         assert invariants.lattice_refusal(g) == (
-            f"contraction lattice has {message}, capped at {invariants.LATTICE_NODE_CAP}"
+            "contraction lattice has more than 5000 nodes, capped at 5000"
         )
+        assert time.perf_counter() - start < 0.5, g.edge_count
     # Two vertices contract no further: the root alone, whatever the multiplicity.
     banana = build_graph(2, [(0, 1, 1.0)] * 6000)
     assert invariants.lattice_refusal(banana) is None
@@ -554,8 +594,10 @@ def test_walks_refuse_a_lattice_over_its_node_cap():
         with pytest.raises(TooLarge, match="more than 5000 nodes"):
             walk(g)
     assert time.perf_counter() - start < 1.0
-    # A cycle on 20 vertices is refused from its spanning trees alone.
+    # A cycle on 20 vertices has 2^19 - 1 lattice nodes; the walk stops at the cap.
     ring = build_graph(20, [(i, (i + 1) % 20, 1.0) for i in range(20)])
-    with pytest.raises(TooLarge, match="at least 524287 nodes"):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="more than 5000 nodes"):
         invariants.contraction_lattice(ring)
+    assert time.perf_counter() - start < 0.5
 
