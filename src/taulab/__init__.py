@@ -17,7 +17,6 @@ from .connectivity import (
 from .cuts import INFINITE, edge_connectivity, is_infinite, vertex_connectivity
 from .errors import NotApplicable, ParseError, TauLabError
 from .graphs import MetrizedGraph, build_graph
-from .identities import IdentityReport, identity_ids, verify, verify_all
 from .invariants import (
     A_pq,
     InvariantSet,
@@ -39,6 +38,18 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+# The identity catalog is the package's largest module and most callers
+# never reach it, so its four names load it on first use (PEP 562).
+_IDENTITY_NAMES = frozenset({"IdentityReport", "identity_ids", "verify", "verify_all"})
+
+
+def __getattr__(name: str):
+    if name in _IDENTITY_NAMES:
+        from . import identities
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "A_pq",

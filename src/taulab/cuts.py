@@ -10,12 +10,18 @@ every order.
 
 Most sinks need no flow at all.  Before a flow, the sweep counts short
 disjoint paths from the sources into the sink: the direct ones (the sink's
-attachment) and two-hop detours through one further vertex.  Such a count
-is a lower bound on the flow, so once it reaches the best value the flow
-could not lower that value, and the sink is merged into the sources without
-one.  Each augmenting search grows from both ends, the sources and the
-sink, and always widens the smaller frontier, so the two halves meet near
-the middle of a path instead of one of them exploring half the network.
+attachment), two-hop detours through one further vertex and, while the
+count is still below the best value, longer detours: three hops in the edge
+count, three and then four in the vertex count.  Such a count is a lower
+bound on the flow, so once it reaches the best value the flow could not
+lower that value, and the sink is merged into the sources without one.  The
+longer detours settle the first sinks of a sweep, whose few sources are too
+far away for a two-hop detour.  Vertex-disjoint paths need only a set of
+the vertices already claimed, so that count goes a hop further; longer edge
+paths would need a ledger of the edges each direction took, which is what a
+flow keeps.  Each augmenting search grows from both ends, the sources and
+the sink, and always widens the smaller frontier, so the two halves meet
+near the middle of a path instead of one of them exploring half the network.
 
 Merging a finished sink into the source set stays exact because of a
 merging lemma for each connectivity, stated with its proof in the
@@ -142,20 +148,21 @@ def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int
 
 def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
            merge: Callable[[int], Iterable[tuple[int, int]]],
-           detour: Callable[[int, int], int], best: int) -> int:
+           detour: Callable[[int, int, int], int], best: int) -> int:
     """Run every sink in attach through the capped flow and return the smallest value.
 
     attach maps each pending sink to its number of direct paths from the
-    current sources.  Sinks go in index order.  detour(sink, count) extends
-    the sink's count of direct paths with disjoint two-hop paths.  A sink
-    whose count stays below best gets a flow capped at best; one at or
-    above best cannot improve it and gets none.  Either way merge(sink)
-    then marks it as a source and yields (node, gain) pairs that raise the
-    attachments of the pending sinks it touches.
+    current sources.  Sinks go in index order.  detour(sink, count, best)
+    extends the sink's count of direct paths with disjoint detours, and may
+    stop once the count reaches best.  A sink whose count stays below best
+    gets a flow capped at best; one at or above best cannot improve it and
+    gets none.  Either way merge(sink) then marks it as a source and yields
+    (node, gain) pairs that raise the attachments of the pending sinks it
+    touches.
     """
     for t in sorted(attach):
         count = attach.pop(t)
-        if count < best and detour(t, count) < best:
+        if count < best and detour(t, count, best) < best:
             best = min(best, _flow_into(net, is_source, t, best))
         for u, gain in merge(t):
             if u in attach:
@@ -182,15 +189,28 @@ def edge_connectivity(g: MetrizedGraph) -> int | float:
     pending vertex w let attach(w) count the edges between w and S.  Then
     the flow from S into t is at least
 
-        attach(t) + sum over pending w of min(mult(t, w), attach(w)).
+        attach(t) + sum over pending w of min(mult(t, w), attach(w))
+
+    plus the three-hop paths t-w-y-S that a greedy pass finds.  Each
+    pending neighbour w of t keeps spare(w) = mult(t, w) - min(mult(t, w),
+    attach(w)) edges t-w, and each pending y keeps rem(y), attach(y) less
+    the edges y-S that the two-hop paths and earlier three-hop paths took.
+    For each pending y other than t adjacent to w, the pass adds k =
+    min(spare(w), mult(w, y), rem(y)) paths and lowers spare(w) and rem(y)
+    by k.
 
     Proof: each edge t-S is a path of its own.  Through a pending w, pair
     min(mult(t, w), attach(w)) of the edges t-w with as many edges w-S,
-    one of each per path.  The edges t-w belong to w alone and so do the
-    edges w-S, and none of them is an edge t-S, so all these paths are
-    edge-disjoint, and their number bounds the flow from below.  A sink
-    whose count reaches best has a flow of at least best and is merged
-    without one.
+    one of each per path.  A three-hop path takes a spare edge t-w, an
+    edge w-y and one of the rem(y) edges y-S.  The edges t-w and w-S
+    belong to w alone, spare(w) and rem(y) count only edges that no other
+    path took, none of these edges is an edge t-S, and the pass takes at
+    most mult(w, y) edges w-y for each ordered pair (w, y).  So two paths
+    share an edge only when one runs it w -> y and the other y -> w, and
+    there their flows cancel.  The paths together make a flow from S into
+    t of their number, which bounds the max flow from below.  A sink whose
+    count reaches best has a flow of at least best and is merged without
+    one.
     """
     n = g.vertex_count
     if n == 1:
@@ -213,10 +233,28 @@ def edge_connectivity(g: MetrizedGraph) -> int | float:
         is_source[t] = 1
         return multiplicity[t].items()
 
-    def detour(t: int, count: int) -> int:
-        for w, parallel in multiplicity[t].items():
+    def detour(t: int, count: int, best: int) -> int:
+        near = multiplicity[t]
+        spare = {}
+        for w, parallel in near.items():
             if w in attach:
-                count += min(parallel, attach[w])
+                share = min(parallel, attach[w])
+                count += share
+                if parallel > share:
+                    spare[w] = parallel - share
+        if count >= best:
+            return count
+        rem = {}
+        for w, left in spare.items():
+            for y, parallel in multiplicity[w].items():
+                if y in attach:
+                    free = rem.get(y, attach[y] - min(near.get(y, 0), attach[y]))
+                    k = min(left, parallel, free)
+                    rem[y] = free - k
+                    left -= k
+                    count += k
+                    if count >= best:
+                        return count
         return count
 
     best = min(sum(row.values()) for row in multiplicity)
@@ -269,15 +307,21 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
 
     Path-count lemma: the flow from a sweep's sources into a sink t_in is
     at least the number of t's neighbours in R plus the number of detours
-    t-w-z that a greedy pass finds, with w a neighbour of t outside R and z
-    in R, each z a neighbour of neither t nor an earlier detour's z.
-    Proof: a neighbour z of t in R gives the path s_out -> z_in -> z_out ->
-    t_in, or z_in -> z_out -> t_in when z is a finished sink, through z's
-    split arc alone.  A detour t-w-z adds w's split arc to z's.  Each split
-    arc has capacity 1; the greedy pass uses each w once and each z once,
-    never a direct neighbour's z, and no w is in R.  So the paths share no
-    split arc, their number bounds the flow from below, and a sink whose
-    count reaches best is merged without a flow.
+    that greedy passes find for t's neighbours w outside R.  A detour
+    t-w-...-z has 0, 1 or 2 middle vertices, and each pass, by that number,
+    tries only the ws that the earlier passes left without a detour.  The
+    middle vertices lie outside R and the end z in R; none of them is t or
+    a neighbour of t, and none is claimed by an earlier detour.  Proof: a
+    neighbour z of t in R gives the path s_out -> z_in -> z_out -> t_in, or
+    z_in -> z_out -> t_in when z is a finished sink, through z's split arc
+    alone.  A detour adds the split arcs of w and of its middle vertices to
+    z's.  Each split arc has capacity 1.  The ws are distinct neighbours of
+    t outside R; the middle vertices and ends are not neighbours of t, so
+    none is a w or a direct neighbour, and none is claimed twice.  No middle
+    vertex is s: each follows w or another middle vertex, which lies
+    outside R and so is not a neighbour of s.  So the paths share no split
+    arc, their number bounds the flow from below, and a sink whose count
+    reaches best is merged without a flow.
     """
     n = g.vertex_count
     if n < 2:
@@ -312,17 +356,33 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
             in_r[t_in // 2] = 1
             return ((2 * w, 1) for w in neighbours[t_in // 2])
 
-        def detour(t_in: int, count: int) -> int:
+        def detour(t_in: int, count: int, best: int) -> int:
             direct = neighbours[t_in // 2]
-            taken = set()
-            for w in direct:
-                if in_r[w]:
-                    continue
-                for z in neighbours[w]:
-                    if in_r[z] and z not in direct and z not in taken:
-                        taken.add(z)
-                        count += 1
-                        break
+            claimed = {t_in // 2}
+
+            def reach(u: int, hops: int) -> bool:
+                """Claim a path from u through hops middle vertices outside R to an end in R.
+
+                No vertex of it may be t, a neighbour of t or claimed before.
+                """
+                for y in neighbours[u]:
+                    if y in direct or y in claimed or in_r[y] != (hops == 0):
+                        continue
+                    claimed.add(y)
+                    if hops == 0 or reach(y, hops - 1):
+                        return True
+                    claimed.discard(y)
+                return False
+
+            # Two-, three- and four-hop detours, each pass only for the
+            # neighbours w that the shorter ones left without a path.
+            starts = [w for w in direct if not in_r[w]]
+            for hops in range(3):
+                left = [w for w in starts if not reach(w, hops)]
+                count += len(starts) - len(left)
+                if count >= best:
+                    break
+                starts = left
             return count
 
         attach = {2 * t: sum(in_r[u] for u in neighbours[t]) for t in sinks}

@@ -544,6 +544,18 @@ def test_importing_the_package_and_its_cli_loads_no_numpy():
     run_fresh("import sys, taulab, taulab.cli; assert 'numpy' not in sys.modules")
 
 
+def test_importing_the_package_defers_the_identity_catalog():
+    run_fresh(
+        "import sys, taulab\n"
+        "assert 'taulab.identities' not in sys.modules\n"
+        "from taulab import verify\n"
+        "from taulab.identities import verify as direct\n"
+        "assert verify is direct and taulab.verify_all is sys.modules['taulab.identities'].verify_all\n"
+        "assert {'IdentityReport', 'identity_ids', 'verify', 'verify_all'} <= set(taulab.__all__)\n"
+        "assert not hasattr(taulab, 'no_such_name')\n"
+    )
+
+
 # Run with numpy blocked (None in sys.modules makes every import of it raise
 # ImportError) on the graph files named in argv: the library's profiles at
 # every base, tau and verify_all, then the CLI's verify, invariants and fuzz.

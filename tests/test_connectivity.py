@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -31,6 +32,12 @@ def test_edge_connectivity_known_values(triangle, k4, path2):
     pairs = list(itertools.combinations(range(5), 2)) + [(0, 5), (1, 5), (2, 5)]
     pairs += [pair for pair in itertools.combinations(range(5, 9), 2) for _ in range(2)]
     assert edge_connectivity(unit_graph(9, pairs)) == 3
+    # The cut around {1, 2} crosses 4 edges, below the smallest degree 5.
+    # Sink 1 is swept first and its two-hop detours 1-2-0 and 1-3-0 take
+    # all its edges to 3, so a three-hop count that reused them along
+    # 1-3-4-0 would reach 6 and skip the one flow that finds the cut.
+    pairs = [(1, 2)] * 5 + [(1, 3)] * 2 + [(2, 0)] * 2 + [(3, 0)] * 2 + [(3, 4)] * 2 + [(4, 0)] * 3
+    assert edge_connectivity(unit_graph(5, pairs)) == 4
 
 
 def test_infinite_marker_semantics():
@@ -217,6 +224,7 @@ def test_vertex_connectivity_flow_count_on_mid_size_graphs(monkeypatch):
         calls.append(sink)
         return real(net, is_source, sink, limit)
 
+    flows = 0
     for n in (20, 30, 45, 60):
         g = random_six_regular(rng, n)
         expected = all_pairs_vertex_connectivity(g)
@@ -225,7 +233,11 @@ def test_vertex_connectivity_flow_count_on_mid_size_graphs(monkeypatch):
         monkeypatch.setattr(cuts, "_flow_into", counted)
         assert vertex_connectivity(g) == expected
         monkeypatch.setattr(cuts, "_flow_into", real)
-        assert 0 < len(calls) <= (n - 1 - d) + d * (d - 1) // 2, (n, d, len(calls))
+        assert len(calls) <= (n - 1 - d) + d * (d - 1) // 2, (n, d, len(calls))
+        flows += len(calls)
+    # The path count may settle every sink of a graph (it does at n = 20,
+    # 30 and 45), but not of all four: the counting wrapper must be reached.
+    assert flows > 0
 
 
 def brute_edge_connectivity(g):
@@ -409,9 +421,9 @@ def test_connectivity_matches_references_beyond_nine_vertices():
 
 
 def test_short_paths_settle_most_sinks(monkeypatch):
-    # On random 6-regular graphs the direct paths and two-hop detours into a
-    # sink already reach the best value for most sinks, so fewer than half
-    # of the sinks of either sweep get a flow.
+    # On random 6-regular graphs the direct paths and the detours into a
+    # sink already reach the best value for most sinks, so fewer than a
+    # quarter of the sinks of either sweep get a flow.
     rng = random.Random(8008)
     real = cuts._flow_into
     calls = []
@@ -431,10 +443,66 @@ def test_short_paths_settle_most_sinks(monkeypatch):
         pairs = sum(y not in neighbours[x] for x, y in itertools.combinations(near, 2))
         calls.clear()
         edge_connectivity(g)
-        assert 0 < len(calls) < (n - 1) / 2, (n, len(calls))
+        assert 0 < len(calls) < (n - 1) / 4, (n, len(calls))
         calls.clear()
         vertex_connectivity(g)
-        assert len(calls) < (n - 1 - len(near) + pairs) / 2, (n, len(calls))
+        assert len(calls) < (n - 1 - len(near) + pairs) / 4, (n, len(calls))
+
+
+def two_sided_separator(rng):
+    """Two sides of 3-8 vertices that meet only through 1-4 separator vertices.
+
+    Each side has its own edge density, drawn from 0.4-0.9, and each
+    separator vertex is joined to each side vertex with probability 0.5, so
+    the sides are sparse enough for long detours and the separator may be
+    smaller than every neighbourhood.  Labels are shuffled, so the sweeps
+    meet the separator at any point of their order.  A disconnected draw is
+    drawn again.
+    """
+    while True:
+        sides = [rng.randint(3, 8), rng.randint(3, 8)]
+        separator = rng.randint(1, 4)
+        n = separator + sum(sides)
+        pairs, start = [], separator
+        for size in sides:
+            density = rng.uniform(0.4, 0.9)
+            side = range(start, start + size)
+            pairs += [(a, b) for a, b in itertools.combinations(side, 2) if rng.random() < density]
+            pairs += [(x, u) for x in range(separator) for u in side if rng.random() < 0.5]
+            start += size
+        order = list(range(n))
+        rng.shuffle(order)
+        try:
+            return unit_graph(n, [(order[a], order[b]) for a, b in pairs])
+        except DisconnectedGraph:
+            continue
+
+
+def test_detour_counts_on_two_sided_separators():
+    # A detour count that shares a split arc or an edge between two of its
+    # paths can reach the best value on a sink whose flow is below it, and
+    # then the flow that finds the cut never runs.  Each pinned draw below
+    # caught such a count when the check named beside it was left out; the
+    # digest pins the draw's edges.
+    caught = {
+        (1, 0): "e12fd5b8e9492e6e",   # an end z claimed twice
+        (1, 5): "23b24231245ea28f",   # a middle vertex next to t
+        (1, 29): "64d2bc7d5a603210",  # an end z next to t, or claimed twice
+        (2, 22): "fa51f449f716b9cd",  # a middle vertex claimed twice
+        (3, 4): "371e52c69d93d3b5",   # rem(y) ignored in the edge count
+    }
+    seen = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for draw in range(30):
+            g = two_sided_separator(rng)
+            kappa, lam = vertex_connectivity(g), edge_connectivity(g)
+            assert kappa == all_pairs_vertex_connectivity(g), (seed, draw)
+            assert lam == pairwise_edge_connectivity(g), (seed, draw)
+            if (seed, draw) in caught:
+                edges = repr(sorted((a, b) for a, b, _ in g.edges)).encode()
+                seen[seed, draw] = hashlib.sha256(edges).hexdigest()[:16]
+    assert seen == caught
 
 
 def test_each_connectivity_is_computed_once_per_graph(k4):
