@@ -6,7 +6,10 @@ at the best value found so far, and one sink sweep, `_sweep`, which grows
 the source set in the manner of Hao and Orlin (1994): once a sink is
 finished, it becomes a source for every later flow.  The sweep takes the
 sinks in index order.  Any order would be exact: the lemmas below hold for
-every order.
+every order.  A flow runs on a capacity map, one dict of arc capacities per
+node: for the edge count a copy of the multigraph's multiplicity map, for
+the vertex count the split network.  Each flow gets a fresh map, built only
+when the flow runs, so a sweep that runs no flow builds no network.
 
 Most sinks need no flow at all.  Before a flow, the sweep counts short
 disjoint paths from the sources into the sink: the direct ones (the sink's
@@ -52,46 +55,31 @@ def is_infinite(value) -> bool:
     return value == INFINITE
 
 
-# A flow network as flat arc arrays: arc i runs into head[i] with capacity
-# cap[i], its reverse is arc i ^ 1, and out[u] lists the arcs leaving u.
-Network = tuple[list[int], list[int], list[list[int]]]
-
-
-def _add_arc(net: Network, u: int, w: int, forward: int, backward: int) -> None:
-    """Append arc u -> w with capacity forward, then its reverse with capacity backward."""
-    head, cap, out = net
-    out[u].append(len(head))
-    head.append(w)
-    cap.append(forward)
-    out[w].append(len(head))
-    head.append(u)
-    cap.append(backward)
-
-
-def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int:
+def _flow_into(cap: list[dict[int, int]], is_source: bytearray, sink: int, limit: int) -> int:
     """Integer max flow from every node marked in is_source into sink, capped at limit.
 
-    The capacities are copied once per call.  Each augmenting search is a
-    breadth-first search from both ends at once: backwards from the sink
-    along arcs with residual capacity into the reached nodes, and forwards
-    from the sources along arcs with residual capacity out of them, one
-    whole level at a time on whichever side has the smaller frontier.  It
-    stops when the two sides meet.  When either side runs out, the nodes it
-    reached form a closed set that the other side never entered, so no
-    augmenting path is left.
+    cap is a capacity map: cap[u][w] is the capacity of arc u -> w, and
+    every arc's reverse is an entry too, at 0 if the network has no such
+    arc.  The flow is pushed into cap, which is left holding the residual
+    capacities.  Each augmenting search is a breadth-first search from both
+    ends at once: backwards from the sink along arcs with residual capacity
+    into the reached nodes, and forwards from the sources along arcs with
+    residual capacity out of them, one whole level at a time on whichever
+    side has the smaller frontier.  It stops when the two sides meet.  When
+    either side runs out, the nodes it reached form a closed set that the
+    other side never entered, so no augmenting path is left.
     """
-    head, base, out = net
-    cap = base[:]
-    sources = list(compress(range(len(out)), is_source))
-    unreached = [-1] * len(out)
+    sources = list(compress(range(len(cap)), is_source))
+    unreached = [-1] * len(cap)
     for u in sources:
         unreached[u] = -2
     flow = 0
     while flow < limit:
-        # ahead[u] is the arc into u one step nearer a source, back[u] the
-        # arc from u one step nearer the sink; -2 at a root, -1 unreached.
+        # ahead[w] is the node one step before w on a path from a source,
+        # back[u] the node one step after u on a path to the sink; -2 at a
+        # root, -1 unreached.
         ahead = unreached[:]
-        back = [-1] * len(out)
+        back = [-1] * len(cap)
         back[sink] = -2
         forward, backward = sources, [sink]
         meet = -1
@@ -99,10 +87,9 @@ def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int
             grown = []
             if len(backward) <= len(forward):
                 for w in backward:
-                    for i in out[w]:
-                        u = head[i]
-                        if back[u] == -1 and cap[i ^ 1] > 0:
-                            back[u] = i ^ 1
+                    for u in cap[w]:
+                        if back[u] == -1 and cap[u][w] > 0:
+                            back[u] = w
                             if ahead[u] != -1:
                                 meet = u
                                 break
@@ -112,10 +99,9 @@ def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int
                 backward = grown
             else:
                 for u in forward:
-                    for i in out[u]:
-                        w = head[i]
-                        if ahead[w] == -1 and cap[i] > 0:
-                            ahead[w] = i
+                    for w, residual in cap[u].items():
+                        if ahead[w] == -1 and residual > 0:
+                            ahead[w] = u
                             if back[w] != -1:
                                 meet = w
                                 break
@@ -125,29 +111,25 @@ def _flow_into(net: Network, is_source: bytearray, sink: int, limit: int) -> int
                 forward = grown
         if meet < 0:
             return flow
-        push = limit - flow
         path = []
-        u = meet
-        while ahead[u] != -2:
-            i = ahead[u]
-            path.append(i)
-            push = min(push, cap[i])
-            u = head[i ^ 1]
+        w = meet
+        while ahead[w] != -2:
+            path.append((ahead[w], w))
+            w = ahead[w]
         u = meet
         while u != sink:
-            i = back[u]
-            path.append(i)
-            push = min(push, cap[i])
-            u = head[i]
-        for i in path:
-            cap[i] -= push
-            cap[i ^ 1] += push
+            path.append((u, back[u]))
+            u = back[u]
+        push = min(limit - flow, *(cap[u][w] for u, w in path))
+        for u, w in path:
+            cap[u][w] -= push
+            cap[w][u] += push
         flow += push
     return flow
 
 
-def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
-           merge: Callable[[int], Iterable[tuple[int, int]]],
+def _sweep(network: Callable[[], list[dict[int, int]]], is_source: bytearray,
+           attach: dict[int, int], merge: Callable[[int], Iterable[tuple[int, int]]],
            detour: Callable[[int, int, int], int], best: int) -> int:
     """Run every sink in attach through the capped flow and return the smallest value.
 
@@ -155,15 +137,16 @@ def _sweep(net: Network, is_source: bytearray, attach: dict[int, int],
     current sources.  Sinks go in index order.  detour(sink, count, best)
     extends the sink's count of direct paths with disjoint detours, and may
     stop once the count reaches best.  A sink whose count stays below best
-    gets a flow capped at best; one at or above best cannot improve it and
-    gets none.  Either way merge(sink) then marks it as a source and yields
-    (node, gain) pairs that raise the attachments of the pending sinks it
-    touches.
+    gets a flow capped at best, on the fresh capacity map that network()
+    returns; one at or above best cannot improve it and gets none, so a
+    sweep that runs no flow builds no network.  Either way merge(sink) then
+    marks it as a source and yields (node, gain) pairs that raise the
+    attachments of the pending sinks it touches.
     """
     for t in sorted(attach):
         count = attach.pop(t)
         if count < best and detour(t, count, best) < best:
-            best = min(best, _flow_into(net, is_source, t, best))
+            best = min(best, _flow_into(network(), is_source, t, best))
         for u, gain in merge(t):
             if u in attach:
                 attach[u] += gain
@@ -220,11 +203,6 @@ def edge_connectivity(g: MetrizedGraph) -> int | float:
         if a != b:
             multiplicity[a][b] = multiplicity[a].get(b, 0) + 1
             multiplicity[b][a] = multiplicity[b].get(a, 0) + 1
-    net: Network = ([], [], [[] for _ in range(n)])
-    for a in range(n):
-        for b, count in multiplicity[a].items():
-            if a < b:
-                _add_arc(net, a, b, count, count)
     is_source = bytearray(n)
     is_source[0] = 1
     attach = {t: multiplicity[0].get(t, 0) for t in range(1, n)}
@@ -258,7 +236,8 @@ def edge_connectivity(g: MetrizedGraph) -> int | float:
         return count
 
     best = min(sum(row.values()) for row in multiplicity)
-    return _sweep(net, is_source, attach, merge, detour, best)
+    return _sweep(lambda: [dict(row) for row in multiplicity], is_source, attach,
+                  merge, detour, best)
 
 
 @graph_memo
@@ -337,12 +316,13 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
     if len(near) == n - 1:
         return n - 1
 
-    unbounded = n + 1
-    net: Network = ([], [], [[] for _ in range(2 * n)])
-    for u in range(n):
-        _add_arc(net, 2 * u, 2 * u + 1, 1, 0)
-        for w in neighbours[u]:
-            _add_arc(net, 2 * u + 1, 2 * w, unbounded, 0)
+    def split_network() -> list[dict[int, int]]:
+        """u_in = 2u -> u_out = 2u + 1 at 1, u_out -> w_in at n + 1, reverses at 0."""
+        cap = []
+        for u, adjacent in enumerate(neighbours):
+            cap.append({2 * u + 1: 1} | dict.fromkeys([2 * w + 1 for w in adjacent], 0))
+            cap.append({2 * u: 0} | dict.fromkeys([2 * w for w in adjacent], n + 1))
+        return cap
 
     def sweep(s: int, sinks: list[int], best: int) -> int:
         is_source = bytearray(2 * n)
@@ -386,7 +366,7 @@ def vertex_connectivity(g: MetrizedGraph) -> int:
             return count
 
         attach = {2 * t: sum(in_r[u] for u in neighbours[t]) for t in sinks}
-        return _sweep(net, is_source, attach, merge, detour, best)
+        return _sweep(split_network, is_source, attach, merge, detour, best)
 
     best = sweep(v, [t for t in range(n) if t != v and t not in near], len(near))
     ordered = sorted(near)

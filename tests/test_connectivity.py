@@ -220,9 +220,9 @@ def test_vertex_connectivity_flow_count_on_mid_size_graphs(monkeypatch):
     real = cuts._flow_into
     calls = []
 
-    def counted(net, is_source, sink, limit):
+    def counted(cap, is_source, sink, limit):
         calls.append(sink)
-        return real(net, is_source, sink, limit)
+        return real(cap, is_source, sink, limit)
 
     flows = 0
     for n in (20, 30, 45, 60):
@@ -349,32 +349,42 @@ def test_vertex_connectivity_when_v_and_its_first_neighbour_share_the_separator(
 
 
 def test_flow_into_matches_reference_max_flow():
-    # Random networks with parallel arcs and one-way arcs, several marked
-    # sources, and limits from 1 up to more than the total capacity.
+    # Random capacity maps: parallel arcs summed into one entry, antiparallel
+    # arcs, one-way arcs whose reverse entry is 0, several marked sources,
+    # and limits from 1 up to more than the total capacity.  Each call runs
+    # on a fresh copy of the map and must leave in it a valid flow of the
+    # value it returns.
     rng = random.Random(7171)
     for _ in range(400):
         n = rng.randint(2, 30)
-        net = ([], [], [[] for _ in range(n)])
-        capacity = [dict() for _ in range(n + 1)]  # node n feeds every source
+        cap = [dict() for _ in range(n)]
         for _ in range(rng.randint(0, 4 * n)):
             u, w = rng.sample(range(n), 2)
             forward = rng.randint(0, 3)
             backward = rng.randint(0, 3) if rng.random() < 0.5 else 0
             for _ in range(rng.choice((1, 1, 2, 3))):
-                cuts._add_arc(net, u, w, forward, backward)
-                capacity[u][w] = capacity[u].get(w, 0) + forward
-                capacity[w][u] = capacity[w].get(u, 0) + backward
+                cap[u][w] = cap[u].get(w, 0) + forward
+                cap[w][u] = cap[w].get(u, 0) + backward
         sink = rng.randrange(n)
         is_source = bytearray(n)
-        unbounded = sum(net[1]) + 1
+        unbounded = sum(sum(row.values()) for row in cap) + 1
+        capacity = [dict(row) for row in cap] + [{}]  # node n feeds every source
         for s in rng.sample([u for u in range(n) if u != sink], rng.randint(1, n - 1)):
             is_source[s] = 1
             capacity[n][s] = unbounded
         expected = max_flow(capacity, n, sink)
-        base = list(net[1])
         for limit in {1, 2, 3, rng.randint(1, unbounded), unbounded}:
-            assert cuts._flow_into(net, is_source, sink, limit) == min(limit, expected)
-        assert net[1] == base
+            residual = [dict(row) for row in cap]
+            value = cuts._flow_into(residual, is_source, sink, limit)
+            assert value == min(limit, expected)
+            assert [row.keys() for row in residual] == [row.keys() for row in cap]
+            moved = [{w: c - residual[u][w] for w, c in row.items()} for u, row in enumerate(cap)]
+            for u, row in enumerate(moved):
+                for w, f in row.items():
+                    assert residual[u][w] >= 0 and f == -moved[w][u], (u, w)
+                if not is_source[u] and u != sink:
+                    assert sum(row.values()) == 0, u
+            assert -sum(moved[sink].values()) == value
 
 
 def larger_multigraph(rng):
@@ -428,9 +438,9 @@ def test_short_paths_settle_most_sinks(monkeypatch):
     real = cuts._flow_into
     calls = []
 
-    def counted(net, is_source, sink, limit):
+    def counted(cap, is_source, sink, limit):
         calls.append(sink)
-        return real(net, is_source, sink, limit)
+        return real(cap, is_source, sink, limit)
 
     monkeypatch.setattr(cuts, "_flow_into", counted)
     for n in (20, 40, 60, 80):
