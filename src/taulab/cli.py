@@ -43,9 +43,9 @@ EXIT_CONJECTURE = 3
 # fuzz refuses larger --max-v and --max-e: the generator builds lists of
 # that many entries and the catalog's cost grows with the edge count.  One
 # case at the caps (100 vertices, 300 edges, random_connected_multigraph
-# with each draw at its upper end) ran verify_all and lower_bounds in 4.7 s
-# at 289 MB peak RSS on a 2-core x86-64 box; the slowest case seen under
-# the caps, 100 vertices and 150 edges, took 24.5 s at 80 MB.
+# with each draw at its upper end) ran verify_all and lower_bounds in
+# 3.4-5.9 s at 36 MB peak RSS on a shared 2-core x86-64 box; the slowest
+# case seen under the caps, 100 vertices and 150 edges, took 25.4 s at 35 MB.
 FUZZ_MAX_VERTICES = 100
 FUZZ_MAX_EDGES = 300
 
@@ -410,6 +410,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    # One BLAS thread, set before the first closed-form solve imports numpy
+    # (importing this module does not): from 10 vertices up every report
+    # number passes through LAPACK, whose last bits depend on the thread
+    # count.  A caller that loaded numpy first keeps its own setting.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[name] = "1"
     try:
         # Read first, so that a bad TAULAB_TOL exits 2 before any other work.
         tol = _default_tol()

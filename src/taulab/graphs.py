@@ -17,14 +17,16 @@ by construction build them with MetrizedGraph._unchecked.
 Each graph carries its own memo, a dict outside the dataclass fields (so
 outside eq, repr and hash).  graph_memo stores a function's result for a
 graph and its further arguments there: bridges, the closed-form circuit
-data, the profile at each base, the contraction lattice and the surgeries
-the identity catalog reads.  So whatever is computed for a graph lives
-exactly as long as the graph, and a surgery's result is held by its
-parent's memo.  An equal graph built a second time starts with an empty
-memo, and no table is shared across graphs.  Surgeries whose bridges
-follow from their parent's seed the result's memo with them (graph_memo's
-seed): contractions and doubled graphs.  Parsed graphs, deletions and
-gluings run the depth-first pass.
+data, the profile at each base, the contraction lattice and the identity
+catalog's record of floats per edge.  So whatever is computed for a graph
+lives exactly as long as the graph.  The catalog's surgeries are cut from a
+throwaway copy of the graph, held by that copy's memo and freed once their
+edge's record is read; the lattice holds the contractions it builds.  An
+equal graph built a second time starts with an empty memo, and no table is
+shared across graphs.  Surgeries whose bridges follow from their parent's
+seed the result's memo with them (graph_memo's seed): contractions, doubled
+graphs and the throwaway copies.  Parsed graphs, deletions and gluings run
+the depth-first pass.
 """
 
 from __future__ import annotations
@@ -277,8 +279,9 @@ def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
     its upper end: low[child] > disc[parent].  Self-loops are skipped.
 
     Surgeries whose bridges follow from their parent's hand them down
-    through _bridge_ids.seed instead of running this pass: contract_edge
-    and double_adjusted.
+    through _bridge_ids.seed instead of running this pass: contract_edge,
+    double_adjusted and the edge records' throwaway copies
+    (invariants._scope).
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

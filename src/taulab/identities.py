@@ -41,8 +41,10 @@ from typing import Iterable
 
 from . import cuts, invariants
 from .errors import BadTolerance, NotApplicable, UnknownIdentityId
-from .graphs import MetrizedGraph, graph_memo
-from .invariants import _contract, _da, _delete, _loopify
+from .graphs import MetrizedGraph
+# Bound here for perfbench/tracing.py, which reads the surgery memos'
+# cache_info() under these names; no evaluator calls them.
+from .invariants import _contract, _da, _delete, _loopify  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
@@ -77,25 +79,12 @@ class IdentityReport:
     note: str
 
 
-# Surgeries and crossing values repeat across identities on the same graph,
-# and each is held in that graph's memo.  The four surgery memos are
-# invariants', shared with the deletion defect and the contraction lattice.
+# Every surgery value is read from its edge's record (invariants.edge_record),
+# which keeps floats only in the graph's memo and frees the surgery graphs
+# once it is built; tau of DA(G) comes from invariants.doubled_tau the same
+# way.  So no evaluator builds or holds a graph.
 _prof = invariants.graph_profile
-
-
-@graph_memo
-def _edge_crossing(g: MetrizedGraph, i: int, doubled: bool) -> float:
-    """A_pq(G - e, a, b) for the non-loop edge e = (a, b) with id i, or
-    A_pq(DA(G - e), a, b) when doubled, bit for bit.
-
-    Gluing a to b in G - e gives G/e as a value, and in DA(G - e) it gives
-    DA(G/e), so the glued graph is read from the memoized contraction.
-    """
-    a, b, _ = g.edges[i]
-    deleted, glued = _delete(g, i), _contract(g, i)
-    if doubled:
-        deleted, glued = _da(deleted), _da(glued)
-    return invariants.glued_crossing(deleted, glued, a, b)
+_record = invariants.edge_record
 
 
 def _deletable_edges(g: MetrizedGraph) -> list[int]:
@@ -187,10 +176,10 @@ def _gap_terms(g: MetrizedGraph, base: int) -> list[float]:
     return _squared_terms(g, c.resistance, [f - s for f, s in zip(c.arm_first, c.arm_second)])
 
 
-def _weighted_sum(g: MetrizedGraph, weights, surgery, pick) -> float:
-    """sum of each edge's weight times pick of the graph that surgery on the
-    edge leaves; edges of weight 0 are skipped, surgery and all."""
-    return math.fsum(w * pick(_prof(surgery(g, i))) for i, w in enumerate(weights) if w != 0.0)
+def _weighted_sum(g: MetrizedGraph, weights, pick) -> float:
+    """sum of each edge's weight times pick of its record; edges of weight 0
+    are skipped, record and all."""
+    return math.fsum(w * pick(_record(g, i)) for i, w in enumerate(weights) if w != 0.0)
 
 
 # -- the registry entries --------------------------------------------------
@@ -213,10 +202,10 @@ def _genus(g):
 def _tau_contract(g):
     prof = _prof(g)
     scale = g.vertex_count - 2
-    contracted = _weighted_sum(g, prof.weight_resistance, _contract, lambda p: p.tau)
+    contracted = _weighted_sum(g, prof.weight_resistance, lambda e: e.contracted.tau)
     # Same recursion with the edge kept as a loop instead of removed; the
     # correction term is then the whole length rather than z.
-    looped = _weighted_sum(g, prof.weight_resistance, _loopify, lambda p: p.tau)
+    looped = _weighted_sum(g, prof.weight_resistance, lambda e: e.looped_tau)
     rows = [
         ("edge removed on contraction", "eq", prof.tau,
          contracted / scale - prof.z / (12.0 * scale)),
@@ -229,7 +218,7 @@ def _tau_contract(g):
 def _tau_genus(g):
     prof = _prof(g)
     scale = g.genus + 1
-    deleted = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.tau)
+    deleted = _weighted_sum(g, prof.weight_length, lambda e: e.deleted.tau)
     rhs = deleted / scale + prof.ell / (6.0 * scale) - prof.r / (4.0 * scale)
     return [("deletion average", "eq", prof.tau, rhs)], "bridgeless"
 
@@ -245,10 +234,10 @@ def _cont_del_tau(g):
     resistances = prof.columns.resistance
     rows = []
     for i in _deletable_edges(g):
-        length, res = g.edges[i][2], resistances[i]
+        length, res, record = g.edges[i][2], resistances[i], _record(g, i)
         rhs = (
-            prof.weight_length[i] * _prof(_delete(g, i)).tau
-            + prof.weight_resistance[i] * _prof(_contract(g, i)).tau
+            prof.weight_length[i] * record.deleted.tau
+            + prof.weight_resistance[i] * record.contracted.tau
             + (length * length - length * res) / (12.0 * (length + res))
         )
         rows.append((f"edge {i}", "eq", prof.tau, rhs))
@@ -257,24 +246,22 @@ def _cont_del_tau(g):
 
 def _da_tau(g):
     prof = _prof(g)
-    doubled = _prof(_da(g)).tau
     rhs = prof.ell / 48.0 + prof.tau / 4.0 + prof.z / 24.0
-    return [("doubled graph", "eq", doubled, rhs)], "any graph"
+    return [("doubled graph", "eq", invariants.doubled_tau(g), rhs)], "any graph"
 
 
 def _del_id_da(g):
     prof = _prof(g)
-    lhs = _prof(_da(g)).tau
+    lhs = invariants.doubled_tau(g)
     rows = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
-        da_deleted = _da(_delete(g, i))
-        # For a self-loop the two endpoints coincide and the crossing term
-        # collapses to zero; the remaining terms reduce to the loop's L/12.
-        across = 0.0 if a == b else _edge_crossing(g, i, True)
+    for i, ((_, _, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
+        # For a self-loop the two endpoints coincide and the record's crossing
+        # is zero; the remaining terms reduce to the loop's L/12.
+        record = _record(g, i)
         rhs = (
-            _prof(da_deleted).tau
+            record.doubled_tau
             + (2.0 * length * length - res * res) / (24.0 * (length + res))
-            + 4.0 * across / (length + res)
+            + 4.0 * record.doubled_crossing / (length + res)
         )
         rows.append((f"edge {i}", "eq", lhs, rhs))
     return rows, "bridgeless, per edge"
@@ -283,13 +270,11 @@ def _del_id_da(g):
 def _del_id_a(g):
     prof = _prof(g)
     rows = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
-        if a == b:
-            lhs, rhs = 0.0, 0.0
-        else:
-            lhs = _edge_crossing(g, i, False) / (length + res)
-            across = _edge_crossing(g, i, True)
-            rhs = 16.0 * across / (length + res) - invariants.K_definition(g, i) / 6.0
+    for i, ((_, _, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
+        # At a self-loop both crossings, R and K are 0, so both sides are 0.0.
+        record = _record(g, i)
+        lhs = record.crossing / (length + res)
+        rhs = 16.0 * record.doubled_crossing / (length + res) - invariants.K_definition(g, i) / 6.0
         rows.append((f"edge {i}", "eq", lhs, rhs))
     return rows, "bridgeless, per edge"
 
@@ -314,17 +299,19 @@ def _k_contract(g):
 def _cd_rows(g, pick, own):
     """Shared shape of the per-edge contraction-deletion identities.
 
-    pick reads the compared quantity off a profile, own gives the
-    edge's direct contribution from its length and deleted-edge resistance.
+    pick reads the compared quantity off a profile or a record's Scalars,
+    own gives the edge's direct contribution from its length and
+    deleted-edge resistance.
     """
     prof = _prof(g)
     resistances = prof.columns.resistance
     rows = []
     for i in _deletable_edges(g):
+        record = _record(g, i)
         rhs = (
             own(g.edges[i][2], resistances[i])
-            + prof.weight_length[i] * pick(_prof(_delete(g, i)))
-            + prof.weight_resistance[i] * pick(_prof(_contract(g, i)))
+            + prof.weight_length[i] * pick(record.deleted)
+            + prof.weight_resistance[i] * pick(record.contracted)
         )
         rows.append((f"edge {i}", "eq", pick(prof), rhs))
     return rows, "per edge with connected deletion"
@@ -339,10 +326,9 @@ def _apq_contract(g):
         a, b, length = g.edges[i]
         if a == b:
             continue  # the crossing term divides by the loop's zero resistance
-        res = resistances[i]
-        cprof = _prof(_contract(g, i))
-        across = _edge_crossing(g, i, False)
-        rhs = (cprof.x - cprof.y) + 6.0 * length * across / (res * (length + res))
+        res, record = resistances[i], _record(g, i)
+        spread = record.contracted.x - record.contracted.y
+        rhs = spread + 6.0 * length * record.crossing / (res * (length + res))
         rows.append((f"edge {i}", "eq", diff, rhs))
     return rows, "per non-loop edge with connected deletion"
 
@@ -358,10 +344,8 @@ def _euler_z(g):
         if a == b:
             through_surgery.append(0.0)
         else:
-            through_surgery.append(
-                (length * res / (den * den))
-                * (_prof(_contract(g, i)).z - _prof(_delete(g, i)).z)
-            )
+            record = _record(g, i)
+            through_surgery.append((length * res / (den * den)) * (record.contracted.z - record.deleted.z))
         direct.append(length * length * res / (den * den))
     total = math.fsum(direct)
     rows = [
@@ -380,10 +364,9 @@ def _euler_xy(g):
             continue  # weight L R/(L+R)^2 vanishes with R = 0
         den = length + res
         weight = length * res / (den * den)
-        dprof = _prof(_delete(g, i))
-        cprof = _prof(_contract(g, i))
-        x_terms.append(weight * (dprof.x - cprof.x))
-        y_terms.append(weight * (dprof.y - cprof.y))
+        record = _record(g, i)
+        x_terms.append(weight * (record.deleted.x - record.contracted.x))
+        y_terms.append(weight * (record.deleted.y - record.contracted.y))
     second = _second_moment(g)
     rows = [
         ("x row", "eq", prof.x, second + math.fsum(x_terms)),
@@ -396,7 +379,7 @@ def _contr_rows(g, pick, drop):
     """(v - drop) times a quantity against its weighted contractions, for v > drop."""
     prof = _prof(g)
     lhs = (g.vertex_count - drop) * pick(prof)
-    rhs = _weighted_sum(g, prof.weight_resistance, _contract, pick)
+    rhs = _weighted_sum(g, prof.weight_resistance, lambda e: pick(e.contracted))
     return [("weighted contractions", "eq", lhs, rhs)], f"bridgeless, v >= {drop + 1}"
 
 
@@ -405,7 +388,7 @@ def _del_rows(g, pick, shift, extra=None):
     plus extra's term of g on the right when given."""
     prof = _prof(g)
     lhs = (g.genus + shift) * pick(prof)
-    rhs = _weighted_sum(g, prof.weight_length, _delete, pick)
+    rhs = _weighted_sum(g, prof.weight_length, lambda e: pick(e.deleted))
     if extra is not None:
         rhs = extra(prof) + rhs
     return [("weighted deletions", "eq", lhs, rhs)], "bridgeless"
@@ -413,7 +396,7 @@ def _del_rows(g, pick, shift, extra=None):
 
 def _tau_contr2(g):
     prof = _prof(g)
-    spread = _weighted_sum(g, prof.weight_resistance, _contract, lambda p: p.x - p.y)
+    spread = _weighted_sum(g, prof.weight_resistance, lambda e: e.contracted.x - e.contracted.y)
     rhs = prof.ell / 12.0 - spread / (6.0 * (g.vertex_count - 2))
     return [("contraction form", "eq", prof.tau, rhs)], "bridgeless, v >= 3"
 
@@ -421,8 +404,8 @@ def _tau_contr2(g):
 def _tau_del2(g):
     prof = _prof(g)
     genus = g.genus
-    spread = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.x - p.y)
-    leftover = _weighted_sum(g, prof.weight_length, _delete, lambda p: p.r)
+    spread = _weighted_sum(g, prof.weight_length, lambda e: e.deleted.x - e.deleted.y)
+    leftover = _weighted_sum(g, prof.weight_length, lambda e: e.deleted.r)
     rhs = (
         prof.ell / 12.0
         - spread / (6.0 * (genus + 1))
@@ -593,9 +576,11 @@ def _edgecon11(g):
     return rows, "normalized bridgeless, v >= 2"
 
 
-# Each identity id maps to (evaluator, preconditions).  Evaluators read the
-# memoized surgeries as module globals when they run, so a rebinding (as
-# perfbench/tracing.py does for its spans) takes effect.
+# Each identity id maps to (evaluator, preconditions).  The records build
+# their surgeries through invariants' four memos, looked up as module
+# globals when a record is built, so a rebinding (as perfbench/tracing.py
+# does for its spans, under every name bound to them) takes effect; the
+# names stay bound here too, where the tracer reads their cache_info().
 _REGISTRY = {
     "GENUS": (_genus, ()),
     "TAU_CONTRACT": (_tau_contract, (_vertices(3),)),

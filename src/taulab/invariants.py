@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import transforms
 from .circuit import (
@@ -38,7 +38,7 @@ from .circuit import (
     effective_resistance,
 )
 from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
-from .graphs import MetrizedGraph, _index, graph_memo
+from .graphs import MetrizedGraph, _bridge_ids, _index, graph_memo
 
 BASE_AGREEMENT_TOL = 1e-9
 
@@ -52,10 +52,11 @@ BASE_AGREEMENT_TOL = 1e-9
 # verify_all took 21 s and 190 MB) and tripled 100,216.
 LATTICE_NODE_CAP = 5000
 
-# Surgeries, each held in the memo of the graph it cuts.  The deletion
-# defect, the contraction lattice and the identity catalog all read them
-# here, so each is built once per graph and edge; the public transforms
-# stay unmemoized.
+# The catalog's surgeries.  Only edge_record and doubled_tau call these
+# memos, and each calls them on a throwaway copy of g (_scope), so every
+# surgery graph is held by that copy's memo and freed once its floats are
+# read; the memos still count each real build.  The contraction lattice
+# and the public transforms stay unmemoized.
 _contract = graph_memo(transforms.contract_edge)
 _delete = graph_memo(transforms.delete_edge)
 _loopify = graph_memo(transforms.identify_endpoints)
@@ -198,11 +199,6 @@ def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
 # -- the headline scalars ------------------------------------------------------
 
 
-def z_of(g: MetrizedGraph) -> float:
-    """sum of L^2/(L+R); base-free."""
-    return graph_profile(g).z
-
-
 def tau(g: MetrizedGraph) -> float:
     """The tau constant of the graph.
 
@@ -272,7 +268,7 @@ def K_definition(g: MetrizedGraph, i: int) -> float:
     prof = graph_profile(g)
     R = prof.columns.resistance[i]
     own = L * L / (L + R)
-    return float(prof.z - own - z_of(_delete(g, i)))
+    return float(prof.z - own - edge_record(g, i).deleted.z)
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
@@ -282,7 +278,8 @@ def K_contraction_form(g: MetrizedGraph, i: int) -> float:
     if a == b:
         return 0.0
     weight = graph_profile(g).weight_resistance[i]
-    return float(weight * (z_of(_contract(g, i)) - z_of(_delete(g, i))))
+    record = edge_record(g, i)
+    return float(weight * (record.contracted.z - record.deleted.z))
 
 
 def K_of(g: MetrizedGraph, i: int) -> float:
@@ -314,6 +311,74 @@ def glued_crossing(g: MetrizedGraph, glued: MetrizedGraph, p: int, q: int) -> fl
     """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued."""
     resistance = effective_resistance(g, p, q)
     return resistance * (tau(glued) - tau(g) + resistance / 6.0)
+
+
+# -- one record of floats per edge ----------------------------------------------
+
+
+class Scalars(NamedTuple):
+    """The profile scalars at base 0 of one surgery graph."""
+
+    x: float
+    y: float
+    z: float
+    r: float
+    tau: float
+
+
+class EdgeRecord(NamedTuple):
+    """Everything the identity catalog reads of one edge e = (a, b)'s surgeries."""
+
+    deleted: Scalars | None  # G - e; None at a bridge
+    contracted: Scalars  # G/e
+    looped_tau: float  # tau of G with a and b glued, e kept as a loop
+    crossing: float | None  # A(G - e; a, b); 0 at a loop, None at a bridge
+    doubled_tau: float | None  # tau of DA(G - e); None unless G is bridgeless
+    doubled_crossing: float | None  # A(DA(G - e); a, b); 0 at a loop, likewise None
+
+
+def _scalars(h: MetrizedGraph) -> Scalars:
+    prof = graph_profile(h)
+    return Scalars(prof.x, prof.y, prof.z, prof.r, prof.tau)
+
+
+def _scope(g: MetrizedGraph) -> MetrizedGraph:
+    """A throwaway copy of g with its bridges handed down, whose memo holds the surgeries cut from it."""
+    scope = MetrizedGraph._unchecked(g.vertex_count, g.edges)
+    _bridge_ids.seed(scope, g.bridges())
+    return scope
+
+
+@graph_memo
+def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
+    """Edge i's record: its surgeries' floats, read as the catalog reads them, bit for bit.
+
+    The one place that decides which surgery graphs exist for an edge and
+    how long they live: each is cut from a throwaway copy of g and freed
+    when this returns, so g's memo keeps floats only.  Gluing a to b in
+    G - e gives G/e as a value, and in DA(G - e) it gives DA(G/e), so the
+    crossings glue through the contraction.  A loop's looped graph is g
+    itself, read from g, since identify_endpoints returns its input there.
+    """
+    scope = _scope(g)
+    a, b, _ = g.edges[i]
+    contracted = _contract(scope, i)
+    looped = graph_profile(g if a == b else _loopify(scope, i)).tau
+    if i in g.bridges():
+        return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
+    deleted = _delete(scope, i)
+    crossing = 0.0 if a == b else glued_crossing(deleted, contracted, a, b)
+    doubled = doubled_crossing = None
+    if g.is_bridgeless():
+        doubled = graph_profile(_da(deleted)).tau
+        doubled_crossing = 0.0 if a == b else glued_crossing(_da(deleted), _da(contracted), a, b)
+    return EdgeRecord(_scalars(deleted), _scalars(contracted), looped, crossing, doubled, doubled_crossing)
+
+
+@graph_memo
+def doubled_tau(g: MetrizedGraph) -> float:
+    """tau of DA(g) at base 0, with DA(g) freed once read."""
+    return graph_profile(_da(_scope(g))).tau
 
 
 # -- two-vertex closed form and the contraction lattice -------------------------
@@ -390,9 +455,8 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
     loop at a node when its two ends share a label; the walk stops before
     it would make node LATTICE_NODE_CAP + 1, and a refused lattice builds
     no graph.  An accepted one then builds each node's graph from the node
-    that first reached it.  The root's children are g's memoized
-    contractions (_contract), which the catalog reads too; the deeper nodes
-    are held by the lattice alone.
+    that first reached it, the root's children from g itself, by
+    transforms.contract_edge at every depth: the lattice alone holds them.
     """
     v = g.vertex_count
     depth = max(0, v - 2)
@@ -426,7 +490,7 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
         children_of.append(tuple(children))
     graphs = [None]
     for _, _, parent, j in found[1:]:
-        graphs.append(_contract(g, j) if parent == 0 else transforms.contract_edge(graphs[parent], j))
+        graphs.append(transforms.contract_edge(g if parent == 0 else graphs[parent], j))
     return tuple((key, graph, children) for (key, *_), graph, children in zip(found, graphs, children_of))
 
 

@@ -420,6 +420,19 @@ def test_only_closed_form_reads_the_route_rule():
     assert {fn.name for fn in functions if rule & set(named(fn))} == {"closed_form"}
 
 
+def test_only_the_edge_record_cuts_the_catalogs_surgeries():
+    # One function decides which surgery graphs an edge has and how long
+    # they live: inside the package only invariants.edge_record names the
+    # contraction, deletion and loop memos.  identities binds them at module
+    # level, for the benchmark's tracer, and none of its functions names
+    # them; the per-edge crossing memo is gone.
+    surgeries = {"_contract", "_delete", "_loopify"}
+    for name, tree in package_sources().items():
+        assert "_edge_crossing" not in set(named(tree)), name
+        users = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and surgeries & set(named(fn))}
+        assert users == ({"edge_record"} if name == "invariants.py" else set()), (name, users)
+
+
 def forms_a_key(node):
     """Whether node's code (its annotations aside) names frozenset or joins a key with |."""
     def joins(sub):

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from test_circuit import random_regular_graph
 
 from taulab import circuit, cli, connectivity, fuzzing, invariants, transforms
 from taulab.connectivity import BoundsReport
@@ -682,3 +683,23 @@ def test_optimized_mode_keeps_report_bytes_and_the_cross_base_check(tmp_path):
     assert runs[("-O",)].stdout == runs[()].stdout
     assert runs[()].stdout.startswith("0 {")
     assert "SingularSystem: tau disagrees across base vertices" in runs[()].stdout
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # From 10 vertices up every report number passes through LAPACK.  On
+    # this 180-vertex graph OpenBLAS on two threads once moved the last
+    # digit of tau, x and the bounds; the command now pins one thread
+    # before numpy loads, whatever the environment asks for.
+    rng = random.Random(180)
+    g = random_regular_graph(rng, 180, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
+    path = write(tmp_path, cli.serialize_graph(g))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("TAULAB_TOL", None)
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-m", "taulab.cli", "invariants", path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -262,10 +262,12 @@ def test_contractions_and_doublings_hand_down_the_bridges_a_fresh_pass_finds(rep
 
 
 # The kind of graph each surgery builds, by the name of the function that
-# builds it through MetrizedGraph._unchecked.
+# builds it through MetrizedGraph._unchecked.  A copy (invariants._scope, the
+# throwaway graph each edge record cuts its surgeries from) is handed g's
+# bridges.
 BUILDERS = {
     "contract_edge": "contraction", "delete_edge": "deletion", "identify_points": "gluing",
-    "double_adjusted": "doubling", "subdivide": "subdivision",
+    "double_adjusted": "doubling", "subdivide": "subdivision", "_scope": "copy",
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import math
@@ -332,25 +333,53 @@ def test_nested_identities_skip_a_lattice_over_its_node_cap():
     assert k6_reports[0].applicable and k6_reports[0].passed
 
 
-def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit():
-    # The catalog reads A_pq(G - e, a, b) and A_pq(DA(G - e), a, b) with
-    # the glued graph taken from the memoized contraction G/e (and DA(G/e)).
+def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
+    # Every field of every edge record equals, bit for bit, the value read
+    # off surgeries built directly, and is None exactly where a bridge, or
+    # a bridge elsewhere in g, leaves it undefined.  The record glues its
+    # crossings through G/e and DA(G/e); here they are A_pq of G - e and of
+    # DA(G - e).  The 25 bridgeless graphs come first, then the fuzz
+    # graphs, with loops and bridges.
     rng = random.Random(7070)
-    edges = 0
+    graphs = []
     for _ in range(25):
         g = random_bridgeless_multigraph(rng, 6, 12)
         spread = 10.0 ** rng.uniform(2.0, 8.0)
-        g = build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges])
+        graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+
+    def scalars(h):
+        prof = invariants.graph_profile(h)
+        return (prof.x, prof.y, prof.z, prof.r, prof.tau)
+
+    seen = collections.Counter()
+    for g in graphs + report_graphs:
+        bridgeless = g.is_bridgeless()
+        assert invariants.doubled_tau(g) == invariants.graph_profile(transforms.double_adjusted(g)).tau
         for i, (a, b, _) in enumerate(g.edges):
-            if a == b:
+            record = invariants.edge_record(g, i)
+            assert record.contracted == scalars(transforms.contract_edge(g, i)), (g.edges, i)
+            assert record.looped_tau == invariants.graph_profile(transforms.identify_endpoints(g, i)).tau
+            if i in g.bridges():
+                undefined = (record.deleted, record.crossing, record.doubled_tau, record.doubled_crossing)
+                assert undefined == (None,) * 4, (g.edges, i)
+                seen["bridge"] += 1
                 continue
             deleted = transforms.delete_edge(g, i)
-            plain = invariants.A_pq(deleted, a, b)
-            doubled = invariants.A_pq(transforms.double_adjusted(deleted), a, b)
-            assert identities._edge_crossing(g, i, False) == plain, (g.edges, i)
-            assert identities._edge_crossing(g, i, True) == doubled, (g.edges, i)
-            edges += 1
-    assert edges > 150
+            doubled = transforms.double_adjusted(deleted)
+            assert record.deleted == scalars(deleted), (g.edges, i)
+            if a == b:
+                assert record.crossing == 0.0
+                seen["loop"] += 1
+            else:
+                assert record.crossing == invariants.A_pq(deleted, a, b), (g.edges, i)
+                seen["crossing"] += 1
+            if not bridgeless:
+                assert record.doubled_tau is None and record.doubled_crossing is None
+                seen["in a bridged graph"] += 1
+                continue
+            assert record.doubled_tau == invariants.graph_profile(doubled).tau, (g.edges, i)
+            assert record.doubled_crossing == (0.0 if a == b else invariants.A_pq(doubled, a, b)), (g.edges, i)
+    assert seen["crossing"] > 300 and min(seen.values()) > 20, seen
 
 
 def test_loops_flow_through_the_catalog():
@@ -397,9 +426,10 @@ def live_graphs():
 def test_a_graphs_memo_is_freed_with_the_graph(pendant):
     # Without the pendant bridge the nested identities run and fill the
     # lattice.  With the cyclic collector off, the graph and every graph its
-    # memo holds (surgeries, lattice nodes) must go by reference counting
-    # alone, as soon as the last reference does: no table outside the graph
-    # keeps any of them.  before holds its graphs, so no id is reused.
+    # memo holds (lattice nodes; edge records hold floats) must go by
+    # reference counting alone, as soon as the last reference does: no table
+    # outside the graph keeps any of them.  before holds its graphs, so no
+    # id is reused.
     gc.collect()
     before = live_graphs()
     gc.disable()
@@ -414,6 +444,30 @@ def test_a_graphs_memo_is_freed_with_the_graph(pendant):
         assert live_graphs().keys() == before.keys()
     finally:
         gc.enable()
+
+
+class TopDraws(random.Random):
+    """Every randint at its upper end: the fuzz generator's largest case."""
+
+    def randint(self, a, b):
+        return b
+
+
+def test_verify_all_leaves_no_surgery_graph_alive():
+    # 6 vertices with 30 and 90 edges, every fuzz draw at its upper end:
+    # both lattices are refused, so after verify_all the graph's memo holds
+    # floats only, however many edges it has.  Each surgery graph is freed
+    # with the edge record that read it.
+    held = []
+    for edges in (30, 90):
+        g = random_connected_multigraph(TopDraws(1), 6, edges)
+        assert g.edge_count == edges and invariants.lattice_refusal(g) is not None
+        gc.collect()
+        before = live_graphs()
+        verify_all(g)
+        gc.collect()
+        held.append(len(live_graphs().keys() - before.keys()))
+    assert held == [0, 0], held
 
 
 def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
