@@ -25,10 +25,13 @@ needs nothing beyond G's own resistances: R = L r / s and the arm gap
 L Delta_p / s, with r = r(a, b), s = L - r and Delta_p = r(p, a) - r(p, b)
 at base p.  This is what the rank-one (Sherman-Morrison) update of the
 inverse reduces to.  Everything that does not depend on the base is built
-once per graph (_deleted_edge_inverses, from one array view of the edges,
-_edge_view): K, each edge's R, L / s and K[a,a] - K[b,b], and the ids of
-the edges left to GTH.  The work per base is one gather of row K[p] and
-O(m) arithmetic, plus the GTH reductions of those edges.  The inverse is
+once per graph into one read-only record, ClosedForm
+(_deleted_edge_inverses): K, each edge's R, L / s and K[a,a] - K[b,b],
+the ids of the edges left to GTH, and the edge arrays that the profile's
+terms read too (ends, lengths and the plain-edge mask, neither loop nor
+bridge), all from one array view of the edges (_edge_view, not kept).
+The work per base is one gather of row K[p] and O(m) arithmetic, plus
+the GTH reductions of those edges.  The inverse is
 checked by the normwise relative residual ||A X - I|| / (||A|| ||X||)
 (infinity norms), which does not change when all lengths are scaled; a
 suspicious grounded inverse raises SingularSystem.
@@ -88,13 +91,8 @@ RANK_ONE_MIN_VERTICES = 10
 _EPS = sys.float_info.epsilon
 
 
-@graph_memo
 def _edge_view(g: MetrizedGraph):
-    """The edges as arrays, in edge order: first ends, second ends and lengths.
-
-    Built once per graph and read-only, since every reader shares it: the
-    Laplacian, the closed-form data and the profile's masks.
-    """
+    """The edges as read-only arrays, in edge order: first ends, second ends and lengths."""
     import numpy as np
 
     m = len(g.edges)
@@ -106,7 +104,12 @@ def _edge_view(g: MetrizedGraph):
 
 
 def _laplacian(g: MetrizedGraph):
-    """The weighted Laplacian of g, conductance 1/length per edge, self-loops left out.
+    """The weighted Laplacian of g, conductance 1/length per edge, self-loops left out."""
+    return _assemble_laplacian(g.vertex_count, *_edge_view(g))
+
+
+def _assemble_laplacian(n: int, a, b, length):
+    """The n x n Laplacian of the edges given as arrays (_edge_view).
 
     Each entry takes its conductances in edge order, the order of the
     per-edge loop this replaces, so the matrix keeps its bits: np.add.at
@@ -114,8 +117,7 @@ def _laplacian(g: MetrizedGraph):
     """
     import numpy as np
 
-    a, b, length = _edge_view(g)
-    lap = np.zeros((g.vertex_count, g.vertex_count))
+    lap = np.zeros((n, n))
     keep = a != b
     a, b = a[keep], b[keep]
     c = np.repeat(1.0 / length[keep], 2)
@@ -279,8 +281,27 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     return 1.0 / cond[x][y]
 
 
+class ClosedForm(NamedTuple):
+    """Everything base-free that the closed-form route reads of one graph; every array read-only.
+
+    The per-edge arrays are indexed by edge.  With r = r(a, b) and
+    s = L - r in G, an edge that passes the guard has R = scale * r and,
+    toward base p, the arm gap scale * (spread - 2 (K[p,a] - K[p,b])).
+    """
+
+    R: Sequence[float]  # deleted-edge resistance: 0.0 at loops, NaN at bridges and guard rejects
+    K: Sequence[Sequence[float]]  # the grounded inverse, vertex 0 removed and padded back with zeros
+    a: Sequence[int]  # first ends
+    b: Sequence[int]  # second ends
+    length: Sequence[float]
+    plain: Sequence[bool]  # neither loop nor bridge
+    scale: Sequence[float]  # L / s where the guard passes, else L
+    spread: Sequence[float]  # K[a,a] - K[b,b]
+    gth: list[int]  # the plain edges the guard rejects, left to GTH per base (_gth_stars)
+
+
 @graph_memo
-def _deleted_edge_inverses(g: MetrizedGraph):
+def _deleted_edge_inverses(g: MetrizedGraph) -> ClosedForm | None:
     """Closed-form deleted-edge data of every edge, from one grounded inverse K.
 
     An edge e = (a, b, L) is in parallel with G - e, so G - e is read off
@@ -291,43 +312,45 @@ def _deleted_edge_inverses(g: MetrizedGraph):
     rounding error predicted for s, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s,
     is at most RANK_ONE_ERROR_BOUND.
 
-    Returns None when no edge takes the route, else (R, K, a, b, scale,
-    spread, gth): the read-only per-edge array R (0.0 at self-loops, NaN
-    at bridges and at the edges the guard rejects), K, the per-edge arrays
-    of endpoints, L / s and K[a,a] - K[b,b], and the ids of the non-bridge
-    edges the guard rejects, which are left to GTH elimination per base
-    (_gth_stars).  All of it is base-free: O(n^3 + m) once per graph, and
-    each base adds one gather of row K[p].
+    Returns None when no edge takes the route, else the graph's ClosedForm,
+    whose edge arrays come from one _edge_view of g.  All of it is
+    base-free: O(n^3 + m) once per graph, and each base adds one gather of
+    row K[p].
     """
     import numpy as np
 
     a, b, length = _edge_view(g)
     loop = a == b
-    routed = ~loop
-    routed[list(g.bridges())] = False
-    if not routed.any():
+    plain = ~loop
+    plain[list(g.bridges())] = False
+    if not plain.any():
         return None
-    K = _grounded_inverse(_laplacian(g))
+    K = _grounded_inverse(_assemble_laplacian(g.vertex_count, a, b, length))
     d = np.diag(K)
     k_ab = K[a, b]
     r = d[a] + d[b] - 2.0 * k_ab
     s = length - r
-    ok = routed & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
+    ok = plain & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
     if not ok.any():
         return None
     scale = length / np.where(ok, s, 1.0)
     R = np.where(ok, scale * r, np.nan)
     R[loop] = 0.0
-    R.flags.writeable = False
-    return R, K, a, b, scale, d[a] - d[b], np.flatnonzero(routed & ~ok).tolist()
+    data = ClosedForm(R, K, a, b, length, plain, scale, d[a] - d[b], np.flatnonzero(plain & ~ok).tolist())
+    for array in data[:-1]:
+        array.flags.writeable = False
+    return data
 
 
 def closed_form(g: MetrizedGraph):
-    """The route decision: _deleted_edge_inverses(g), or None for the all-GTH route.
+    """The route decision: g's ClosedForm record, or None for the all-GTH route.
 
     A graph takes the closed form when it has RANK_ONE_MIN_VERTICES or
     more vertices and some edge passes the guard; under that size nothing
-    is inverted or memoized.
+    is inverted or memoized.  The record is built once per graph
+    (_deleted_edge_inverses) and is all that the closed-form route reads
+    of g beyond its bridges: the circuit data at every base and the
+    profile's terms.
     """
     return None if g.vertex_count < RANK_ONE_MIN_VERTICES else _deleted_edge_inverses(g)
 
@@ -377,14 +400,14 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         arms = [(0.0, 0.0) if a == b else stars.get(i, nan) for i, (a, b, _) in enumerate(edges)]
         arm_first, arm_second = zip(*arms) if arms else ((), ())
         return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
-    R, K, a_of, b_of, scale, spread, gth = data
-    row = K[base]
-    gap = scale * (spread - 2.0 * (row[a_of] - row[b_of]))
+    row = data.K[base]
+    gap = data.scale * (data.spread - 2.0 * (row[data.a] - row[data.b]))
+    R = data.R
     arm_first = 0.5 * (R + gap)
     arm_second = R - arm_first
-    if gth:
+    if data.gth:
         R = R.copy()
-        for i, (arm_a, arm_b) in _gth_stars(g, base, gth).items():
+        for i, (arm_a, arm_b) in _gth_stars(g, base, data.gth).items():
             arm_first[i], arm_second[i] = arm_a, arm_b
             R[i] = arm_a + arm_b
     return EdgeColumns(R, arm_first, arm_second)

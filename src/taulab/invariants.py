@@ -30,7 +30,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import transforms
 from .circuit import (
     EdgeColumns,
-    _edge_view,
     _grounded_inverse,
     _laplacian,
     all_edge_circuit_data,
@@ -74,7 +73,6 @@ class GraphProfile:
     float64 arrays on the closed-form route, stay out of eq, hash and repr.
     """
 
-    base: int
     ell: float
     z: float
     r: float
@@ -92,13 +90,15 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     """The profile at one base: each sum is one math.fsum over its per-edge terms.
 
     The terms take one of two paths, picked by the circuit route
-    (circuit.closed_form).  On the all-GTH route a scalar loop computes
-    them in Python floats; on the closed-form route they are computed
-    column-wise in the same operation order, and numpy's elementwise
-    arithmetic rounds each operation exactly as Python floats do.  So both
-    paths give the same bits, and fsum is correctly rounded and so
-    independent of term order; each is the faster one on its route.  The
-    closed-form route's weights and columns stay float64 arrays, read-only.
+    (circuit.closed_form), and both evaluate one expression, _edge_terms.
+    On the all-GTH route a scalar loop calls it per edge on Python floats;
+    on the closed-form route it runs once on float64 arrays of every edge,
+    with the lengths and the plain-edge mask read from the graph's
+    closed-form record, and numpy's elementwise arithmetic rounds each
+    operation exactly as Python floats do.  So both paths give the same
+    bits, and fsum is correctly rounded and so independent of term order;
+    each is the faster one on its route.  The closed-form route's weights
+    and columns stay float64 arrays, read-only.
     Self-loops add their length to z, bridges theirs to r and y.  The base
     is checked before the memo is read, so graph_profile(g) and
     graph_profile(g, 0) are one entry.
@@ -114,7 +114,7 @@ def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
     ell = g.total_length
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
-        base=base, ell=ell, z=z, r=r, x=x, y=y, tau=tau,
+        ell=ell, z=z, r=r, x=x, y=y, tau=tau,
         weight_resistance=w_res, weight_length=w_len, columns=columns,
     )
 
@@ -122,10 +122,27 @@ def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
 graph_profile.cache_info = _profile_at.cache_info
 
 
+def _edge_terms(L, R, gap):
+    """A plain edge's z, r, x and y terms and its two weights, from its length, R and arm gap.
+
+    The one copy of the per-edge formulas: _scalar_terms calls it on
+    Python floats, one plain edge at a time, and _column_terms once on
+    float64 arrays of every edge, whose elementwise operations round as
+    Python floats do, in this same order.
+    """
+    denom = L + R
+    sq = denom * denom
+    LL = L * L
+    L75 = 0.75 * L
+    gap_term = L75 * gap * gap
+    return (LL / denom, L * R / denom, (LL * R + L75 * R * R - gap_term) / sq,
+            (0.25 * L * R * R + gap_term) / sq, R / denom, L / denom)
+
+
 def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y and both weight tuples, one edge at a time."""
     bridges = g.bridges()
-    z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
+    terms = z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
     for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
         if a == b:
             z_terms.append(L)
@@ -137,63 +154,31 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             w_res.append(1.0)
             w_len.append(0.0)
         else:
-            denom = L + R
-            sq = denom * denom
-            LL = L * L
-            L75 = 0.75 * L
-            gap = arm_first - arm_second
-            gap_term = L75 * gap * gap
-            z_terms.append(LL / denom)
-            r_terms.append(L * R / denom)
-            y_terms.append((0.25 * L * R * R + gap_term) / sq)
-            x_terms.append((LL * R + L75 * R * R - gap_term) / sq)
-            w_res.append(R / denom)
-            w_len.append(L / denom)
+            for column, term in zip(terms, _edge_terms(L, R, arm_first - arm_second)):
+                column.append(term)
     return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
             tuple(w_res), tuple(w_len))
 
 
-@graph_memo
-def _edge_arrays(g: MetrizedGraph):
-    """Everything base-free that _column_terms reads, built once per graph.
-
-    The plain-edge mask (neither loop nor bridge), the plain edges' L,
-    L * L and 0.75 * L, the loop and bridge lengths as lists, and both
-    weight columns with their limits set at loops and bridges, which each
-    base copies before it fills in the plain edges.
-    """
-    import numpy as np
-
-    a, b, length = _edge_view(g)
-    loop = a == b
-    bridge = np.zeros(g.edge_count, dtype=bool)
-    bridge[list(g.bridges())] = True
-    plain = ~(loop | bridge)
-    L = length[plain]
-    return (plain, L, L * L, 0.75 * L, length[loop].tolist(), length[bridge].tolist(),
-            bridge.astype(float), loop.astype(float))
-
-
 def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y and both weight columns, each term for all plain edges at once; every array left read-only."""
-    plain, L, LL, L75, loop_lengths, bridge_lengths, w_res, w_len = _edge_arrays(g)
-    R = columns.resistance[plain]
-    gap = columns.arm_first[plain] - columns.arm_second[plain]
-    denom = L + R
-    sq = denom * denom
-    # Shared subexpressions, each evaluated as the scalar formulas group it.
-    gap_term = L75 * gap * gap
-    z = math.fsum((LL / denom).tolist() + loop_lengths)
-    r = math.fsum((L * R / denom).tolist() + bridge_lengths)
-    y = math.fsum(((0.25 * L * R * R + gap_term) / sq).tolist() + bridge_lengths)
-    x = math.fsum(((LL * R + L75 * R * R - gap_term) / sq).tolist())
-    w_res = w_res.copy()
-    w_res[plain] = R / denom
-    w_len = w_len.copy()
-    w_len[plain] = L / denom
+    """z, r, x, y and both weight columns, each term for every edge at once; every array left read-only.
+
+    The sums read the plain edges' terms.  At a loop R and the arm gap are
+    0, so its weights come out (0, 1) exactly; a bridge's NaN weights are
+    set to their limits (1, 0).
+    """
+    data = closed_form(g)
+    plain, length = data.plain, data.length
+    z, r, x, y, w_res, w_len = _edge_terms(length, columns.resistance, columns.arm_first - columns.arm_second)
+    bridges = list(g.bridges())
+    w_res[bridges] = 1.0
+    w_len[bridges] = 0.0
     for column in (*columns, w_res, w_len):
         column.flags.writeable = False
-    return z, r, x, y, w_res, w_len
+    loop_lengths = length[data.a == data.b].tolist()
+    bridge_lengths = length[bridges].tolist()
+    return (math.fsum(z[plain].tolist() + loop_lengths), math.fsum(r[plain].tolist() + bridge_lengths),
+            math.fsum(x[plain].tolist()), math.fsum(y[plain].tolist() + bridge_lengths), w_res, w_len)
 
 
 # -- the headline scalars ------------------------------------------------------
@@ -231,15 +216,14 @@ class InvariantSet:
     z: float
     r: float
     w: float | None
-    base: int
 
 
-def invariant_set(g: MetrizedGraph, base: int = 0) -> InvariantSet:
-    prof = graph_profile(g, base)
+def invariant_set(g: MetrizedGraph) -> InvariantSet:
+    prof = graph_profile(g)
     w = w_of(g) if g.is_bridgeless() else None
     return InvariantSet(
         ell=prof.ell, genus=g.genus, tau=tau(g), x=prof.x, y=prof.y,
-        z=prof.z, r=prof.r, w=w, base=base,
+        z=prof.z, r=prof.r, w=w,
     )
 
 
@@ -331,7 +315,7 @@ class EdgeRecord(NamedTuple):
 
     deleted: Scalars | None  # G - e; None at a bridge
     contracted: Scalars  # G/e
-    looped_tau: float  # tau of G with a and b glued, e kept as a loop
+    looped_tau: float | None  # tau of G with a and b glued, e kept as a loop; None below 3 vertices
     crossing: float | None  # A(G - e; a, b); 0 at a loop, None at a bridge
     doubled_tau: float | None  # tau of DA(G - e); None unless G is bridgeless
     doubled_crossing: float | None  # A(DA(G - e); a, b); 0 at a loop, likewise None
@@ -357,13 +341,17 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
     how long they live: each is cut from a throwaway copy of g and freed
     when this returns, so g's memo keeps floats only.  Gluing a to b in
     G - e gives G/e as a value, and in DA(G - e) it gives DA(G/e), so the
-    crossings glue through the contraction.  A loop's looped graph is g
-    itself, read from g, since identify_endpoints returns its input there.
+    crossings glue through the contraction.  The looped graph is built
+    only on 3 or more vertices, where TAU_CONTRACT, its one reader, runs.
+    A loop's looped graph is g itself, read from g, since
+    identify_endpoints returns its input there.
     """
     scope = _scope(g)
     a, b, _ = g.edges[i]
     contracted = _contract(scope, i)
-    looped = graph_profile(g if a == b else _loopify(scope, i)).tau
+    looped = None
+    if g.vertex_count >= 3:
+        looped = graph_profile(g if a == b else _loopify(scope, i)).tau
     if i in g.bridges():
         return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
     deleted = _delete(scope, i)

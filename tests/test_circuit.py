@@ -491,10 +491,10 @@ def test_the_lattice_has_one_size_guard():
 
 
 def test_numpy_and_the_column_builder_stay_in_their_layers():
-    # Only the circuit and the invariants import numpy, inside the functions
-    # that use it and never at module level, and the per-edge columns are
-    # built in one place: invariants imports all_edge_circuit_data and only
-    # _profile_at calls it.
+    # Only the circuit imports numpy, inside the functions that use it and
+    # never at module level, and the per-edge columns are built in one
+    # place: invariants imports all_edge_circuit_data and only _profile_at
+    # calls it.
     importers, top_level, readers = set(), set(), set()
     for name, tree in package_sources().items():
         for node in ast.walk(tree):
@@ -515,7 +515,7 @@ def test_numpy_and_the_column_builder_stay_in_their_layers():
                 continue
             if "all_edge_circuit_data" in named(node):
                 readers.add((name, getattr(node, "name", None)))
-    assert importers == {"circuit.py", "invariants.py"}
+    assert importers == {"circuit.py"}
     assert not top_level
     assert readers == {("invariants.py", "import"), ("invariants.py", "_profile_at")}
     # The guard's epsilon is numpy's, bit for bit, without importing numpy.
@@ -620,17 +620,27 @@ def test_the_all_gth_route_uses_no_numpy(tmp_path):
     assert run_fresh(NO_NUMPY_SCRIPT, *paths) == "no numpy\n"
 
 
-def test_column_terms_build_their_edge_arrays_once_per_graph():
-    # The closed-form route's lengths and masks are built at the first base
-    # and shared by every other base.
+def test_a_closed_form_graph_builds_its_record_and_edge_arrays_once(monkeypatch):
+    # The closed-form route's base-free state is one record per graph,
+    # built at the first base from one array view of the edges and read
+    # by every other base, the profile's terms included.
+    views = []
+    edge_view = circuit._edge_view
+
+    def counting(g):
+        views.append(g)
+        return edge_view(g)
+
+    monkeypatch.setattr(circuit, "_edge_view", counting)
     rng = random.Random(3030)
     g = random_regular_graph(rng, 12, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
-    assert circuit.closed_form(g) is not None
-    before = invariants._edge_arrays.cache_info()
+    before = circuit._deleted_edge_inverses.cache_info()
     for base in range(g.vertex_count):
         invariants.graph_profile(g, base)
-    after = invariants._edge_arrays.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, g.vertex_count - 1)
+    after = circuit._deleted_edge_inverses.cache_info()
+    assert circuit.closed_form(g) is not None
+    assert after.misses - before.misses == 1
+    assert len(views) == 1 and views[0] is g
 
 
 def gth_star(g, edge, base):
