@@ -12,12 +12,15 @@ An edge's data at a base reduces G - e onto {a, b, base}.  The vertices
 eliminated there never read the a-b entry, so all edges between a and b
 share one reduction of G without any a-b edge, per base, and each edge
 then adds the other a-b conductances and the recorded fills of that entry
-in the order its own reduction would (_pair_stars): the same bits as one
-reduction per edge.  closed_form alone picks the route.  On the all-GTH
-route (graphs under RANK_ONE_MIN_VERTICES, or where no edge passes the
-closed form's guard) every non-loop, non-bridge edge is reduced this way
-on the graph itself (_gth_stars), as the closed-form route does for the
-edges its guard rejects.
+in the order its own reduction would: the same bits as one reduction per
+edge.  _gth_stars does this in one pass per graph and base: one loop over
+the edges builds the conductance maps and the endpoint-pair classes, and
+a class whose {a, b, base} is already every vertex reduces nothing and
+copies no map.  closed_form alone picks the route.  On the all-GTH route
+(graphs under RANK_ONE_MIN_VERTICES, or where no edge passes the closed
+form's guard) every non-loop, non-bridge edge is reduced this way on the
+graph itself, as the closed-form route does for the edges its guard
+rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
@@ -52,7 +55,7 @@ only meets graphs under RANK_ONE_MIN_VERTICES never loads numpy.
 
 from __future__ import annotations
 
-import sys
+import math
 from itertools import chain, combinations
 from operator import add
 from typing import NamedTuple, Sequence
@@ -83,12 +86,13 @@ RANK_ONE_ERROR_BOUND = 1e-13
 # for.  GTH is slower than the closed form at every size, so this is not
 # a crossover: it keeps GTH to sizes where it costs a few ms.  Per graph
 # on 6-regular multigraphs, one BLAS thread, 2-core x86-64, GTH (one
-# reduction per endpoint pair) against the closed form, median of 10
-# graphs, at one base: 0.17 against 0.09 ms at n = 6, 1.1 against 0.15 at
-# n = 10 and 3.6 against 0.17 at n = 14; at every base: 1.2 against 0.23 ms
-# at n = 6, 11 against 0.40 at n = 10 and 46 against 0.51 at n = 14.
+# reduction per endpoint pair) against the closed form, the median over 10
+# graphs of each graph's best of 3, at one base: 0.12 against 0.08 ms at
+# n = 6, 0.59 against 0.08 at n = 10 and 1.6 against 0.09 at n = 14; at
+# every base: 0.73 against 0.10 ms at n = 6, 5.8 against 0.12 at n = 10 and
+# 22 against 0.15 at n = 14.
 RANK_ONE_MIN_VERTICES = 10
-_EPS = sys.float_info.epsilon
+_EPS = math.ulp(1.0)  # machine epsilon, 2**-52
 
 
 def _edge_view(g: MetrizedGraph):
@@ -164,15 +168,26 @@ def _grounded_inverse(lap):
     return full
 
 
-def _conductances(vertex_count: int, edges) -> list[dict[int, float]]:
-    """Per-vertex maps neighbour -> conductance, parallel edges added in edge order, loops left out."""
+def _conductances(vertex_count: int, edges):
+    """The network in one pass over the edges, loops left out: per-vertex maps, conductances and parallel classes.
+
+    Returns (cond, conductance, parallel).  Each non-loop edge's
+    conductance 1/length is computed once and kept by edge in
+    ``conductance`` (0.0 at a loop); it is added to cond, the maps
+    neighbour -> conductance of both ends, parallel edges in edge order,
+    and the edge joins its class in ``parallel``: the ids of the edges
+    between one endpoint pair, in edge order, keyed by the sorted pair.
+    """
     cond: list[dict[int, float]] = [{} for _ in range(vertex_count)]
-    for a, b, length in edges:
+    conductance = [0.0] * len(edges)
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, length) in enumerate(edges):
         if a != b:
-            c = 1.0 / length
+            conductance[i] = c = 1.0 / length
             cond[a][b] = cond[a].get(b, 0.0) + c
             cond[b][a] = cond[b].get(a, 0.0) + c
-    return cond
+            parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
+    return cond, conductance, parallel
 
 
 def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
@@ -208,62 +223,61 @@ def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
     return fills
 
 
-def _pair_stars(cond, edges, parallel: list[int], routed: list[int], base: int) -> list[tuple[float, float]]:
-    """Star arms toward base of each routed edge between one endpoint pair, from one reduction.
+def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[float], list[float]]:
+    """Star arms toward base at the first and second end of every routed edge, as two edge-indexed lists.
 
-    ``cond`` holds G's conductance maps (left unchanged), ``parallel`` every
-    edge between the pair's endpoints a, b in edge order, and ``routed`` the
-    ones wanted.  G without any a-b edge is reduced onto {a, b, base} once.
-    The eliminated vertices never read the a-b entry, so G - e reduces the
-    same way for each a-b edge e, and its a-b conductance g_ab is the other
-    a-b edges' conductances in edge order followed by the recorded fills:
-    the additions, in their order, of reducing G - e itself.  The reduced
+    One pass over the edges (_conductances) gives G's conductance maps,
+    each edge's conductance and the parallel classes.  Each class with a
+    routed edge reduces G without any a-b edge onto {a, b, base} once, on
+    a copy of the maps.  The eliminated vertices never read the a-b entry,
+    so G - e reduces the same way for each a-b edge e, and its a-b
+    conductance g_ab is the other a-b edges' conductances in edge order
+    followed by the recorded fills: the additions, in their order, of
+    reducing G - e itself.  A class whose keep set {a, b, base} already
+    holds every vertex (every class when n <= 2, and every class with the
+    base off its pair when n = 3) eliminates nothing: it makes no copy and
+    reads G's own maps, whose a-b entry it never reads.  The reduced
     triangle g_ab, g_ap, g_bp has the star arm_a = g_bp / D and
     arm_b = g_ap / D with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at
     an endpoint leaves the two-terminal case: arm 0 there, 1/g_ab at the
-    other.
+    other.  Every edge not routed holds 0.0 in both lists at a loop (its
+    exact limit) and NaN elsewhere.
     """
-    a, b, _ = edges[parallel[0]]
-    cond = [dict(row) for row in cond]
-    del cond[a][b], cond[b][a]
-    fills = _eliminate(cond, {a, b, base}, (a, b))
-    conductance = [1.0 / edges[i][2] for i in parallel]
-    stars = []
-    for e in routed:
-        g_ab = 0.0
-        for i, c in zip(parallel, conductance):
-            if i != e:
-                g_ab += c
-        for c in fills:
-            g_ab += c
-        a, b, _ = edges[e]
-        if base == a:
-            stars.append((0.0, 1.0 / g_ab))
-        elif base == b:
-            stars.append((1.0 / g_ab, 0.0))
-        else:
-            g_ap = cond[a].get(base, 0.0)
-            g_bp = cond[b].get(base, 0.0)
-            d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
-            stars.append((g_bp / d, g_ap / d))
-    return stars
-
-
-def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> dict[int, tuple[float, float]]:
-    """Star arms toward base of the routed edges, by edge: one _pair_stars reduction per endpoint pair."""
     edges = g.edges
-    parallel: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, _) in enumerate(edges):
-        if a != b:
-            parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
+    cond, conductance, parallel = _conductances(g.vertex_count, edges)
+    first = [0.0 if a == b else math.nan for a, b, _ in edges]
+    second = first.copy()
     wanted = set(routed)
-    cond = _conductances(g.vertex_count, edges)
-    stars = {}
     for ids in parallel.values():
         chosen = [i for i in ids if i in wanted]
-        if chosen:
-            stars.update(zip(chosen, _pair_stars(cond, edges, ids, chosen, base)))
-    return stars
+        if not chosen:
+            continue
+        a, b, _ = edges[ids[0]]
+        keep = {a, b, base}
+        if len(keep) == len(cond):
+            reduced, fills = cond, ()
+        else:
+            reduced = list(map(dict, cond))
+            del reduced[a][b], reduced[b][a]
+            fills = _eliminate(reduced, keep, (a, b))
+        for e in chosen:
+            g_ab = 0.0
+            for i in ids:
+                if i != e:
+                    g_ab += conductance[i]
+            for c in fills:
+                g_ab += c
+            a, b, _ = edges[e]
+            if base == a:
+                first[e], second[e] = 0.0, 1.0 / g_ab
+            elif base == b:
+                first[e], second[e] = 1.0 / g_ab, 0.0
+            else:
+                g_ap = reduced[a].get(base, 0.0)
+                g_bp = reduced[b].get(base, 0.0)
+                d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
+                first[e], second[e] = g_bp / d, g_ap / d
+    return first, second
 
 
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
@@ -276,7 +290,7 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     y = g.check_vertex(y)
     if x == y:
         return 0.0
-    cond = _conductances(g.vertex_count, g.edges)
+    cond = _conductances(g.vertex_count, g.edges)[0]
     _eliminate(cond, {x, y})
     return 1.0 / cond[x][y]
 
@@ -380,26 +394,24 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     """Deleted-edge resistance and star arms of every edge toward one base, as columns.
 
     One branch per route (closed_form).  On either route the edges left to
-    GTH are reduced onto {a, b, base}, one reduction per endpoint pair
-    (_gth_stars), and their R is the sum of their two arms.  On the all-GTH
-    route these are all the non-loop, non-bridge edges, and the columns are
-    tuples of Python floats: numpy is not even imported.  On the
-    closed-form route the columns are float64 arrays: each edge that passed
-    the guard takes R from the graph's closed-form data and its arm gap from
-    one gather of row K[base]: arm_first = (R + gap) / 2 and
-    arm_second = R - arm_first.  A self-loop's R is 0, so the same
-    arithmetic gives its arms 0.
+    GTH are reduced onto {a, b, base}, at most one reduction per endpoint
+    pair, and come back as _gth_stars' two edge-indexed arm lists; their R
+    is the sum of their two arms.  On the all-GTH route these are all the
+    non-loop, non-bridge edges, and the columns are those lists as tuples
+    of Python floats (0.0 at loops, NaN at bridges): numpy is not even
+    imported.  On the closed-form route the columns are float64 arrays:
+    each edge that passed the guard takes R from the graph's closed-form
+    data and its arm gap from one gather of row K[base]:
+    arm_first = (R + gap) / 2 and arm_second = R - arm_first, and the
+    routed entries of the two lists overwrite the guard's rejects.  A
+    self-loop's R is 0, so the same arithmetic gives its arms 0.
     """
     base = g.check_vertex(base)
-    edges = g.edges
     data = closed_form(g)
     if data is None:
         bridges = g.bridges()
-        stars = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(edges) if a != b and i not in bridges])
-        nan = (float("nan"),) * 2  # at bridges, which have no star
-        arms = [(0.0, 0.0) if a == b else stars.get(i, nan) for i, (a, b, _) in enumerate(edges)]
-        arm_first, arm_second = zip(*arms) if arms else ((), ())
-        return EdgeColumns(tuple(map(add, arm_first, arm_second)), arm_first, arm_second)
+        first, second = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges])
+        return EdgeColumns(tuple(map(add, first, second)), tuple(first), tuple(second))
     row = data.K[base]
     gap = data.scale * (data.spread - 2.0 * (row[data.a] - row[data.b]))
     R = data.R
@@ -407,7 +419,8 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     arm_second = R - arm_first
     if data.gth:
         R = R.copy()
-        for i, (arm_a, arm_b) in _gth_stars(g, base, data.gth).items():
-            arm_first[i], arm_second[i] = arm_a, arm_b
-            R[i] = arm_a + arm_b
+        first, second = _gth_stars(g, base, data.gth)
+        for i in data.gth:
+            arm_first[i], arm_second[i] = first[i], second[i]
+            R[i] = first[i] + second[i]
     return EdgeColumns(R, arm_first, arm_second)

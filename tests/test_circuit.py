@@ -350,13 +350,13 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
 
 def test_near_bridge_takes_the_gth_route(monkeypatch):
     routed = set()
-    pair_stars = circuit._pair_stars
+    gth_stars = circuit._gth_stars
 
-    def counting(cond, edges, parallel, wanted, base):
+    def recording(g, base, wanted):
         routed.update(wanted)
-        return pair_stars(cond, edges, parallel, wanted, base)
+        return gth_stars(g, base, wanted)
 
-    monkeypatch.setattr(circuit, "_pair_stars", counting)
+    monkeypatch.setattr(circuit, "_gth_stars", recording)
     rng = random.Random(31)
     graph, near_bridge = near_bridge_graph(rng, 1e-3, 1e4)
     for p in range(graph.vertex_count):
@@ -653,7 +653,7 @@ def gth_star(g, edge, base):
     leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
     """
     a, b, _ = g.edges[edge]
-    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])
+    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])[0]
     circuit._eliminate(cond, {a, b, base})
     if base in (a, b):
         r = 1.0 / cond[a][b]
