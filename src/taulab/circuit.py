@@ -56,6 +56,7 @@ only meets graphs under RANK_ONE_MIN_VERTICES never loads numpy.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain, combinations
 from operator import add
 from typing import NamedTuple, Sequence
@@ -92,7 +93,7 @@ RANK_ONE_ERROR_BOUND = 1e-13
 # every base: 0.73 against 0.10 ms at n = 6, 5.8 against 0.12 at n = 10 and
 # 22 against 0.15 at n = 14.
 RANK_ONE_MIN_VERTICES = 10
-_EPS = math.ulp(1.0)  # machine epsilon, 2**-52
+_EPS = sys.float_info.epsilon
 
 
 def _edge_view(g: MetrizedGraph):
@@ -168,26 +169,15 @@ def _grounded_inverse(lap):
     return full
 
 
-def _conductances(vertex_count: int, edges):
-    """The network in one pass over the edges, loops left out: per-vertex maps, conductances and parallel classes.
-
-    Returns (cond, conductance, parallel).  Each non-loop edge's
-    conductance 1/length is computed once and kept by edge in
-    ``conductance`` (0.0 at a loop); it is added to cond, the maps
-    neighbour -> conductance of both ends, parallel edges in edge order,
-    and the edge joins its class in ``parallel``: the ids of the edges
-    between one endpoint pair, in edge order, keyed by the sorted pair.
-    """
+def _conductances(vertex_count: int, edges) -> list[dict[int, float]]:
+    """Per-vertex maps neighbour -> conductance, parallel edges added in edge order, loops left out."""
     cond: list[dict[int, float]] = [{} for _ in range(vertex_count)]
-    conductance = [0.0] * len(edges)
-    parallel: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b, length) in enumerate(edges):
+    for a, b, length in edges:
         if a != b:
-            conductance[i] = c = 1.0 / length
+            c = 1.0 / length
             cond[a][b] = cond[a].get(b, 0.0) + c
             cond[b][a] = cond[b].get(a, 0.0) + c
-            parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
-    return cond, conductance, parallel
+    return cond
 
 
 def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
@@ -226,8 +216,8 @@ def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
 def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[float], list[float]]:
     """Star arms toward base at the first and second end of every routed edge, as two edge-indexed lists.
 
-    One pass over the edges (_conductances) gives G's conductance maps,
-    each edge's conductance and the parallel classes.  Each class with a
+    One pass over the edges builds G's conductance maps as _conductances
+    does, each edge's conductance and the parallel classes.  Each class with a
     routed edge reduces G without any a-b edge onto {a, b, base} once, on
     a copy of the maps.  The eliminated vertices never read the a-b entry,
     so G - e reduces the same way for each a-b edge e, and its a-b
@@ -244,7 +234,15 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
     exact limit) and NaN elsewhere.
     """
     edges = g.edges
-    cond, conductance, parallel = _conductances(g.vertex_count, edges)
+    cond: list[dict[int, float]] = [{} for _ in range(g.vertex_count)]
+    conductance = [0.0] * len(edges)
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, length) in enumerate(edges):
+        if a != b:
+            conductance[i] = c = 1.0 / length
+            cond[a][b] = cond[a].get(b, 0.0) + c
+            cond[b][a] = cond[b].get(a, 0.0) + c
+            parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
     first = [0.0 if a == b else math.nan for a, b, _ in edges]
     second = first.copy()
     wanted = set(routed)
@@ -254,9 +252,8 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
             continue
         a, b, _ = edges[ids[0]]
         keep = {a, b, base}
-        if len(keep) == len(cond):
-            reduced, fills = cond, ()
-        else:
+        reduced, fills = cond, ()
+        if len(keep) < len(cond):
             reduced = list(map(dict, cond))
             del reduced[a][b], reduced[b][a]
             fills = _eliminate(reduced, keep, (a, b))
@@ -273,8 +270,7 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
             elif base == b:
                 first[e], second[e] = 1.0 / g_ab, 0.0
             else:
-                g_ap = reduced[a].get(base, 0.0)
-                g_bp = reduced[b].get(base, 0.0)
+                g_ap, g_bp = reduced[a].get(base, 0.0), reduced[b].get(base, 0.0)
                 d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
                 first[e], second[e] = g_bp / d, g_ap / d
     return first, second
@@ -286,11 +282,10 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
     The network is reduced onto {x, y} by GTH elimination; what is left is
     one conductance between them.
     """
-    x = g.check_vertex(x)
-    y = g.check_vertex(y)
+    x, y = g.check_vertex(x), g.check_vertex(y)
     if x == y:
         return 0.0
-    cond = _conductances(g.vertex_count, g.edges)[0]
+    cond = _conductances(g.vertex_count, g.edges)
     _eliminate(cond, {x, y})
     return 1.0 / cond[x][y]
 

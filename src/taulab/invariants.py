@@ -142,23 +142,20 @@ def _edge_terms(L, R, gap):
 def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y and both weight tuples, one edge at a time."""
     bridges = g.bridges()
-    z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
+    terms = z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
     for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
         if a == b:
             z_terms.append(L)
-            weight_r, weight_l = 0.0, 1.0
+            w_res.append(0.0)
+            w_len.append(1.0)
         elif i in bridges:
             r_terms.append(L)
             y_terms.append(L)
-            weight_r, weight_l = 1.0, 0.0
+            w_res.append(1.0)
+            w_len.append(0.0)
         else:
-            z, r, x, y, weight_r, weight_l = _edge_terms(L, R, arm_first - arm_second)
-            z_terms.append(z)
-            r_terms.append(r)
-            x_terms.append(x)
-            y_terms.append(y)
-        w_res.append(weight_r)
-        w_len.append(weight_l)
+            for column, term in zip(terms, _edge_terms(L, R, arm_first - arm_second)):
+                column.append(term)
     return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
             tuple(w_res), tuple(w_len))
 

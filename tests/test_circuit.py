@@ -653,7 +653,7 @@ def gth_star(g, edge, base):
     leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
     """
     a, b, _ = g.edges[edge]
-    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])[0]
+    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])
     circuit._eliminate(cond, {a, b, base})
     if base in (a, b):
         r = 1.0 / cond[a][b]

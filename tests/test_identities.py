@@ -504,8 +504,7 @@ def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
 
 # The smallest known misses of the 1e-9 tolerance, each a difference of two
 # large sums that cancel.  They stay strict xfails until the sums become
-# non-negative terms (ROADMAP items 4 and 5); a strict xfail also trips when
-# the GTH kernel moves a bit of these reports.
+# non-negative terms (ROADMAP items 4 and 5).
 @pytest.mark.xfail(strict=True, reason="K(G, e) = z(G) - own - z(G - e) cancels (ROADMAP items 4 and 5)")
 def test_k_contract_on_a_two_edge_circle_of_spread_8e4():
     g = build_graph(2, [(0, 1, 505.06787927590153), (0, 1, 39795283.970232315)])

@@ -2,15 +2,15 @@
 
 Usage:
     python tools/bench_pairs.py --parent PARENT_TREE --change CHANGE_TREE --name NAME
-        [--workloads catalog cli_invariants tau_sweep] [--pairs 10] [--seed 0]
-        [--digest-seeds 1 2] [--seconds 25] [--what TEXT] [--out DIR]
+        [--what TEXT] [--out DIR]
 
 Each tree is a checkout of its own (``git archive`` or ``git clone``), and
 every run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` from that tree's root, so each side imports its own package.
-Per workload: one run of each side at every digest seed (parent first),
-then the alternated pairs at the timed seed (even pairs parent first, odd
-pairs change first).  The file keeps every run and, per workload, the
+--trace 0`` from that tree's root, so each side imports its own package,
+with T the benchmark's run_seconds.  Per workload of BENCHMARK.json: one
+run of each side at each of DIGEST_SEEDS (parent first), then PAIRS
+alternated pairs at SEED (even pairs parent first, odd pairs change
+first).  The file keeps every run and, per workload, the
 median, quartiles and change wins of each end-to-end metric of
 BENCHMARK.json plus raw_setup_s, the output digests of each side per seed,
 and the failed counts.  Quartiles are statistics.quantiles(method='inclusive');
@@ -27,21 +27,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+PAIRS = 10
+SEED = 0
+DIGEST_SEEDS = (1, 2)
 RUN_TIMEOUT_S = 900
 # The unscaled set-up time from each run's info line, beside the scaled setup_s.
 RAW_METRICS = {"raw_setup_s": "lower"}
 
 
-def end_to_end_directions(benchmark: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
+def end_to_end_directions() -> dict[str, str]:
     """Each end-to-end metric's better direction ("lower" or "higher"), raw_setup_s last."""
-    spec = json.loads(benchmark.read_text(encoding="utf-8"))
-    return {**{metric["name"]: metric["better"] for metric in spec["end_to_end"]}, **RAW_METRICS}
+    return {**{metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}, **RAW_METRICS}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One untraced run.py run from the root of tree: its info line and its result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False)
     lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
     if done.returncode != 0 or len(lines) < 2:
@@ -114,24 +117,24 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
-def run_pairs(trees: dict[str, Path], workloads, pairs: int, seed: int, digest_seeds, seconds: float) -> list[dict]:
+def run_pairs(trees: dict[str, Path], workloads: list[str]) -> list[dict]:
     """Every run in the order the module docstring gives, as rows."""
     runs = []
 
     def run(side, workload, run_seed, pair):
         row = {"side": side, "workload": workload, "seed": run_seed, "pair": pair}
-        row.update(run_once(trees[side], workload, run_seed, seconds))
+        row.update(run_once(trees[side], workload, run_seed))
         runs.append(row)
         print(f"{workload} seed {run_seed} pair {pair} {side}: "
               f"{row['result']['metrics']['graphs_per_s']['value']:.1f} graphs/s", file=sys.stderr)
 
     for workload in workloads:
-        for digest_seed in digest_seeds:
+        for digest_seed in DIGEST_SEEDS:
             for side in ("parent", "change"):
                 run(side, workload, digest_seed, -1)
-        for pair in range(pairs):
+        for pair in range(PAIRS):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                run(side, workload, seed, pair)
+                run(side, workload, SEED, pair)
     return runs
 
 
@@ -140,25 +143,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="root of the change checkout")
     parser.add_argument("--name", required=True, help="the file is BENCH_<name>.json")
-    parser.add_argument("--workloads", nargs="+", default=["catalog", "cli_invariants", "tau_sweep"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--digest-seeds", type=int, nargs="*", default=[1, 2])
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--what", default="", help="what the change does and what the file records")
     parser.add_argument("--out", type=Path, default=Path.cwd(), help="directory to write the file in")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = run_pairs(trees, args.workloads, args.pairs, args.seed, args.digest_seeds, args.seconds)
+    workloads = [workload["name"] for workload in BENCHMARK["workloads"]]
+    runs = run_pairs(trees, workloads)
     environment = runs[0]["info"]["perfbench"]["environment"]
     report = {
         "what": args.what,
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} --trace 0",
-        "order": (f"per workload ({', '.join(args.workloads)}): one run of each side at seeds "
-                  f"{args.digest_seeds} (parent first) for the digests, then {args.pairs} alternated pairs "
-                  f"at seed {args.seed} (even pairs parent first, odd pairs change first). Each side runs "
+        "command": ("python3 perfbench/run.py --workload <workload> --seed <seed> "
+                    f"--seconds {BENCHMARK['run_seconds']} --trace 0"),
+        "order": (f"per workload ({', '.join(workloads)}): one run of each side at seeds "
+                  f"{list(DIGEST_SEEDS)} (parent first) for the digests, then {PAIRS} alternated pairs "
+                  f"at seed {SEED} (even pairs parent first, odd pairs change first). Each side runs "
                   "from its own checkout; pair -1 marks the digest-only runs"),
         "parent": f"code {runs[0]['info']['perfbench']['code']}",
         "change": f"code {next(r for r in runs if r['side'] == 'change')['info']['perfbench']['code']}",
