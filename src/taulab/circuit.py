@@ -16,11 +16,13 @@ in the order its own reduction would: the same bits as one reduction per
 edge.  _gth_stars does this in one pass per graph and base: one loop over
 the edges builds the conductance maps and the endpoint-pair classes, and
 a class whose {a, b, base} is already every vertex reduces nothing and
-copies no map.  closed_form alone picks the route.  On the all-GTH route
-(graphs under RANK_ONE_MIN_VERTICES, or where no edge passes the closed
-form's guard) every non-loop, non-bridge edge is reduced this way on the
-graph itself, as the closed-form route does for the edges its guard
-rejects.
+copies no map.  The reduced triangle gives all three arms of the star:
+at a, at b and at the base, the last for the crossing A
+(invariants._star_crossing).  closed_form alone picks the route.  On the
+all-GTH route (graphs under RANK_ONE_MIN_VERTICES, or where no edge passes
+the closed form's guard) every non-loop, non-bridge edge is reduced this
+way on the graph itself, as the closed-form route does for the edges its
+guard rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
@@ -41,12 +43,12 @@ suspicious grounded inverse raises SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
 deleted-edge resistance and the two star arms of every edge, indexed by
-edge, as tuples of Python floats on the all-GTH route and as float64
-arrays on the closed-form route, which the profile sums column-wise and
-keeps, read-only, as they are.  A self-loop holds its exact limit there
-(R and both arms 0.0); a bridge has no finite deleted-edge resistance, so
-its entries are NaN and its limits are applied by whoever reads
-g.bridges().
+edge, as tuples of Python floats on the all-GTH route, which keeps the
+arm at the base too, and as float64 arrays on the closed-form route,
+which the profile sums column-wise and keeps, read-only, as they are.
+A self-loop holds its exact limit there (R and every arm 0.0); a bridge
+has no finite deleted-edge resistance, so its entries are NaN and its
+limits are applied by whoever reads g.bridges().
 
 numpy is imported inside the functions of the closed-form route, not at
 module level: the all-GTH route does not even import it, so a process that
@@ -213,8 +215,8 @@ def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
     return fills
 
 
-def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[float], list[float]]:
-    """Star arms toward base at the first and second end of every routed edge, as two edge-indexed lists.
+def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[float], list[float], list[float]]:
+    """Star arms at the first end, the second end and the base of every routed edge, as three edge-indexed lists.
 
     One pass over the edges builds G's conductance maps as _conductances
     does, each edge's conductance and the parallel classes.  Each class with a
@@ -227,11 +229,12 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
     holds every vertex (every class when n <= 2, and every class with the
     base off its pair when n = 3) eliminates nothing: it makes no copy and
     reads G's own maps, whose a-b entry it never reads.  The reduced
-    triangle g_ab, g_ap, g_bp has the star arm_a = g_bp / D and
-    arm_b = g_ap / D with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at
-    an endpoint leaves the two-terminal case: arm 0 there, 1/g_ab at the
-    other.  Every edge not routed holds 0.0 in both lists at a loop (its
-    exact limit) and NaN elsewhere.
+    triangle g_ab, g_ap, g_bp has the star arm_a = g_bp / D,
+    arm_b = g_ap / D and arm_base = g_ab / D with
+    D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at an endpoint leaves
+    the two-terminal case: arm 0 there and at the base, 1/g_ab at the
+    other.  Every edge not routed holds 0.0 in all three lists at a loop
+    (its exact limit) and NaN elsewhere.
     """
     edges = g.edges
     cond: list[dict[int, float]] = [{} for _ in range(g.vertex_count)]
@@ -244,7 +247,7 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
             cond[b][a] = cond[b].get(a, 0.0) + c
             parallel.setdefault((a, b) if a < b else (b, a), []).append(i)
     first = [0.0 if a == b else math.nan for a, b, _ in edges]
-    second = first.copy()
+    second, third = first.copy(), first.copy()
     wanted = set(routed)
     for ids in parallel.values():
         chosen = [i for i in ids if i in wanted]
@@ -266,14 +269,14 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
                 g_ab += c
             a, b, _ = edges[e]
             if base == a:
-                first[e], second[e] = 0.0, 1.0 / g_ab
+                first[e], second[e], third[e] = 0.0, 1.0 / g_ab, 0.0
             elif base == b:
-                first[e], second[e] = 1.0 / g_ab, 0.0
+                first[e], second[e], third[e] = 1.0 / g_ab, 0.0, 0.0
             else:
                 g_ap, g_bp = reduced[a].get(base, 0.0), reduced[b].get(base, 0.0)
                 d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
-                first[e], second[e] = g_bp / d, g_ap / d
-    return first, second
+                first[e], second[e], third[e] = g_bp / d, g_ap / d, g_ab / d
+    return first, second, third
 
 
 def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
@@ -372,17 +375,20 @@ class EdgeColumns(NamedTuple):
     base, the deleted-edge network reduces to a star with three arms;
     ``arm_first`` and ``arm_second`` are the arms at the first and second
     endpoint, the two the invariants read (through R = arm_first +
-    arm_second and the arm gap arm_first - arm_second).  A self-loop holds
-    its exact limit, 0.0 in all three columns.  A bridge's three entries
-    are NaN, and whoever reads g.bridges() applies its limits (z-term 0,
-    weights R/(L+R) = 1 and L/(L+R) = 0).  The columns are tuples of Python
-    floats on the all-GTH route and float64 arrays on the closed-form
-    route.
+    arm_second and the arm gap arm_first - arm_second).  ``arm_base``, the
+    arm at the base, is kept on the all-GTH route only, for the crossing A
+    (invariants._star_crossing), and is None on the closed-form route.  A
+    self-loop holds its exact limit, 0.0 in every column.  A bridge's
+    entries are NaN, and whoever reads g.bridges() applies its limits
+    (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).  The columns are
+    tuples of Python floats on the all-GTH route and float64 arrays on the
+    closed-form route.
     """
 
     resistance: Sequence[float]
     arm_first: Sequence[float]
     arm_second: Sequence[float]
+    arm_base: Sequence[float] | None = None
 
 
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
@@ -390,23 +396,24 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
 
     One branch per route (closed_form).  On either route the edges left to
     GTH are reduced onto {a, b, base}, at most one reduction per endpoint
-    pair, and come back as _gth_stars' two edge-indexed arm lists; their R
-    is the sum of their two arms.  On the all-GTH route these are all the
-    non-loop, non-bridge edges, and the columns are those lists as tuples
-    of Python floats (0.0 at loops, NaN at bridges): numpy is not even
-    imported.  On the closed-form route the columns are float64 arrays:
-    each edge that passed the guard takes R from the graph's closed-form
-    data and its arm gap from one gather of row K[base]:
+    pair, and come back as _gth_stars' edge-indexed arm lists; their R
+    is the sum of their two end arms.  On the all-GTH route these are all
+    the non-loop, non-bridge edges, and the columns are those lists as
+    tuples of Python floats (0.0 at loops, NaN at bridges), the arm at the
+    base included: numpy is not even imported.  On the closed-form route
+    the columns are float64 arrays, with no arm at the base: each edge
+    that passed the guard takes R from the graph's closed-form data and
+    its arm gap from one gather of row K[base]:
     arm_first = (R + gap) / 2 and arm_second = R - arm_first, and the
-    routed entries of the two lists overwrite the guard's rejects.  A
+    routed entries of the end-arm lists overwrite the guard's rejects.  A
     self-loop's R is 0, so the same arithmetic gives its arms 0.
     """
     base = g.check_vertex(base)
     data = closed_form(g)
     if data is None:
         bridges = g.bridges()
-        first, second = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges])
-        return EdgeColumns(tuple(map(add, first, second)), tuple(first), tuple(second))
+        first, second, third = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges])
+        return EdgeColumns(tuple(map(add, first, second)), tuple(first), tuple(second), tuple(third))
     row = data.K[base]
     gap = data.scale * (data.spread - 2.0 * (row[data.a] - row[data.b]))
     R = data.R
@@ -414,7 +421,7 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     arm_second = R - arm_first
     if data.gth:
         R = R.copy()
-        first, second = _gth_stars(g, base, data.gth)
+        first, second, _ = _gth_stars(g, base, data.gth)
         for i in data.gth:
             arm_first[i], arm_second[i] = first[i], second[i]
             R[i] = first[i] + second[i]

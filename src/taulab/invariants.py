@@ -16,6 +16,19 @@ Bridges and self-loops are exact limits, applied as explicit branches:
 a bridge (R infinite) contributes 0 to z and x and its full length to r and
 y; a self-loop (R = 0) contributes its length to z and nothing else.
 
+The crossing A(h; p, q) is a sum of non-negative per-edge terms too, on
+the all-GTH route (circuit.closed_form is None): with V, W and J the arms
+at q, at p and at x of the star that h reduces to on {p, q, x}, each
+non-loop edge f = (u, w, L) adds
+
+    dV^2 / L ((J_u + J_w) / 2 + L^2 / (6 (L + R_f)))
+
+(_star_crossing; no L^2 term at a bridge).  The stars of G - e onto
+{a, b, x} are the stars of e in G's profile at base x, so the catalog's
+crossings read G at every base and build no surgery for them.  The
+closed-form route keeps A = r (tau(h with p, q glued) - tau(h) + r/6)
+(glued_crossing), a difference of taus.
+
 Two independent oracles recompute tau without these formulas: a quadrature
 of the squared slope of the resistance function, and a recursion that
 contracts edges down to two-vertex graphs with a closed form.
@@ -31,6 +44,7 @@ from . import transforms
 from .circuit import (
     EdgeColumns,
     _grounded_inverse,
+    _gth_stars,
     _laplacian,
     all_edge_circuit_data,
     closed_form,
@@ -143,7 +157,7 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
     """z, r, x, y and both weight tuples, one edge at a time."""
     bridges = g.bridges()
     terms = z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
+    for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns[:3])):
         if a == b:
             z_terms.append(L)
             w_res.append(0.0)
@@ -173,7 +187,7 @@ def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     bridges = list(g.bridges())
     w_res[bridges] = 1.0
     w_len[bridges] = 0.0
-    for column in (*columns, w_res, w_len):
+    for column in (*columns[:3], w_res, w_len):
         column.flags.writeable = False
     loop_lengths = length[data.a == data.b].tolist()
     bridge_lengths = length[bridges].tolist()
@@ -196,12 +210,22 @@ def tau(g: MetrizedGraph) -> float:
     value = graph_profile(g).tau
     if g.vertex_count >= 2:
         other_base = 1 + hash(g) % (g.vertex_count - 1)
-        check = graph_profile(g, other_base).tau
-        if not abs(value - check) <= BASE_AGREEMENT_TOL * max(abs(value), abs(check)):
-            raise SingularSystem(
-                f"tau disagrees across base vertices: {value!r} at 0 vs {check!r} at {other_base}"
-            )
+        _check_base(value, graph_profile(g, other_base).tau, other_base)
     return value
+
+
+def _check_base(value: float, check: float, base: int) -> None:
+    """SingularSystem unless tau at base 0 and at base agree to BASE_AGREEMENT_TOL, relative, with no floor."""
+    if not abs(value - check) <= BASE_AGREEMENT_TOL * max(abs(value), abs(check)):
+        raise SingularSystem(f"tau disagrees across base vertices: {value!r} at 0 vs {check!r} at {base}")
+
+
+def _every_base(g: MetrizedGraph) -> list[EdgeColumns]:
+    """g's circuit columns at every base, once every base's tau agrees with base 0's."""
+    profiles = [graph_profile(g, base) for base in range(g.vertex_count)]
+    for base, prof in enumerate(profiles):
+        _check_base(profiles[0].tau, prof.tau, base)
+    return [prof.columns for prof in profiles]
 
 
 @dataclass(frozen=True)
@@ -279,22 +303,64 @@ def K_of(g: MetrizedGraph, i: int) -> float:
 def A_pq(g: MetrizedGraph, p: int, q: int) -> float:
     """The tau defect of gluing p to q, packaged as a crossing integral.
 
-    Computed through the exact relation
-    A = r(p,q) (tau(g with p,q glued) - tau(g) + r(p,q)/6); always in
+    Equal to r(p,q) (tau(g with p,q glued) - tau(g) + r(p,q)/6); always in
     [0, r(p,q) (r_max - r(p,q)/2)] where r_max is the resistance from the
-    gluing points.  The direct quadrature lives in a_pq_oracle_integral.
+    gluing points.  On the all-GTH route (circuit.closed_form(g) is None)
+    it is _star_crossing's sum of non-negative terms: the stars of g onto
+    {p, q, x} come from _gth_stars on g plus one p-q edge, routed alone,
+    at every base x, and every base's tau of g must agree with base 0's
+    (SingularSystem).  On the closed-form route it is glued_crossing's
+    difference of taus.  The direct quadrature lives in
+    a_pq_oracle_integral.
     """
     p = g.check_vertex(p)
     q = g.check_vertex(q)
     if p == q:
         raise SameVertex("A needs two distinct points")
-    return glued_crossing(g, transforms.identify_points(g, p, q), p, q)
+    if closed_form(g) is not None:
+        return glued_crossing(g, transforms.identify_points(g, p, q), p, q)
+    _every_base(g)
+    joined = MetrizedGraph._unchecked(g.vertex_count, g.edges + ((p, q, 1.0),))
+    e = g.edge_count
+    stars = []
+    for base in range(g.vertex_count):
+        first, second, third = _gth_stars(joined, base, [e])
+        stars.append((first[e], second[e], third[e]))
+    return _star_crossing(g, stars)
 
 
 def glued_crossing(g: MetrizedGraph, glued: MetrizedGraph, p: int, q: int) -> float:
-    """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued."""
+    """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued.
+
+    A difference of taus, r (tau(glued) - tau(g) + r/6), which loses digits
+    when the taus are far larger than A: the form of the closed-form route,
+    whose stars would be differences of grounded-inverse entries.
+    """
     resistance = effective_resistance(g, p, q)
     return resistance * (tau(glued) - tau(g) + resistance / 6.0)
+
+
+def _star_crossing(h: MetrizedGraph, stars: Sequence[tuple[float, float, float]]) -> float:
+    """A(h; p, q) as one fsum of non-negative terms, one per non-loop edge f = (u, w, L) of h.
+
+    stars[x] is (W, V, J): the arms at p, at q and at x of the star that h
+    reduces to on {p, q, x}.  On f, J is quadratic and V linear, so f adds
+    dV^2 / L ((J_u + J_w) / 2 + L^2 / (6 (L + R_f))), with R_f f's
+    deleted-edge resistance in h (graph_profile(h) at base 0) and the L^2
+    term dropped at a bridge of h.  V + W = r(p, q) at every vertex, so dV
+    is taken from whichever arm is the smaller at f's ends: the one whose
+    difference cancels least.
+    """
+    resistance = graph_profile(h).columns.resistance
+    bridges = h.bridges()
+    terms = []
+    for f, (u, w, L) in enumerate(h.edges):
+        if u != w:
+            (W_u, V_u, J_u), (W_w, V_w, J_w) = stars[u], stars[w]
+            gap = W_u - W_w if W_u + W_w < V_u + V_w else V_w - V_u
+            bump = 0.0 if f in bridges else L * L / (6.0 * (L + resistance[f]))
+            terms.append(gap * gap / L * (0.5 * (J_u + J_w) + bump))
+    return math.fsum(terms)
 
 
 # -- one record of floats per edge ----------------------------------------------
@@ -339,9 +405,15 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
 
     The one place that decides which surgery graphs exist for an edge and
     how long they live: each is cut from a throwaway copy of g and freed
-    when this returns, so g's memo keeps floats only.  Gluing a to b in
-    G - e gives G/e as a value, and in DA(G - e) it gives DA(G/e), so the
-    crossings glue through the contraction.  The looped graph is built
+    when this returns, so g's memo keeps floats only.  On the all-GTH
+    route the crossings are _star_crossing's sums over G - e and
+    DA(G - e), with e's stars read from G's columns at every base (every
+    base's tau checked against base 0's): the stars of G - e, and a
+    quarter of them for DA(G - e), whose every resistance is a quarter of
+    G - e's.  So the crossing equals A_pq(G - e, a, b) bit for bit.  On
+    the closed-form route gluing a to b in G - e gives G/e as a value, and
+    in DA(G - e) it gives DA(G/e), so the crossings glue through the
+    contraction (glued_crossing).  The looped graph is built
     only on 3 or more vertices, where TAU_CONTRACT, its one reader, runs.
     A loop's looped graph is g itself, read from g, since
     identify_endpoints returns its input there.
@@ -355,11 +427,24 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
     if i in g.bridges():
         return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
     deleted = _delete(scope, i)
-    crossing = 0.0 if a == b else glued_crossing(deleted, contracted, a, b)
+    stars = None
+    if a == b:
+        crossing = 0.0
+    elif closed_form(g) is None:
+        stars = [(c.arm_first[i], c.arm_second[i], c.arm_base[i]) for c in _every_base(g)]
+        crossing = _star_crossing(deleted, stars)
+    else:
+        crossing = glued_crossing(deleted, contracted, a, b)
     doubled = doubled_crossing = None
     if g.is_bridgeless():
-        doubled = graph_profile(_da(deleted)).tau
-        doubled_crossing = 0.0 if a == b else glued_crossing(_da(deleted), _da(contracted), a, b)
+        doubled_graph = _da(deleted)
+        doubled = graph_profile(doubled_graph).tau
+        if a == b:
+            doubled_crossing = 0.0
+        elif stars is not None:
+            doubled_crossing = _star_crossing(doubled_graph, [(W / 4.0, V / 4.0, J / 4.0) for W, V, J in stars])
+        else:
+            doubled_crossing = glued_crossing(doubled_graph, _da(contracted), a, b)
     return EdgeRecord(_scalars(deleted), _scalars(contracted), looped, crossing, doubled, doubled_crossing)
 
 

@@ -107,7 +107,9 @@ def test_arm_sum_recovers_deleted_resistance():
     for n in (circuit.RANK_ONE_MIN_VERTICES, 20, 40):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         for base in range(g.vertex_count):
-            resistance, arm_first, arm_second = map(np.asarray, all_edge_circuit_data(g, base))
+            *columns, arm_base = all_edge_circuit_data(g, base)
+            resistance, arm_first, arm_second = map(np.asarray, columns)
+            assert arm_base is None
             np.testing.assert_allclose(arm_first + arm_second, resistance, rtol=1e-9, atol=1e-12)
             assert (np.minimum(arm_first, arm_second) >= -1e-12 * resistance).all(), (n, base)
 
@@ -727,7 +729,7 @@ def test_deleted_unit_edge_beside_a_1e20_edge_matches_exact_rationals():
 def reference_profile(g, base):
     """The per-edge scalar loop graph_profile ran before its terms became columns."""
     z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
-    columns = (np.asarray(column).tolist() for column in all_edge_circuit_data(g, base))
+    columns = (np.asarray(column).tolist() for column in all_edge_circuit_data(g, base)[:3])
     for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns)):
         if a == b:
             z_terms.append(L)
@@ -835,7 +837,7 @@ def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
         bridge = np.isin(np.arange(g.edge_count), list(g.bridges()))
         for base in range(g.vertex_count):
             c = all_edge_circuit_data(g, base)
-            assert c._fields == ("resistance", "arm_first", "arm_second")
+            assert c._fields == ("resistance", "arm_first", "arm_second", "arm_base")
             for column in map(np.asarray, c):
                 assert (column[loop] == 0.0).all(), (g.edges, base)
                 assert np.isnan(column[bridge]).all(), (g.edges, base)
@@ -863,7 +865,9 @@ def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     # route read-only float64 arrays.
     for graph, layout, value, refusal in ((g, tuple, float, TypeError), (closed, np.ndarray, np.float64, ValueError)):
         prof = invariants.graph_profile(graph, 1)
-        for column in (*prof.columns, prof.weight_resistance, prof.weight_length):
+        # The arm at the base is kept on the all-GTH route only.
+        assert (prof.columns.arm_base is None) == (graph is closed)
+        for column in (*(c for c in prof.columns if c is not None), prof.weight_resistance, prof.weight_length):
             assert type(column) is layout and len(column) == graph.edge_count
             assert {type(entry) for entry in column} == {value}
             with pytest.raises(refusal):
@@ -907,7 +911,7 @@ def test_catalog_reports_are_the_same_from_arrays_and_from_tuples(monkeypatch):
 
         return dataclasses.replace(
             prof, weight_resistance=listed(prof.weight_resistance), weight_length=listed(prof.weight_length),
-            columns=circuit.EdgeColumns(*map(listed, prof.columns)),
+            columns=circuit.EdgeColumns(*map(listed, prof.columns[:3])),
         )
 
     monkeypatch.setattr(invariants, "_profile_at", graph_memo(as_tuples))

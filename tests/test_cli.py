@@ -193,7 +193,7 @@ def test_verify_exit_matches_library_verdict(tmp_path, capsys):
 
 # sha256 of the stdout of verify --ids all then invariants, on each graph of
 # test_identity_and_invariant_report_bytes_are_pinned in turn.
-PINNED_REPORTS_SHA256 = "e308eb28371326aa4ff5dd110d1fe26d21317d9a5446601f9caf8ac2cf80fc0c"
+PINNED_REPORTS_SHA256 = "1a7b6cfcec8e7fb6da37cd501ee45608cde6a457bcbc5f833379b47c6993d8c6"
 
 
 def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, report_graphs):
@@ -647,6 +647,29 @@ def test_cross_base_disagreement_is_a_typed_error(tmp_path, capsys, monkeypatch)
         assert out == ""
         assert err.startswith("taulab: tau disagrees across base vertices") and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+def test_the_crossings_check_every_base_of_the_graph(tmp_path, capsys, monkeypatch):
+    # Only G's last base is skewed, as skew_other_bases skews every base
+    # but 0.  tau's own check reads one other base; the records' crossings
+    # read G's stars at every base, so DEL_ID_A must refuse the graph.
+    text = "graph 4\nedge 0 1 1.25\nedge 1 2 2.5\nedge 2 3 0.75\nedge 3 0 3.0\nedge 0 2 1.5\n"
+    path = write(tmp_path, text)
+    edges = cli.parse_graph(text).edges
+    real = invariants.graph_profile
+
+    def skewed(g, base=0):
+        prof = real(g, base)
+        if g.edges != edges or base != g.vertex_count - 1:
+            return prof
+        return dataclasses.replace(prof, tau=2.0 * prof.tau + 1.0)
+
+    monkeypatch.setattr(invariants, "graph_profile", skewed)
+    code, out, err = run(capsys, ["verify", path, "--ids", "DEL_ID_A"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("taulab: tau disagrees across base vertices") and err.endswith(" at 3\n")
+    assert err.count("\n") == 1
 
 
 OPTIMIZED_SCRIPT = """

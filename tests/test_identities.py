@@ -123,7 +123,7 @@ def test_skip_reports_carry_reasons(path2, banana3):
 
 # sha256 of the "identity applicable note" lines of verify_all on each graph
 # of test_skip_table_is_pinned in turn.
-PINNED_SKIP_TABLE_SHA256 = "b5c0b3815045310e2675d2ff92a4c88040812c7c0e662a748804239abd9ec505"
+PINNED_SKIP_TABLE_SHA256 = "47423b4a91979765dcd3f5ea53c9b2a1a2b64efa2e2bd536e5208a93ec1a1b43"
 
 
 def test_skip_table_is_pinned():
@@ -339,9 +339,10 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
     # off surgeries built directly, and is None exactly where a bridge, or
     # a bridge elsewhere in g, leaves it undefined, or, for the looped
     # graph's tau, below 3 vertices, where TAU_CONTRACT does not run.  The
-    # record glues its crossings through G/e and DA(G/e); here they are
-    # A_pq of G - e and of DA(G - e).  The 25 bridgeless graphs come first, then the fuzz
-    # graphs, with loops and bridges.
+    # record sums its crossings over G's own stars of e; here they are
+    # A_pq of G - e, bit for bit, and of DA(G - e), whose stars the record
+    # takes as a quarter of G - e's, within 1e-12.  The 25 bridgeless
+    # graphs come first, then the fuzz graphs, with loops and bridges.
     rng = random.Random(7070)
     graphs = []
     for _ in range(25):
@@ -384,7 +385,11 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
                 seen["in a bridged graph"] += 1
                 continue
             assert record.doubled_tau == invariants.graph_profile(doubled).tau, (g.edges, i)
-            assert record.doubled_crossing == (0.0 if a == b else invariants.A_pq(doubled, a, b)), (g.edges, i)
+            if a == b:
+                assert record.doubled_crossing == 0.0
+            else:
+                direct = invariants.A_pq(doubled, a, b)
+                assert abs(record.doubled_crossing - direct) <= 1e-12 * direct, (g.edges, i)
     assert seen["crossing"] > 300 and min(seen.values()) > 20, seen
 
 
@@ -502,8 +507,8 @@ def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
     assert built == []
 
 
-# The smallest known misses of the 1e-9 tolerance, each a difference of two
-# large sums that cancel.  They stay strict xfails until the sums become
+# The smallest known miss of the 1e-9 tolerance, a difference of two large
+# sums that cancel.  It stays a strict xfail until K becomes a sum of
 # non-negative terms (ROADMAP items 4 and 5).
 @pytest.mark.xfail(strict=True, reason="K(G, e) = z(G) - own - z(G - e) cancels (ROADMAP items 4 and 5)")
 def test_k_contract_on_a_two_edge_circle_of_spread_8e4():
@@ -512,19 +517,21 @@ def test_k_contract_on_a_two_edge_circle_of_spread_8e4():
     assert report.passed, report  # residual 1.89e-9 at edge 1
 
 
-@pytest.mark.xfail(strict=True, reason="A as a difference of taus cancels (ROADMAP items 4 and 5)")
 def test_del_id_a_on_a_triangle_of_spread_47():
-    # Scaled exactly by 2**-25, the same triangle passes with residual 4.2e-17.
+    # A as a difference of taus missed here by 1.42e-9 at edge 1.  As a sum
+    # of non-negative terms over the stars, the worst row is edge 2, at
+    # 9.3e-10 (2**-30 against a floor of 1): its crossing, a path's between
+    # its ends, is exactly 0, and what is left is the rounding of the
+    # doubled crossing and of K.
     g = build_graph(3, [(0, 1, 24427247.6097695), (1, 2, 22313091.394492958), (2, 0, 516309.7379374328)])
     report = verify(g, "DEL_ID_A")
-    assert report.passed, report  # residual 1.42e-9 at edge 1
+    assert report.passed, report
 
 
-@pytest.mark.xfail(strict=True, reason="A = r (tau(G/pq) - tau(G) + r/6) cancels (ROADMAP item 4)")
 def test_a_pq_matches_the_exact_difference_of_taus():
-    # catalog seed 0, graph 185, with edge 9 deleted.  A per-edge sum of
-    # non-negative terms (ROADMAP item 4) gave 1.3912197478744415e-08
-    # against the exact 1.3912197478744417e-08; A_pq reads
+    # catalog seed 0, graph 185, with edge 9 deleted.  A_pq's sum over the
+    # stars reads 1.3912197478744419e-08 against the exact
+    # 1.3912197478744417e-08; as a difference of taus it read
     # 1.3912197611015697e-08, 9.5e-9 relative.
     h = build_graph(4, [
         (0, 3, 1.3471986491937304), (1, 3, 3347.1940214920332), (2, 3, 5762.172185767841),
@@ -537,3 +544,63 @@ def test_a_pq_matches_the_exact_difference_of_taus():
     exact = r * (exact_tau(transforms.identify_points(h, 0, 1)) - exact_tau(h) + r / 6)
     got = invariants.A_pq(h, 0, 1)
     assert abs(Fraction(got) - exact) <= Fraction(1e-9) * exact, (got, float(exact))
+
+
+def exact_tau_from_one_inverse(g):
+    """tau in Fractions from g's own resistances, bridges included.
+
+    A non-loop edge (a, b, L) adds D^2/(4L) + (L - r)^2/(12L), with
+    r = r(a, b) and D = r(0, a) - r(0, b); a loop adds L/12.  At a bridge
+    r = L and D = +-L, so it adds L/4.
+    """
+    K = exact_deleted_inverse(g.vertex_count, g.edges, None)
+    total = Fraction(0)
+    for a, b, length in g.edges:
+        L = Fraction(length)
+        r = K[a][a] + K[b][b] - 2 * K[a][b]
+        D = K[a][a] - K[b][b]
+        total += L / 12 if a == b else D * D / (4 * L) + (L - r) ** 2 / (12 * L)
+    return total
+
+
+def test_record_crossings_match_exact_rationals_at_wide_spreads():
+    # 25 six-vertex fuzz multigraphs at spreads 1e2 to 1e12.  In Fractions
+    # A(G - e; a, b) = r (tau(G/e) - tau(G - e) + r/6), and likewise for
+    # DA(G - e) glued into DA(G/e).  As a difference of taus the worst
+    # crossing here was 3.7e-5 off; the sum over the stars is 3.6e-11 off.
+    # An exact 0 (a and b joined through bridges of G - e alone) is checked
+    # against r^2.
+    def exact_crossing(h, glued, a, b):
+        K = exact_deleted_inverse(h.vertex_count, h.edges, None)
+        r = K[a][a] + K[b][b] - 2 * K[a][b]
+        return r * (exact_tau_from_one_inverse(glued) - exact_tau_from_one_inverse(h) + r / 6), r * r
+
+    rng = random.Random(10)
+    seen = collections.Counter()
+    for _ in range(25):
+        g = random_connected_multigraph(rng, 6, 12)
+        spread = 10.0 ** rng.uniform(2.0, 12.0)
+        g = build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges])
+        columns = [invariants.graph_profile(g, base).columns for base in range(g.vertex_count)]
+        for i, (a, b, _) in enumerate(g.edges):
+            if a == b or i in g.bridges():
+                continue
+            record = invariants.edge_record(g, i)
+            deleted, contracted = transforms.delete_edge(g, i), transforms.contract_edge(g, i)
+            pairs = [(record.crossing, exact_crossing(deleted, contracted, a, b))]
+            if g.is_bridgeless():
+                doubled = transforms.double_adjusted(deleted), transforms.double_adjusted(contracted)
+                pairs.append((record.doubled_crossing, exact_crossing(*doubled, a, b)))
+            for got, (want, floor) in pairs:
+                assert abs(Fraction(got) - want) <= Fraction(1e-9) * (want or floor), (g.edges, i, got, float(want))
+                seen["crossing"] += 1
+            seen["bridge in G - e"] += bool(deleted.bridges())
+            # V, the arm at b, is 1e6 times its real change across an edge:
+            # there the crossing reads the change of W, the arm at a.
+            V = [c.arm_second[i] for c in columns]
+            W = [c.arm_first[i] for c in columns]
+            seen["V over its change"] += any(
+                max(V[u], V[w]) >= 1e6 * abs(W[u] - W[w]) >= 1e-6 * max(W[u], W[w]) > 0
+                for u, w, _ in deleted.edges if u != w
+            )
+    assert seen["crossing"] > 200 and seen["bridge in G - e"] and seen["V over its change"], seen
