@@ -48,7 +48,7 @@ def N_of(g: MetrizedGraph) -> int:
         raise TooSmall("parallel-class minimum needs at least 2 vertices")
     if not g.is_bridgeless():
         raise BridgePresent("parallel-class minimum expects a bridgeless graph")
-    return min(invariants.banana_stats(graph)[0] for _, graph in invariants.admissible_leaf_nodes(g))
+    return min(invariants.banana_stats(core)[0] for _, core, _ in invariants.admissible_leaf_nodes(g))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ data, the profile at each base, the contraction lattice and the identity
 catalog's record of floats per edge.  So whatever is computed for a graph
 lives exactly as long as the graph.  The catalog's surgeries are cut from a
 throwaway copy of the graph, held by that copy's memo and freed once their
-edge's record is read; the lattice holds the contractions it builds.  An
-equal graph built a second time starts with an empty memo, and no table is
-shared across graphs.  Surgeries whose bridges follow from their parent's
-seed the result's memo with them (graph_memo's seed): contractions, doubled
-graphs and the throwaway copies.  Parsed graphs, deletions and gluings run
-the depth-first pass.
+edge's record is read; the lattice holds the one loopless core it builds
+per vertex partition.  An equal graph built a second time starts with an
+empty memo, and no table is shared across graphs.  Graphs whose bridges
+follow from their parent's seed the result's memo with them (graph_memo's
+seed): contractions, doubled graphs, the throwaway copies and the lattice
+cores.  Parsed graphs, deletions and gluings run the depth-first pass.
 """
 
 from __future__ import annotations
@@ -280,8 +280,8 @@ def _bridge_ids(g: MetrizedGraph) -> frozenset[int]:
 
     Surgeries whose bridges follow from their parent's hand them down
     through _bridge_ids.seed instead of running this pass: contract_edge,
-    double_adjusted and the edge records' throwaway copies
-    (invariants._scope).
+    double_adjusted, the edge records' throwaway copies (invariants._scope)
+    and the contraction lattice's cores (invariants._lattice).
     """
     n = g.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]

@@ -417,7 +417,8 @@ def _tau_del2(g):
 def _succ_rows(g, leaf, sides):
     """One row per contraction depth k in 1 .. v-2: sides(prof, v, k, nested)
     gives the row's (lhs, rhs), where prof is the profile of g and nested the
-    weighted sum of leaf(graph) over the depth-k contraction sequences."""
+    weighted sum of leaf(core, loops) over the depth-k contraction sequences,
+    each final graph given as its lattice node's core and loop lengths."""
     prof = _prof(g)
     v = g.vertex_count
     depths = range(1, v - 1)
@@ -431,7 +432,7 @@ def _succ_xy(g):
         lhs = math.factorial(v - 2) / math.factorial(v - k - 2) * (prof.x - prof.y)
         return lhs, nested
 
-    return _succ_rows(g, lambda h: _prof(h).x - _prof(h).y, sides)
+    return _succ_rows(g, lambda core, loops: _prof(core).x - _prof(core).y, sides)
 
 
 def _succ_tau(g):
@@ -442,7 +443,7 @@ def _succ_tau(g):
         )
         return prof.tau, rhs
 
-    return _succ_rows(g, lambda h: _prof(h).tau, sides)
+    return _succ_rows(g, invariants.node_tau, sides)
 
 
 def _succ_r(g):
@@ -452,11 +453,11 @@ def _succ_r(g):
 
     # The contracted lengths along a sequence are exactly what the leaf
     # graph lost, so the leaf value needs no bookkeeping of the path.  One
-    # fsum over g's lengths and the negated leaf's is their exact sum,
-    # rounded once; a difference of two rounded totals would drown the
-    # short contracted edges beside long kept ones.
+    # fsum over g's lengths and the negated leaf's, core and loops, is
+    # their exact sum, rounded once; a difference of two rounded totals
+    # would drown the short contracted edges beside long kept ones.
     lengths = [length for _, _, length in g.edges]
-    return _succ_rows(g, lambda h: math.fsum(lengths + [-length for _, _, length in h.edges]), sides)
+    return _succ_rows(g, lambda core, loops: math.fsum(lengths + [-L for _, _, L in core.edges] + [-L for L in loops]), sides)
 
 
 def _succ_z(g):
@@ -464,7 +465,7 @@ def _succ_z(g):
         lhs = math.factorial(v - 1) / math.factorial(v - k - 1) * prof.z
         return lhs, nested
 
-    return _succ_rows(g, lambda h: _prof(h).z, sides)
+    return _succ_rows(g, invariants.node_z, sides)
 
 
 def _succ_r_bounds(g):
@@ -486,9 +487,9 @@ def _leaf_tag(key) -> str:
 
 def _banana_xy(g):
     rows = []
-    for key, graph in invariants.admissible_leaf_nodes(g):
-        count, harmonic = invariants.banana_stats(graph)
-        leaf = _prof(graph)
+    for key, core, _ in invariants.admissible_leaf_nodes(g):
+        count, harmonic = invariants.banana_stats(core)
+        leaf = _prof(core)
         tag = _leaf_tag(key)
         rows.append((f"x at {tag}", "eq", leaf.x, (count - 1) * harmonic))
         rows.append((f"y at {tag}", "eq", leaf.y, harmonic))
@@ -499,8 +500,8 @@ def _tau_main5(g):
     prof = _prof(g)
     depth = g.vertex_count - 2
 
-    def leaf(graph):
-        count, harmonic = invariants.banana_stats(graph)
+    def leaf(core, loops):
+        count, harmonic = invariants.banana_stats(core)
         return (count - 2) * harmonic
 
     nested = invariants.nested_weighted_sum(g, [depth], leaf)[0]
@@ -524,13 +525,12 @@ def _z_x_bound(g):
 
 def _ahm(g):
     rows = []
-    for key, graph in invariants.admissible_leaf_nodes(g):
-        count, harmonic = invariants.banana_stats(graph)
-        resistances = _prof(graph).columns.resistance
+    for key, core, _ in invariants.admissible_leaf_nodes(g):
+        count, harmonic = invariants.banana_stats(core)
+        resistances = _prof(core).columns.resistance
         parallel_z = math.fsum(
             length * length / (length + res)
-            for (a, b, length), res in zip(graph.edges, resistances)
-            if a != b
+            for (_, _, length), res in zip(core.edges, resistances)
         )
         rows.append(
             (f"leaf {_leaf_tag(key)}", "le", count * (count - 1) * harmonic, parallel_z)
@@ -577,7 +577,8 @@ def _edgecon11(g):
 
 
 # Each identity id maps to (evaluator, preconditions).  The records build
-# their surgeries through invariants' four memos, looked up as module
+# their surgeries through invariants' surgery memos (_loopify no longer
+# builds any), looked up as module
 # globals when a record is built, so a rebinding (as perfbench/tracing.py
 # does for its spans, under every name bound to them) takes effect; the
 # names stay bound here too, where the tracer reads their cache_info().

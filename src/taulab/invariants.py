@@ -68,8 +68,10 @@ LATTICE_NODE_CAP = 5000
 # The catalog's surgeries.  Only edge_record and doubled_tau call these
 # memos, and each calls them on a throwaway copy of g (_scope), so every
 # surgery graph is held by that copy's memo and freed once its floats are
-# read; the memos still count each real build.  The contraction lattice
-# and the public transforms stay unmemoized.
+# read; the memos still count each real build.  _loopify builds nothing
+# now (edge_record reads the looped tau off the contraction) and stays
+# bound for perfbench/tracing.py, which reads its cache_info().  The
+# public transforms stay unmemoized.
 _contract = graph_memo(transforms.contract_edge)
 _delete = graph_memo(transforms.delete_edge)
 _loopify = graph_memo(transforms.identify_endpoints)
@@ -413,17 +415,17 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
     G - e's.  So the crossing equals A_pq(G - e, a, b) bit for bit.  On
     the closed-form route gluing a to b in G - e gives G/e as a value, and
     in DA(G - e) it gives DA(G/e), so the crossings glue through the
-    contraction (glued_crossing).  The looped graph is built
-    only on 3 or more vertices, where TAU_CONTRACT, its one reader, runs.
-    A loop's looped graph is g itself, read from g, since
-    identify_endpoints returns its input there.
+    contraction (glued_crossing).  The looped graph, G with a and b
+    glued, has G/e's vertices and non-loop edges in order and G's edges
+    as a multiset, so its tau is G's length with G/e's x and y, bit for
+    bit, and it is never built; it is read only on 3 or more vertices,
+    where TAU_CONTRACT, its one reader, runs.
     """
     scope = _scope(g)
     a, b, _ = g.edges[i]
     contracted = _contract(scope, i)
-    looped = None
-    if g.vertex_count >= 3:
-        looped = graph_profile(g if a == b else _loopify(scope, i)).tau
+    c = graph_profile(contracted)
+    looped = g.total_length / 12.0 - c.x / 6.0 + c.y / 6.0 if g.vertex_count >= 3 else None
     if i in g.bridges():
         return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
     deleted = _delete(scope, i)
@@ -472,12 +474,41 @@ def banana_stats(g: MetrizedGraph) -> tuple[int, float]:
     return count, 1.0 / inverse_sum
 
 
-def _banana_tau(g: MetrizedGraph) -> float:
-    """Closed-form tau for graphs on one or two vertices (loops included)."""
-    ell = g.total_length
-    if g.vertex_count == 1:
+def _node_length(core: MetrizedGraph, loops: Sequence[float]) -> float:
+    """A lattice node's total length: one fsum of its core's lengths and its loops, the node graph's own bits."""
+    return math.fsum([length for _, _, length in core.edges] + list(loops)) if loops else core.total_length
+
+
+def node_tau(core: MetrizedGraph, loops: Sequence[float]) -> float:
+    """tau of a lattice node's graph from its core and loop lengths, bit for bit.
+
+    Loops add nothing to x and y and change no other edge's circuit data,
+    so the node graph's x and y are its core's; only its length has the
+    loops.
+    """
+    prof = graph_profile(core)
+    return _node_length(core, loops) / 12.0 - prof.x / 6.0 + prof.y / 6.0
+
+
+def node_z(core: MetrizedGraph, loops: Sequence[float]) -> float:
+    """z of a lattice node's graph: one fsum of its core's z-terms and its loop lengths, bit for bit."""
+    return math.fsum(_z_terms(core) + list(loops))
+
+
+@graph_memo
+def _z_terms(core: MetrizedGraph) -> list[float]:
+    """The z-terms (_edge_terms) of a loopless graph's non-bridge edges, the ones its profile's z sums."""
+    bridges = core.bridges()
+    resistance = graph_profile(core).columns.resistance
+    return [_edge_terms(L, R, 0.0)[0] for i, ((_, _, L), R) in enumerate(zip(core.edges, resistance)) if i not in bridges]
+
+
+def _banana_tau(core: MetrizedGraph, loops: Sequence[float]) -> float:
+    """Closed-form tau of a lattice node on one or two vertices, from its core and loop lengths."""
+    ell = _node_length(core, loops)
+    if core.vertex_count == 1:
         return ell / 12.0
-    count, harmonic = banana_stats(g)
+    count, harmonic = banana_stats(core)
     return ell / 12.0 - (count - 2) * harmonic / 6.0
 
 
@@ -496,21 +527,28 @@ def lattice_refusal(g: MetrizedGraph) -> str | None:
 def contraction_lattice(g: MetrizedGraph) -> tuple[tuple, ...]:
     """All graphs reachable by contracting non-loop edges, down to 2 vertices, as a DAG.
 
-    A tuple of nodes (key, graph, children), the root first and then in
-    depth order, so a walk from the end reaches every child before its
-    parents.  The key is the frozenset of contracted original edge indices:
-    the graph a set produces does not depend on the contraction order, so
+    A tuple of nodes (key, core, children, loops), the root first and then
+    in depth order, so a walk from the end reaches every child before its
+    parents.  The key is the frozenset F of contracted original edge
+    indices: the graph G/F does not depend on the contraction order, so
     sequences collapse onto their underlying sets and every nested sum over
     sequences becomes one walk.  Within a depth the keys come in
     lexicographic order of their sorted indices: a node appends its
     children in edge order, and a key is first reached from itself minus
     its largest index, the lexicographically first of its parents.
-    children[j] is the position of the node that contracting the node
-    graph's edge j reaches, None at a self-loop; the deepest nodes have
-    none.  The root's graph is None: it is g, and the lattice lives in g's
-    memo, where a node holding g would keep g in a reference cycle.  Raises
-    TooLarge when the lattice has more than LATTICE_NODE_CAP nodes; the
-    refusal is memoized like the lattice.
+    G/F depends on F only through the vertex partition F induces and the
+    edges it leaves as loops, so a node holds G/F as a view: ``core`` is
+    G/F without its loops, one graph shared by every node of its
+    partition, and ``loops`` the lengths of G/F's loops, in edge order.
+    The core has G/F's vertices and non-loop edges, in order, so its
+    profile gives G/F's circuit data, weights, x, y and r bit for bit;
+    node_tau and node_z add the loops back to the two values they change.
+    children[j] is the position of the node that contracting the core's
+    edge j reaches; the deepest nodes have none.  No core is g itself, not
+    even the root's: the lattice lives in g's memo, where a node holding g
+    would keep g in a reference cycle.  Raises TooLarge when the lattice
+    has more than LATTICE_NODE_CAP nodes; the refusal is memoized like the
+    lattice.
     """
     lattice = _lattice(g)
     if isinstance(lattice, str):
@@ -527,29 +565,28 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
     label per vertex of g, the lowest vertex of its block, so an edge is a
     loop at a node when its two ends share a label; the walk stops before
     it would make node LATTICE_NODE_CAP + 1, and a refused lattice builds
-    no graph.  An accepted one then builds each node's graph from the node
-    that first reached it, the root's children from g itself, by
-    transforms.contract_edge at every depth: the lattice alone holds them.
+    no graph.  An accepted one then builds one core per distinct labelling,
+    never by transforms.contract_edge: the edges whose ends have different
+    labels, in order, each end numbered by its block's rank in lowest
+    vertex, which is where contracting F one edge at a time, each merging
+    onto the lower index, leaves it.  g's bridges among those edges are
+    the core's, handed down by _bridge_ids.seed as contract_edge does.
+    The edges inside the blocks are the key's and the node's loops.  The
+    lattice alone holds the cores.
     """
     v = g.vertex_count
     depth = max(0, v - 2)
-    # Each node: its key, its vertex labels, and the parent position and
-    # the parent's edge whose contraction first reached it.
-    found = [(frozenset(), tuple(range(v)), None, None)]
+    # Each node: its key and its vertex labels.
+    found = [(frozenset(), tuple(range(v)))]
     position = {frozenset(): 0}
     children_of = []
     # found grows as the loop runs: each node's new children join its end.
-    for at, (key, labels, _, _) in enumerate(found):
+    for key, labels in found:
         children = []
         if len(key) < depth:
-            # A contraction keeps edge order, so the node's edges are the
-            # original edges outside its key, in order.
-            alive = (i for i in range(g.edge_count) if i not in key)
-            for j, orig in enumerate(alive):
-                a, b, _ = g.edges[orig]
+            for orig, (a, b, _) in enumerate(g.edges):
                 a, b = labels[a], labels[b]
-                if a == b:
-                    children.append(None)
+                if a == b:  # a loop at this node, the key's own edges among them
                     continue
                 child_key = key | {orig}
                 if child_key not in position:
@@ -558,20 +595,36 @@ def _lattice(g: MetrizedGraph) -> tuple[tuple, ...] | str:
                                 f"capped at {LATTICE_NODE_CAP}")
                     position[child_key] = len(found)
                     low = min(a, b)
-                    found.append((child_key, tuple(low if x in (a, b) else x for x in labels), at, j))
+                    found.append((child_key, tuple(low if x in (a, b) else x for x in labels)))
                 children.append(position[child_key])
         children_of.append(tuple(children))
-    graphs = [None]
-    for _, _, parent, j in found[1:]:
-        graphs.append(transforms.contract_edge(g if parent == 0 else graphs[parent], j))
-    return tuple((key, graph, children) for (key, *_), graph, children in zip(found, graphs, children_of))
+    bridges = g.bridges()
+    cores = {}
+    nodes = []
+    for (key, labels), children in zip(found, children_of):
+        if labels not in cores:
+            rank = {low: k for k, low in enumerate(sorted(set(labels)))}
+            edges, inside, seeds = [], [], []
+            for orig, (a, b, length) in enumerate(g.edges):
+                if labels[a] == labels[b]:
+                    inside.append((orig, length))
+                    continue
+                if orig in bridges:
+                    seeds.append(len(edges))
+                edges.append((rank[labels[a]], rank[labels[b]], length))
+            core = MetrizedGraph._unchecked(len(rank), tuple(edges))
+            _bridge_ids.seed(core, frozenset(seeds))
+            cores[labels] = core, inside
+        core, inside = cores[labels]
+        nodes.append((key, core, children, tuple(length for orig, length in inside if orig not in key)))
+    return tuple(nodes)
 
 
 contraction_lattice.cache_info = _lattice.cache_info
 
 
 def nested_weighted_sum(
-    g: MetrizedGraph, depths: Iterable[int], leaf_value: Callable[[MetrizedGraph], float]
+    g: MetrizedGraph, depths: Iterable[int], leaf_value: Callable[[MetrizedGraph, Sequence[float]], float]
 ) -> list[float]:
     """For each requested depth k, the sum over all length-k contraction
     sequences of R/(L+R) weight products times a value of the final graph.
@@ -580,11 +633,13 @@ def nested_weighted_sum(
     ordered-sequence sum, evaluated without enumerating orders: the future of
     a partial contraction depends only on the set of edges contracted so far.
     One walk of the lattice from its deepest nodes up serves every depth;
-    ``leaf_value`` is called once per node graph whose depth is requested,
+    ``leaf_value(core, loops)`` is called once per node whose depth is
+    requested, with the node's core and loop lengths (contraction_lattice),
     and each depth's sum at a node is one ``math.fsum`` over that node's
-    children in edge order.  Returns the sums in the order of ``depths``,
-    [] without building the lattice when none is asked; a depth below 0
-    raises TooSmall and one above v - 2 TooLarge.
+    children in the core's edge order, weighted by the core's profile,
+    which is the node graph's at every non-loop edge.  Returns the sums in
+    the order of ``depths``, [] without building the lattice when none is
+    asked; a depth below 0 raises TooSmall and one above v - 2 TooLarge.
     """
     depths = list(depths)
     if not depths:
@@ -600,18 +655,13 @@ def nested_weighted_sum(
     lattice = contraction_lattice(g)
     sums_at: list[dict[int, float] | None] = [None] * len(lattice)
     for at in reversed(range(len(lattice))):
-        key, graph, children = lattice[at]
+        key, core, children, loops = lattice[at]
         size = len(key)
-        graph = g if graph is None else graph
         sums = {}
         if size in wanted:
-            sums[size] = leaf_value(graph)
+            sums[size] = leaf_value(core, loops)
         if size < deepest:
-            weighted = [
-                (w, sums_at[child])
-                for w, child in zip(graph_profile(graph).weight_resistance, children)
-                if w != 0.0
-            ]
+            weighted = list(zip(graph_profile(core).weight_resistance, (sums_at[child] for child in children)))
             for depth in wanted:
                 if depth > size:
                     sums[depth] = math.fsum(w * child[depth] for w, child in weighted)
@@ -619,11 +669,10 @@ def nested_weighted_sum(
     return [sums_at[0][depth] for depth in depths]
 
 
-def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset[int], MetrizedGraph]]:
-    """The fully contracted (2-vertex) nodes of the lattice as (key, graph), in key order."""
+def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset[int], MetrizedGraph, tuple[float, ...]]]:
+    """The fully contracted (2-vertex) nodes of the lattice as (key, core, loops), in key order."""
     depth = g.vertex_count - 2
-    return [(key, g if graph is None else graph)
-            for key, graph, _ in contraction_lattice(g) if len(key) == depth]
+    return [(key, core, loops) for key, core, _, loops in contraction_lattice(g) if len(key) == depth]
 
 
 def w_of(g: MetrizedGraph) -> float:
@@ -638,19 +687,20 @@ def w_nested(g: MetrizedGraph) -> float:
     """w evaluated from its defining nested sum, one walk of the contraction lattice.
 
     Averages, over all admissible contraction sequences, the sum of
-    L^3/(L+R)^2 over the edges of the final two-vertex graph.  Raises
-    TooLarge when the lattice has more than LATTICE_NODE_CAP nodes.
+    L^3/(L+R)^2 over the edges of the final two-vertex graph, where a loop
+    (R = 0) adds its length.  Raises TooLarge when the lattice has more
+    than LATTICE_NODE_CAP nodes.
     """
     if not g.is_bridgeless():
         raise BridgePresent("w is only defined on bridgeless graphs")
     if g.vertex_count < 2:
         raise TooSmall("nested form of w needs at least 2 vertices")
 
-    def leaf(graph: MetrizedGraph) -> float:
-        return math.fsum(
-            L if a == b else L ** 3 / ((L + R) * (L + R))
-            for (a, b, L), R in zip(graph.edges, graph_profile(graph).columns.resistance)
-        )
+    def leaf(core: MetrizedGraph, loops: Sequence[float]) -> float:
+        return math.fsum([
+            L ** 3 / ((L + R) * (L + R))
+            for (_, _, L), R in zip(core.edges, graph_profile(core).columns.resistance)
+        ] + list(loops))
 
     depth = g.vertex_count - 2
     return nested_weighted_sum(g, [depth], leaf)[0] / math.factorial(depth)
@@ -711,19 +761,13 @@ def tau_oracle_contraction(g: MetrizedGraph) -> float:
     lattice = contraction_lattice(g)
     values = [0.0] * len(lattice)
     for at in reversed(range(len(lattice))):
-        _, graph, children = lattice[at]
-        graph = g if graph is None else graph
-        v = graph.vertex_count
+        _, core, children, loops = lattice[at]
+        v = core.vertex_count
         if v <= 2:
-            values[at] = _banana_tau(graph)
+            values[at] = _banana_tau(core, loops)
             continue
-        prof = graph_profile(graph)
-        acc = math.fsum(
-            w * values[child]
-            for w, child in zip(prof.weight_resistance, children)
-            if w != 0.0
-        )
-        values[at] = acc / (v - 2) - prof.z / (12.0 * (v - 2))
+        acc = math.fsum(w * values[child] for w, child in zip(graph_profile(core).weight_resistance, children))
+        values[at] = acc / (v - 2) - node_z(core, loops) / (12.0 * (v - 2))
     return values[0]
 
 

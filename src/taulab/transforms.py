@@ -9,8 +9,11 @@ compare base-pointed quantities across a surgery without extra bookkeeping.
 Edge order is preserved (minus removals), and edge lengths never change
 unless the operation says so.  Sequences of contractions are walked over
 ``invariants.contraction_lattice``, a DAG of contracted edge sets that
-relies on the kept edge order: a node's edges are the original edges
-outside its set, in order.
+relies on this convention without calling contract_edge: contracting a set
+F, in any order, numbers each block of the partition F induces by its rank
+in lowest original vertex and keeps the edges outside F, in order, so the
+lattice builds one loopless core per partition directly from the labels
+and keeps each node's loops as lengths.
 """
 
 from __future__ import annotations

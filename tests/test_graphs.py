@@ -246,11 +246,17 @@ def handed_down(g):
 
 
 def test_contractions_and_doublings_hand_down_the_bridges_a_fresh_pass_finds(report_graphs):
+    # The lattice's cores are handed g's bridges too, and each core is
+    # checked against a fresh pass before its own contractions are.
     checked = collections.Counter()
     for g in report_graphs + list(named_corpus().values()):
         nodes = [g]
         if lattice_refusal(g) is None:
-            nodes += [graph for _, graph, _ in contraction_lattice(g)[1:]]
+            cores = {id(core): core for _, core, _, _ in contraction_lattice(g)}
+            for core in cores.values():
+                assert handed_down(core) == fresh_bridges(core)
+                checked["lattice core"] += 1
+            nodes += cores.values()
         for h in nodes:
             for i in range(h.edge_count):
                 c = contract_edge(h, i)
@@ -263,11 +269,12 @@ def test_contractions_and_doublings_hand_down_the_bridges_a_fresh_pass_finds(rep
 
 # The kind of graph each surgery builds, by the name of the function that
 # builds it through MetrizedGraph._unchecked.  A copy (invariants._scope, the
-# throwaway graph each edge record cuts its surgeries from) is handed g's
+# throwaway graph each edge record cuts its surgeries from) and a lattice
+# core (invariants._lattice, one per vertex partition) are handed g's
 # bridges.
 BUILDERS = {
     "contract_edge": "contraction", "delete_edge": "deletion", "identify_points": "gluing",
-    "double_adjusted": "doubling", "subdivide": "subdivision", "_scope": "copy",
+    "double_adjusted": "doubling", "subdivide": "subdivision", "_scope": "copy", "_lattice": "core",
 }
 
 
@@ -297,8 +304,11 @@ def test_verify_all_runs_the_bridge_pass_only_where_nothing_is_handed_down(monke
     assert g.is_bridgeless()
     verify_all(g)
     passes = graphs._bridge_ids.cache_info().misses - misses
-    assert min(built[kind] for kind in ("contraction", "doubling", "deletion", "gluing")) > 0, built
-    assert passes == built["parsed"] + built["deletion"] + built["gluing"], built
+    # The looped graphs are never glued: each record reads its looped tau
+    # off the contraction, and the all-GTH crossings read G's own stars.
+    assert min(built[kind] for kind in ("contraction", "doubling", "deletion", "core")) > 0, built
+    assert built["gluing"] == 0, built
+    assert passes == built["parsed"] + built["deletion"], built
 
 
 def test_component_labels_skip_edge():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from taulab import connectivity, identities, invariants, transforms
+from taulab import circuit, connectivity, fuzzing, identities, invariants, transforms
 from taulab.errors import BadTolerance, NotApplicable, TauLabError, UnknownIdentityId
 from taulab.fuzzing import (
     named_corpus,
@@ -296,14 +296,100 @@ def test_succ_r_leaf_is_the_contracted_length_rounded_once(monkeypatch):
             continue
         verify(g, "SUCC_R")
         leaf = leaves.pop()
-        for key, graph, _ in invariants.contraction_lattice(g)[1:]:
+        for key, core, _, loops in invariants.contraction_lattice(g)[1:]:
             exact = sum(Fraction(g.edges[i][2]) for i in key)
-            assert leaf(graph) == float(exact), (g.edges, sorted(key))
+            assert leaf(core, loops) == float(exact), (g.edges, sorted(key))
             nodes += 1
     assert nodes > 1000, nodes
 
 
 NESTED_IDS = ("SUCC_XY", "SUCC_TAU", "SUCC_R", "SUCC_Z", "BANANA_XY", "TAU_MAIN5", "W_ID", "AHM")
+
+
+def replay_key(g, key, rng):
+    """G/key by transforms.contract_edge, one original edge at a time, in a random order."""
+    graph, alive = g, list(range(g.edge_count))
+    for orig in rng.sample(sorted(key), len(key)):
+        j = alive.index(orig)
+        graph = transforms.contract_edge(graph, j)
+        del alive[j]
+    return graph
+
+
+def nested_leaves(g, monkeypatch):
+    """The leaf function that each nested-sum identity hands nested_weighted_sum on g, by identity id."""
+    leaves = {}
+    for ident in ("SUCC_XY", "SUCC_TAU", "SUCC_R", "SUCC_Z", "TAU_MAIN5", "W_ID"):
+        if ident == "W_ID" and not g.is_bridgeless():
+            continue  # w_nested refuses a bridge before it sums
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "nested_weighted_sum",
+                          lambda h, depths, leaf, ident=ident: leaves.setdefault(ident, leaf) and [0.0] * len(depths))
+            identities._REGISTRY[ident][0](g)
+    return leaves
+
+
+def test_every_lattice_node_reads_its_core_view_bit_for_bit(report_graphs, monkeypatch):
+    # At every node the graph G/F, replayed by contract_edge along the key
+    # in a random order, and the node's core and loop lengths give the same
+    # bits: tau, z, ell and x - y, the weights of the non-loop edges, every
+    # leaf value of the nested identities and of w_nested, and at the
+    # 2-vertex nodes what BANANA_XY and AHM read.
+    prism = fuzzing.named_corpus()["prism"]
+    graphs = report_graphs + [
+        build_graph(5, [(a, b, 1.0 + 0.1 * (a + 2 * b)) for a in range(5) for b in range(a + 1, 5)]),
+        build_graph(6, [e for a, b, L in prism.edges for e in ((a, b, L), (a, b, 1.5 * L))]),
+    ]
+    rng = random.Random(4141)
+    prof = invariants.graph_profile
+
+    def references(g, h):
+        p = prof(h)
+        return {
+            "SUCC_XY": p.x - p.y,
+            "SUCC_TAU": p.tau,
+            "SUCC_R": math.fsum([L for _, _, L in g.edges] + [-L for _, _, L in h.edges]),
+            "SUCC_Z": p.z,
+            "W_ID": math.fsum(L if a == b else L ** 3 / ((L + R) * (L + R))
+                              for (a, b, L), R in zip(h.edges, p.columns.resistance)),
+        }
+
+    def two_vertex_reads(graph):
+        count, harmonic = invariants.banana_stats(graph)
+        p = prof(graph)
+        parallel_z = math.fsum(L * L / (L + R) for (a, b, L), R in zip(graph.edges, p.columns.resistance) if a != b)
+        return count, harmonic, (count - 2) * harmonic, p.x, p.y, parallel_z
+
+    seen = collections.Counter()
+    for g in graphs:
+        if invariants.lattice_refusal(g) is not None:
+            continue
+        leaves = nested_leaves(g, monkeypatch)
+        for key, core, _, loops in invariants.contraction_lattice(g):
+            h = replay_key(g, key, rng)
+            p, c = prof(h), prof(core)
+            assert core.vertex_count == h.vertex_count
+            assert invariants.node_tau(core, loops) == p.tau, (g.edges, sorted(key))
+            assert invariants.node_z(core, loops) == p.z, (g.edges, sorted(key))
+            assert invariants._node_length(core, loops) == h.total_length
+            assert c.x - c.y == p.x - p.y
+            plain = [j for j, (a, b, _) in enumerate(h.edges) if a != b]
+            assert list(c.weight_resistance) == [p.weight_resistance[j] for j in plain]
+            assert list(c.weight_length) == [p.weight_length[j] for j in plain]
+            want = references(g, h)
+            if h.vertex_count == 2:
+                reads = two_vertex_reads(core)
+                # By repr, exact for floats, where a bridge makes parallel_z NaN.
+                assert list(map(repr, reads)) == list(map(repr, two_vertex_reads(h))), (g.edges, sorted(key))
+                want["TAU_MAIN5"] = reads[2]
+                seen["2-vertex node"] += 1
+            for ident, leaf in leaves.items():
+                if ident in want:
+                    assert leaf(core, loops) == want[ident], (ident, g.edges, sorted(key))
+                    seen[ident] += 1
+            seen["looped node"] += bool(loops)
+            seen["bridged node"] += bool(core.bridges())
+    assert min(seen.values()) > 300, seen
 
 
 def test_nested_identities_respect_size_cap():
@@ -342,13 +428,19 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
     # record sums its crossings over G's own stars of e; here they are
     # A_pq of G - e, bit for bit, and of DA(G - e), whose stars the record
     # takes as a quarter of G - e's, within 1e-12.  The 25 bridgeless
-    # graphs come first, then the fuzz graphs, with loops and bridges.
+    # graphs come first, then 8 bridgeless ones of 10 to 12 vertices, which
+    # take the closed-form route (the looped tau is read off G/e on both
+    # routes), then the fuzz graphs, with loops and bridges.
     rng = random.Random(7070)
     graphs = []
     for _ in range(25):
         g = random_bridgeless_multigraph(rng, 6, 12)
         spread = 10.0 ** rng.uniform(2.0, 8.0)
         graphs.append(build_graph(g.vertex_count, [(a, b, spread ** rng.random()) for a, b, _ in g.edges]))
+    while sum(g.vertex_count >= 10 for g in graphs) < 8:
+        g = random_bridgeless_multigraph(rng, 12, 24)
+        if g.vertex_count >= 10:
+            graphs.append(build_graph(g.vertex_count, [(a, b, 10.0 ** rng.uniform(-1.0, 1.0)) for a, b, _ in g.edges]))
 
     def scalars(h):
         prof = invariants.graph_profile(h)
@@ -366,6 +458,7 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
                 seen["under 3 vertices"] += 1
             else:
                 assert record.looped_tau == invariants.graph_profile(transforms.identify_endpoints(g, i)).tau
+                seen["looped, closed form"] += circuit.closed_form(g) is not None
             if i in g.bridges():
                 undefined = (record.deleted, record.crossing, record.doubled_tau, record.doubled_crossing)
                 assert undefined == (None,) * 4, (g.edges, i)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from taulab import fuzzing, invariants, transforms
+from taulab import fuzzing, graphs, identities, invariants, transforms
 from taulab.connectivity import N_of, edge_connectivity
 from taulab.errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import (
@@ -16,7 +16,7 @@ from taulab.fuzzing import (
     random_connected_multigraph,
     random_length,
 )
-from taulab.graphs import MetrizedGraph, build_graph
+from taulab.graphs import MetrizedGraph, build_graph, component_labels
 from taulab.invariants import (
     A_pq,
     K_contraction_form,
@@ -233,27 +233,42 @@ def test_banana_stats(banana3):
 
 
 def test_leaf_nodes_match_sequence_enumeration(triangle, k4, replay):
-    # the lattice keys are exactly the sets underlying admissible sequences
-    for g in (triangle, k4):
-        from_sequences = {frozenset(ids) for ids, _, _ in replay(g, g.vertex_count - 2)}
-        from_lattice = {key for key, _ in admissible_leaf_nodes(g)}
-        assert from_lattice == from_sequences
+    # The lattice keys are exactly the sets underlying admissible sequences,
+    # and each leaf's core and loops are the replayed final graph's
+    # non-loop edges and loop lengths, whatever the order of the sequence.
+    looped_k4 = build_graph(4, k4.edges + ((2, 2, 0.5), (0, 3, 2.0)))
+    for g in (triangle, k4, looped_k4):
+        leaves = {key: (core, loops) for key, core, loops in admissible_leaf_nodes(g)}
+        from_sequences = set()
+        for ids, _, graph in replay(g, g.vertex_count - 2):
+            core, loops = leaves[frozenset(ids)]
+            assert core.vertex_count == graph.vertex_count == 2
+            assert core.edges == tuple(e for e in graph.edges if e[0] != e[1]), ids
+            assert loops == tuple(length for a, b, length in graph.edges if a == b), ids
+            from_sequences.add(frozenset(ids))
+        assert set(leaves) == from_sequences
 
 
 def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
     # One walk for every depth against a replay of every admissible
     # sequence, multiplying the R/(L+R) weight of each step in the graph
-    # current at that step.
+    # current at that step.  The walk's leaf reads a node's core and loop
+    # lengths, the replay's the real contracted graph.
     def leaf_xy_gap(graph):
         prof = graph_profile(graph)
         return prof.x - prof.y
 
+    leaves = (
+        (invariants.node_tau, tau),
+        (lambda core, loops: leaf_xy_gap(core), leaf_xy_gap),
+        (invariants.node_z, lambda graph: graph_profile(graph).z),
+    )
     for g in (k4, named_corpus()["prism"]):
         depths = range(1, g.vertex_count - 1)
-        for leaf in (tau, leaf_xy_gap):
+        for leaf, replayed_leaf in leaves:
             fast = nested_weighted_sum(g, depths, leaf)
             slow = [
-                math.fsum(weight * leaf(graph) for _, weight, graph in replay(g, depth))
+                math.fsum(weight * replayed_leaf(graph) for _, weight, graph in replay(g, depth))
                 for depth in depths
             ]
             assert fast == pytest.approx(slow, rel=1e-9)
@@ -468,9 +483,9 @@ def test_each_depth_of_the_lattice_comes_in_key_order():
         if invariants.lattice_refusal(g) is not None:
             continue
         built += 1
-        keys = [(len(key), sorted(key)) for key, _, _ in invariants.contraction_lattice(g)]
+        keys = [(len(key), sorted(key)) for key, _, _, _ in invariants.contraction_lattice(g)]
         assert keys == sorted(keys), g.edges
-        leaves = [key for key, _ in admissible_leaf_nodes(g)]
+        leaves = [key for key, _, _ in admissible_leaf_nodes(g)]
         assert leaves == sorted(leaves, key=sorted), g.edges
     assert built >= 300, built
 
@@ -548,6 +563,49 @@ def test_edge_counts_alone_refuse_a_lattice(monkeypatch):
 def live_graphs():
     gc.collect()
     return {id(obj): obj for obj in gc.get_objects() if isinstance(obj, MetrizedGraph)}
+
+
+def test_the_lattice_builds_one_graph_per_partition_and_contracts_nothing(monkeypatch):
+    # A 6-vertex multigraph with a loop and a parallel pair.  The lattice
+    # builds one core per vertex partition of its nodes, shared by every
+    # node of that partition, without contract_edge and without a bridge
+    # pass; verify_all then profiles g at each base, each core once and
+    # each record's surgeries, and glues no looped graph.
+    edges = [(0, 1, 1.0), (0, 1, 2.5), (1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.4), (4, 5, 1.1),
+             (5, 0, 0.9), (1, 4, 3.0), (2, 2, 0.6), (2, 5, 5.0), (0, 3, 1.7)]
+    g = build_graph(6, edges)
+    assert g.is_bridgeless()
+    built = 0
+    unchecked = MetrizedGraph._unchecked.__func__
+
+    def counted(cls, vertex_count, edges):
+        nonlocal built
+        built += 1
+        return unchecked(cls, vertex_count, edges)
+
+    def must_not_run(*args):
+        raise AssertionError("contracted an edge to build the lattice")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MetrizedGraph, "_unchecked", classmethod(counted))
+        patch.setattr(transforms, "contract_edge", must_not_run)
+        passes = graphs._bridge_ids.cache_info().misses
+        lattice = invariants.contraction_lattice(g)
+        assert graphs._bridge_ids.cache_info().misses == passes
+    core_of = {}
+    for key, core, _, _ in lattice:
+        partition = tuple(component_labels(6, [edges[i] for i in key]))
+        assert core_of.setdefault(partition, core) is core
+    assert built == len(core_of) == len({id(core) for _, core, _, _ in lattice}) < len(lattice)
+
+    memos = (invariants._profile_at, invariants._contract, invariants._delete, invariants._da, invariants._loopify)
+    before = [memo.cache_info().misses for memo in memos]
+    h = build_graph(6, edges)
+    identities.verify_all(h)
+    profiles, *surgeries, looped = (memo.cache_info().misses - start for memo, start in zip(memos, before))
+    partitions = len({id(core) for _, core, _, _ in invariants.contraction_lattice(h)})
+    assert partitions == len(core_of) and looped == 0
+    assert profiles == h.vertex_count + partitions + sum(surgeries), (profiles, partitions, surgeries)
 
 
 def test_a_refused_lattice_builds_no_graph(monkeypatch):

@@ -109,14 +109,21 @@ def test_subdivide(triangle):
 
 
 def test_admissible_contractions_on_triangle(triangle):
+    # Contracting any one edge leaves the other two as a 2-vertex banana
+    # with no loop: the contracted edge is gone, not kept as a loop.
     leaves = invariants.admissible_leaf_nodes(triangle)
-    assert [sorted(key) for key, _ in leaves] == [[0], [1], [2]]
+    assert [sorted(key) for key, _, _ in leaves] == [[0], [1], [2]]
+    for _, core, loops in leaves:
+        assert (core.vertex_count, core.edges, loops) == (2, ((0, 1, 1.0), (1, 0, 1.0)), ())
 
 
 def test_admissible_contractions_skip_loops():
-    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0), (2, 0, 1.0)])
-    for key, _, _ in invariants.contraction_lattice(g):
+    # The loop is never contracted and never in a core: every node holds it
+    # among its loop lengths.
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 2, 0.5), (2, 0, 1.0)])
+    for key, core, _, loops in invariants.contraction_lattice(g):
         assert 2 not in key
+        assert 0.5 in loops and all(a != b for a, b, _ in core.edges)
 
 
 def test_k4_has_thirty_admissible_pairs(k4, replay):
@@ -124,9 +131,13 @@ def test_k4_has_thirty_admissible_pairs(k4, replay):
     # 5 distinct non-loop edges, so 6 * 5 = 30 ordered sequences over the
     # 15 pairs of edges.
     assert len(list(replay(k4, 2))) == 30
+    # A contracted path of two edges leaves its triangle's third edge as a
+    # loop; a contracted matching leaves none.  Either way the four other
+    # edges are all there, in the core or among the loops.
     leaves = invariants.admissible_leaf_nodes(k4)
     assert len(leaves) == 15
-    assert all(graph.vertex_count == 2 for _, graph in leaves)
+    assert all(core.vertex_count == 2 and core.edge_count + len(loops) == 4 for _, core, loops in leaves)
+    assert sorted(len(loops) for _, _, loops in leaves) == [0] * 3 + [1] * 12
 
 
 def test_cut_vertices_on_bowtie():
