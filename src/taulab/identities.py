@@ -527,14 +527,8 @@ def _ahm(g):
     rows = []
     for key, core, _ in invariants.admissible_leaf_nodes(g):
         count, harmonic = invariants.banana_stats(core)
-        resistances = _prof(core).columns.resistance
-        parallel_z = math.fsum(
-            length * length / (length + res)
-            for (_, _, length), res in zip(core.edges, resistances)
-        )
-        rows.append(
-            (f"leaf {_leaf_tag(key)}", "le", count * (count - 1) * harmonic, parallel_z)
-        )
+        # The parallel class's z is the loopless core's, the fsum of its z_terms.
+        rows.append((f"leaf {_leaf_tag(key)}", "le", count * (count - 1) * harmonic, _prof(core).z))
     return rows, "bridgeless, every full contraction"
 
 

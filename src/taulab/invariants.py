@@ -82,11 +82,12 @@ _da = graph_memo(transforms.double_adjusted)
 class GraphProfile:
     """Everything the invariant formulas need about one graph at one base.
 
-    The scalars and both weight columns come from the base's EdgeColumns
-    (circuit.all_edge_circuit_data), kept as ``columns``: the layout the
-    identity catalog and the per-edge invariants read.  The three per-edge
-    fields, tuples of Python floats on the all-GTH route and read-only
-    float64 arrays on the closed-form route, stay out of eq, hash and repr.
+    The scalars, the z-term column and both weight columns come from the
+    base's EdgeColumns (circuit.all_edge_circuit_data), kept as
+    ``columns``: the layout the identity catalog and the per-edge
+    invariants read.  The four per-edge fields, tuples of Python floats on
+    the all-GTH route and read-only float64 arrays on the closed-form
+    route, stay out of eq, hash and repr.
     """
 
     ell: float
@@ -95,6 +96,9 @@ class GraphProfile:
     x: float
     y: float
     tau: float
+    # Each edge's z-term, whose fsum is z: _edge_terms' at a plain edge,
+    # exactly L at a self-loop and 0.0 at a bridge.
+    z_terms: Sequence[float] = field(repr=False, compare=False)
     # R/(L+R) and L/(L+R) per edge, with the limits baked in:
     # a self-loop weighs (0, 1), a bridge weighs (1, 0).
     weight_resistance: Sequence[float] = field(repr=False, compare=False)
@@ -115,8 +119,9 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
     bits, and fsum is correctly rounded and so independent of term order;
     each is the faster one on its route.  The closed-form route's weights
     and columns stay float64 arrays, read-only.
-    Self-loops add their length to z, bridges theirs to r and y.  The base
-    is checked before the memo is read, so graph_profile(g) and
+    Self-loops add their length to z, bridges theirs to r and y; z is the
+    fsum of the profile's z_terms column, whose bridge zeros add nothing.
+    The base is checked before the memo is read, so graph_profile(g) and
     graph_profile(g, 0) are one entry.
     """
     return _profile_at(g, g.check_vertex(base))
@@ -126,12 +131,12 @@ def graph_profile(g: MetrizedGraph, base: int = 0) -> GraphProfile:
 def _profile_at(g: MetrizedGraph, base: int) -> GraphProfile:
     terms = _scalar_terms if closed_form(g) is None else _column_terms
     columns = all_edge_circuit_data(g, base)
-    z, r, x, y, w_res, w_len = terms(g, columns)
+    z, r, x, y, z_terms, w_res, w_len = terms(g, columns)
     ell = g.total_length
     tau = ell / 12.0 - x / 6.0 + y / 6.0
     return GraphProfile(
         ell=ell, z=z, r=r, x=x, y=y, tau=tau,
-        weight_resistance=w_res, weight_length=w_len, columns=columns,
+        z_terms=z_terms, weight_resistance=w_res, weight_length=w_len, columns=columns,
     )
 
 
@@ -156,7 +161,7 @@ def _edge_terms(L, R, gap):
 
 
 def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y and both weight tuples, one edge at a time."""
+    """z, r, x, y and the z-term and weight tuples, one edge at a time."""
     bridges = g.bridges()
     terms = z_terms, r_terms, x_terms, y_terms, w_res, w_len = [], [], [], [], [], []
     for i, ((a, b, L), R, arm_first, arm_second) in enumerate(zip(g.edges, *columns[:3])):
@@ -165,6 +170,7 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             w_res.append(0.0)
             w_len.append(1.0)
         elif i in bridges:
+            z_terms.append(0.0)
             r_terms.append(L)
             y_terms.append(L)
             w_res.append(1.0)
@@ -173,28 +179,31 @@ def _scalar_terms(g: MetrizedGraph, columns: EdgeColumns):
             for column, term in zip(terms, _edge_terms(L, R, arm_first - arm_second)):
                 column.append(term)
     return (math.fsum(z_terms), math.fsum(r_terms), math.fsum(x_terms), math.fsum(y_terms),
-            tuple(w_res), tuple(w_len))
+            tuple(z_terms), tuple(w_res), tuple(w_len))
 
 
 def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
-    """z, r, x, y and both weight columns, each term for every edge at once; every array left read-only.
+    """z, r, x, y and the z-term and weight columns, each term for every edge at once; every array left read-only.
 
-    The sums read the plain edges' terms.  At a loop R and the arm gap are
-    0, so its weights come out (0, 1) exactly; a bridge's NaN weights are
-    set to their limits (1, 0).
+    r, x and y sum the plain edges' terms, z the z-term column.  At a loop
+    R and the arm gap are 0, so its weights come out (0, 1) exactly, and
+    its z-term, L * L / L, is set to L; a bridge's NaN z-term and weights
+    are set to their limits 0 and (1, 0).
     """
     data = closed_form(g)
     plain, length = data.plain, data.length
     z, r, x, y, w_res, w_len = _edge_terms(length, columns.resistance, columns.arm_first - columns.arm_second)
+    loops = data.a == data.b
+    z[loops] = length[loops]
     bridges = list(g.bridges())
+    z[bridges] = 0.0
     w_res[bridges] = 1.0
     w_len[bridges] = 0.0
-    for column in (*columns[:3], w_res, w_len):
+    for column in (*columns[:3], z, w_res, w_len):
         column.flags.writeable = False
-    loop_lengths = length[data.a == data.b].tolist()
     bridge_lengths = length[bridges].tolist()
-    return (math.fsum(z[plain].tolist() + loop_lengths), math.fsum(r[plain].tolist() + bridge_lengths),
-            math.fsum(x[plain].tolist()), math.fsum(y[plain].tolist() + bridge_lengths), w_res, w_len)
+    return (math.fsum(z.tolist()), math.fsum(r[plain].tolist() + bridge_lengths),
+            math.fsum(x[plain].tolist()), math.fsum(y[plain].tolist() + bridge_lengths), z, w_res, w_len)
 
 
 # -- the headline scalars ------------------------------------------------------
@@ -265,20 +274,18 @@ def _deletable(g: MetrizedGraph, i: int) -> int:
 
 
 def K_definition(g: MetrizedGraph, i: int) -> float:
-    """z(g) minus edge i's own z-term minus z(g - edge i).
+    """z(g) minus edge i's own z-term (g's profile's z_terms) minus z(g - edge i).
 
     Measures how much the z-sum of the other edges grows when edge i is
     deleted.  Defined whenever the deletion leaves the graph connected
     (WouldDisconnect on a bridge); for a self-loop it is exactly 0.
     """
     i = _deletable(g, i)
-    a, b, L = g.edges[i]
+    a, b, _ = g.edges[i]
     if a == b:
         return 0.0
     prof = graph_profile(g)
-    R = prof.columns.resistance[i]
-    own = L * L / (L + R)
-    return float(prof.z - own - edge_record(g, i).deleted.z)
+    return float(prof.z - prof.z_terms[i] - edge_record(g, i).deleted.z)
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
@@ -491,16 +498,8 @@ def node_tau(core: MetrizedGraph, loops: Sequence[float]) -> float:
 
 
 def node_z(core: MetrizedGraph, loops: Sequence[float]) -> float:
-    """z of a lattice node's graph: one fsum of its core's z-terms and its loop lengths, bit for bit."""
-    return math.fsum(_z_terms(core) + list(loops))
-
-
-@graph_memo
-def _z_terms(core: MetrizedGraph) -> list[float]:
-    """The z-terms (_edge_terms) of a loopless graph's non-bridge edges, the ones its profile's z sums."""
-    bridges = core.bridges()
-    resistance = graph_profile(core).columns.resistance
-    return [_edge_terms(L, R, 0.0)[0] for i, ((_, _, L), R) in enumerate(zip(core.edges, resistance)) if i not in bridges]
+    """z of a lattice node's graph, bit for bit: one fsum of its core profile's z_terms and its loop lengths."""
+    return math.fsum([*graph_profile(core).z_terms, *loops])
 
 
 def _banana_tau(core: MetrizedGraph, loops: Sequence[float]) -> float:
@@ -632,14 +631,16 @@ def nested_weighted_sum(
     Weights are taken in the graph current at each step, so this is the
     ordered-sequence sum, evaluated without enumerating orders: the future of
     a partial contraction depends only on the set of edges contracted so far.
-    One walk of the lattice from its deepest nodes up serves every depth;
+    One walk of the lattice from its deepest nodes up serves every depth,
+    with one list of sums per requested depth, indexed by node:
     ``leaf_value(core, loops)`` is called once per node whose depth is
     requested, with the node's core and loop lengths (contraction_lattice),
-    and each depth's sum at a node is one ``math.fsum`` over that node's
-    children in the core's edge order, weighted by the core's profile,
-    which is the node graph's at every non-loop edge.  Returns the sums in
-    the order of ``depths``, [] without building the lattice when none is
-    asked; a depth below 0 raises TooSmall and one above v - 2 TooLarge.
+    and a depth's sum at a shallower node is one ``math.fsum`` over that
+    node's children in the core's edge order, weighted by the core's
+    profile, which is the node graph's at every non-loop edge.  Returns
+    the sums in the order of ``depths``, repeats included, [] without
+    building the lattice when none is asked; a depth below 0 raises
+    TooSmall and one above v - 2 TooLarge.
     """
     depths = list(depths)
     if not depths:
@@ -650,23 +651,17 @@ def nested_weighted_sum(
             raise TooSmall(f"cannot contract {depth} times")
         if depth > top:
             raise TooLarge(f"cannot contract {depth} times on {g.vertex_count} vertices")
-    wanted = sorted(set(depths))
-    deepest = wanted[-1]
     lattice = contraction_lattice(g)
-    sums_at: list[dict[int, float] | None] = [None] * len(lattice)
+    sums = {depth: [0.0] * len(lattice) for depth in depths}
     for at in reversed(range(len(lattice))):
         key, core, children, loops = lattice[at]
-        size = len(key)
-        sums = {}
-        if size in wanted:
-            sums[size] = leaf_value(core, loops)
-        if size < deepest:
-            weighted = list(zip(graph_profile(core).weight_resistance, (sums_at[child] for child in children)))
-            for depth in wanted:
-                if depth > size:
-                    sums[depth] = math.fsum(w * child[depth] for w, child in weighted)
-        sums_at[at] = sums
-    return [sums_at[0][depth] for depth in depths]
+        for depth, at_depth in sums.items():
+            if depth == len(key):
+                at_depth[at] = leaf_value(core, loops)
+            elif depth > len(key):
+                weights = graph_profile(core).weight_resistance
+                at_depth[at] = math.fsum(w * at_depth[child] for w, child in zip(weights, children))
+    return [sums[depth][0] for depth in depths]
 
 
 def admissible_leaf_nodes(g: MetrizedGraph) -> list[tuple[frozenset[int], MetrizedGraph, tuple[float, ...]]]:

@@ -736,6 +736,7 @@ def reference_profile(g, base):
             w_res.append(0.0)
             w_len.append(1.0)
         elif i in g.bridges():
+            z_terms.append(0.0)
             r_terms.append(L)
             y_terms.append(L)
             w_res.append(1.0)
@@ -755,7 +756,7 @@ def reference_profile(g, base):
     return {
         "tau": ell / 12.0 - x / 6.0 + y / 6.0, "x": x, "y": y,
         "z": math.fsum(z_terms), "r": math.fsum(r_terms),
-        "weight_resistance": tuple(w_res), "weight_length": tuple(w_len),
+        "z_terms": tuple(z_terms), "weight_resistance": tuple(w_res), "weight_length": tuple(w_len),
     }
 
 
@@ -828,6 +829,21 @@ def test_profile_columns_match_the_scalar_loop_on_a_loop_only_vertex():
     assert invariants.graph_profile(g).z == g.total_length
 
 
+def test_z_terms_hold_a_loop_exactly_and_zero_at_bridges():
+    # L * L / L is not L at L = 0.1: a loop's z-term is its length itself,
+    # on the all-GTH route and on the closed-form one, and a bridge's is 0.
+    assert 0.1 * 0.1 / 0.1 != 0.1
+    core = random_regular_graph(random.Random(42), 11, lambda: 1.0)
+    closed = build_graph(12, core.edges + ((3, 3, 0.1), (5, 11, 2.0)))
+    assert circuit.closed_form(closed) is not None and closed.bridges() == {closed.edge_count - 1}
+    for g in (build_graph(1, [(0, 0, 0.1), (0, 0, 2.5)]), closed):
+        prof = invariants.graph_profile(g)
+        loops = [i for i, (a, b, _) in enumerate(g.edges) if a == b]
+        assert [prof.z_terms[i] for i in loops] == [g.edges[i][2] for i in loops] and 0.1 in prof.z_terms
+        assert all(prof.z_terms[i] == 0.0 for i in g.bridges())
+        assert math.fsum(prof.z_terms) == prof.z
+
+
 def test_columns_hold_loop_limits_and_mask_bridges_at_every_base():
     graphs = wide_spread_multigraphs(random.Random(3030), 30)
     assert sum(len(g.bridges()) for g in graphs) > 0
@@ -867,12 +883,13 @@ def test_profile_columns_are_read_only_and_outside_eq_and_repr():
         prof = invariants.graph_profile(graph, 1)
         # The arm at the base is kept on the all-GTH route only.
         assert (prof.columns.arm_base is None) == (graph is closed)
-        for column in (*(c for c in prof.columns if c is not None), prof.weight_resistance, prof.weight_length):
+        for column in (*(c for c in prof.columns if c is not None), prof.z_terms, prof.weight_resistance,
+                       prof.weight_length):
             assert type(column) is layout and len(column) == graph.edge_count
             assert {type(entry) for entry in column} == {value}
             with pytest.raises(refusal):
                 column[0] = 0.0
-        assert "columns" not in repr(prof) and "weight" not in repr(prof)
+        assert "columns" not in repr(prof) and "weight" not in repr(prof) and "z_terms" not in repr(prof)
         again = invariants._profile_at.__wrapped__(graph, 1)
         assert prof == again and hash(prof) == hash(again)
 
@@ -910,7 +927,8 @@ def test_catalog_reports_are_the_same_from_arrays_and_from_tuples(monkeypatch):
             return tuple(np.asarray(column).tolist())
 
         return dataclasses.replace(
-            prof, weight_resistance=listed(prof.weight_resistance), weight_length=listed(prof.weight_length),
+            prof, z_terms=listed(prof.z_terms), weight_resistance=listed(prof.weight_resistance),
+            weight_length=listed(prof.weight_length),
             columns=circuit.EdgeColumns(*map(listed, prof.columns[:3])),
         )
 

@@ -249,11 +249,12 @@ def test_leaf_nodes_match_sequence_enumeration(triangle, k4, replay):
         assert set(leaves) == from_sequences
 
 
-def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
+def test_nested_sum_equals_explicit_sequence_sum(k4, banana3, replay):
     # One walk for every depth against a replay of every admissible
     # sequence, multiplying the R/(L+R) weight of each step in the graph
     # current at that step.  The walk's leaf reads a node's core and loop
-    # lengths, the replay's the real contracted graph.
+    # lengths, the replay's the real contracted graph.  Depths asked
+    # unsorted and repeated give each depth's single-depth sum bit for bit.
     def leaf_xy_gap(graph):
         prof = graph_profile(graph)
         return prof.x - prof.y
@@ -272,6 +273,11 @@ def test_nested_sum_equals_explicit_sequence_sum(k4, replay):
                 for depth in depths
             ]
             assert fast == pytest.approx(slow, rel=1e-9)
+            mixed = [g.vertex_count - 2, 1, g.vertex_count - 2, *reversed(depths)]
+            assert nested_weighted_sum(g, mixed, leaf) == [nested_weighted_sum(g, [d], leaf)[0] for d in mixed]
+    _, core, _, loops = invariants.contraction_lattice(banana3)[0]
+    assert nested_weighted_sum(banana3, [0], invariants.node_tau) == [invariants.node_tau(core, loops)]
+    assert nested_weighted_sum(banana3, [0, 0], invariants.node_z) == [graph_profile(banana3).z] * 2
 
 
 def test_nested_sum_depth_cap(triangle, k4, monkeypatch):
