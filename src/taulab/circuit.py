@@ -26,26 +26,28 @@ guard rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
-needs nothing beyond G's own resistances: R = L r / s and the arm gap
-L Delta_p / s, with r = r(a, b), s = L - r and Delta_p = r(p, a) - r(p, b)
-at base p.  This is what the rank-one (Sherman-Morrison) update of the
-inverse reduces to.  Everything that does not depend on the base is built
-once per graph into one read-only record, ClosedForm
-(_deleted_edge_inverses): K, each edge's R, L / s and K[a,a] - K[b,b],
-the ids of the edges left to GTH, and the edge arrays that the profile's
-terms read too (ends, lengths and the plain-edge mask, neither loop nor
-bridge), all from one array view of the edges (_edge_view, not kept).
-The work per base is one gather of row K[p] and O(m) arithmetic, plus
-the GTH reductions of those edges.  The inverse is
+needs nothing beyond G's own resistances.  With r = r(a, b), s = L - r
+and k_x = K[x,a] - K[x,b], the rank-one (Sherman-Morrison) update of the
+inverse gives G - e the entries K[x,y] + k_x k_y / s.  So R = L r / s, the
+arm gap at base p is L Delta_p / s with Delta_p = r(p, a) - r(p, b), and
+r(a, p) in G - e is r(a, p) + (k_a - k_p)^2 / s, which less the arm at a
+is the arm at the base, clamped at 0.  Everything that does not depend on
+the base is built once per graph into one read-only record, ClosedForm
+(_deleted_edge_inverses): K, each edge's R, s, K[a,a] - K[b,b], K[a,a]
+and k_a, the ids of the edges left to GTH, and the edge arrays that the
+profile's terms read too (ends, lengths and the plain-edge mask, neither
+loop nor bridge), all from one array view of the edges (_edge_view, not
+kept).  The work per base is one gather of row K[p] and O(m) arithmetic,
+plus the GTH reductions of those edges.  The inverse is
 checked by the normwise relative residual ||A X - I|| / (||A|| ||X||)
 (infinity norms), which does not change when all lengths are scaled; a
 suspicious grounded inverse raises SingularSystem.
 
 Both routes land in one layout, all_edge_circuit_data: per base, the
-deleted-edge resistance and the two star arms of every edge, indexed by
-edge, as tuples of Python floats on the all-GTH route, which keeps the
-arm at the base too, and as float64 arrays on the closed-form route,
-which the profile sums column-wise and keeps, read-only, as they are.
+deleted-edge resistance and the three star arms of every edge, indexed by
+edge, as tuples of Python floats on the all-GTH route and as float64
+arrays on the closed-form route, which the profile sums column-wise and
+keeps, read-only, as they are.
 A self-loop holds its exact limit there (R and every arm 0.0); a bridge
 has no finite deleted-edge resistance, so its entries are NaN and its
 limits are applied by whoever reads g.bridges().
@@ -296,9 +298,11 @@ def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
 class ClosedForm(NamedTuple):
     """Everything base-free that the closed-form route reads of one graph; every array read-only.
 
-    The per-edge arrays are indexed by edge.  With r = r(a, b) and
-    s = L - r in G, an edge that passes the guard has R = scale * r and,
-    toward base p, the arm gap scale * (spread - 2 (K[p,a] - K[p,b])).
+    The per-edge arrays are indexed by edge.  With r = r(a, b), s = L - r
+    and k_x = K[x,a] - K[x,b] in G, an edge that passes the guard has
+    R = L r / s and, toward base p, the arm gap L (spread - 2 k_p) / s and
+    the arm at p: r(a, p) in G - e, which is
+    diagonal + K[p,p] - 2 K[p,a] + (pull - k_p)^2 / s, less the arm at a.
     """
 
     R: Sequence[float]  # deleted-edge resistance: 0.0 at loops, NaN at bridges and guard rejects
@@ -307,8 +311,10 @@ class ClosedForm(NamedTuple):
     b: Sequence[int]  # second ends
     length: Sequence[float]
     plain: Sequence[bool]  # neither loop nor bridge
-    scale: Sequence[float]  # L / s where the guard passes, else L
+    slack: Sequence[float]  # s = L - r where the guard passes, else inf
     spread: Sequence[float]  # K[a,a] - K[b,b]
+    diagonal: Sequence[float]  # K[a,a]
+    pull: Sequence[float]  # k_a = K[a,a] - K[a,b]
     gth: list[int]  # the plain edges the guard rejects, left to GTH per base (_gth_stars)
 
 
@@ -320,7 +326,8 @@ def _deleted_edge_inverses(g: MetrizedGraph) -> ClosedForm | None:
     G's own resistances: with r = r(a, b), s = L - r and
     Delta_p = r(p, a) - r(p, b) = (K[a,a] - K[b,b]) - 2 (K[p,a] - K[p,b]),
     G - e has R = L r / s between a and b and the arm gap L Delta_p / s
-    toward base p.  An edge takes this route only when s > 0 and the
+    toward base p, and the arm at p is read through the same update
+    (ClosedForm).  An edge takes this route only when s > 0 and the
     rounding error predicted for s, eps (K[a,a] + K[b,b] + 2|K[a,b]|) / s,
     is at most RANK_ONE_ERROR_BOUND.
 
@@ -345,10 +352,11 @@ def _deleted_edge_inverses(g: MetrizedGraph) -> ClosedForm | None:
     ok = plain & (s > 0) & (_EPS * (d[a] + d[b] + 2.0 * np.abs(k_ab)) <= RANK_ONE_ERROR_BOUND * s)
     if not ok.any():
         return None
-    scale = length / np.where(ok, s, 1.0)
-    R = np.where(ok, scale * r, np.nan)
+    slack = np.where(ok, s, np.inf)
+    R = np.where(ok, length / slack * r, np.nan)
     R[loop] = 0.0
-    data = ClosedForm(R, K, a, b, length, plain, scale, d[a] - d[b], np.flatnonzero(plain & ~ok).tolist())
+    data = ClosedForm(R, K, a, b, length, plain, slack, d[a] - d[b], d[a], d[a] - k_ab,
+                      np.flatnonzero(plain & ~ok).tolist())
     for array in data[:-1]:
         array.flags.writeable = False
     return data
@@ -376,9 +384,8 @@ class EdgeColumns(NamedTuple):
     ``arm_first`` and ``arm_second`` are the arms at the first and second
     endpoint, the two the invariants read (through R = arm_first +
     arm_second and the arm gap arm_first - arm_second).  ``arm_base``, the
-    arm at the base, is kept on the all-GTH route only, for the crossing A
-    (invariants._star_crossing), and is None on the closed-form route.  A
-    self-loop holds its exact limit, 0.0 in every column.  A bridge's
+    arm at the base, is read by the crossing A (invariants._star_crossing).
+    A self-loop holds its exact limit, 0.0 in every column.  A bridge's
     entries are NaN, and whoever reads g.bridges() applies its limits
     (z-term 0, weights R/(L+R) = 1 and L/(L+R) = 0).  The columns are
     tuples of Python floats on the all-GTH route and float64 arrays on the
@@ -388,7 +395,7 @@ class EdgeColumns(NamedTuple):
     resistance: Sequence[float]
     arm_first: Sequence[float]
     arm_second: Sequence[float]
-    arm_base: Sequence[float] | None = None
+    arm_base: Sequence[float]
 
 
 def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
@@ -399,14 +406,16 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
     pair, and come back as _gth_stars' edge-indexed arm lists; their R
     is the sum of their two end arms.  On the all-GTH route these are all
     the non-loop, non-bridge edges, and the columns are those lists as
-    tuples of Python floats (0.0 at loops, NaN at bridges), the arm at the
-    base included: numpy is not even imported.  On the closed-form route
-    the columns are float64 arrays, with no arm at the base: each edge
-    that passed the guard takes R from the graph's closed-form data and
-    its arm gap from one gather of row K[base]:
-    arm_first = (R + gap) / 2 and arm_second = R - arm_first, and the
-    routed entries of the end-arm lists overwrite the guard's rejects.  A
-    self-loop's R is 0, so the same arithmetic gives its arms 0.
+    tuples of Python floats (0.0 at loops, NaN at bridges): numpy is not
+    even imported.  On the closed-form route the columns are float64
+    arrays: each edge that passed the guard takes R from the graph's
+    closed-form data and its arm gap from one gather of row K[base]:
+    arm_first = (R + gap) / 2 and arm_second = R - arm_first.  Its arm at
+    the base is r(a, base) in G - e, from the same row (ClosedForm), less
+    arm_first, clamped at 0; NaN at a bridge and set to 0.0 at a loop.
+    The routed entries of the three arm lists overwrite the guard's
+    rejects.  A self-loop's R is 0, so the same arithmetic gives its end
+    arms 0.
     """
     base = g.check_vertex(base)
     data = closed_form(g)
@@ -415,14 +424,18 @@ def all_edge_circuit_data(g: MetrizedGraph, base: int) -> EdgeColumns:
         first, second, third = _gth_stars(g, base, [i for i, (a, b, _) in enumerate(g.edges) if a != b and i not in bridges])
         return EdgeColumns(tuple(map(add, first, second)), tuple(first), tuple(second), tuple(third))
     row = data.K[base]
-    gap = data.scale * (data.spread - 2.0 * (row[data.a] - row[data.b]))
+    k = row[data.a] - row[data.b]
+    gap = data.length / data.slack * (data.spread - 2.0 * k)
     R = data.R
     arm_first = 0.5 * (R + gap)
     arm_second = R - arm_first
+    lean = data.pull - k
+    arm_base = (data.diagonal + row[base] - 2.0 * row[data.a] + lean * lean / data.slack - arm_first).clip(0.0)
+    arm_base[data.a == data.b] = 0.0
     if data.gth:
         R = R.copy()
-        first, second, _ = _gth_stars(g, base, data.gth)
+        first, second, third = _gth_stars(g, base, data.gth)
         for i in data.gth:
-            arm_first[i], arm_second[i] = first[i], second[i]
+            arm_first[i], arm_second[i], arm_base[i] = first[i], second[i], third[i]
             R[i] = first[i] + second[i]
-    return EdgeColumns(R, arm_first, arm_second)
+    return EdgeColumns(R, arm_first, arm_second, arm_base)

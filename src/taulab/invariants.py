@@ -17,17 +17,16 @@ a bridge (R infinite) contributes 0 to z and x and its full length to r and
 y; a self-loop (R = 0) contributes its length to z and nothing else.
 
 The crossing A(h; p, q) is a sum of non-negative per-edge terms too, on
-the all-GTH route (circuit.closed_form is None): with V, W and J the arms
-at q, at p and at x of the star that h reduces to on {p, q, x}, each
-non-loop edge f = (u, w, L) adds
+both circuit routes: with V, W and J the arms at q, at p and at x of the
+star that h reduces to on {p, q, x}, each non-loop edge f = (u, w, L)
+adds
 
     dV^2 / L ((J_u + J_w) / 2 + L^2 / (6 (L + R_f)))
 
 (_star_crossing; no L^2 term at a bridge).  The stars of G - e onto
-{a, b, x} are the stars of e in G's profile at base x, so the catalog's
-crossings read G at every base and build no surgery for them.  The
-closed-form route keeps A = r (tau(h with p, q glued) - tau(h) + r/6)
-(glued_crossing), a difference of taus.
+{a, b, x} are the stars of e in G's profile at base x (_stars), so the
+catalog's crossings read G at every base and build no surgery for them;
+A_pq reads the stars of one p-q edge added to h.  No tau is differenced.
 
 Two independent oracles recompute tau without these formulas: a quadrature
 of the squared slope of the resistance function, and a recursion that
@@ -41,15 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import transforms
-from .circuit import (
-    EdgeColumns,
-    _grounded_inverse,
-    _gth_stars,
-    _laplacian,
-    all_edge_circuit_data,
-    closed_form,
-    effective_resistance,
-)
+from .circuit import EdgeColumns, _grounded_inverse, _laplacian, all_edge_circuit_data, closed_form
 from .errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from .graphs import MetrizedGraph, _bridge_ids, _index, graph_memo
 
@@ -199,7 +190,7 @@ def _column_terms(g: MetrizedGraph, columns: EdgeColumns):
     z[bridges] = 0.0
     w_res[bridges] = 1.0
     w_len[bridges] = 0.0
-    for column in (*columns[:3], z, w_res, w_len):
+    for column in (*columns, z, w_res, w_len):
         column.flags.writeable = False
     bridge_lengths = length[bridges].tolist()
     return (math.fsum(z.tolist()), math.fsum(r[plain].tolist() + bridge_lengths),
@@ -314,39 +305,30 @@ def A_pq(g: MetrizedGraph, p: int, q: int) -> float:
 
     Equal to r(p,q) (tau(g with p,q glued) - tau(g) + r(p,q)/6); always in
     [0, r(p,q) (r_max - r(p,q)/2)] where r_max is the resistance from the
-    gluing points.  On the all-GTH route (circuit.closed_form(g) is None)
-    it is _star_crossing's sum of non-negative terms: the stars of g onto
-    {p, q, x} come from _gth_stars on g plus one p-q edge, routed alone,
-    at every base x, and every base's tau of g must agree with base 0's
-    (SingularSystem).  On the closed-form route it is glued_crossing's
-    difference of taus.  The direct quadrature lives in
-    a_pq_oracle_integral.
+    gluing points.  It is _star_crossing's sum of non-negative terms over
+    the stars of g onto {p, q, x} at every base x: the stars of one p-q
+    edge added to g, of length ell(g), read from the joined graph's
+    columns (_stars), so every base's tau of the joined graph must agree
+    with base 0's (SingularSystem).  Since ell(g) >= r(p, q), that edge's
+    s = L - r is at least L / 2 and the closed form's guard passes it.
+    The direct quadrature lives in a_pq_oracle_integral.
     """
     p = g.check_vertex(p)
     q = g.check_vertex(q)
     if p == q:
         raise SameVertex("A needs two distinct points")
-    if closed_form(g) is not None:
-        return glued_crossing(g, transforms.identify_points(g, p, q), p, q)
-    _every_base(g)
-    joined = MetrizedGraph._unchecked(g.vertex_count, g.edges + ((p, q, 1.0),))
-    e = g.edge_count
-    stars = []
-    for base in range(g.vertex_count):
-        first, second, third = _gth_stars(joined, base, [e])
-        stars.append((first[e], second[e], third[e]))
-    return _star_crossing(g, stars)
+    joined = MetrizedGraph._unchecked(g.vertex_count, g.edges + ((p, q, g.total_length),))
+    return _star_crossing(g, _stars(joined, g.edge_count))
 
 
-def glued_crossing(g: MetrizedGraph, glued: MetrizedGraph, p: int, q: int) -> float:
-    """A_pq(g, p, q) with the glued graph given: any graph equal in value to g with p, q glued.
+def _stars(g: MetrizedGraph, i: int) -> list[tuple[float, float, float]]:
+    """Edge i = (a, b)'s star at every base x: the arms (W, V, J) at a, at b and at x of G - e reduced onto {a, b, x}.
 
-    A difference of taus, r (tau(glued) - tau(g) + r/6), which loses digits
-    when the taus are far larger than A: the form of the closed-form route,
-    whose stars would be differences of grounded-inverse entries.
+    Read from g's columns at every base (_every_base), on either route, as
+    Python floats: _star_crossing sums them about twice as fast as numpy
+    scalars.
     """
-    resistance = effective_resistance(g, p, q)
-    return resistance * (tau(glued) - tau(g) + resistance / 6.0)
+    return [(float(c.arm_first[i]), float(c.arm_second[i]), float(c.arm_base[i])) for c in _every_base(g)]
 
 
 def _star_crossing(h: MetrizedGraph, stars: Sequence[tuple[float, float, float]]) -> float:
@@ -355,12 +337,12 @@ def _star_crossing(h: MetrizedGraph, stars: Sequence[tuple[float, float, float]]
     stars[x] is (W, V, J): the arms at p, at q and at x of the star that h
     reduces to on {p, q, x}.  On f, J is quadratic and V linear, so f adds
     dV^2 / L ((J_u + J_w) / 2 + L^2 / (6 (L + R_f))), with R_f f's
-    deleted-edge resistance in h (graph_profile(h) at base 0) and the L^2
-    term dropped at a bridge of h.  V + W = r(p, q) at every vertex, so dV
-    is taken from whichever arm is the smaller at f's ends: the one whose
-    difference cancels least.
+    deleted-edge resistance in h (graph_profile(h) at base 0, as a Python
+    float) and the L^2 term dropped at a bridge of h.  V + W = r(p, q) at
+    every vertex, so dV is taken from whichever arm is the smaller at f's
+    ends: the one whose difference cancels least.
     """
-    resistance = graph_profile(h).columns.resistance
+    resistance = [*map(float, graph_profile(h).columns.resistance)]
     bridges = h.bridges()
     terms = []
     for f, (u, w, L) in enumerate(h.edges):
@@ -414,19 +396,18 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
 
     The one place that decides which surgery graphs exist for an edge and
     how long they live: each is cut from a throwaway copy of g and freed
-    when this returns, so g's memo keeps floats only.  On the all-GTH
-    route the crossings are _star_crossing's sums over G - e and
-    DA(G - e), with e's stars read from G's columns at every base (every
-    base's tau checked against base 0's): the stars of G - e, and a
-    quarter of them for DA(G - e), whose every resistance is a quarter of
-    G - e's.  So the crossing equals A_pq(G - e, a, b) bit for bit.  On
-    the closed-form route gluing a to b in G - e gives G/e as a value, and
-    in DA(G - e) it gives DA(G/e), so the crossings glue through the
-    contraction (glued_crossing).  The looped graph, G with a and b
-    glued, has G/e's vertices and non-loop edges in order and G's edges
-    as a multiset, so its tau is G's length with G/e's x and y, bit for
-    bit, and it is never built; it is read only on 3 or more vertices,
-    where TAU_CONTRACT, its one reader, runs.
+    when this returns, so g's memo keeps floats only.  On either route
+    the crossings are _star_crossing's sums over G - e and DA(G - e), with
+    e's stars read from G's columns at every base (_stars, every base's tau
+    checked against base 0's): the stars of G - e, and a quarter of them
+    for DA(G - e), whose every resistance is a quarter of G - e's.  On the
+    all-GTH route the crossing equals A_pq(G - e, a, b) bit for bit; on the
+    closed-form route A_pq reads another graph's inverse, so the two agree
+    to rounding.  The looped graph, G with a and b glued, has G/e's
+    vertices and non-loop edges in order and G's edges as a multiset, so
+    its tau is G's length with G/e's x and y, bit for bit, and it is never
+    built; it is read only on 3 or more vertices, where TAU_CONTRACT, its
+    one reader, runs.
     """
     scope = _scope(g)
     a, b, _ = g.edges[i]
@@ -436,24 +417,13 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
     if i in g.bridges():
         return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
     deleted = _delete(scope, i)
-    stars = None
-    if a == b:
-        crossing = 0.0
-    elif closed_form(g) is None:
-        stars = [(c.arm_first[i], c.arm_second[i], c.arm_base[i]) for c in _every_base(g)]
-        crossing = _star_crossing(deleted, stars)
-    else:
-        crossing = glued_crossing(deleted, contracted, a, b)
+    stars = None if a == b else _stars(g, i)
+    crossing = 0.0 if a == b else _star_crossing(deleted, stars)
     doubled = doubled_crossing = None
     if g.is_bridgeless():
         doubled_graph = _da(deleted)
         doubled = graph_profile(doubled_graph).tau
-        if a == b:
-            doubled_crossing = 0.0
-        elif stars is not None:
-            doubled_crossing = _star_crossing(doubled_graph, [(W / 4.0, V / 4.0, J / 4.0) for W, V, J in stars])
-        else:
-            doubled_crossing = glued_crossing(doubled_graph, _da(contracted), a, b)
+        doubled_crossing = 0.0 if a == b else _star_crossing(doubled_graph, [(W / 4.0, V / 4.0, J / 4.0) for W, V, J in stars])
     return EdgeRecord(_scalars(deleted), _scalars(contracted), looped, crossing, doubled, doubled_crossing)
 
 

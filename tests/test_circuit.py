@@ -107,9 +107,8 @@ def test_arm_sum_recovers_deleted_resistance():
     for n in (circuit.RANK_ONE_MIN_VERTICES, 20, 40):
         g = random_regular_graph(rng, n, lambda: 10.0 ** rng.uniform(-1.0, 1.0))
         for base in range(g.vertex_count):
-            *columns, arm_base = all_edge_circuit_data(g, base)
-            resistance, arm_first, arm_second = map(np.asarray, columns)
-            assert arm_base is None
+            resistance, arm_first, arm_second, arm_base = all_edge_circuit_data(g, base)
+            assert (arm_base >= 0.0).all(), (n, base)
             np.testing.assert_allclose(arm_first + arm_second, resistance, rtol=1e-9, atol=1e-12)
             assert (np.minimum(arm_first, arm_second) >= -1e-12 * resistance).all(), (n, base)
 
@@ -348,6 +347,46 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
     for g in graphs:
         assert g.vertex_count >= circuit.RANK_ONE_MIN_VERTICES
         assert_edge_data_is_exact(g)
+
+
+def test_closed_form_columns_hold_the_arm_at_every_base():
+    # The closed-form route reads the arm at the base off the rank-one
+    # update: r(a, p) in G - e less the arm at a, clamped at 0.  Graphs of
+    # 10 to 14 vertices: a 6-regular core with integer lengths, a cycle of
+    # three 2^13 edges closed by a 2^-10 near-bridge that the guard rejects,
+    # a loop and a pendant bridge.  At every base each plain edge's three
+    # arms are within 1e-9 of the exact star of G - e, relative to the
+    # largest exact resistance from either end; a loop holds 0.0 in every
+    # arm, a bridge NaN, each guard reject _gth_stars' arms bit for bit, and
+    # no arm at the base is below 0.  The end arms are not clamped: a
+    # closed-form end arm toward a base at its own end can read -1.8e-15.
+    rng = random.Random(1414)
+    for c in (6, 8, 10):
+        core = random_regular_graph(rng, c, lambda: float(rng.randint(1, 100)))
+        cycle = [(c - 1, c, 8192.0), (c, c + 1, 8192.0), (c + 1, c + 2, 8192.0), (c - 1, c + 2, 2.0 ** -10)]
+        g = build_graph(c + 4, list(core.edges) + cycle + [(2, 2, 7.0), (c + 1, c + 3, 3.0)])
+        near_bridge, loop, bridge = len(core.edges) + 3, g.edge_count - 2, g.edge_count - 1
+        assert g.vertex_count in (10, 12, 14) and g.bridges() == {bridge}
+        rejects = circuit.closed_form(g).gth
+        assert near_bridge in rejects
+        exact = {}
+        for i, (a, b, _) in enumerate(g.edges):
+            if i not in (loop, bridge):
+                K = exact_deleted_inverse(g.vertex_count, g.edges, i)
+                exact[i] = exact_resistances_to(K, a), exact_resistances_to(K, b)
+        for p in range(g.vertex_count):
+            columns = all_edge_circuit_data(g, p)
+            assert [column[loop] for column in columns] == [0.0] * 4
+            assert np.isnan([column[bridge] for column in columns]).all()
+            stars = circuit._gth_stars(g, p, rejects)
+            for i in rejects:
+                assert [column[i] for column in columns[1:]] == [arms[i] for arms in stars], (g.edges, i, p)
+            assert (columns.arm_base[~np.isnan(columns.arm_base)] >= 0.0).all()
+            for i, (to_a, to_b) in exact.items():
+                R = to_b[g.edges[i][0]]
+                first = (to_a[p] + R - to_b[p]) / 2
+                for got, want in zip((column[i] for column in columns[1:]), (first, R - first, to_a[p] - first)):
+                    assert abs(Fraction(got) - want) <= Fraction(1e-9) * max(to_a + to_b), (g.edges, i, p)
 
 
 def test_near_bridge_takes_the_gth_route(monkeypatch):
@@ -881,10 +920,7 @@ def test_profile_columns_are_read_only_and_outside_eq_and_repr():
     # route read-only float64 arrays.
     for graph, layout, value, refusal in ((g, tuple, float, TypeError), (closed, np.ndarray, np.float64, ValueError)):
         prof = invariants.graph_profile(graph, 1)
-        # The arm at the base is kept on the all-GTH route only.
-        assert (prof.columns.arm_base is None) == (graph is closed)
-        for column in (*(c for c in prof.columns if c is not None), prof.z_terms, prof.weight_resistance,
-                       prof.weight_length):
+        for column in (*prof.columns, prof.z_terms, prof.weight_resistance, prof.weight_length):
             assert type(column) is layout and len(column) == graph.edge_count
             assert {type(entry) for entry in column} == {value}
             with pytest.raises(refusal):
@@ -929,7 +965,7 @@ def test_catalog_reports_are_the_same_from_arrays_and_from_tuples(monkeypatch):
         return dataclasses.replace(
             prof, z_terms=listed(prof.z_terms), weight_resistance=listed(prof.weight_resistance),
             weight_length=listed(prof.weight_length),
-            columns=circuit.EdgeColumns(*map(listed, prof.columns[:3])),
+            columns=circuit.EdgeColumns(*map(listed, prof.columns)),
         )
 
     monkeypatch.setattr(invariants, "_profile_at", graph_memo(as_tuples))

@@ -213,7 +213,7 @@ def test_identity_and_invariant_report_bytes_are_pinned(tmp_path, capsys, monkey
 # sha256 of the stdout of verify --ids all (graphs of at most 13 vertices)
 # then invariants, on each graph of
 # test_closed_form_report_bytes_are_pinned in turn.
-PINNED_CLOSED_FORM_SHA256 = "fa939943fb1589a5e46c544fdf8253d335236017907362bd01454fc02f1e3001"
+PINNED_CLOSED_FORM_SHA256 = "771f0000931afa640a7f73d078bae41c5ed14d7acb02cf059587e3dc48c15aa7"
 
 
 def test_closed_form_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):

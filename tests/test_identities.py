@@ -425,12 +425,15 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
     # off surgeries built directly, and is None exactly where a bridge, or
     # a bridge elsewhere in g, leaves it undefined, or, for the looped
     # graph's tau, below 3 vertices, where TAU_CONTRACT does not run.  The
-    # record sums its crossings over G's own stars of e; here they are
-    # A_pq of G - e, bit for bit, and of DA(G - e), whose stars the record
-    # takes as a quarter of G - e's, within 1e-12.  The 25 bridgeless
-    # graphs come first, then 8 bridgeless ones of 10 to 12 vertices, which
-    # take the closed-form route (the looped tau is read off G/e on both
-    # routes), then the fuzz graphs, with loops and bridges.
+    # record sums its crossings over G's own stars of e; on the all-GTH
+    # route they are A_pq of G - e, bit for bit, and of DA(G - e), whose
+    # stars the record takes as a quarter of G - e's, within 1e-12.  The 25
+    # bridgeless graphs come first, then 8 bridgeless ones of 10 to 12
+    # vertices, which take the closed-form route (the looped tau is read off
+    # G/e on both routes), then the fuzz graphs, with loops and bridges.
+    # On the closed-form graphs A_pq reads the inverse of G - e plus a new
+    # edge, not G's, so their crossings are checked against exact rationals
+    # instead (test_closed_form_crossings_match_exact_rationals).
     rng = random.Random(7070)
     graphs = []
     for _ in range(25):
@@ -467,10 +470,11 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
             deleted = transforms.delete_edge(g, i)
             doubled = transforms.double_adjusted(deleted)
             assert record.deleted == scalars(deleted), (g.edges, i)
+            gth = circuit.closed_form(g) is None
             if a == b:
                 assert record.crossing == 0.0
                 seen["loop"] += 1
-            else:
+            elif gth:
                 assert record.crossing == invariants.A_pq(deleted, a, b), (g.edges, i)
                 seen["crossing"] += 1
             if not bridgeless:
@@ -480,7 +484,7 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
             assert record.doubled_tau == invariants.graph_profile(doubled).tau, (g.edges, i)
             if a == b:
                 assert record.doubled_crossing == 0.0
-            else:
+            elif gth:
                 direct = invariants.A_pq(doubled, a, b)
                 assert abs(record.doubled_crossing - direct) <= 1e-12 * direct, (g.edges, i)
     assert seen["crossing"] > 300 and min(seen.values()) > 20, seen
@@ -656,6 +660,13 @@ def exact_tau_from_one_inverse(g):
     return total
 
 
+def exact_crossing(h, glued, a, b):
+    """A(h; a, b) = r (tau(glued) - tau(h) + r/6) in Fractions, glued any graph equal to h with a, b glued, and r^2."""
+    K = exact_deleted_inverse(h.vertex_count, h.edges, None)
+    r = K[a][a] + K[b][b] - 2 * K[a][b]
+    return r * (exact_tau_from_one_inverse(glued) - exact_tau_from_one_inverse(h) + r / 6), r * r
+
+
 def test_record_crossings_match_exact_rationals_at_wide_spreads():
     # 25 six-vertex fuzz multigraphs at spreads 1e2 to 1e12.  In Fractions
     # A(G - e; a, b) = r (tau(G/e) - tau(G - e) + r/6), and likewise for
@@ -663,11 +674,6 @@ def test_record_crossings_match_exact_rationals_at_wide_spreads():
     # crossing here was 3.7e-5 off; the sum over the stars is 3.6e-11 off.
     # An exact 0 (a and b joined through bridges of G - e alone) is checked
     # against r^2.
-    def exact_crossing(h, glued, a, b):
-        K = exact_deleted_inverse(h.vertex_count, h.edges, None)
-        r = K[a][a] + K[b][b] - 2 * K[a][b]
-        return r * (exact_tau_from_one_inverse(glued) - exact_tau_from_one_inverse(h) + r / 6), r * r
-
     rng = random.Random(10)
     seen = collections.Counter()
     for _ in range(25):
@@ -697,3 +703,57 @@ def test_record_crossings_match_exact_rationals_at_wide_spreads():
                 for u, w, _ in deleted.edges if u != w
             )
     assert seen["crossing"] > 200 and seen["bridge in G - e"] and seen["V over its change"], seen
+
+
+def spread_graph(rng, lo, hi):
+    """A fuzz multigraph of 10 to 12 vertices, v/2 to 2v edges beyond a spanning tree, lengths spread^U(0, 1) with spread 10^U(lo, hi)."""
+    while True:
+        g = random_connected_multigraph(rng, 12, 36)
+        v = g.vertex_count
+        if v >= 10 and v // 2 <= g.edge_count - (v - 1) <= 2 * v:
+            spread = 10.0 ** rng.uniform(lo, hi)
+            return build_graph(v, [(a, b, spread ** rng.random()) for a, b, _ in g.edges])
+
+
+def test_closed_form_crossings_match_exact_rationals():
+    # The closed-form route sums A over the stars too, with the arm at the
+    # base from the rank-one update of G's inverse.  Record crossings and
+    # doubled crossings on graphs 3 and 7 of spread_graph(random.Random(12),
+    # 2, 8), A_pq on 8 pairs of each of graphs 9 and 21 of
+    # spread_graph(random.Random(21), 2, 8), all against Fractions.  As a
+    # difference of taus the worst of these missed by 1.6e-5, 1.2e-4, 1.1e-7
+    # and 1.2e-7; the star sum is within 4e-9, 2.1e-8 on A_pq.  Graph 6 of
+    # the first corpus still misses on both forms (1.5e-4 off, an A of 4 for
+    # an r^2 of 6.6e12: ROADMAP item 20).  Last, a unicyclic graph whose
+    # G - e is a tree, where A is exactly 0 and is checked against r^2.
+    rng = random.Random(12)
+    first = [spread_graph(rng, 2.0, 8.0) for _ in range(8)]
+    rng = random.Random(21)
+    second = []
+    for _ in range(22):
+        g = spread_graph(rng, 2.0, 8.0)
+        second.append((g, [tuple(rng.sample(range(g.vertex_count), 2)) for _ in range(8)]))
+    rng = random.Random(5)
+    tree = [(v, rng.randrange(v), 10.0 ** rng.uniform(-1.0, 3.0)) for v in range(1, 11)]
+    unicyclic = build_graph(11, tree + [(0, 10, 2.0)])
+    pairs = []
+    for g in (first[3], first[7], unicyclic):
+        assert circuit.closed_form(g) is not None
+        for i, (a, b, _) in enumerate(g.edges):
+            if a == b or i in g.bridges():
+                continue
+            record = invariants.edge_record(g, i)
+            deleted, contracted = transforms.delete_edge(g, i), transforms.contract_edge(g, i)
+            pairs.append((record.crossing, exact_crossing(deleted, contracted, a, b)))
+            if g.is_bridgeless():
+                doubled = transforms.double_adjusted(deleted), transforms.double_adjusted(contracted)
+                pairs.append((record.doubled_crossing, exact_crossing(*doubled, a, b)))
+    tree_edge = unicyclic.edge_count - 1
+    assert pairs[-1] == (invariants.edge_record(unicyclic, tree_edge).crossing, (0, pairs[-1][1][1]))
+    for g, ends in (second[9], second[21]):
+        assert circuit.closed_form(g) is not None
+        for p, q in ends:
+            pairs.append((invariants.A_pq(g, p, q), exact_crossing(g, transforms.identify_points(g, p, q), p, q)))
+    assert len(pairs) > 60
+    for got, (want, floor) in pairs:
+        assert abs(Fraction(got) - want) <= Fraction(1e-7) * (want or floor), (got, float(want))
