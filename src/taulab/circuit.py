@@ -7,22 +7,21 @@ GTH elimination (Grassmann, Taksar and Heyman 1985) removes vertices from
 per-vertex conductance maps by star-mesh steps whose pivot is the sum of
 the removed vertex's conductances, so no step subtracts and each result
 keeps a small relative error whatever the spread of lengths (O'Cinneide
-1993).  effective_resistance reduces the network onto its two terminals.
-An edge's data at a base reduces G - e onto {a, b, base}.  The vertices
-eliminated there never read the a-b entry, so all edges between a and b
-share one reduction of G without any a-b edge, per base, and each edge
-then adds the other a-b conductances and the recorded fills of that entry
-in the order its own reduction would: the same bits as one reduction per
-edge.  _gth_stars does this in one pass per graph and base: one loop over
-the edges builds the conductance maps and the endpoint-pair classes, and
-a class whose {a, b, base} is already every vertex reduces nothing and
-copies no map.  The reduced triangle gives all three arms of the star:
-at a, at b and at the base, the last for the crossing A
-(invariants._star_crossing).  closed_form alone picks the route.  On the
-all-GTH route (graphs under RANK_ONE_MIN_VERTICES, or where no edge passes
-the closed form's guard) every non-loop, non-bridge edge is reduced this
-way on the graph itself, as the closed-form route does for the edges its
-guard rejects.
+1993).  _gth_stars is the one GTH entry point: an edge's data at a base
+reduces G - e onto {a, b, base}.  The vertices eliminated there never
+read the a-b entry, so all edges between a and b share one reduction of
+G without any a-b edge, per base, and each edge then adds the other a-b
+conductances and the recorded fills of that entry in the order its own
+reduction would: the same bits as one reduction per edge.  _gth_stars
+does this in one pass per graph and base: one loop over the edges builds
+the conductance maps and the endpoint-pair classes, and a class whose
+{a, b, base} is already every vertex reduces nothing and copies no map.
+The reduced triangle gives all three arms of the star: at a, at b and at
+the base, the last for the crossing A (invariants._star_crossing).
+closed_form alone picks the route.  On the all-GTH route (graphs under
+RANK_ONE_MIN_VERTICES, or where no edge passes the closed form's guard)
+every non-loop, non-bridge edge is reduced this way on the graph itself,
+as the closed-form route does for the edges its guard rejects.
 
 The closed-form route inverts the grounded Laplacian (vertex 0 removed)
 once per graph.  An edge e = (a, b, L) is in parallel with G - e, so G - e
@@ -173,17 +172,6 @@ def _grounded_inverse(lap):
     return full
 
 
-def _conductances(vertex_count: int, edges) -> list[dict[int, float]]:
-    """Per-vertex maps neighbour -> conductance, parallel edges added in edge order, loops left out."""
-    cond: list[dict[int, float]] = [{} for _ in range(vertex_count)]
-    for a, b, length in edges:
-        if a != b:
-            c = 1.0 / length
-            cond[a][b] = cond[a].get(b, 0.0) + c
-            cond[b][a] = cond[b].get(a, 0.0) + c
-    return cond
-
-
 def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
     """Star-mesh eliminate, in place, every vertex outside keep (GTH).
 
@@ -220,8 +208,9 @@ def _eliminate(cond: list[dict[int, float]], keep, pair=()) -> list[float]:
 def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[float], list[float], list[float]]:
     """Star arms at the first end, the second end and the base of every routed edge, as three edge-indexed lists.
 
-    One pass over the edges builds G's conductance maps as _conductances
-    does, each edge's conductance and the parallel classes.  Each class with a
+    One pass over the edges builds G's conductance maps (conductance
+    1/length per edge, parallel edges added in edge order, loops left out),
+    each edge's conductance and the parallel classes.  Each class with a
     routed edge reduces G without any a-b edge onto {a, b, base} once, on
     a copy of the maps.  The eliminated vertices never read the a-b entry,
     so G - e reduces the same way for each a-b edge e, and its a-b
@@ -279,20 +268,6 @@ def _gth_stars(g: MetrizedGraph, base: int, routed: list[int]) -> tuple[list[flo
                 d = g_ab * g_ap + g_ab * g_bp + g_ap * g_bp
                 first[e], second[e], third[e] = g_bp / d, g_ap / d, g_ab / d
     return first, second, third
-
-
-def effective_resistance(g: MetrizedGraph, x: int, y: int) -> float:
-    """Effective resistance between two vertices of the (connected) graph.
-
-    The network is reduced onto {x, y} by GTH elimination; what is left is
-    one conductance between them.
-    """
-    x, y = g.check_vertex(x), g.check_vertex(y)
-    if x == y:
-        return 0.0
-    cond = _conductances(g.vertex_count, g.edges)
-    _eliminate(cond, {x, y})
-    return 1.0 / cond[x][y]
 
 
 class ClosedForm(NamedTuple):

@@ -301,20 +301,17 @@ def cmd_transform(args) -> int:
         result = edge_ops[args.op](g, args.edge)
     elif args.op == "da":
         result = transforms.double_adjusted(g)
-    elif args.op == "cubic":
+    elif args.op in ("cubic", "reduce2"):
         before = invariants.tau(g)
-        result, steps = transforms.cubic_transform_trace(g, args.epsilon)
+        if args.op == "cubic":
+            result, steps = transforms.cubic_transform_trace(g, args.epsilon)
+        else:
+            result = transforms.reduce_edge_connectivity_two(g)
         after = invariants.tau(result)
-        comments.append(f"tau before: {before!r}")
-        comments.append(f"tau after: {after!r}")
-        comments.append(f"tau increase allowance: {args.epsilon!r}, used steps: {len(steps)}")
-    elif args.op == "reduce2":
-        before = invariants.tau(g)
-        result = transforms.reduce_edge_connectivity_two(g)
-        after = invariants.tau(result)
-        comments.append(f"tau before: {before!r}")
-        comments.append(f"tau after: {after!r}")
-        if abs(after - before) <= 1e-9 * max(abs(after), abs(before)):
+        comments += [f"tau before: {before!r}", f"tau after: {after!r}"]
+        if args.op == "cubic":
+            comments.append(f"tau increase allowance: {args.epsilon!r}, used steps: {len(steps)}")
+        elif abs(after - before) <= 1e-9 * max(abs(after), abs(before)):
             comments.append("tau preserved")
     sys.stdout.write(serialize_graph(result, comments))
     return EXIT_OK

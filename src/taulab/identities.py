@@ -204,8 +204,11 @@ def _tau_contract(g):
     scale = g.vertex_count - 2
     contracted = _weighted_sum(g, prof.weight_resistance, lambda e: e.contracted.tau)
     # Same recursion with the edge kept as a loop instead of removed; the
-    # correction term is then the whole length rather than z.
-    looped = _weighted_sum(g, prof.weight_resistance, lambda e: e.looped_tau)
+    # correction term is then the whole length rather than z.  The looped
+    # graph has G/e's vertices and non-loop edges and G's edges as a
+    # multiset, so its tau is G's length with G/e's x and y, bit for bit.
+    looped = _weighted_sum(g, prof.weight_resistance,
+                           lambda e: prof.ell / 12.0 - e.contracted.x / 6.0 + e.contracted.y / 6.0)
     rows = [
         ("edge removed on contraction", "eq", prof.tau,
          contracted / scale - prof.z / (12.0 * scale)),

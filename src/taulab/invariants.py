@@ -60,8 +60,8 @@ LATTICE_NODE_CAP = 5000
 # memos, and each calls them on a throwaway copy of g (_scope), so every
 # surgery graph is held by that copy's memo and freed once its floats are
 # read; the memos still count each real build.  _loopify builds nothing
-# now (edge_record reads the looped tau off the contraction) and stays
-# bound for perfbench/tracing.py, which reads its cache_info().  The
+# now (TAU_CONTRACT reads the looped tau off the contraction's record) and
+# stays bound for perfbench/tracing.py, which reads its cache_info().  The
 # public transforms stay unmemoized.
 _contract = graph_memo(transforms.contract_edge)
 _delete = graph_memo(transforms.delete_edge)
@@ -368,11 +368,15 @@ class Scalars(NamedTuple):
 
 
 class EdgeRecord(NamedTuple):
-    """Everything the identity catalog reads of one edge e = (a, b)'s surgeries."""
+    """Everything the identity catalog reads of one edge e = (a, b)'s surgeries.
+
+    The looped graph (G with a and b glued, e kept as a loop) has no field:
+    its tau is G's length with the x and y of ``contracted``, and
+    TAU_CONTRACT, its one reader, computes it there.
+    """
 
     deleted: Scalars | None  # G - e; None at a bridge
     contracted: Scalars  # G/e
-    looped_tau: float | None  # tau of G with a and b glued, e kept as a loop; None below 3 vertices
     crossing: float | None  # A(G - e; a, b); 0 at a loop, None at a bridge
     doubled_tau: float | None  # tau of DA(G - e); None unless G is bridgeless
     doubled_crossing: float | None  # A(DA(G - e); a, b); 0 at a loop, likewise None
@@ -403,19 +407,14 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
     for DA(G - e), whose every resistance is a quarter of G - e's.  On the
     all-GTH route the crossing equals A_pq(G - e, a, b) bit for bit; on the
     closed-form route A_pq reads another graph's inverse, so the two agree
-    to rounding.  The looped graph, G with a and b glued, has G/e's
-    vertices and non-loop edges in order and G's edges as a multiset, so
-    its tau is G's length with G/e's x and y, bit for bit, and it is never
-    built; it is read only on 3 or more vertices, where TAU_CONTRACT, its
-    one reader, runs.
+    to rounding.  No looped graph (G with a and b glued, e kept as a loop)
+    is built: TAU_CONTRACT reads its tau off G's length and G/e's x and y.
     """
     scope = _scope(g)
     a, b, _ = g.edges[i]
-    contracted = _contract(scope, i)
-    c = graph_profile(contracted)
-    looped = g.total_length / 12.0 - c.x / 6.0 + c.y / 6.0 if g.vertex_count >= 3 else None
+    contracted = _scalars(_contract(scope, i))
     if i in g.bridges():
-        return EdgeRecord(None, _scalars(contracted), looped, None, None, None)
+        return EdgeRecord(None, contracted, None, None, None)
     deleted = _delete(scope, i)
     stars = None if a == b else _stars(g, i)
     crossing = 0.0 if a == b else _star_crossing(deleted, stars)
@@ -424,7 +423,7 @@ def edge_record(g: MetrizedGraph, i: int) -> EdgeRecord:
         doubled_graph = _da(deleted)
         doubled = graph_profile(doubled_graph).tau
         doubled_crossing = 0.0 if a == b else _star_crossing(doubled_graph, [(W / 4.0, V / 4.0, J / 4.0) for W, V, J in stars])
-    return EdgeRecord(_scalars(deleted), _scalars(contracted), looped, crossing, doubled, doubled_crossing)
+    return EdgeRecord(_scalars(deleted), contracted, crossing, doubled, doubled_crossing)
 
 
 @graph_memo

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from taulab import circuit, invariants
-from taulab.circuit import all_edge_circuit_data, effective_resistance
+from taulab.circuit import all_edge_circuit_data
 from taulab.cli import serialize_graph
-from taulab.errors import DisconnectedGraph
+from taulab.errors import DisconnectedGraph, SingularSystem
 from taulab.fuzzing import random_connected_multigraph
 from taulab.graphs import MetrizedGraph, build_graph, graph_memo
 from taulab.identities import verify_all
 from taulab.invariants import tau
-from taulab.transforms import delete_edge, double_adjusted
+from taulab.transforms import delete_edge, double_adjusted, subdivide
 
 
 def loop_laplacian(n, edges):
@@ -45,40 +45,41 @@ def pinv_resistance(g, x, y):
 
 
 def test_series_and_parallel():
-    series = build_graph(3, [(0, 1, 2.0), (1, 2, 3.0)])
-    assert effective_resistance(series, 0, 2) == pytest.approx(5.0, rel=1e-12)
-    parallel = build_graph(2, [(0, 1, 2.0), (0, 1, 2.0)])
-    assert effective_resistance(parallel, 0, 1) == pytest.approx(1.0, rel=1e-12)
+    # Without its closing edge the triangle is the path 2 + 3 in series;
+    # without its third edge the banana is two 2s in parallel.
+    series = build_graph(3, [(0, 1, 2.0), (1, 2, 3.0), (2, 0, 7.0)])
+    assert all_edge_circuit_data(series, 1).resistance[2] == pytest.approx(5.0, rel=1e-12)
+    parallel = build_graph(2, [(0, 1, 2.0), (0, 1, 2.0), (0, 1, 9.0)])
+    assert all_edge_circuit_data(parallel, 0).resistance[2] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_known_symmetric_values(triangle, k4):
-    # triangle: 1 in parallel with 1+1
-    assert effective_resistance(triangle, 0, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
-    # K4 with unit lengths: every pair sees 1/2
-    for x in range(4):
-        for y in range(x + 1, 4):
-            assert effective_resistance(k4, x, y) == pytest.approx(0.5, rel=1e-12)
+    # triangle less an edge: the other two in series
+    # K4 less an edge (a, b): the other two vertices sit at one potential, so
+    # two paths of 2 in parallel
+    for g, want in ((triangle, 2.0), (k4, 1.0)):
+        for base in range(g.vertex_count):
+            c = all_edge_circuit_data(g, base)
+            assert c.resistance == pytest.approx((want,) * g.edge_count, rel=1e-12)
 
 
 def test_loops_do_not_conduct():
-    g = build_graph(2, [(0, 1, 4.0), (0, 0, 1.0)])
-    assert effective_resistance(g, 0, 1) == pytest.approx(4.0, rel=1e-12)
+    looped = build_graph(2, [(0, 1, 4.0), (0, 1, 4.0), (0, 0, 1.0), (1, 1, 3.0)])
+    plain = build_graph(2, [(0, 1, 4.0), (0, 1, 4.0)])
+    for base in range(2):
+        resistance = all_edge_circuit_data(looped, base).resistance
+        assert resistance[:2] == all_edge_circuit_data(plain, base).resistance
+        assert resistance[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_same_vertex_resistance_is_zero(triangle):
-    assert effective_resistance(triangle, 1, 1) == 0.0
-
-
-def test_resistance_matches_pseudoinverse_oracle():
-    rng = random.Random(2024)
-    for _ in range(30):
-        g = random_connected_multigraph(rng, 6, 12)
-        for _ in range(3):
-            x = rng.randrange(g.vertex_count)
-            y = rng.randrange(g.vertex_count)
-            ours = effective_resistance(g, x, y)
-            theirs = pinv_resistance(g, x, y)
-            assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
+    # An endpoint at the base is the base: its arm and the arm at the base are 0.0.
+    for base in range(3):
+        c = all_edge_circuit_data(triangle, base)
+        for i, (a, b, _) in enumerate(triangle.edges):
+            if base in (a, b):
+                end_arm = c.arm_first[i] if base == a else c.arm_second[i]
+                assert (end_arm, c.arm_base[i]) == (0.0, 0.0), (i, base)
 
 
 def non_bridges(g):
@@ -293,14 +294,21 @@ def test_relative_residual_accepts_wide_length_spreads():
             assert abs(Fraction(tau(g)) - exact) <= Fraction(1e-12) * exact, (s, g.edges)
 
 
-def test_effective_resistance_matches_exact_rationals_at_wide_spreads():
+def test_gth_columns_match_exact_rationals_at_wide_spreads():
+    # Every value of every edge at every base, R and all three arms, within
+    # 1e-14 of its own exact value.
     for s in (1e6, 1e8, 1e10, 1e14):
         for g in wide_spread_k4s(s):
-            K = exact_deleted_inverse(4, g.edges, skip=-1)
-            for x, y in itertools.combinations(range(4), 2):
-                want = K[x][x] + K[y][y] - 2 * K[x][y]
-                got = effective_resistance(g, x, y)
-                assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (s, g.edges, x, y)
+            per_base = [all_edge_circuit_data(g, p) for p in range(4)]
+            for i, (a, b, _) in enumerate(g.edges):
+                K = exact_deleted_inverse(4, g.edges, i)
+                to_a, to_b = exact_resistances_to(K, a), exact_resistances_to(K, b)
+                R = to_b[a]
+                for p, c in enumerate(per_base):
+                    arm = (to_a[p] + R - to_b[p]) / 2
+                    wants = (R, arm, R - arm, to_a[p] - arm)
+                    for got, want in zip((c.resistance[i], c.arm_first[i], c.arm_second[i], c.arm_base[i]), wants):
+                        assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (s, g.edges, i, p)
 
 
 def test_rank_one_matches_explicit_route():
@@ -347,6 +355,23 @@ def test_rank_one_matches_exact_rationals_at_wide_spreads():
     for g in graphs:
         assert g.vertex_count >= circuit.RANK_ONE_MIN_VERTICES
         assert_edge_data_is_exact(g)
+
+
+# Subdividing every edge leaves the metric space, and so tau, unchanged.
+# This 6-vertex graph takes the all-GTH route; subdivided, its 13 vertices
+# take the closed form, whose arms toward a base are differences of a
+# normwise-accurate inverse, and its taus at bases 0 and 11 differ by 9e-9
+# relative.  A strict xfail until the closed-form route is entrywise
+# accurate (ROADMAP items 19 and 20).
+@pytest.mark.xfail(strict=True, raises=SingularSystem, reason="tau disagrees across bases of the subdivided graph")
+def test_subdividing_a_graph_of_spread_3e11_keeps_its_tau():
+    g = build_graph(6, [
+        (3, 1, 114.53146230597646), (1, 5, 362852171255.4849), (4, 0, 55318861351.48573),
+        (0, 2, 108014770.0932237), (2, 5, 120943652.37878299), (1, 4, 12803667.562447801),
+        (4, 1, 1.1300525623414728),
+    ])
+    assert tau(g) == 34867732919.95578
+    assert tau(subdivide(g, 2)) == pytest.approx(tau(g), rel=1e-9)
 
 
 def test_closed_form_columns_hold_the_arm_at_every_base():
@@ -446,6 +471,27 @@ def package_sources():
     """Every module of the package, parsed, by file name."""
     package = Path(circuit.__file__).parent
     return {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
+def test_every_module_level_definition_is_named_elsewhere_in_the_package():
+    # Code that only the tests reach goes: every module-level function and
+    # class of the package is named outside its own definition, by a call,
+    # an import or an __all__ entry.  Dunder hooks such as the package's
+    # __getattr__ are called by Python itself.  The one exception has no
+    # library reader by design: the tests compare A against
+    # a_pq_oracle_integral.
+    exceptions = {"a_pq_oracle_integral"}
+    defined, seen = [], set()
+    for name, tree in package_sources().items():
+        for node in tree.body:
+            own = node.name if isinstance(node, ast.FunctionDef | ast.ClassDef) else None
+            if own and not own.startswith("__"):
+                defined.append((name, own))
+            seen.update(n for n in named(node) if n != own)
+            if isinstance(node, ast.Assign) and "__all__" in named(node.targets[0]):
+                seen.update(sub.value for sub in ast.walk(node.value) if isinstance(sub, ast.Constant))
+    unnamed = [(name, own) for name, own in defined if own not in seen]
+    assert {own for _, own in unnamed} == exceptions, unnamed
 
 
 def test_only_closed_form_reads_the_route_rule():
@@ -687,14 +733,20 @@ def test_a_closed_form_graph_builds_its_record_and_edge_arrays_once(monkeypatch)
 def gth_star(g, edge, base):
     """Star arms at the endpoints a, b of a non-bridge edge, in G minus that edge, toward base.
 
-    The per-edge reference for the pair reductions: G - e itself is reduced
+    The per-edge reference for the pair reductions: G - e's own conductance
+    maps (parallel edges added in edge order, loops left out) are reduced
     onto {a, b, base}, leaving a triangle with conductances g_ab (possibly
     0), g_ap and g_bp; its star has arm_a = g_bp / D and arm_b = g_ap / D
     with D = g_ab g_ap + g_ab g_bp + g_ap g_bp.  A base at an endpoint
     leaves the two-terminal case: arm 0 there, 1/g_ab at the other.
     """
     a, b, _ = g.edges[edge]
-    cond = circuit._conductances(g.vertex_count, g.edges[:edge] + g.edges[edge + 1:])
+    cond = [{} for _ in range(g.vertex_count)]
+    for i, (u, w, length) in enumerate(g.edges):
+        if i != edge and u != w:
+            c = 1.0 / length
+            cond[u][w] = cond[u].get(w, 0.0) + c
+            cond[w][u] = cond[w].get(u, 0.0) + c
     circuit._eliminate(cond, {a, b, base})
     if base in (a, b):
         r = 1.0 / cond[a][b]

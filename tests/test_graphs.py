@@ -13,7 +13,7 @@ from taulab.errors import (
     DisconnectedGraph,
     NonPositiveLength,
 )
-from taulab.circuit import effective_resistance
+from taulab.circuit import all_edge_circuit_data
 from taulab.fuzzing import named_corpus, random_connected_multigraph
 from taulab.graphs import MAX_LENGTH, MIN_LENGTH, MetrizedGraph, build_graph, component_labels
 from taulab.identities import verify_all
@@ -73,7 +73,9 @@ def test_lengths_must_keep_conductance_products_normal():
             build_graph(3, [(0, 1, length), (1, 2, length), (2, 0, length)])
     for length in (MIN_LENGTH, MAX_LENGTH):
         g = build_graph(3, [(0, 1, length), (1, 2, length), (2, 0, length)])
-        assert effective_resistance(g, 0, 1) / length == pytest.approx(2.0 / 3.0, rel=1e-12)
+        # Base 2 is off edge 0, so its star divides by a product of two conductances.
+        c = all_edge_circuit_data(g, 2)
+        assert (c.resistance[0] / length, c.arm_first[0] / length) == pytest.approx((2.0, 1.0), rel=1e-12)
         assert tau(g) / length == pytest.approx(0.25, rel=1e-12)
     # Surgeries may shrink an accepted graph below MIN_LENGTH (halving in
     # DA_TAU, subdivision in the oracles); only input is bounded, so they run.

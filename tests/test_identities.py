@@ -423,8 +423,9 @@ def test_nested_identities_skip_a_lattice_over_its_node_cap():
 def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
     # Every field of every edge record equals, bit for bit, the value read
     # off surgeries built directly, and is None exactly where a bridge, or
-    # a bridge elsewhere in g, leaves it undefined, or, for the looped
-    # graph's tau, below 3 vertices, where TAU_CONTRACT does not run.  The
+    # a bridge elsewhere in g, leaves it undefined.  On 3 or more vertices,
+    # where TAU_CONTRACT runs, the looped graph's tau it derives from G's
+    # length and the record's G/e scalars is the built graph's.  The
     # record sums its crossings over G's own stars of e; on the all-GTH
     # route they are A_pq of G - e, bit for bit, and of DA(G - e), whose
     # stars the record takes as a quarter of G - e's, within 1e-12.  The 25
@@ -456,11 +457,10 @@ def test_edge_crossing_is_A_of_the_deleted_graph_bit_for_bit(report_graphs):
         for i, (a, b, _) in enumerate(g.edges):
             record = invariants.edge_record(g, i)
             assert record.contracted == scalars(transforms.contract_edge(g, i)), (g.edges, i)
-            if g.vertex_count < 3:
-                assert record.looped_tau is None
-                seen["under 3 vertices"] += 1
-            else:
-                assert record.looped_tau == invariants.graph_profile(transforms.identify_endpoints(g, i)).tau
+            if g.vertex_count >= 3:
+                ell = invariants.graph_profile(g).ell
+                looped = ell / 12.0 - record.contracted.x / 6.0 + record.contracted.y / 6.0
+                assert looped == invariants.graph_profile(transforms.identify_endpoints(g, i)).tau, (g.edges, i)
                 seen["looped, closed form"] += circuit.closed_form(g) is not None
             if i in g.bridges():
                 undefined = (record.deleted, record.crossing, record.doubled_tau, record.doubled_crossing)
