@@ -278,10 +278,10 @@ def cmd_fuzz(args) -> int:
         "cases": cases,
         "failures": failures,
     }
-    if min_margin <= 0.0 and worst_margin_graph is not None:
+    if min_margin <= 0.0:
         body["violation_graph"] = serialize_graph(worst_margin_graph)
     _emit("fuzz", body)
-    if min_margin <= 0.0 and args.count > 0:
+    if min_margin <= 0.0:
         _shout_violation(min_margin, worst_margin_graph)
         return EXIT_CONJECTURE
     return EXIT_CHECK_FAILED if failures else EXIT_OK

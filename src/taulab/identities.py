@@ -150,17 +150,12 @@ def _deletable_non_loop(g):
 
 
 def _squared_terms(g: MetrizedGraph, resistances, spreads) -> list[float]:
-    """L s^2/(L+R)^2 per edge for its entry s of spreads; bridge limit L, loops 0."""
+    """L s^2/(L+R)^2 per edge for its entry s of spreads; bridge limit L, 0.0 at a loop (R = s = 0)."""
     bridges = g.bridges()
     terms = []
-    for i, ((a, b, length), spread, res) in enumerate(zip(g.edges, spreads, resistances)):
-        if a == b:
-            terms.append(0.0)
-        elif i in bridges:
-            terms.append(length)
-        else:
-            den = length + res
-            terms.append(length * spread * spread / (den * den))
+    for i, ((_, _, length), spread, res) in enumerate(zip(g.edges, spreads, resistances)):
+        den = length + res
+        terms.append(length if i in bridges else length * spread * spread / (den * den))
     return terms
 
 
@@ -341,14 +336,11 @@ def _euler_z(g):
     through_k = []
     through_surgery = []
     direct = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
+    for i, ((_, _, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         den = length + res
         through_k.append(length * invariants.K_definition(g, i) / den)
-        if a == b:
-            through_surgery.append(0.0)
-        else:
-            record = _record(g, i)
-            through_surgery.append((length * res / (den * den)) * (record.contracted.z - record.deleted.z))
+        record = _record(g, i)
+        through_surgery.append((length * res / (den * den)) * (record.contracted.z - record.deleted.z))
         direct.append(length * length * res / (den * den))
     total = math.fsum(direct)
     rows = [
@@ -362,9 +354,7 @@ def _euler_xy(g):
     prof = _prof(g)
     x_terms = []
     y_terms = []
-    for i, ((a, b, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
-        if a == b:
-            continue  # weight L R/(L+R)^2 vanishes with R = 0
+    for i, ((_, _, length), res) in enumerate(zip(g.edges, prof.columns.resistance)):
         den = length + res
         weight = length * res / (den * den)
         record = _record(g, i)

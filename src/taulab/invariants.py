@@ -18,15 +18,15 @@ y; a self-loop (R = 0) contributes its length to z and nothing else.
 
 The crossing A(h; p, q) is a sum of non-negative per-edge terms too, on
 both circuit routes: with V, W and J the arms at q, at p and at x of the
-star that h reduces to on {p, q, x}, each non-loop edge f = (u, w, L)
-adds
+star that h reduces to on {p, q, x}, each edge f = (u, w, L) adds
 
     dV^2 / L ((J_u + J_w) / 2 + L^2 / (6 (L + R_f)))
 
-(_star_crossing; no L^2 term at a bridge).  The stars of G - e onto
-{a, b, x} are the stars of e in G's profile at base x (_stars), so the
-catalog's crossings read G at every base and build no surgery for them;
-A_pq reads the stars of one p-q edge added to h.  No tau is differenced.
+(_star_crossing; 0.0 at a loop, no L^2 term at a bridge).  The stars of
+G - e onto {a, b, x} are the stars of e in G's profile at base x (_stars),
+so the catalog's crossings read G at every base and build no surgery for
+them; A_pq reads the stars of one p-q edge added to h.  No tau is
+differenced.
 
 Two independent oracles recompute tau without these formulas: a quadrature
 of the squared slope of the resistance function, and a recursion that
@@ -280,11 +280,12 @@ def K_definition(g: MetrizedGraph, i: int) -> float:
 
 
 def K_contraction_form(g: MetrizedGraph, i: int) -> float:
-    """The same defect via contraction: (R/(L+R)) (z(contracted) - z(deleted))."""
+    """The same defect via contraction: (R/(L+R)) (z(contracted) - z(deleted)).
+
+    +0.0 at a self-loop with no case of its own: its weight is 0.0, and its
+    contraction and deletion are one edge list, so their z agree.
+    """
     i = _deletable(g, i)
-    a, b, _ = g.edges[i]
-    if a == b:
-        return 0.0
     weight = graph_profile(g).weight_resistance[i]
     record = edge_record(g, i)
     return float(weight * (record.contracted.z - record.deleted.z))
@@ -332,7 +333,7 @@ def _stars(g: MetrizedGraph, i: int) -> list[tuple[float, float, float]]:
 
 
 def _star_crossing(h: MetrizedGraph, stars: Sequence[tuple[float, float, float]]) -> float:
-    """A(h; p, q) as one fsum of non-negative terms, one per non-loop edge f = (u, w, L) of h.
+    """A(h; p, q) as one fsum of non-negative terms, one per edge f = (u, w, L) of h.
 
     stars[x] is (W, V, J): the arms at p, at q and at x of the star that h
     reduces to on {p, q, x}.  On f, J is quadratic and V linear, so f adds
@@ -340,17 +341,17 @@ def _star_crossing(h: MetrizedGraph, stars: Sequence[tuple[float, float, float]]
     deleted-edge resistance in h (graph_profile(h) at base 0, as a Python
     float) and the L^2 term dropped at a bridge of h.  V + W = r(p, q) at
     every vertex, so dV is taken from whichever arm is the smaller at f's
-    ends: the one whose difference cancels least.
+    ends: the one whose difference cancels least.  Both ends of a loop read
+    one star, so its dV and its term are 0.0, which leaves the fsum as it is.
     """
     resistance = [*map(float, graph_profile(h).columns.resistance)]
     bridges = h.bridges()
     terms = []
     for f, (u, w, L) in enumerate(h.edges):
-        if u != w:
-            (W_u, V_u, J_u), (W_w, V_w, J_w) = stars[u], stars[w]
-            gap = W_u - W_w if W_u + W_w < V_u + V_w else V_w - V_u
-            bump = 0.0 if f in bridges else L * L / (6.0 * (L + resistance[f]))
-            terms.append(gap * gap / L * (0.5 * (J_u + J_w) + bump))
+        (W_u, V_u, J_u), (W_w, V_w, J_w) = stars[u], stars[w]
+        gap = W_u - W_w if W_u + W_w < V_u + V_w else V_w - V_u
+        bump = 0.0 if f in bridges else L * L / (6.0 * (L + resistance[f]))
+        terms.append(gap * gap / L * (0.5 * (J_u + J_w) + bump))
     return math.fsum(terms)
 
 

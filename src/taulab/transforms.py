@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuts import edge_connectivity
+from .cuts import edge_connectivity, vertex_connectivity
 from .errors import (
     HasCutVertex,
     NonPositiveLength,
@@ -146,27 +146,19 @@ def subdivide(g: MetrizedGraph, m: int) -> MetrizedGraph:
 # -- cut vertices --------------------------------------------------------------
 
 
-def cut_vertices(g: MetrizedGraph) -> frozenset[int]:
-    """Vertices whose removal disconnects the graph as a length space.
-
-    The test is topological, not combinatorial: removing the point must
-    disconnect what remains, so a vertex carrying a self-loop (with anything
-    else attached) counts, as does the attachment point of a pendant edge's
-    subtree.  Implemented by subdividing once so edge interiors are visible
-    to a plain component count.
-    """
-    fine = subdivide(g, 2)
-    out = []
-    for p in range(g.vertex_count):
-        labels = component_labels(fine.vertex_count, [e for e in fine.edges if p not in e[:2]])
-        rest = [labels[v] for v in range(fine.vertex_count) if v != p]
-        if rest and len(set(rest)) > 1:
-            out.append(p)
-    return frozenset(out)
-
-
 def has_cut_vertex(g: MetrizedGraph) -> bool:
-    return bool(cut_vertices(g))
+    """Whether removing some vertex disconnects the graph as a length space.
+
+    Removing a looped vertex that has another edge end cuts off the loop's
+    open arc; a lone loop leaves one arc.  Otherwise p has no loop, and each
+    arc left by removing p hangs on a remaining vertex, so p cuts the length
+    space exactly when it cuts the multigraph.  No vertex cuts a multigraph
+    on 2 vertices, and on 3 or more one does exactly when the vertex
+    connectivity is 1.
+    """
+    if any(a == b and g.valence(a) > 2 for a, b, _ in g.edges):
+        return True
+    return g.vertex_count >= 3 and vertex_connectivity(g) == 1
 
 
 # -- valence reduction to a cubic graph ---------------------------------------

@@ -606,8 +606,8 @@ def test_deletion_defect_reuses_the_catalogs_surgeries(monkeypatch):
 
 # The smallest known miss of the 1e-9 tolerance, a difference of two large
 # sums that cancel.  It stays a strict xfail until K becomes a sum of
-# non-negative terms (ROADMAP items 4 and 5).
-@pytest.mark.xfail(strict=True, reason="K(G, e) = z(G) - own - z(G - e) cancels (ROADMAP items 4 and 5)")
+# non-negative terms (ROADMAP item 18).
+@pytest.mark.xfail(strict=True, reason="K(G, e) = z(G) - own - z(G - e) cancels (ROADMAP item 18)")
 def test_k_contract_on_a_two_edge_circle_of_spread_8e4():
     g = build_graph(2, [(0, 1, 505.06787927590153), (0, 1, 39795283.970232315)])
     report = verify(g, "K_CONTRACT")

@@ -6,8 +6,9 @@ import random
 import time
 
 import pytest
+from test_circuit import closed_form_catalog_graphs, wide_spread_multigraphs
 
-from taulab import fuzzing, graphs, identities, invariants, transforms
+from taulab import circuit, fuzzing, graphs, identities, invariants, transforms
 from taulab.connectivity import N_of, edge_connectivity
 from taulab.errors import BridgePresent, SameVertex, SingularSystem, TooLarge, TooSmall, WouldDisconnect
 from taulab.fuzzing import (
@@ -196,6 +197,33 @@ def test_both_deletion_defect_forms_refuse_a_bridge_before_any_arithmetic(monkey
 def test_loop_deletion_defect_is_zero():
     g = build_graph(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 1, 2.0)])
     assert K_of(g, 2) == 0.0
+
+
+def test_loops_take_the_general_arithmetic_on_both_routes():
+    # At a loop both routes hold R = 0.0, zero arms and weight 0.0, and
+    # G/e and G - e are one edge list, so no formula needs a loop case:
+    # K's contraction form is +0.0, and a loop's crossing term is 0.0,
+    # leaving every crossing as it is on g without its loops.
+    graphs = [g for g in wide_spread_multigraphs(random.Random(7), 120) if any(a == b for a, b, _ in g.edges)]
+    graphs.append(closed_form_catalog_graphs()[-1])
+    loops = edges = 0
+    for g in graphs:
+        looped = [i for i, (a, b, _) in enumerate(g.edges) if a == b]
+        for i in looped:
+            record = invariants.edge_record(g, i)
+            assert record.contracted == record.deleted, (g.edges, i)
+            K = K_contraction_form(g, i)
+            assert K == 0.0 and math.copysign(1.0, K) == 1.0, (g.edges, i)
+        kept = [i for i in range(g.edge_count) if i not in looped]
+        loopless = build_graph(g.vertex_count, [g.edges[i] for i in kept])
+        for j, i in enumerate(kept):
+            if i not in g.bridges():
+                ours, theirs = invariants.edge_record(g, i), invariants.edge_record(loopless, j)
+                assert (ours.crossing, ours.doubled_crossing) == (theirs.crossing, theirs.doubled_crossing), (g.edges, i)
+                edges += 1
+        loops += len(looped)
+    assert circuit.closed_form(graphs[-1]) is not None and circuit.closed_form(graphs[0]) is None
+    assert loops > 100 and edges > 400
 
 
 def test_crossing_value_on_paths(path2):

@@ -19,7 +19,7 @@ from taulab.errors import (
     WouldDisconnect,
 )
 from taulab.fuzzing import random_bridgeless_multigraph, random_connected_multigraph
-from taulab.graphs import MetrizedGraph, build_graph
+from taulab.graphs import MetrizedGraph, build_graph, component_labels
 
 
 def test_delete_edge(triangle):
@@ -137,22 +137,54 @@ def test_k4_has_thirty_admissible_pairs(k4, replay):
     assert sorted(len(loops) for _, _, loops in leaves) == [0] * 3 + [1] * 12
 
 
+def subdivision_cut_vertices(g):
+    """Vertices whose removal disconnects g as a length space, by brute force.
+
+    Subdividing every edge once makes edge interiors vertices, so a plain
+    component count of what is left without p sees the open arcs too.
+    """
+    fine = transforms.subdivide(g, 2)
+    out = set()
+    for p in range(g.vertex_count):
+        labels = component_labels(fine.vertex_count, [e for e in fine.edges if p not in e[:2]])
+        if len({labels[v] for v in range(fine.vertex_count) if v != p}) > 1:
+            out.add(p)
+    return out
+
+
 def test_cut_vertices_on_bowtie():
     bowtie = build_graph(5, [
         (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
         (2, 3, 1.0), (3, 4, 1.0), (4, 2, 1.0),
     ])
-    assert transforms.cut_vertices(bowtie) == frozenset({2})
+    assert subdivision_cut_vertices(bowtie) == {2}
     assert transforms.has_cut_vertex(bowtie)
 
 
 def test_loop_base_point_is_a_cut_vertex():
+    # Two vertices never cut the multigraph; only the loop's open arc is cut off.
     g = build_graph(2, [(0, 1, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
-    assert 1 in transforms.cut_vertices(g)
+    assert subdivision_cut_vertices(g) == {1}
+    assert transforms.has_cut_vertex(g)
+    assert not transforms.has_cut_vertex(build_graph(2, [(0, 1, 1.0), (0, 1, 1.0)]))
 
 
 def test_no_cut_vertices_in_k4(k4):
-    assert transforms.cut_vertices(k4) == frozenset()
+    assert subdivision_cut_vertices(k4) == set()
+    assert not transforms.has_cut_vertex(k4)
+
+
+def test_has_cut_vertex_matches_the_subdivision_definition():
+    rng = random.Random(4545)
+    for v, e in ((2, 5), (3, 6), (6, 12), (10, 14), (12, 30)):
+        graphs = [random_connected_multigraph(rng, v, e) for _ in range(120)]
+        cut = [bool(subdivision_cut_vertices(g)) for g in graphs]
+        assert [transforms.has_cut_vertex(g) for g in graphs] == cut, (v, e)
+        assert 0 < sum(cut) < len(cut), (v, e)
+    # One-vertex bouquets: no loop and one loop have no cut point, two do.
+    bouquets = [build_graph(1, [(0, 0, 1.0)] * loops) for loops in range(3)]
+    assert [bool(subdivision_cut_vertices(g)) for g in bouquets] == [False, False, True]
+    assert [transforms.has_cut_vertex(g) for g in bouquets] == [False, False, True]
 
 
 def test_cubic_transform_rejects_bad_input(triangle, k4):
